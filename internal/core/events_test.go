@@ -8,6 +8,7 @@ import (
 
 	"aggcache/internal/column"
 	"aggcache/internal/obs"
+	"aggcache/internal/query"
 )
 
 // parseEvents decodes the JSON-lines event buffer.
@@ -37,6 +38,50 @@ func countEvents(events []map[string]any, msg string) int {
 	return n
 }
 
+// assertSeamContract checks the observer seam's once-per-decision contract:
+// for each lifecycle kind the scenario must have driven, the event-log lines,
+// the registry counter and the ledger records of that kind agree in number
+// (and are nonzero) — evictions additionally per reason.
+func assertSeamContract(t *testing.T, events []map[string]any, reg *obs.Registry, led *obs.Ledger, reasons map[obs.DecisionKind][]string) {
+	t.Helper()
+	counters := reg.Snapshot().Counters
+	ledger := led.Snapshot()
+	for kind, rs := range reasons {
+		metric := decisionSpecs[kind].metric
+		records := 0
+		byReason := map[string]int{}
+		for _, d := range ledger {
+			if d.Kind == kind {
+				records++
+				byReason[d.Reason]++
+			}
+		}
+		lines := countEvents(events, metric)
+		if records == 0 || lines != records || counters[metric] != int64(records) {
+			t.Errorf("%s: %d event lines, counter %d, %d ledger records; want equal and nonzero",
+				kind, lines, counters[metric], records)
+		}
+		attr := decisionSpecs[kind].reason
+		for _, r := range rs {
+			lines := 0
+			for _, e := range events {
+				if e["msg"] == metric && e[attr] == r {
+					lines++
+				}
+			}
+			if byReason[r] == 0 || lines != byReason[r] {
+				t.Errorf("%s %s=%q: %d event lines, %d ledger records; want equal and nonzero", kind, attr, r, lines, byReason[r])
+			}
+			if kind == obs.DecisionEvict {
+				name := "cache.evictions_" + strings.ReplaceAll(r, "-", "_")
+				if counters[name] != int64(byReason[r]) {
+					t.Errorf("%s = %d, want %d", name, counters[name], byReason[r])
+				}
+			}
+		}
+	}
+}
+
 // TestLifecycleEvents drives the full cache lifecycle with the event log
 // attached and checks every stage emits a structured event whose name
 // matches the registry metric it increments — the join key between the
@@ -45,7 +90,8 @@ func TestLifecycleEvents(t *testing.T) {
 	var buf bytes.Buffer
 	ev := obs.NewEventLog(&buf)
 	reg := obs.NewRegistry()
-	e := newEnv(t, Config{Events: ev, Metrics: reg, DisableJoinCompensation: true})
+	led := obs.NewLedger(0)
+	e := newEnv(t, Config{Events: ev, Metrics: reg, Ledger: led, DisableJoinCompensation: true})
 	e.db.SetEvents(ev)
 	e.db.SetMetrics(reg)
 
@@ -127,6 +173,46 @@ func TestLifecycleEvents(t *testing.T) {
 			}
 		}
 	}
+
+	// The rest of the lifecycle, driven for the seam's contract below.
+	// A single-table entry is compensated in place when a row it covers is
+	// deleted, and an online merge folds the pending delta into both entries.
+	qh := headerOnlyQuery()
+	if _, _, err := e.mgr.Execute(qh, CachedFullPruning); err != nil {
+		t.Fatal(err)
+	}
+	tx = e.db.Txns().Begin()
+	if err := e.db.MustTable("Header").Delete(tx, 1); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	if _, info, err := e.mgr.Execute(qh, CachedFullPruning); err != nil || info.MainCompensated == 0 {
+		t.Fatalf("info = %+v err = %v, want main compensation", info, err)
+	}
+	e.insertObject(t, 2015, 7)
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
+		t.Fatal(err)
+	}
+	// A MAX aggregate is not self-maintainable: built, then refused.
+	nsm := headerOnlyQuery()
+	nsm.Aggs = append(nsm.Aggs, query.AggSpec{Func: query.Max, Col: query.ColRef{Table: "Header", Col: "FiscalYear"}})
+	if _, info, err := e.mgr.Execute(nsm, CachedFullPruning); err != nil || info.Admitted {
+		t.Fatalf("info = %+v err = %v, want rejection", info, err)
+	}
+
+	events = parseEvents(t, &buf)
+	for _, e := range events {
+		if e["msg"] == "cache.maintenances" && (e["key"] == nil || e["table"] == nil || e["delta_tuples"] == nil) {
+			t.Errorf("maintenance event missing fields: %v", e)
+		}
+	}
+	assertSeamContract(t, events, reg, led, map[obs.DecisionKind][]string{
+		obs.DecisionAdmit:      nil,
+		obs.DecisionReject:     {"not-self-maintainable"},
+		obs.DecisionInvalidate: nil,
+		obs.DecisionCompensate: {"persist"},
+		obs.DecisionFold:       {"offline", "online"},
+	})
 }
 
 // TestNoEventsByDefault: a manager built with a zero Config (and no

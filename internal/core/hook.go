@@ -3,6 +3,7 @@ package core
 import (
 	"log/slog"
 
+	"aggcache/internal/obs"
 	"aggcache/internal/query"
 	"aggcache/internal/table"
 	"aggcache/internal/txn"
@@ -52,7 +53,7 @@ func (h *mergeHook) BeforeMerge(db *table.DB, tbl *table.Table, part int, snap t
 		var st query.Stats
 		// Settle invalidations first so the fold starts from a value that
 		// matches the live main rows (joins go stale; rebuilt on access).
-		if _, err := m.mainCompensate(e, snap, CachedFullPruning, &st, nil, compPersist); err != nil {
+		if _, err := m.mainCompensate(e, snap, &st, nil, compPersist); err != nil {
 			m.markStale(e, "merge-time main compensation failed: "+err.Error())
 			continue
 		}
@@ -67,20 +68,8 @@ func (h *mergeHook) BeforeMerge(db *table.DB, tbl *table.Table, part int, snap t
 			m.markStale(e, "merge-time delta fold failed: "+err.Error())
 			continue
 		}
-		m.bytes -= e.Metrics.SizeBytes
-		e.Metrics.SizeBytes = e.Value.MemBytes()
-		m.bytes += e.Metrics.SizeBytes
-		e.Metrics.MainRows += st.TuplesJoined
-		e.Metrics.Maintenances++
-		e.SnapHigh = snap.High
-		m.obs.maintenances.Inc()
 		m.obs.recordStats(&st)
-		if m.ev.Enabled() {
-			m.ev.Emit("cache.maintenances",
-				slog.String("key", e.Key), slog.String("table", tbl.Name()),
-				slog.Int64("delta_tuples", st.TuplesJoined))
-		}
-		m.ledFold(e, st.TuplesJoined, "offline")
+		m.folded(e, tbl.Name(), snap, st.TuplesJoined, "offline")
 	}
 	m.syncGauges()
 }
@@ -130,7 +119,7 @@ func (h *mergeHook) FoldOnline(db *table.DB, tbl *table.Table, part int, snap tx
 			continue
 		}
 		var st query.Stats
-		if _, err := m.mainCompensate(e, snap, CachedFullPruning, &st, nil, compSettle); err != nil {
+		if _, err := m.mainCompensate(e, snap, &st, nil, compSettle); err != nil {
 			m.markStale(e, "merge-time main compensation failed: "+err.Error())
 			continue
 		}
@@ -214,21 +203,20 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 		e.Value.Merge(fold)
 		e.MainVis[ref] = base.Clone()
 		e.MainInv[ref] = 0
-		e.SnapHigh = snap.High
-		m.bytes -= e.Metrics.SizeBytes
-		e.Metrics.SizeBytes = e.Value.MemBytes()
-		m.bytes += e.Metrics.SizeBytes
-		e.Metrics.MainRows += pf.tuples[key]
-		e.Metrics.Maintenances++
-		m.obs.maintenances.Inc()
-		if m.ev.Enabled() {
-			m.ev.Emit("cache.maintenances",
-				slog.String("key", e.Key), slog.String("table", name),
-				slog.Int64("delta_tuples", pf.tuples[key]))
-		}
-		m.ledFold(e, pf.tuples[key], "online")
+		m.folded(e, name, snap, pf.tuples[key], "online")
 	}
 	m.syncGauges()
+}
+
+// folded accounts one merge-time maintenance fold already applied to the
+// entry's value — tuples delta tuples of the merging table now covered by
+// the main stores as of snap — and announces it. Callers hold m.mu.
+func (m *Manager) folded(e *Entry, table string, snap txn.Snapshot, tuples int64, mode string) {
+	m.resize(e)
+	e.Metrics.MainRows += tuples
+	e.Metrics.Maintenances++
+	e.SnapHigh = snap.High
+	m.decide(m.entryDecision(obs.DecisionFold, e, mode, tuples), slog.String("table", table))
 }
 
 // AbortOnline discards the staging of a rolled-back online merge. The store

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"log/slog"
 	"sort"
 	"time"
 
@@ -10,15 +9,13 @@ import (
 	"aggcache/internal/recycler"
 )
 
-// This file wires the cache decision ledger (obs.Ledger) into the manager:
-// every admission, rejection, hit, miss, rebuild, bypass, compensation,
-// fold, invalidation, and eviction is recorded with the profit components
-// snapshotted at decision time, making the profit policy replayable by the
-// shadow-cache advisor (internal/advisor). All emission helpers are gated on
-// m.led.Enabled(), cost one nil check when the ledger is off (the default),
-// and are allocation-free when it is on — TestLedgerHitPathAllocs asserts
-// the hot path, and a Decision is a flat value copied into the ledger's
-// preallocated ring.
+// This file holds the eviction policy and the builders that snapshot a cache
+// decision for the observer seam (Manager.decide, obs.go): every admission,
+// rejection, hit, miss, rebuild, bypass, compensation, fold, invalidation, and
+// eviction is announced with the profit components as they stood at decision
+// time, making the profit policy replayable by the shadow-cache advisor
+// (internal/advisor). A Decision is a flat value: building one allocates
+// nothing (TestLedgerHitPathAllocs asserts the hot path).
 
 // Eviction reasons, carried by the cache.evictions event, the /debug/cache
 // payload, and evict-kind ledger decisions.
@@ -77,26 +74,7 @@ func (m *Manager) evict(victim *Entry, reason string) {
 	m.bytes -= victim.Metrics.SizeBytes
 	m.Evictions++
 	m.evictionsByReason[reason]++
-	m.obs.evictions.Inc()
-	switch reason {
-	case EvictStale:
-		m.obs.evictStale.Inc()
-	case EvictMinProfit:
-		m.obs.evictMinProfit.Inc()
-	default:
-		m.obs.evictCapacity.Inc()
-	}
-	if m.ev.Enabled() {
-		m.ev.Emit("cache.evictions",
-			slog.String("key", victim.Key), slog.String("reason", reason),
-			slog.Float64("profit", victim.Metrics.Profit()),
-			slog.Uint64("size_bytes", victim.Metrics.SizeBytes))
-	}
-	if m.led.Enabled() {
-		d := m.entryDecision(obs.DecisionEvict, victim)
-		d.Reason = reason
-		m.ledRecord(d)
-	}
+	m.decide(m.entryDecision(obs.DecisionEvict, victim, reason, 0))
 }
 
 // ghostCapacity bounds the ghost list of recently evicted keys.
@@ -128,9 +106,15 @@ func (m *Manager) addGhost(key string, g ghostInfo) {
 	m.ghost[key] = g
 }
 
-// entryDecision seeds a Decision of the given kind with the entry's profit
-// components and the cache state as they stand. Callers hold m.mu.
-func (m *Manager) entryDecision(kind obs.DecisionKind, e *Entry) obs.Decision {
+// entryDecision snapshots a Decision of the given kind about an entry: its
+// profit components and the cache state as they stand, plus the decision's
+// own qualifier and row count — when the event log or the ledger will read
+// them. Callers hold m.mu.
+func (m *Manager) entryDecision(kind obs.DecisionKind, e *Entry, reason string, rows int64) obs.Decision {
+	if !m.ev.Enabled() && !m.led.Enabled() {
+		// Only the counter listens, and it reads no more than this.
+		return obs.Decision{Kind: kind, Reason: reason}
+	}
 	var age int64
 	if !e.Metrics.LastAccess.IsZero() {
 		age = int64(time.Since(e.Metrics.LastAccess))
@@ -139,6 +123,8 @@ func (m *Manager) entryDecision(kind obs.DecisionKind, e *Entry) obs.Decision {
 		Kind:         kind,
 		Key:          e.Key,
 		Shape:        e.Query.Shape(),
+		Reason:       reason,
+		Rows:         rows,
 		Hits:         e.Metrics.Hits,
 		SizeBytes:    e.Metrics.SizeBytes,
 		ComputeNS:    int64(e.Metrics.MainExecTime),
@@ -151,22 +137,13 @@ func (m *Manager) entryDecision(kind obs.DecisionKind, e *Entry) obs.Decision {
 	}
 }
 
-// ledRecord appends one decision and counts it. Callers have checked
-// m.led.Enabled().
-func (m *Manager) ledRecord(d obs.Decision) {
-	m.obs.decisions.Inc()
-	m.led.Record(d)
-}
-
-// recordAccess appends the access decision of one cached-strategy execution
-// — hit, miss, rebuild, or bypass — after the execution accounted its use,
-// so the snapshot reflects what the next decision will see. Uncached
-// executions make no cache decision and are not recorded.
-func (m *Manager) recordAccess(q *query.Query, info *ExecInfo) {
-	if !m.led.Enabled() || info.Strategy == Uncached {
-		return
-	}
-	var kind obs.DecisionKind
+// accessDecision classifies one finished cached-strategy execution — hit,
+// bypass, rebuild, or miss — and, when the ledger listens, snapshots the
+// entry after the execution accounted its use, so the record reflects what
+// the next decision will see. Without a ledger only the kind is read, and
+// the cache lock is not taken.
+func (m *Manager) accessDecision(q *query.Query, info *ExecInfo) obs.Decision {
+	kind := obs.DecisionMiss
 	switch {
 	case info.CacheHit:
 		kind = obs.DecisionHit
@@ -174,14 +151,15 @@ func (m *Manager) recordAccess(q *query.Query, info *ExecInfo) {
 		kind = obs.DecisionBypass
 	case info.Rebuilt:
 		kind = obs.DecisionRebuild
-	default:
-		kind = obs.DecisionMiss
+	}
+	if !m.led.Enabled() {
+		return obs.Decision{Kind: kind}
 	}
 	key := q.Fingerprint()
 	m.mu.Lock()
 	var d obs.Decision
 	if e := m.entries[key]; e != nil {
-		d = m.entryDecision(kind, e)
+		d = m.entryDecision(kind, e, "", 0)
 	} else {
 		// Rejected miss (or an entry already evicted again): no resident
 		// entry to snapshot; the reject decision carried the components.
@@ -194,61 +172,24 @@ func (m *Manager) recordAccess(q *query.Query, info *ExecInfo) {
 	d.Strategy = info.Strategy.String()
 	d.ServeNS = int64(info.Total)
 	d.RegretX = info.Regret
-	m.ledRecord(d)
+	return d
 }
 
-// rejectEntry accounts an admission denial. Callers hold m.mu.
-func (m *Manager) rejectEntry(e *Entry, reason string) {
-	m.obs.rejections.Inc()
-	if m.ev.Enabled() {
-		m.ev.Emit("cache.rejections",
-			slog.String("key", e.Key), slog.String("reason", reason),
-			slog.Float64("profit", e.Metrics.Profit()))
-	}
-	if m.led.Enabled() {
-		d := m.entryDecision(obs.DecisionReject, e)
-		d.Reason = reason
-		m.ledRecord(d)
-	}
-}
-
-// ledCompensate records an in-place main compensation (rows removed from the
-// cached value). Callers hold m.mu.
-func (m *Manager) ledCompensate(e *Entry, rows int, mode string) {
-	if !m.led.Enabled() {
-		return
-	}
-	d := m.entryDecision(obs.DecisionCompensate, e)
-	d.Reason = mode
-	d.Rows = int64(rows)
-	m.ledRecord(d)
-}
-
-// ledFold records a merge-time maintenance fold. Callers hold m.mu.
-func (m *Manager) ledFold(e *Entry, tuples int64, mode string) {
-	if !m.led.Enabled() {
-		return
-	}
-	d := m.entryDecision(obs.DecisionFold, e)
-	d.Reason = mode
-	d.Rows = tuples
-	m.ledRecord(d)
-}
-
-// ledRecycle records one recycler decision — hit/top-up at plan time,
-// admission at job completion. Key is the query fingerprint with the combo
+// recycled announces one recycler decision — hit/top-up at plan time,
+// admission at job completion. Recycler kinds reach only the ledger, so
+// without one nothing is built. Key is the query fingerprint with the combo
 // in Reason, mirroring the subjoin event attributes; rows carries the
 // top-up row count (topup) or the execution cost (admit). Recycler records
 // intentionally leave CacheBytes/CacheEntries zero: those canonical fields
 // snapshot the aggregate cache, which recycler decisions do not touch, and
-// the manager lock is not held here. Recorded on the coordinating goroutine
+// the manager lock is not held here. Announced on the coordinating goroutine
 // in plan/job order, so the ledger stays byte-identical across worker
 // counts.
-func (m *Manager) ledRecycle(kind obs.DecisionKind, q *query.Query, strat Strategy, combo query.Combo, rows int64, size uint64) {
+func (m *Manager) recycled(kind obs.DecisionKind, q *query.Query, strat Strategy, combo query.Combo, rows int64, size uint64) {
 	if !m.led.Enabled() {
 		return
 	}
-	m.ledRecord(obs.Decision{
+	m.decide(obs.Decision{
 		Kind:      kind,
 		Key:       q.Fingerprint(),
 		Shape:     q.Shape(),
@@ -259,11 +200,11 @@ func (m *Manager) ledRecycle(kind obs.DecisionKind, q *query.Query, strat Strate
 	})
 }
 
-// ledRecycleEvictions records recycler evictions (capacity pressure or
+// recycleEvicted announces recycler evictions (capacity pressure or
 // invalidation): the note's key is the full partial key (fingerprint plus
 // store assignment). q may be nil when the eviction comes from a merge
 // hook's InvalidateTable rather than a query.
-func (m *Manager) ledRecycleEvictions(q *query.Query, strat Strategy, notes []recycler.EvictionNote) {
+func (m *Manager) recycleEvicted(q *query.Query, strat Strategy, notes []recycler.EvictionNote) {
 	if !m.led.Enabled() {
 		return
 	}
@@ -280,7 +221,7 @@ func (m *Manager) ledRecycleEvictions(q *query.Query, strat Strategy, notes []re
 			d.Shape = q.Shape()
 			d.Strategy = strat.String()
 		}
-		m.ledRecord(d)
+		m.decide(d)
 	}
 }
 
@@ -292,8 +233,7 @@ func (m *Manager) recycleInvalidate(name string) {
 	if m.rc == nil {
 		return
 	}
-	notes := m.rc.InvalidateTable(name)
-	m.ledRecycleEvictions(nil, 0, notes)
+	m.recycleEvicted(nil, 0, m.rc.InvalidateTable(name))
 }
 
 // sortedEntryKeys lists the cache keys in lexical order. The merge hooks

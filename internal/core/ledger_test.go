@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -126,7 +127,8 @@ func counterValue(t testing.TB, reg *obs.Registry, name string) int64 {
 // and /debug/cache accounting agree, and a miss on an evicted key is flagged
 // as a ledger-predicted regret.
 func TestLedgerEvictionReasonsAndRegret(t *testing.T) {
-	e, led, reg := ledgerEnv(t, Config{})
+	var buf bytes.Buffer
+	e, led, reg := ledgerEnv(t, Config{Events: obs.NewEventLog(&buf)})
 	e.insertObject(t, 2013, 10, 20)
 	e.insertObject(t, 2014, 5)
 	e.db.MergeTables(false, "Header", "Item")
@@ -225,10 +227,32 @@ func TestLedgerEvictionReasonsAndRegret(t *testing.T) {
 		t.Fatalf("evictions by reason = %v, want a %q eviction", got, EvictMinProfit)
 	}
 
+	// With the threshold lifted, the same pressure evicts a live, admissible
+	// entry for capacity alone.
+	e.mgr.mu.Lock()
+	e.mgr.cfg.MinProfit, e.mgr.cfg.CapacityBytes = 0, 0
+	e.mgr.mu.Unlock()
+	reFetch(qHeader)
+	e.mgr.mu.Lock()
+	e.mgr.cfg.CapacityBytes = 1
+	e.mgr.evictOverCapacity()
+	e.mgr.mu.Unlock()
+	if got := e.mgr.EvictionsByReason(); got[EvictCapacity] == 0 {
+		t.Fatalf("evictions by reason = %v, want a %q eviction", got, EvictCapacity)
+	}
+
 	dbg := e.mgr.CacheDebug()
 	if dbg.Evictions == 0 || dbg.EvictionsByReason[EvictStale] != 1 || dbg.LedgerSeq != led.Seq() {
 		t.Fatalf("CacheDebug = %+v", dbg)
 	}
+
+	// Every eviction, whatever its reason, was announced once to each
+	// subscriber — as were the admissions and the invalidation behind them.
+	assertSeamContract(t, parseEvents(t, &buf), reg, led, map[obs.DecisionKind][]string{
+		obs.DecisionAdmit:      nil,
+		obs.DecisionInvalidate: {"test"},
+		obs.DecisionEvict:      {EvictStale, EvictMinProfit, EvictCapacity},
+	})
 }
 
 // TestLedgerRejectDecision: an admission denial leaves a reject decision

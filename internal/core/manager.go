@@ -273,35 +273,40 @@ func (m *Manager) Clear() {
 // is traced and the completed span tree retained; without one the span stays
 // nil and the execution path carries no tracing work at all.
 func (m *Manager) Execute(q *query.Query, strat Strategy) (*query.AggTable, ExecInfo, error) {
+	res, _, info, _, err := m.serve(q, strat, serveTable)
+	return res, info, err
+}
+
+// serveMode selects what one trip through the serve path hands back.
+type serveMode uint8
+
+const (
+	serveTable  serveMode = iota // Execute: the result table
+	serveTraced                  // ExplainAnalyze: the table and its span tree, recorder or not
+	serveRows                    // ExecuteRows: rows streamed off the cached groups
+)
+
+// serve is the one public execution path behind Execute, ExplainAnalyze and
+// ExecuteRows: database read lock, pinned read snapshot, the exec.inflight
+// gauge (the queue-depth half of the governor's overload signal), the root
+// span when someone wants one, the execution, and one observeExec.
+func (m *Manager) serve(q *query.Query, strat Strategy, mode serveMode) (res *query.AggTable, rows []query.Row, info ExecInfo, sp *obs.Span, err error) {
 	m.db.RLock()
 	defer m.db.RUnlock()
 	snap, unpin := m.db.Txns().PinRead()
 	defer unpin()
-	defer m.trackInflight()()
-	var sp *obs.Span
-	if m.rec.Enabled() {
+	m.obs.inflight.Add(1)
+	defer m.obs.inflight.Add(-1)
+	if mode == serveTraced || m.rec.Enabled() {
 		sp = obs.StartSpan("execute " + q.Fingerprint())
 		sp.Attr("strategy", strat.String())
 		sp.Attr("shape", q.Shape())
 	}
-	res, info, err := m.execute(q, snap, strat, sp)
-	if sp != nil {
-		sp.End()
-		m.rec.Record(sp)
-	}
-	m.shadowHandOff(q, strat, snap, res, info, err)
-	return res, info, err
-}
-
-// shadowHandOff offers a completed execution to the installed
-// shadow-verification hook. It must run before the serving pin releases:
-// the hook's nested Pin at the same watermark keeps the snapshot's row
-// versions reclaimable-proof for the background re-execution. Uncached
-// executions are skipped — they ARE the oracle.
-func (m *Manager) shadowHandOff(q *query.Query, strat Strategy, snap txn.Snapshot, res *query.AggTable, info ExecInfo, err error) {
-	if box := m.shadow.Load(); box != nil && err == nil && strat != Uncached && box.h.Sampled(q) {
-		box.h.Capture(q, strat, snap, m.db.Txns().Pin(snap), res, info)
-	}
+	res, rows, info, err = m.execute(q, snap, strat, sp, mode == serveRows)
+	// Rows mode skips only the shadow hand-off: the verifier diffs result
+	// tables, and streaming rows never materializes one (res is nil).
+	m.observeExec(q, snap, sp, res, &info, err)
+	return res, rows, info, sp, err
 }
 
 // SetShadow installs (or, with nil, removes) the shadow-verification hook
@@ -373,9 +378,13 @@ func (m *Manager) PinSnapshot() (txn.Snapshot, func()) {
 }
 
 // ExecuteAt is Execute against an explicit snapshot; the caller must hold
-// the database read lock or otherwise guarantee quiescence.
+// the database read lock or otherwise guarantee quiescence. The caller owns
+// the snapshot's pin, so the execution is observed but neither traced nor
+// offered to the shadow verifier.
 func (m *Manager) ExecuteAt(q *query.Query, snap txn.Snapshot, strat Strategy) (*query.AggTable, ExecInfo, error) {
-	return m.execute(q, snap, strat, nil)
+	res, _, info, err := m.execute(q, snap, strat, nil, false)
+	m.observeExec(q, snap, nil, nil, &info, err)
+	return res, info, err
 }
 
 // ExplainAnalyze is Execute with tracing enabled: it additionally returns
@@ -384,77 +393,47 @@ func (m *Manager) ExecuteAt(q *query.Query, snap txn.Snapshot, strat Strategy) (
 // prune/pushdown verdict. Tracing is per call; concurrent Execute calls on
 // the same manager stay untraced and unaffected.
 func (m *Manager) ExplainAnalyze(q *query.Query, strat Strategy) (*query.AggTable, ExecInfo, *obs.Span, error) {
-	m.db.RLock()
-	defer m.db.RUnlock()
-	snap, unpin := m.db.Txns().PinRead()
-	defer unpin()
-	defer m.trackInflight()()
-	sp := obs.StartSpan("execute " + q.Fingerprint())
-	sp.Attr("strategy", strat.String())
-	sp.Attr("shape", q.Shape())
-	res, info, err := m.execute(q, snap, strat, sp)
-	sp.End()
-	m.rec.Record(sp)
-	m.shadowHandOff(q, strat, snap, res, info, err)
+	res, _, info, sp, err := m.serve(q, strat, serveTraced)
 	return res, info, sp, err
-}
-
-func (m *Manager) execute(q *query.Query, snap txn.Snapshot, strat Strategy, sp *obs.Span) (res *query.AggTable, info ExecInfo, err error) {
-	defer func() { m.recordServed(q, &info, err) }()
-	start := time.Now()
-	info = ExecInfo{Strategy: strat}
-	e, work, uncachedRes, err := m.prepare(q, snap, strat, &info, sp)
-	if err != nil || uncachedRes != nil {
-		info.Total = time.Since(start)
-		if err == nil {
-			m.obs.recordExec(&info)
-			m.recordAccess(q, &info)
-		}
-		return uncachedRes, info, err
-	}
-
-	// Delta compensation on the prepared clone of the cached value.
-	if err := m.compensateAndAccount(e, q, snap, strat, work, &info, sp); err != nil {
-		return nil, info, err
-	}
-	info.Total = time.Since(start)
-	m.obs.recordExec(&info)
-	m.recordAccess(q, &info)
-	return work, info, nil
 }
 
 // ExecuteRows runs a query like Execute but materializes the result by
 // streaming the cached groups merged with the delta compensation applied to
 // a separate accumulator — the fast path for frequent cache hits. Rows are
 // returned unsorted.
-func (m *Manager) ExecuteRows(q *query.Query, strat Strategy) (rows []query.Row, info ExecInfo, err error) {
-	m.db.RLock()
-	defer m.db.RUnlock()
-	defer m.trackInflight()()
-	defer func() { m.recordServed(q, &info, err) }()
+func (m *Manager) ExecuteRows(q *query.Query, strat Strategy) ([]query.Row, ExecInfo, error) {
+	_, rows, info, _, err := m.serve(q, strat, serveRows)
+	return rows, info, err
+}
+
+// execute answers q at snap: prepare resolves the entry, delta compensation
+// completes its main-compensated clone. With asRows the compensation goes to
+// a separate accumulator instead and the result is streamed out as rows, so
+// exactly one of the two results is set.
+func (m *Manager) execute(q *query.Query, snap txn.Snapshot, strat Strategy, sp *obs.Span, asRows bool) (*query.AggTable, []query.Row, ExecInfo, error) {
 	start := time.Now()
-	snap, unpin := m.db.Txns().PinRead()
-	defer unpin()
-	info = ExecInfo{Strategy: strat}
-	e, work, uncachedRes, err := m.prepare(q, snap, strat, &info, nil)
-	if err != nil {
-		return nil, info, err
+	info := ExecInfo{Strategy: strat}
+	var rows []query.Row
+	e, work, err := m.prepare(q, snap, strat, &info, sp)
+	switch {
+	case err != nil:
+	case e == nil: // uncached or bypassed: work is already the answer
+		if asRows {
+			rows = work.Rows()
+		}
+	case asRows:
+		comp := query.NewAggTable(q.Aggs)
+		if err = m.compensateAndAccount(e, q, snap, strat, comp, &info, sp); err == nil {
+			rows = work.MergedRows(comp)
+		}
+	default:
+		err = m.compensateAndAccount(e, q, snap, strat, work, &info, sp)
 	}
-	if uncachedRes != nil {
-		info.Total = time.Since(start)
-		m.obs.recordExec(&info)
-		m.recordAccess(q, &info)
-		return uncachedRes.Rows(), info, nil
-	}
-	comp := query.NewAggTable(q.Aggs)
-	if err := m.compensateAndAccount(e, q, snap, strat, comp, &info, nil); err != nil {
-		return nil, info, err
-	}
-	rows = work.MergedRows(comp)
 	info.Total = time.Since(start)
-	m.obs.recordExec(&info)
-	m.recordAccess(q, &info)
-	return rows, info, nil
+	if err != nil || asRows {
+		work = nil
+	}
+	return work, rows, info, err
 }
 
 // prepare resolves the cache entry for a query: lookup, admission on miss,
@@ -463,18 +442,14 @@ func (m *Manager) ExecuteRows(q *query.Query, strat Strategy) (rows []query.Row,
 // caller to apply delta compensation to. The clone is taken under the cache
 // lock: during an online merge the maintenance fold settles entry values
 // concurrently with readers. For the Uncached strategy and for snapshots
-// predating the entry it executes the query directly and returns the result
-// in its third return value instead.
-func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, info *ExecInfo, sp *obs.Span) (*Entry, *query.AggTable, *query.AggTable, error) {
+// predating the entry it executes the query directly and returns the final
+// result with a nil entry instead.
+func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, info *ExecInfo, sp *obs.Span) (*Entry, *query.AggTable, error) {
 	if strat == Uncached {
 		if err := q.Validate(m.db); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		us := sp.Child("execute-all")
-		res, st, err := m.exec.ExecuteAllSpan(q, snap, us)
-		us.End()
-		info.Stats = st
-		return nil, nil, res, err
+		return m.executeAll(q, snap, info, sp)
 	}
 
 	m.mu.Lock()
@@ -491,11 +466,7 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 		info.Bypassed = true
 		lookup.Attr("verdict", "bypass")
 		lookup.End()
-		us := sp.Child("execute-all")
-		res, st, err := m.exec.ExecuteAllSpan(q, snap, us)
-		us.End()
-		info.Stats = st
-		return nil, nil, res, err
+		return m.executeAll(q, snap, info, sp)
 	}
 
 	var work *query.AggTable
@@ -519,21 +490,19 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 		// an identical, already-validated definition (the fingerprint
 		// covers the full query).
 		if err := q.Validate(m.db); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		bs := sp.Child("build-entry")
 		var err error
 		e, err = m.buildEntry(q, key, snap, strat, &info.Stats, bs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		info.Admitted = m.admit(e)
-		if info.Admitted {
-			bs.Attr("admitted", "true")
-		} else {
-			bs.Attr("admitted", "false")
+		if err == nil {
+			info.Admitted = m.admit(e)
+			bs.Attr("admitted", strconv.FormatBool(info.Admitted))
 		}
 		bs.End()
+		if err != nil {
+			return nil, nil, err
+		}
 	case e.Stale:
 		lookup.Attr("verdict", "stale")
 		lookup.End()
@@ -541,7 +510,7 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 		err := m.rebuildEntry(e, snap, strat, &info.Stats, rs)
 		rs.End()
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		info.Rebuilt = true
 	default:
@@ -560,15 +529,15 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 			work = e.Value.Clone()
 		}
 		ms := sp.Child("main-compensation")
-		n, err := m.mainCompensate(e, snap, strat, &info.Stats, work, mode)
-		if err != nil {
-			return nil, nil, nil, err
-		}
+		n, err := m.mainCompensate(e, snap, &info.Stats, work, mode)
 		ms.AttrInt("invalidated-rows", int64(n))
 		if mode == compTransient {
 			ms.Attr("mode", "transient")
 		}
 		ms.End()
+		if err != nil {
+			return nil, nil, err
+		}
 		info.MainCompensated = n
 		if e.Stale {
 			work = nil
@@ -577,7 +546,7 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 			err := m.rebuildEntry(e, snap, strat, &info.Stats, rs)
 			rs.End()
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
 			info.Rebuilt = true
 			info.CacheHit = false
@@ -586,7 +555,17 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 	if work == nil {
 		work = e.Value.Clone()
 	}
-	return e, work, nil, nil
+	return e, work, nil
+}
+
+// executeAll answers q without the cache — the Uncached strategy and the
+// old-snapshot bypass — returning prepare's "no entry, final result" shape.
+func (m *Manager) executeAll(q *query.Query, snap txn.Snapshot, info *ExecInfo, sp *obs.Span) (*Entry, *query.AggTable, error) {
+	us := sp.Child("execute-all")
+	res, st, err := m.exec.ExecuteAllSpan(q, snap, us)
+	us.End()
+	info.Stats = st
+	return nil, res, err
 }
 
 // entryMergeActive reports whether any table the entry's query references
@@ -608,11 +587,12 @@ func (m *Manager) compensateAndAccount(e *Entry, q *query.Query, snap txn.Snapsh
 	dcStart := time.Now()
 	before := info.Stats.TuplesJoined
 	ds := sp.Child("delta-compensation")
-	if err := m.deltaCompensate(q, snap, strat, out, &info.Stats, ds); err != nil {
-		return err
-	}
+	err := m.deltaCompensate(q, snap, strat, out, &info.Stats, ds)
 	ds.AttrInt("delta-tuples", info.Stats.TuplesJoined-before)
 	ds.End()
+	if err != nil {
+		return err
+	}
 	dcTime := time.Since(dcStart)
 	info.DeltaComp = dcTime
 	info.DeltaTuples = info.Stats.TuplesJoined - before
@@ -677,48 +657,22 @@ func (m *Manager) runCombos(q *query.Query, combos []query.Combo, snap txn.Snaps
 		st.Subjoins++
 		cs := sp.Child(combo.String())
 		if strat >= CachedEmptyDelta && comboHasEmptyStore(m.db, combo) {
-			st.PrunedEmpty++
-			cs.Attr("verdict", "pruned-empty")
+			m.subjoinVerdict(q, combo, cs, &st.PrunedEmpty, "subjoins.pruned_empty", verdict("pruned-empty"), nil)
 			cs.End()
-			if m.ev.Enabled() {
-				m.ev.Emit("subjoins.pruned_empty",
-					slog.String("query", q.Fingerprint()), slog.String("combo", combo.String()))
-			}
 			continue
 		}
 		if strat >= CachedFullPruning && m.mds.ComboPruned(q, combo) {
-			st.PrunedMD++
-			cs.Attr("verdict", "pruned-md")
+			m.subjoinVerdict(q, combo, cs, &st.PrunedMD, "subjoins.pruned_md", verdict("pruned-md"), nil)
 			cs.End()
-			if m.ev.Enabled() {
-				m.ev.Emit("subjoins.pruned_md",
-					slog.String("query", q.Fingerprint()), slog.String("combo", combo.String()))
-			}
 			continue
 		}
 		var extra map[string]expr.Pred
 		if strat >= CachedFullPruning {
 			if filters, ok := m.mds.PushdownFilters(q, combo); ok {
 				extra = filters
-				st.Pushdowns++
-				for _, name := range q.Tables {
-					if p, ok := filters[name]; ok {
-						cs.Attr("pushdown."+name, p.String())
-					}
-				}
-				if m.ev.Enabled() {
-					// The pushed-down predicates are the derived tid-range
-					// filters; their rendering carries the ranges.
-					attrs := []slog.Attr{
-						slog.String("query", q.Fingerprint()), slog.String("combo", combo.String()),
-					}
-					for _, name := range q.Tables {
-						if p, ok := filters[name]; ok {
-							attrs = append(attrs, slog.String("filter."+name, p.String()))
-						}
-					}
-					m.ev.Emit("subjoins.pushdowns", attrs...)
-				}
+				m.subjoinVerdict(q, combo, cs, &st.Pushdowns, "subjoins.pushdowns",
+					pushdownAttrs(q, filters, "pushdown.", cs != nil),
+					pushdownAttrs(q, filters, "filter.", m.ev.Enabled()))
 			}
 		}
 		job := query.ComboJob{Combo: combo, Extra: extra, Span: cs}
@@ -726,33 +680,23 @@ func (m *Manager) runCombos(q *query.Query, combos []query.Combo, snap txn.Snaps
 		if recycle {
 			v := m.rc.Lookup(q, combo, snap, m.db)
 			if v.Invalidated {
-				m.ledRecycleEvictions(q, strat, v.Evicted)
+				m.recycleEvicted(q, strat, v.Evicted)
 			}
 			switch v.Kind {
 			case recycler.Hit:
-				st.RecycledSubjoins++
 				job.Cached = v.Value
-				cs.Attr("verdict", "recycled")
-				m.ledRecycle(obs.DecisionRecycleHit, q, strat, combo, 0, 0)
-				if m.ev.Enabled() {
-					m.ev.Emit("recycler.hits",
-						slog.String("query", q.Fingerprint()), slog.String("combo", combo.String()))
-				}
+				m.subjoinVerdict(q, combo, cs, &st.RecycledSubjoins, "recycler.hits", verdict("recycled"), nil)
+				m.recycled(obs.DecisionRecycleHit, q, strat, combo, 0, 0)
 			case recycler.Topup:
-				st.RecycledTopups++
 				job.Cached = v.Value
 				job.Terms = v.Terms
 				d = recTopup
 				// The top-up terms execute, so the span's verdict stays
 				// "executed"; the recycler attr marks the seed reuse.
-				cs.Attr("recycler", "topup")
-				cs.AttrInt("topup-rows", v.NewRows)
-				m.ledRecycle(obs.DecisionRecycleTopup, q, strat, combo, v.NewRows, 0)
-				if m.ev.Enabled() {
-					m.ev.Emit("recycler.topups",
-						slog.String("query", q.Fingerprint()), slog.String("combo", combo.String()),
-						slog.Int64("new_rows", v.NewRows))
-				}
+				m.subjoinVerdict(q, combo, cs, &st.RecycledTopups, "recycler.topups",
+					[]slog.Attr{slog.String("recycler", "topup"), slog.Int64("topup-rows", v.NewRows)},
+					[]slog.Attr{slog.Int64("new_rows", v.NewRows)})
+				m.recycled(obs.DecisionRecycleTopup, q, strat, combo, v.NewRows, 0)
 			case recycler.Miss:
 				d = recAdmit
 			case recycler.Bypass:
@@ -762,6 +706,8 @@ func (m *Manager) runCombos(q *query.Query, combos []query.Combo, snap txn.Snaps
 		jobs = append(jobs, job)
 		disp = append(disp, d)
 	}
+	// The per-job callback exists only for its two consumers; without them
+	// the executor skips it entirely.
 	var onDone func(i int, jst *query.Stats, sub *query.AggTable)
 	if m.ev.Enabled() || recycle {
 		onDone = func(i int, jst *query.Stats, sub *query.AggTable) {
@@ -769,18 +715,17 @@ func (m *Manager) runCombos(q *query.Query, combos []query.Combo, snap txn.Snaps
 				cost := jst.RowsScanned + jst.TuplesJoined
 				o := m.rc.Complete(q, jobs[i].Combo, snap, m.db, sub, cost, disp[i] == recTopup)
 				if o.Admitted {
-					m.ledRecycle(obs.DecisionRecycleAdmit, q, strat, jobs[i].Combo, cost, o.Size)
+					m.recycled(obs.DecisionRecycleAdmit, q, strat, jobs[i].Combo, cost, o.Size)
 				}
-				m.ledRecycleEvictions(q, strat, o.Evicted)
+				m.recycleEvicted(q, strat, o.Evicted)
 			}
-			// Scan-pruned subjoins emit their own event from the executor;
-			// recycled hits executed nothing to report.
-			if !m.ev.Enabled() || jst.PrunedScan > 0 || jst.Executed == 0 {
-				return
+			// Scan-pruned subjoins emit their own event from the executor,
+			// which also owns the executed count and span verdict; recycled
+			// hits executed nothing to report.
+			if jst.PrunedScan == 0 && jst.Executed > 0 {
+				m.subjoinVerdict(q, jobs[i].Combo, nil, nil, "subjoins.executed", nil,
+					[]slog.Attr{slog.Int64("tuples", jst.TuplesJoined)})
 			}
-			m.ev.Emit("subjoins.executed",
-				slog.String("query", q.Fingerprint()), slog.String("combo", jobs[i].Combo.String()),
-				slog.Int64("tuples", jst.TuplesJoined))
 		}
 	}
 	if w := m.exec.ParallelWorkers(len(jobs)); w > 0 {
@@ -822,7 +767,6 @@ func (m *Manager) rebuildEntry(e *Entry, snap txn.Snapshot, strat Strategy, st *
 	if err := m.runCombos(e.Query, mainCombos(m.db, e.Query), snap, strat, false, value, st, sp); err != nil {
 		return err
 	}
-	oldBytes := e.Metrics.SizeBytes
 	e.Value = value
 	e.SnapHigh = snap.High
 	e.Stale = false
@@ -845,41 +789,50 @@ func (m *Manager) rebuildEntry(e *Entry, snap txn.Snapshot, strat Strategy, st *
 	}
 	e.Metrics.MainExecTime = time.Since(begin)
 	e.Metrics.MainRows = st.TuplesJoined - tuplesBefore
-	e.Metrics.SizeBytes = value.MemBytes()
+	m.resize(e)
 	e.Metrics.DirtyCounter = 0
 	if wasStale {
 		e.Metrics.Rebuilds++
 	}
-	if _, cached := m.entries[e.Key]; cached {
-		m.bytes = m.bytes - oldBytes + e.Metrics.SizeBytes
-	}
 	return nil
+}
+
+// resize re-measures an entry whose value changed, keeping the cache's byte
+// total in step when the entry is resident. Callers hold m.mu.
+func (m *Manager) resize(e *Entry) {
+	old := e.Metrics.SizeBytes
+	e.Metrics.SizeBytes = e.Value.MemBytes()
+	if _, cached := m.entries[e.Key]; cached {
+		m.bytes = m.bytes - old + e.Metrics.SizeBytes
+	}
 }
 
 // admit decides cache admission for a freshly built entry: the query must
 // be fully self-maintainable (paper Sec. 2.1) and profitable enough; then
 // capacity is enforced by evicting the lowest-profit entries.
 func (m *Manager) admit(e *Entry) bool {
-	if !e.Query.SelfMaintainable() {
-		m.rejectEntry(e, "not-self-maintainable")
-		return false
+	reject := ""
+	switch {
+	case !e.Query.SelfMaintainable():
+		reject = "not-self-maintainable"
+	case e.Metrics.Profit() < m.cfg.MinProfit:
+		reject = "min-profit"
 	}
-	if e.Metrics.Profit() < m.cfg.MinProfit {
-		m.rejectEntry(e, "min-profit")
+	if reject != "" {
+		m.decide(m.entryDecision(obs.DecisionReject, e, reject, 0))
 		return false
 	}
 	m.entries[e.Key] = e
 	m.bytes += e.Metrics.SizeBytes
-	if m.led.Enabled() {
-		m.ledRecord(m.entryDecision(obs.DecisionAdmit, e))
-	}
+	// The ledger records the admission where the policy made it, ahead of the
+	// evictions it causes. Counter and event log wait for the outcome: an
+	// entry its own admission evicted again never counted as admitted.
+	d := m.entryDecision(obs.DecisionAdmit, e, "", 0)
+	m.record(d)
 	m.evictOverCapacity()
-	m.syncGauges()
 	_, still := m.entries[e.Key]
-	if still && m.ev.Enabled() {
-		m.ev.Emit("cache.admissions",
-			slog.String("key", e.Key), slog.Float64("profit", e.Metrics.Profit()),
-			slog.Uint64("size_bytes", e.Metrics.SizeBytes))
+	if still {
+		m.announce(d)
 	}
 	return still
 }
@@ -902,16 +855,7 @@ func (m *Manager) evictOverCapacity() {
 // Callers hold m.mu.
 func (m *Manager) markStale(e *Entry, cause string) {
 	e.Stale = true
-	m.obs.invalidations.Inc()
-	if m.ev.Enabled() {
-		m.ev.Emit("cache.invalidations",
-			slog.String("key", e.Key), slog.String("cause", cause))
-	}
-	if m.led.Enabled() {
-		d := m.entryDecision(obs.DecisionInvalidate, e)
-		d.Reason = cause
-		m.ledRecord(d)
-	}
+	m.decide(m.entryDecision(obs.DecisionInvalidate, e, cause, 0))
 }
 
 // storeDiff describes the invalidations detected in one tracked main
@@ -962,7 +906,7 @@ func (c compMode) String() string {
 // compensated by negative-delta subjoins (see joinMainCompensate) or, with
 // that extension disabled, marked stale for rebuild. target is the table
 // compensated in compTransient mode and ignored otherwise.
-func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, strat Strategy, st *query.Stats, target *query.AggTable, mode compMode) (int, error) {
+func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, target *query.AggTable, mode compMode) (int, error) {
 	if mode != compTransient {
 		target = e.Value
 	}
@@ -1015,42 +959,14 @@ func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, strat Strategy, st
 			return total, nil
 		}
 	}
-	if mode == compTransient {
-		m.ledCompensate(e, total, mode.String())
-		return total, nil
-	}
-	e.Metrics.DirtyCounter += int64(total)
-	if _, cached := m.entries[e.Key]; cached {
-		m.bytes -= e.Metrics.SizeBytes
-		e.Metrics.SizeBytes = e.Value.MemBytes()
-		m.bytes += e.Metrics.SizeBytes
+	if mode != compTransient {
+		e.Metrics.DirtyCounter += int64(total)
+		m.resize(e)
 		m.syncGauges()
-	} else {
-		e.Metrics.SizeBytes = e.Value.MemBytes()
+		e.SnapHigh = snap.High
 	}
-	e.SnapHigh = snap.High
-	m.ledCompensate(e, total, mode.String())
-	_ = strat
+	m.decide(m.entryDecision(obs.DecisionCompensate, e, mode.String(), int64(total)))
 	return total, nil
-}
-
-// trackInflight bumps the exec.inflight gauge for the duration of one
-// public execution — the queue-depth half of the governor's overload
-// signal. Call as `defer m.trackInflight()()`.
-func (m *Manager) trackInflight() func() {
-	m.obs.inflight.Add(1)
-	return func() { m.obs.inflight.Add(-1) }
-}
-
-// recordServed classifies one finished execution against the optional SLO
-// tracker and attributes it to its normalized shape in the optional
-// profiler. Both are nil-disabled; the common case costs two nil checks.
-func (m *Manager) recordServed(q *query.Query, info *ExecInfo, err error) {
-	m.slo.Record(info.Total, err != nil)
-	if m.shapes.Enabled() {
-		m.shapes.Observe(q.Shape(), info.Total, info.CacheHit, err != nil,
-			int64(info.DeltaComp/time.Microsecond), info.DeltaTuples)
-	}
 }
 
 // SLO returns the manager's SLO tracker; nil when disabled.

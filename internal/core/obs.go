@@ -1,12 +1,47 @@
 package core
 
 import (
+	"log/slog"
 	"sort"
 	"time"
 
+	"aggcache/internal/expr"
 	"aggcache/internal/obs"
 	"aggcache/internal/query"
+	"aggcache/internal/txn"
 )
+
+// This file is the manager's observer seam. Everything the manager tells its
+// subscribers — registry, event log, decision ledger, SLO tracker, shape
+// profiler, flight recorder, shadow verifier — leaves through three
+// functions: decide (one cache decision), observeExec (one finished
+// execution) and subjoinVerdict (one subjoin planning outcome). Every
+// subscriber is nil-disabled, and with all of them off the seam allocates
+// nothing.
+
+// decisionSpecs routes each cache decision kind: the registry counter it
+// bumps and, for the logged lifecycle kinds, the event-log attributes its
+// Reason and Rows go under ("" = left out) — the line is named like the
+// counter, so the event stream and the time series join on one namespace.
+// Access decisions fire once per query and stay out of the event log.
+// Recycler kinds lie beyond the table and reach only the ledger: the recycler
+// counts its own pool, and runCombos logs the subjoin verdict.
+var decisionSpecs = [...]struct {
+	metric       string
+	logged       bool
+	reason, rows string
+}{
+	obs.DecisionHit:        {metric: "cache.hits"},
+	obs.DecisionMiss:       {metric: "cache.misses"},
+	obs.DecisionRebuild:    {metric: "cache.rebuilds"},
+	obs.DecisionBypass:     {metric: "cache.bypasses"},
+	obs.DecisionAdmit:      {"cache.admissions", true, "", ""},
+	obs.DecisionReject:     {"cache.rejections", true, "reason", ""},
+	obs.DecisionEvict:      {"cache.evictions", true, "reason", ""},
+	obs.DecisionInvalidate: {"cache.invalidations", true, "cause", ""},
+	obs.DecisionCompensate: {"cache.compensations", true, "mode", "rows"},
+	obs.DecisionFold:       {"cache.maintenances", true, "mode", "delta_tuples"},
+}
 
 // managerObs holds the manager's metric handles, resolved once at
 // construction so the per-query updates are pure atomics (zero heap
@@ -15,15 +50,13 @@ import (
 type managerObs struct {
 	reg *obs.Registry
 
-	// Cache life cycle.
-	hits       *obs.Counter // cache.hits — queries answered from an entry
-	misses     *obs.Counter // cache.misses — queries that built an entry
-	admissions *obs.Counter // cache.admissions — entries admitted
-	evictions  *obs.Counter // cache.evictions — entries evicted by capacity
-	rebuilds   *obs.Counter // cache.rebuilds — stale entries recomputed
-	bypasses   *obs.Counter // cache.bypasses — old-snapshot fallbacks
-	entries    *obs.Gauge   // cache.entries — current entry count
-	bytes      *obs.Gauge   // cache.bytes — current cached-value footprint
+	// decided holds one counter per cache decision kind, named by
+	// decisionSpecs; evictedBy sub-splits cache.evictions by reason into
+	// cache.evictions_capacity / _stale / _min_profit.
+	decided   [len(decisionSpecs)]*obs.Counter
+	evictedBy map[string]*obs.Counter
+	entries   *obs.Gauge // cache.entries — current entry count
+	bytes     *obs.Gauge // cache.bytes — current cached-value footprint
 
 	// Compensation and subjoin execution.
 	mainCompRows *obs.Counter // comp.main_rows — rows removed by main compensation
@@ -46,20 +79,9 @@ type managerObs struct {
 	scanVecRows      *obs.Counter // exec.scan_vec_rows — rows through the vectorized scan path
 	scanScalarRows   *obs.Counter // exec.scan_scalar_rows — rows through the scalar fallback
 
-	// Merge-time incremental maintenance.
-	maintenances *obs.Counter // cache.maintenances — entries folded during merges
-
-	// Invalidation: entries marked stale because main-store invalidations
-	// could not be compensated incrementally.
-	invalidations *obs.Counter // cache.invalidations
-
 	// Decision ledger and regret accounting.
-	decisions      *obs.Counter // cache.decisions — ledger decisions recorded
-	rejections     *obs.Counter // cache.rejections — admissions denied
-	regretHits     *obs.Counter // cache.regret_hits — misses on recently evicted keys
-	evictCapacity  *obs.Counter // cache.evictions_capacity — evictions of live, admissible entries
-	evictStale     *obs.Counter // cache.evictions_stale — evictions of invalidated entries
-	evictMinProfit *obs.Counter // cache.evictions_min_profit — evictions below the admission threshold
+	decisions  *obs.Counter // cache.decisions — ledger decisions recorded
+	regretHits *obs.Counter // cache.regret_hits — misses on recently evicted keys
 
 	// Latency distributions.
 	queryLat     *obs.Histogram // latency.query — full Execute wall clock
@@ -81,14 +103,13 @@ func newManagerObs(reg *obs.Registry) *managerObs {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	return &managerObs{
-		reg:          reg,
-		hits:         reg.Counter("cache.hits"),
-		misses:       reg.Counter("cache.misses"),
-		admissions:   reg.Counter("cache.admissions"),
-		evictions:    reg.Counter("cache.evictions"),
-		rebuilds:     reg.Counter("cache.rebuilds"),
-		bypasses:     reg.Counter("cache.bypasses"),
+	o := &managerObs{
+		reg: reg,
+		evictedBy: map[string]*obs.Counter{
+			EvictCapacity:  reg.Counter("cache.evictions_capacity"),
+			EvictStale:     reg.Counter("cache.evictions_stale"),
+			EvictMinProfit: reg.Counter("cache.evictions_min_profit"),
+		},
 		entries:      reg.Gauge("cache.entries"),
 		bytes:        reg.Gauge("cache.bytes"),
 		mainCompRows: reg.Counter("comp.main_rows"),
@@ -108,42 +129,140 @@ func newManagerObs(reg *obs.Registry) *managerObs {
 		parallelSubjoins: reg.Counter("exec.parallel_subjoins"),
 		scanVecRows:      reg.Counter("exec.scan_vec_rows"),
 		scanScalarRows:   reg.Counter("exec.scan_scalar_rows"),
-		maintenances:     reg.Counter("cache.maintenances"),
-		invalidations:    reg.Counter("cache.invalidations"),
 		decisions:        reg.Counter("cache.decisions"),
-		rejections:       reg.Counter("cache.rejections"),
 		regretHits:       reg.Counter("cache.regret_hits"),
-		evictCapacity:    reg.Counter("cache.evictions_capacity"),
-		evictStale:       reg.Counter("cache.evictions_stale"),
-		evictMinProfit:   reg.Counter("cache.evictions_min_profit"),
 		queryLat:         reg.Histogram("latency.query"),
 		deltaCompLat:     reg.Histogram("latency.delta_comp"),
 		queryWin:         obs.NewWindow(obs.DefaultWindowSlots),
 		compWin:          obs.NewWindow(obs.DefaultWindowSlots),
 		inflight:         reg.Gauge("exec.inflight"),
 	}
+	for kind, spec := range decisionSpecs {
+		o.decided[kind] = reg.Counter(spec.metric)
+	}
+	return o
 }
 
-// recordExec folds one execution's outcome into the registry: a handful of
-// atomic adds plus one histogram observation — no allocations.
-func (o *managerObs) recordExec(info *ExecInfo) {
-	switch {
-	case info.CacheHit:
-		o.hits.Inc()
-	case info.Bypassed:
-		o.bypasses.Inc()
-	case info.Rebuilt:
-		o.rebuilds.Inc()
-	case info.Strategy != Uncached:
-		o.misses.Inc()
+// decide announces one cache decision to every subscriber, once: counter and
+// event line (announce), then the ledger record (record). Lifecycle decisions
+// arrive with m.mu held, which orders them; access and recycler decisions
+// arrive unlocked from the goroutine coordinating the query. extra carries
+// event-log attributes the Decision has no field for.
+func (m *Manager) decide(d obs.Decision, extra ...slog.Attr) {
+	m.announce(d, extra...)
+	m.record(d)
+}
+
+// announce is the only place a per-kind cache counter moves (evictions
+// sub-split by reason) or a cache event is emitted; the line is rendered from
+// the Decision's own fields.
+func (m *Manager) announce(d obs.Decision, extra ...slog.Attr) {
+	if int(d.Kind) >= len(decisionSpecs) {
+		return
 	}
-	if info.Admitted {
-		o.admissions.Inc()
+	spec := &decisionSpecs[d.Kind]
+	m.obs.decided[d.Kind].Inc()
+	if d.Kind == obs.DecisionEvict {
+		m.obs.evictedBy[d.Reason].Inc()
 	}
-	o.mainCompRows.Add(int64(info.MainCompensated))
-	o.recordStats(&info.Stats)
-	o.queryLat.Observe(info.Total)
-	o.queryWin.Observe(info.Total)
+	if !spec.logged || !m.ev.Enabled() {
+		return
+	}
+	attrs := make([]slog.Attr, 0, 5+len(extra))
+	attrs = append(attrs, slog.String("key", d.Key))
+	if spec.reason != "" {
+		attrs = append(attrs, slog.String(spec.reason, d.Reason))
+	}
+	if spec.rows != "" {
+		attrs = append(attrs, slog.Int64(spec.rows, d.Rows))
+	}
+	attrs = append(attrs, slog.Float64("profit", d.Profit), slog.Uint64("size_bytes", d.SizeBytes))
+	m.ev.Emit(spec.metric, append(attrs, extra...)...)
+}
+
+// record is the only place the decision ledger is appended to.
+func (m *Manager) record(d obs.Decision) {
+	if m.led.Enabled() {
+		m.obs.decisions.Inc()
+		m.led.Record(d)
+	}
+}
+
+// observeExec announces one finished execution, in fixed order: registry
+// counters and latency histogram, rolling window, the access decision
+// (cached strategies only — uncached executions make no cache decision),
+// SLO tracker, shape profiler, flight recorder, shadow verifier. Failed
+// executions reach only the SLO, the profiler and the recorder. sp is the
+// root span to end and retain, if any.
+//
+// shadow is the result to offer the shadow verifier, nil for none. The
+// hand-off must run before the serving pin releases: the hook's nested Pin
+// at the same watermark keeps the snapshot's row versions reclaimable-proof
+// for the background re-execution. Uncached executions are skipped — they
+// ARE the oracle.
+func (m *Manager) observeExec(q *query.Query, snap txn.Snapshot, sp *obs.Span, shadow *query.AggTable, info *ExecInfo, err error) {
+	cached := info.Strategy != Uncached
+	if err == nil {
+		m.obs.mainCompRows.Add(int64(info.MainCompensated))
+		m.obs.recordStats(&info.Stats)
+		m.obs.queryLat.Observe(info.Total)
+		m.obs.queryWin.Observe(info.Total)
+		if cached {
+			m.decide(m.accessDecision(q, info))
+		}
+	}
+	m.slo.Record(info.Total, err != nil)
+	if m.shapes.Enabled() {
+		m.shapes.Observe(q.Shape(), info.Total, info.CacheHit, err != nil,
+			int64(info.DeltaComp/time.Microsecond), info.DeltaTuples)
+	}
+	if sp != nil {
+		sp.End()
+		m.rec.Record(sp)
+	}
+	if box := m.shadow.Load(); box != nil && shadow != nil && err == nil && cached && box.h.Sampled(q) {
+		box.h.Capture(q, info.Strategy, snap, m.db.Txns().Pin(snap), shadow, *info)
+	}
+}
+
+// subjoinVerdict announces one subjoin planning outcome in the three places
+// that carry it, so they cannot drift: the Stats counter n, the subjoin's
+// span cs (stamped with span), and the event-log line (named like the
+// registry counter Stats feeds, carrying detail). The executor owns the count
+// and span of executed subjoins; their callers pass nil for both.
+func (m *Manager) subjoinVerdict(q *query.Query, combo query.Combo, cs *obs.Span, n *int, event string, span, detail []slog.Attr) {
+	if n != nil {
+		*n++
+	}
+	if cs != nil {
+		for _, a := range span {
+			cs.Attr(a.Key, a.Value.String())
+		}
+	}
+	if m.ev.Enabled() {
+		attrs := append([]slog.Attr{slog.String("query", q.Fingerprint()), slog.String("combo", combo.String())}, detail...)
+		m.ev.Emit(event, attrs...)
+	}
+}
+
+// verdict is the span stamp of a subjoin that does not execute.
+func verdict(v string) []slog.Attr { return []slog.Attr{slog.String("verdict", v)} }
+
+// pushdownAttrs renders the derived tid-range filters of a pushdown, one
+// attribute per filtered table in query order; the rendering carries the
+// ranges. The span names them pushdown.<table>, the event log
+// filter.<table>; a listener that is off costs nothing.
+func pushdownAttrs(q *query.Query, filters map[string]expr.Pred, prefix string, on bool) []slog.Attr {
+	if !on {
+		return nil
+	}
+	var attrs []slog.Attr
+	for _, name := range q.Tables {
+		if p, ok := filters[name]; ok {
+			attrs = append(attrs, slog.String(prefix+name, p.String()))
+		}
+	}
+	return attrs
 }
 
 // recordStats folds a subjoin counter batch into the registry.

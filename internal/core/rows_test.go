@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aggcache/internal/obs"
 	"aggcache/internal/query"
 )
 
@@ -39,7 +40,8 @@ func assertRowsEqualTable(t *testing.T, rows []query.Row, table *query.AggTable)
 }
 
 func TestExecuteRowsMatchesExecute(t *testing.T) {
-	e := newEnv(t, Config{})
+	rec := obs.NewRecorder(obs.RecorderConfig{Capacity: 64})
+	e := newEnv(t, Config{Recorder: rec})
 	e.insertObject(t, 2013, 10, 20)
 	e.insertObject(t, 2012, 5)
 	e.db.MergeTables(false, "Header", "Item")
@@ -51,12 +53,21 @@ func TestExecuteRowsMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			traces := len(rec.List())
 			rows, _, err := e.mgr.ExecuteRows(q, s)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertRowsEqualTable(t, rows, want)
+			// Rows mode rides the same serve path: flight-recorded like
+			// Execute, and gone from the inflight gauge afterwards.
+			if got := len(rec.List()); got != traces+1 {
+				t.Fatalf("%s: ExecuteRows retained %d traces, want 1", s, got-traces)
+			}
 		}
+	}
+	if n := e.mgr.InflightQueries(); n != 0 {
+		t.Fatalf("exec.inflight = %d after all executions returned", n)
 	}
 }
 

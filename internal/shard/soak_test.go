@@ -105,7 +105,17 @@ func p99(lat []time.Duration) time.Duration {
 //     BenchmarkMergeInterference methodology at the cluster level. The
 //     ratio check retries to ride out scheduler noise; a persistent
 //     failure writes a diagnostics bundle for CI to upload.
+//
+// The tail bound is a ratio of two wall-clock p99s, so it is enforced only
+// when AGGCACHE_SOAK_ITERS is set (CI's soak job): the default tier-1 run
+// makes one attempt, asserts the deterministic invariants of (1) and logs
+// the ratio.
 func TestShardConcurrentMergeSoak(t *testing.T) {
+	if os.Getenv("AGGCACHE_SOAK_ITERS") == "" {
+		ratio := runShardSoakAttempt(t, newShardSoakEnv(t, 101))
+		t.Logf("worst slice p99 ratio %.2f (bound enforced only with AGGCACHE_SOAK_ITERS set)", ratio)
+		return
+	}
 	// The 2x tail bound is the production contract, enforced by the
 	// uninstrumented run. Under -race every synchronization operation is
 	// serialized through the detector, which multiplies time spent inside
