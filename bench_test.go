@@ -361,7 +361,7 @@ func BenchmarkFig10PredicatePushdown(b *testing.B) {
 	if err := erp.InsertBusinessObjects(200); err != nil {
 		b.Fatal(err)
 	}
-	if err := erp.DB.MergeTables(false, workload.TItem); err != nil {
+	if err := erp.DB.MergeTablesOnline(false, workload.TItem); err != nil {
 		b.Fatal(err)
 	}
 	ex := &query.Executor{DB: erp.DB}

@@ -18,7 +18,7 @@
 //	\strategy <name>     uncached | none | empty | full (default full)
 //	\insert <n>          insert n business objects / orders into the deltas
 //	\merge               synchronized delta merge of the transactional tables
-//	                     (per-shard, concurrent with -shards and -online-merge)
+//	                     (per-shard and concurrent with -shards)
 //	\shards              cluster layout (-shards): per-shard key ranges,
 //	                     watermarks, store/cache sizes, and the scatter/prune
 //	                     counters
@@ -135,9 +135,6 @@ type shell struct {
 	insert func(n int) error
 	// mergeTables are the related transactional tables merged together.
 	mergeTables []string
-	// onlineMerge routes \merge through the non-blocking online merge
-	// (concurrent queries keep running; only the swap excludes them).
-	onlineMerge bool
 	// rec is the query flight recorder behind \traces; nil when disabled.
 	rec *obs.Recorder
 	// led is the cache decision ledger behind \advisor; nil when disabled.
@@ -196,7 +193,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "subjoin worker-pool size per query; 0 = GOMAXPROCS, 1 = sequential")
 		traces     = flag.Int("traces", obs.DefaultTraceCapacity, "flight-recorder ring size (last n query traces retained for \\traces); 0 disables recording")
 		slow       = flag.Duration("slow", 100*time.Millisecond, "retain traces at or above this latency in the slow-query log even after the ring cycles; 0 disables the slow log")
-		online     = flag.Bool("online-merge", false, "run \\merge as a non-blocking online delta merge instead of the offline critical-section merge")
 		ledger     = flag.Int("ledger", obs.DefaultLedgerCapacity, "decision-ledger ring size (last n cache decisions retained for \\advisor and /debug/advisor); 0 disables the ledger")
 		capacity   = flag.Uint64("capacity", 0, "cache capacity in bytes (0 = unlimited); evictions feed the ledger and the advisor")
 		minProfit  = flag.Float64("min-profit", 0, "cache admission threshold on entry profit (0 admits every self-maintainable query)")
@@ -263,7 +259,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aggsql: %v\n", err)
 		os.Exit(1)
 	}
-	sh.onlineMerge = *online
 
 	// The invariant auditor backs \audit, /debug/audit, and the bundle's
 	// audit section; governed processes run it on the governor's rotation
@@ -747,16 +742,11 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 		fmt.Printf("inserted %d business objects in %s\n", n, time.Since(start).Round(time.Millisecond))
 	case "\\merge":
 		start := time.Now()
-		merge, kind := sh.db.MergeTables, "merged"
+		merge, kind := sh.db.MergeTablesOnline, "merged"
 		if sh.sharded != nil {
-			// Sharded merges run per shard with no cross-shard pause; the
-			// online variant merges all shards concurrently.
-			merge, kind = sh.serp.Cluster.MergeTables, "merged (all shards)"
-			if sh.onlineMerge {
-				merge, kind = sh.serp.Cluster.MergeTablesOnlineConcurrent, "online-merged (all shards, concurrent)"
-			}
-		} else if sh.onlineMerge {
-			merge, kind = sh.db.MergeTablesOnline, "online-merged"
+			// Sharded merges run per shard, all shards concurrently, with no
+			// cross-shard pause.
+			merge, kind = sh.serp.Cluster.MergeTablesOnlineConcurrent, "merged (all shards, concurrent)"
 		}
 		if err := merge(false, sh.mergeTables...); err != nil {
 			fmt.Printf("error: %v\n", err)

@@ -56,7 +56,6 @@ func main() {
 		sample    = flag.Duration("sample", obs.DefaultSampleInterval, "time-series scrape interval for /debug/series (with -debug)")
 		events    = flag.String("events", "", "write structured lifecycle events (JSON lines) to this file; \"-\" for stderr")
 		workers   = flag.Int("workers", 0, "subjoin worker-pool size per query; 0 = GOMAXPROCS, 1 = sequential")
-		online    = flag.Bool("online-merge", false, "run the experiments' delta merges as non-blocking online merges")
 		advise    = flag.Bool("advisor", false, "attach a cache decision ledger to the workload experiments and embed the shadow-cache what-if report (capacity/threshold sweeps, policies, tenant splits) into BENCH_<exp>.json")
 		recycle   = flag.Bool("recycle", false, "attach the second-level recycler cache (cross-query subjoin and build-table reuse) to the workload experiments' managers; results are identical, only timings change")
 		shards    = flag.String("shards", "", "comma-separated shard-count sweep for the shard experiment (e.g. 1,2,8); empty = experiment default; results are identical at every count")
@@ -69,7 +68,6 @@ func main() {
 	)
 	flag.Parse()
 	bench.Workers = *workers
-	bench.OnlineMerge = *online
 	bench.Advisor = *advise
 	bench.Recycle = *recycle
 	if *shards != "" {

@@ -83,7 +83,7 @@ func main() {
 	}
 
 	fmt.Println("\nsynchronized delta merge of Header and Item (Sec. 5.2)...")
-	if err := erp.DB.MergeTables(false, workload.THeader, workload.TItem); err != nil {
+	if err := erp.DB.MergeTablesOnline(false, workload.THeader, workload.TItem); err != nil {
 		log.Fatal(err)
 	}
 	if em, ok := mgr.EntryMetrics(q); ok {

@@ -88,7 +88,7 @@ func main() {
 	insertOrder(2, "globex", 5)
 
 	// Merge so the history sits in the read-optimized main stores.
-	if err := db.MergeTables(false, "orders", "lines"); err != nil {
+	if err := db.MergeTablesOnline(false, "orders", "lines"); err != nil {
 		log.Fatal(err)
 	}
 
@@ -140,7 +140,7 @@ func main() {
 
 	// 7. Incremental maintenance: the merge folds the delta into the
 	// cached entry — no recomputation.
-	if err := db.MergeTables(false, "orders", "lines"); err != nil {
+	if err := db.MergeTablesOnline(false, "orders", "lines"); err != nil {
 		log.Fatal(err)
 	}
 	// EntryMetrics copies the metrics under the manager lock — the

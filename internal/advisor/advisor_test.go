@@ -316,7 +316,7 @@ func TestAdvisorFidelityERP(t *testing.T) {
 		t.Fatal(err)
 	}
 	run()
-	if err := erp.DB.MergeTables(false, workload.THeader, workload.TItem); err != nil {
+	if err := erp.DB.MergeTablesOnline(false, workload.THeader, workload.TItem); err != nil {
 		t.Fatal(err)
 	}
 	run()

@@ -51,17 +51,17 @@ func RunAblateMergeSync(quick bool) (*Result, error) {
 				return nil, err
 			}
 			if policy == "synchronized-merges" {
-				if err := mergeTables(erp.DB, workload.THeader, workload.TItem); err != nil {
+				if err := erp.DB.MergeTablesOnline(false, workload.THeader, workload.TItem); err != nil {
 					return nil, err
 				}
 			} else {
 				// Item merges every round; Header lags one round behind, so
 				// matching tuples regularly straddle Header_delta x Item_main.
-				if err := mergeTables(erp.DB, workload.TItem); err != nil {
+				if err := erp.DB.MergeTablesOnline(false, workload.TItem); err != nil {
 					return nil, err
 				}
 				if round%2 == 0 {
-					if err := mergeTables(erp.DB, workload.THeader); err != nil {
+					if err := erp.DB.MergeTablesOnline(false, workload.THeader); err != nil {
 						return nil, err
 					}
 				}

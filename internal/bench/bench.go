@@ -20,7 +20,6 @@ import (
 	"aggcache/internal/core"
 	"aggcache/internal/obs"
 	"aggcache/internal/recycler"
-	"aggcache/internal/table"
 )
 
 // Workers is the subjoin worker-pool cap every experiment passes to the
@@ -28,12 +27,6 @@ import (
 // cmd/benchrunner sets it from -workers. Results are identical for every
 // value — only timings change.
 var Workers int
-
-// OnlineMerge routes every experiment's delta merges through the
-// non-blocking online merge instead of the offline critical-section merge.
-// cmd/benchrunner sets it from -online-merge. Results are identical either
-// way — merges are pure reorganizations; only interference changes.
-var OnlineMerge bool
 
 // Advisor attaches a cache decision ledger to the workload experiments'
 // managers and embeds the shadow-cache what-if report (capacity and
@@ -82,15 +75,6 @@ func advisorAnalyze(mgr *core.Manager) *advisor.Report {
 		CapacityBytes: dbg.CapacityBytes,
 		MinProfit:     dbg.MinProfit,
 	})
-}
-
-// mergeTables runs the synchronized merge of the named tables' partition 0
-// under the configured merge mode.
-func mergeTables(db *table.DB, names ...string) error {
-	if OnlineMerge {
-		return db.MergeTablesOnline(false, names...)
-	}
-	return db.MergeTables(false, names...)
 }
 
 // Point is one measurement: X is the experiment's sweep variable, Y the

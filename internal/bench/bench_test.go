@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,24 @@ func checkResult(t *testing.T, r *Result, wantSeries int) {
 	}
 }
 
+// timingCheck asserts a comparison between two wall-clock measurements.
+// Tier 1 must not depend on the clock, so the comparison is enforced only
+// when AGGCACHE_SOAK_ITERS is set (CI's soak job); otherwise a miss is
+// logged.
+func timingCheck(t *testing.T, ok bool, format string, args ...any) {
+	t.Helper()
+	if ok {
+		return
+	}
+	if timingEnforced() {
+		t.Errorf(format, args...)
+	} else {
+		t.Logf("not enforced without AGGCACHE_SOAK_ITERS: "+format, args...)
+	}
+}
+
+func timingEnforced() bool { return os.Getenv("AGGCACHE_SOAK_ITERS") != "" }
+
 func TestRunFig6Quick(t *testing.T) {
 	r, err := RunFig6(true)
 	if err != nil {
@@ -82,9 +101,8 @@ func TestRunFig6Quick(t *testing.T) {
 	last := len(r.Series[2].Points) - 1
 	cache := r.Series[2].Points[last].Y
 	eager := r.Series[0].Points[last].Y
-	if cache >= eager {
-		t.Errorf("at 100%% inserts: cache %.2fms >= eager %.2fms; expected cache cheaper", cache, eager)
-	}
+	timingCheck(t, cache < eager,
+		"at 100%% inserts: cache %.2fms >= eager %.2fms; expected cache cheaper", cache, eager)
 }
 
 func TestRunMemOverheadQuick(t *testing.T) {
@@ -113,10 +131,8 @@ func TestRunInsertOverheadQuick(t *testing.T) {
 	checkResult(t, r, 3)
 	// Bare insert must not be slower than MD-enforced insert.
 	last := len(r.Series[0].Points) - 1
-	if r.Series[0].Points[last].Y > r.Series[2].Points[last].Y*1.5 {
-		t.Errorf("bare insert %.2fus slower than MD insert %.2fus",
-			r.Series[0].Points[last].Y, r.Series[2].Points[last].Y)
-	}
+	bare, md := r.Series[0].Points[last].Y, r.Series[2].Points[last].Y
+	timingCheck(t, bare <= md*1.5, "bare insert %.2fus slower than MD insert %.2fus", bare, md)
 }
 
 func TestRunFig7Quick(t *testing.T) {
@@ -126,10 +142,9 @@ func TestRunFig7Quick(t *testing.T) {
 	}
 	checkResult(t, r, 4)
 	// Full pruning must beat uncached at the smallest delta.
-	if r.Series[3].Points[0].Y >= r.Series[0].Points[0].Y {
-		t.Errorf("full pruning %.2fms not faster than uncached %.2fms at smallest delta",
-			r.Series[3].Points[0].Y, r.Series[0].Points[0].Y)
-	}
+	full, uncached := r.Series[3].Points[0].Y, r.Series[0].Points[0].Y
+	timingCheck(t, full < uncached,
+		"full pruning %.2fms not faster than uncached %.2fms at smallest delta", full, uncached)
 }
 
 func TestRunFig8Quick(t *testing.T) {
@@ -162,10 +177,8 @@ func TestRunFig10Quick(t *testing.T) {
 	checkResult(t, r, 2)
 	// Pushdown must not be slower than the regular join at the smallest
 	// matching count.
-	if r.Series[1].Points[0].Y > r.Series[0].Points[0].Y {
-		t.Errorf("pushdown %.2fms slower than regular %.2fms",
-			r.Series[1].Points[0].Y, r.Series[0].Points[0].Y)
-	}
+	pushdown, regular := r.Series[1].Points[0].Y, r.Series[0].Points[0].Y
+	timingCheck(t, pushdown <= regular, "pushdown %.2fms slower than regular %.2fms", pushdown, regular)
 }
 
 func TestRunFig11Quick(t *testing.T) {
@@ -251,8 +264,6 @@ func TestRunAblateNegDeltaQuick(t *testing.T) {
 	}
 	checkResult(t, r, 2)
 	// Compensation must beat the rebuild for a single-row update.
-	if r.Series[0].Points[0].Y >= r.Series[1].Points[0].Y {
-		t.Errorf("compensation %.2fms not faster than rebuild %.2fms",
-			r.Series[0].Points[0].Y, r.Series[1].Points[0].Y)
-	}
+	comp, rebuild := r.Series[0].Points[0].Y, r.Series[1].Points[0].Y
+	timingCheck(t, comp < rebuild, "compensation %.2fms not faster than rebuild %.2fms", comp, rebuild)
 }

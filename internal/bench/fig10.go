@@ -72,7 +72,7 @@ func RunFig10(quick bool) (*Result, error) {
 				}
 				matched += erpCfg.ItemsPerHeader
 			}
-			if err := mergeTables(erp.DB, workload.TItem); err != nil {
+			if err := erp.DB.MergeTablesOnline(false, workload.TItem); err != nil {
 				return nil, err
 			}
 			snap := erp.DB.Txns().ReadSnapshot()

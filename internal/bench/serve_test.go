@@ -106,23 +106,39 @@ func lastSliceP99(t *testing.T, series []Series) float64 {
 	return 0
 }
 
-// TestSoakGovernedBeatsUngoverned is the paired soak: after a delta-heavy
-// write burst, the governed arm's online merges have drained the deltas,
-// so its steady-state (last time slice) p99 must not exceed the
-// ungoverned arm's, which pays delta compensation on the whole backlog
-// for every query. Steady state is compared rather than whole-run p99
-// because the merges themselves cost CPU during the burst — that spike is
-// the price, the drained tail is the payoff. One retry absorbs scheduler
-// noise on loaded CI machines.
+// TestSoakGovernedBeatsUngoverned is the paired soak. Its tier-1 half is
+// independent of pacing: after a delta-heavy write burst the governed arm
+// has merged at least once, and every shadow-verified query matched the
+// uncached oracle. The cross-arm half compares wall-clock-paced runs, so it
+// is enforced only when AGGCACHE_SOAK_ITERS is set (CI's soak job): the
+// governed arm's merges have drained the deltas, so its backlog is smaller
+// and its steady-state (last time slice) p99 must not exceed the ungoverned
+// arm's, which pays delta compensation on the whole backlog for every
+// query. Steady state is compared rather than whole-run p99 because the
+// merges themselves cost CPU during the burst — that spike is the price,
+// the drained tail is the payoff. One retry absorbs scheduler noise on
+// loaded CI machines.
 func TestSoakGovernedBeatsUngoverned(t *testing.T) {
+	defer func(v float64) { VerifySample = v }(VerifySample)
+	VerifySample = 0.05
 	p := soakTestParams()
-	var report string
+	report := "governed arm never merged"
 	for attempt := 0; attempt < 2; attempt++ {
-		un, unSeries, err := runServeArm(p, false)
+		gov, govSeries, err := runServeArm(p, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gov, govSeries, err := runServeArm(p, true)
+		if gov.VerifyChecks == 0 || gov.VerifyDivergences != 0 {
+			t.Fatalf("governed arm: %d shadow checks, %d divergences; want checks and no divergence",
+				gov.VerifyChecks, gov.VerifyDivergences)
+		}
+		if gov.Merges == 0 {
+			continue // stream not delta-heavy enough this round; retry
+		}
+		if !timingEnforced() {
+			return
+		}
+		un, unSeries, err := runServeArm(p, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,13 +146,7 @@ func TestSoakGovernedBeatsUngoverned(t *testing.T) {
 		report = fmt.Sprintf(
 			"governed steady-state p99 %.3fms (merges=%d, deltas left=%d) vs ungoverned %.3fms (deltas left=%d)",
 			govP99, gov.Merges, gov.DeltaRowsEnd, unP99, un.DeltaRowsEnd)
-		if gov.Merges == 0 {
-			continue // stream not delta-heavy enough this round; retry
-		}
-		if gov.DeltaRowsEnd >= un.DeltaRowsEnd {
-			t.Fatalf("%s — merges did not reduce the backlog", report)
-		}
-		if govP99 <= unP99 {
+		if gov.DeltaRowsEnd < un.DeltaRowsEnd && govP99 <= unP99 {
 			return
 		}
 	}

@@ -23,7 +23,7 @@ func TestConcurrentReadersAndWriterParallelWorkers(t *testing.T) {
 func runConcurrentReadersAndWriter(t *testing.T, cfg Config) {
 	e := newEnv(t, cfg)
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := joinQuery()
 	single := headerOnlyQuery()
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
@@ -87,7 +87,7 @@ func runConcurrentReadersAndWriter(t *testing.T, cfg Config) {
 			tx.Commit()
 			e.db.Unlock()
 			if i%20 == 19 {
-				if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+				if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 					errs <- err
 					return
 				}

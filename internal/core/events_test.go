@@ -96,7 +96,7 @@ func TestLifecycleEvents(t *testing.T) {
 	e.db.SetMetrics(reg)
 
 	e.insertObject(t, 2013, 10, 20)
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	q := joinQuery()
@@ -107,7 +107,7 @@ func TestLifecycleEvents(t *testing.T) {
 	}
 	// Pending delta + merge -> merge events + merge-time maintenance.
 	e.insertObject(t, 2014, 5)
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	// Main-store invalidation with join compensation disabled -> the entry
@@ -126,7 +126,7 @@ func TestLifecycleEvents(t *testing.T) {
 	events := parseEvents(t, &buf)
 	for _, want := range []string{
 		"cache.admissions", "cache.maintenances", "cache.invalidations",
-		"table.merge_start", "table.merges", "subjoins.executed",
+		"table.merge_online_start", "table.merge_online_swap", "subjoins.executed",
 	} {
 		if countEvents(events, want) == 0 {
 			t.Errorf("no %q event emitted; have %d events", want, len(events))
@@ -141,7 +141,7 @@ func TestLifecycleEvents(t *testing.T) {
 	// Event names join cleanly with the registry: each lifecycle event name
 	// is a counter in the same snapshot, and the counts line up.
 	snap := reg.Snapshot()
-	for _, name := range []string{"cache.admissions", "cache.invalidations", "cache.maintenances", "table.merges"} {
+	for _, name := range []string{"cache.admissions", "cache.invalidations", "cache.maintenances"} {
 		c, ok := snap.Counters[name]
 		if !ok {
 			t.Errorf("event name %q has no matching registry counter", name)
@@ -150,6 +150,10 @@ func TestLifecycleEvents(t *testing.T) {
 		if got := int64(countEvents(events, name)); got != c {
 			t.Errorf("%s: %d events vs counter %d", name, got, c)
 		}
+	}
+	// One swap event per completed merge.
+	if got, c := int64(countEvents(events, "table.merge_online_swap")), snap.Counters["table.merges"]; got != c || c == 0 {
+		t.Errorf("table.merge_online_swap: %d events vs table.merges counter %d", got, c)
 	}
 
 	// Event payloads carry the promised fields.
@@ -163,8 +167,8 @@ func TestLifecycleEvents(t *testing.T) {
 			if e["key"] == nil || e["cause"] == nil {
 				t.Errorf("invalidation event missing fields: %v", e)
 			}
-		case "table.merges":
-			if e["table"] == nil || e["from_delta"] == nil || e["dur_us"] == nil {
+		case "table.merge_online_swap":
+			if e["table"] == nil || e["from_delta"] == nil || e["swap_ns"] == nil {
 				t.Errorf("merge event missing fields: %v", e)
 			}
 		case "subjoins.executed":
@@ -211,7 +215,7 @@ func TestLifecycleEvents(t *testing.T) {
 		obs.DecisionReject:     {"not-self-maintainable"},
 		obs.DecisionInvalidate: nil,
 		obs.DecisionCompensate: {"persist"},
-		obs.DecisionFold:       {"offline", "online"},
+		obs.DecisionFold:       {"online"},
 	})
 }
 

@@ -11,88 +11,22 @@ import (
 
 // mergeHook keeps cache entries consistent across delta-merge operations:
 // the incremental maintenance of the aggregate cache happens during the
-// merge (paper Sec. 5.2).
-//
-// For offline merges the BeforeMerge/AfterMerge pair runs under the writer
-// lock: it settles pending main compensation, folds the merging partition's
-// delta into every affected entry, and re-captures visibility baselines.
-//
-// For online merges the hook implements the staged protocol of
-// table.OnlineMergeHook: FoldOnline settles every affected entry to the
-// merge baseline S0 and pre-computes the delta fold into a staged table
-// while queries keep running (the entry is frozen at S0 from prepare to
-// swap — query-time compensation turns transient, see Manager.prepare);
-// SwapOnline applies the staged folds and installs the new main's baseline
-// inside the swap critical section; AbortOnline discards the staging.
+// merge (paper Sec. 5.2), through the staged protocol of table.MergeHook.
+// FoldOnline settles every affected entry to the merge baseline S0 and
+// pre-computes the delta fold into a staged table while queries keep running
+// (the entry is frozen at S0 from prepare to swap — query-time compensation
+// turns transient, see Manager.prepare); SwapOnline applies the staged folds
+// and installs the new main's baseline inside the swap critical section;
+// AbortOnline discards the staging.
 type mergeHook struct {
 	m *Manager
 }
 
-var _ table.OnlineMergeHook = (*mergeHook)(nil)
+var _ table.MergeHook = (*mergeHook)(nil)
 
-func (h *mergeHook) BeforeMerge(db *table.DB, tbl *table.Table, part int, snap txn.Snapshot) {
-	m := h.m
-	// The offline merge is about to replace the partition's stores; every
-	// recycled intermediate guarded by them is dead weight from here on.
-	m.recycleInvalidate(tbl.Name())
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, key := range m.sortedEntryKeys() {
-		e := m.entries[key]
-		if e.Stale || !queryReferences(e.Query, tbl.Name()) {
-			continue
-		}
-		// An entry frozen at the baseline of an online merge on another
-		// table must not advance past it; folding here would desynchronize
-		// the staged fold. Rebuild instead (rare: offline merge racing an
-		// online one).
-		if m.entryMergeActive(e) {
-			m.markStale(e, "offline merge while an online merge holds the entry frozen")
-			continue
-		}
-		var st query.Stats
-		// Settle invalidations first so the fold starts from a value that
-		// matches the live main rows (joins go stale; rebuilt on access).
-		if _, err := m.mainCompensate(e, snap, &st, nil, compPersist); err != nil {
-			m.markStale(e, "merge-time main compensation failed: "+err.Error())
-			continue
-		}
-		if e.Stale {
-			// mainCompensate marked (and counted) the invalidation itself.
-			continue
-		}
-		// Fold the merging delta against the other tables' main stores:
-		// exactly the subjoins the new, larger main will cover from now on.
-		combos := m.mergeFoldCombos(e.Query, tbl.Name(), part)
-		if err := m.runCombos(e.Query, combos, snap, CachedFullPruning, false, e.Value, &st, nil); err != nil {
-			m.markStale(e, "merge-time delta fold failed: "+err.Error())
-			continue
-		}
-		m.obs.recordStats(&st)
-		m.folded(e, tbl.Name(), snap, st.TuplesJoined, "offline")
-	}
-	m.syncGauges()
-}
-
-func (h *mergeHook) AfterMerge(db *table.DB, tbl *table.Table, part int) {
-	m := h.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap := db.Txns().ReadSnapshot()
-	ref := query.StoreRef{Table: tbl.Name(), Part: part, Main: true}
-	for _, e := range m.entries {
-		if e.Stale || !queryReferences(e.Query, tbl.Name()) {
-			continue
-		}
-		store := ref.Resolve(db)
-		e.MainVis[ref] = store.Visibility(snap)
-		e.MainInv[ref] = store.Invalidations()
-	}
-}
-
-// FoldOnline runs during the online merge's build phase under the shared
-// reader lock: it settles every affected entry to the merge baseline S0 and
-// stages the fold of the frozen delta for the swap. Only the settling holds
+// FoldOnline runs during the merge's build phase under the shared reader
+// lock: it settles every affected entry to the merge baseline S0 and stages
+// the fold of the frozen delta for the swap. Only the settling holds
 // the cache lock; the fold subjoins — the expensive part — run unlocked and
 // accumulate into private tables, so concurrent cache hits proceed.
 func (h *mergeHook) FoldOnline(db *table.DB, tbl *table.Table, part int, snap txn.Snapshot) {
@@ -203,7 +137,7 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 		e.Value.Merge(fold)
 		e.MainVis[ref] = base.Clone()
 		e.MainInv[ref] = 0
-		m.folded(e, name, snap, pf.tuples[key], "online")
+		m.folded(e, name, snap, pf.tuples[key])
 	}
 	m.syncGauges()
 }
@@ -211,12 +145,12 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 // folded accounts one merge-time maintenance fold already applied to the
 // entry's value — tuples delta tuples of the merging table now covered by
 // the main stores as of snap — and announces it. Callers hold m.mu.
-func (m *Manager) folded(e *Entry, table string, snap txn.Snapshot, tuples int64, mode string) {
+func (m *Manager) folded(e *Entry, table string, snap txn.Snapshot, tuples int64) {
 	m.resize(e)
 	e.Metrics.MainRows += tuples
 	e.Metrics.Maintenances++
 	e.SnapHigh = snap.High
-	m.decide(m.entryDecision(obs.DecisionFold, e, mode, tuples), slog.String("table", table))
+	m.decide(m.entryDecision(obs.DecisionFold, e, "online", tuples), slog.String("table", table))
 }
 
 // AbortOnline discards the staging of a rolled-back online merge. The store
@@ -299,8 +233,7 @@ func queryReferences(q *query.Query, tableName string) bool {
 // table ranging over its main stores. A simultaneously-merging table whose
 // own fold is already staged additionally contributes its frozen delta:
 // that delta lands in its main together with ours, and the delta×delta
-// cross terms belong to exactly one fold — the later one — mirroring the
-// telescoping of sequential offline merges.
+// cross terms belong to exactly one fold — the later one.
 func (m *Manager) mergeFoldCombos(q *query.Query, mergingTable string, part int) []query.Combo {
 	perTable := make([][]query.StoreRef, len(q.Tables))
 	for i, name := range q.Tables {

@@ -227,8 +227,8 @@ func (m *Manager) recycleEvicted(q *query.Query, strat Strategy, notes []recycle
 
 // recycleInvalidate drops every recycled intermediate guarded by the named
 // table's stores and records the evictions. Called by the merge hooks at
-// the points where the table's store identities change (offline merge
-// start, online swap, online abort).
+// the points where the table's store identities change (merge swap and
+// abort).
 func (m *Manager) recycleInvalidate(name string) {
 	if m.rc == nil {
 		return

@@ -46,7 +46,7 @@ func kindsEqual(got, want []obs.DecisionKind) bool {
 func TestLedgerDecisionStream(t *testing.T) {
 	e, led, reg := ledgerEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 
 	q := headerOnlyQuery()
 	if _, info, err := e.mgr.Execute(q, CachedNoPruning); err != nil || !info.Admitted {
@@ -92,12 +92,12 @@ func TestLedgerDecisionStream(t *testing.T) {
 	if _, _, err := e.mgr.Execute(q, CachedNoPruning); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	snap = led.Snapshot()
 	last := snap[len(snap)-1]
-	if last.Kind != obs.DecisionFold || last.Reason != "offline" {
+	if last.Kind != obs.DecisionFold || last.Reason != "online" {
 		t.Fatalf("fold decision = %+v", last)
 	}
 
@@ -131,7 +131,7 @@ func TestLedgerEvictionReasonsAndRegret(t *testing.T) {
 	e, led, reg := ledgerEnv(t, Config{Events: obs.NewEventLog(&buf)})
 	e.insertObject(t, 2013, 10, 20)
 	e.insertObject(t, 2014, 5)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 
 	qJoin, qHeader := joinQuery(), headerOnlyQuery()
 	for _, q := range []*query.Query{qJoin, qHeader} {
@@ -260,7 +260,7 @@ func TestLedgerEvictionReasonsAndRegret(t *testing.T) {
 func TestLedgerRejectDecision(t *testing.T) {
 	e, led, reg := ledgerEnv(t, Config{MinProfit: 1e18})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := headerOnlyQuery()
 	_, info, err := e.mgr.Execute(q, CachedNoPruning)
 	if err != nil {
@@ -295,7 +295,7 @@ func TestLedgerRejectDecision(t *testing.T) {
 func TestLedgerCountersInProm(t *testing.T) {
 	e, _, reg := ledgerEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := headerOnlyQuery()
 	for i := 0; i < 2; i++ {
 		if _, _, err := e.mgr.Execute(q, CachedNoPruning); err != nil {
@@ -330,7 +330,7 @@ func TestLedgerHitPathAllocs(t *testing.T) {
 	measure := func(cfg Config) float64 {
 		e := newEnv(t, cfg)
 		e.insertObject(t, 2013, 10, 20)
-		e.db.MergeTables(false, "Header", "Item")
+		e.db.MergeTablesOnline(false, "Header", "Item")
 		q := headerOnlyQuery()
 		if _, info, err := e.mgr.Execute(q, CachedFullPruning); err != nil || !info.Admitted {
 			t.Fatalf("warm-up: info=%+v err=%v", info, err)

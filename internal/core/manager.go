@@ -146,11 +146,11 @@ type Manager struct {
 	// (table, partition); SwapOnline applies them inside the swap critical
 	// section and AbortOnline discards them.
 	pendingFolds map[foldKey]*pendingFold
-	// foldedActive marks tables whose online-merge fold has already been
-	// staged in the current merge epoch. Later folds of other
-	// simultaneously-merging tables include these tables' frozen deltas in
-	// their subjoins — the telescoping that covers delta×delta cross terms,
-	// exactly as sequential offline merges would.
+	// foldedActive marks tables whose merge fold has already been staged in
+	// the current merge epoch. Later folds of other simultaneously-merging
+	// tables include these tables' frozen deltas in their subjoins — the
+	// telescoping that assigns each delta×delta cross term to exactly one
+	// fold.
 	foldedActive map[string]bool
 	// shadow is the installed shadow-verification hook (SetShadow); read
 	// lock-free on the Execute path, nil when verification is off.
@@ -369,8 +369,8 @@ func (m *Manager) Watermark() txn.TID {
 }
 
 // PinSnapshot pins the current read snapshot against version reclamation
-// and returns it with a release function. An online merge started while the
-// pin is held retains every row version the snapshot can see, so
+// and returns it with a release function. Every merge started while the pin
+// is held retains every row version the snapshot can see, so
 // ExecuteAt(q, snap, ...) keeps returning the same result across the merge
 // swap. The release function is idempotent.
 func (m *Manager) PinSnapshot() (txn.Snapshot, func()) {
@@ -874,10 +874,10 @@ type compMode int
 const (
 	// compPersist mutates the entry: the value is compensated in place and
 	// the visibility baselines advance to snap, which must be the current
-	// read watermark (the normal query path and the offline merge hook).
+	// read watermark (the normal query path).
 	compPersist compMode = iota
 	// compSettle is compPersist for a snapshot that may be older than the
-	// present — the online-merge fold settling an entry to the merge
+	// present — the merge fold settling an entry to the merge
 	// baseline S0. MainInv is left untouched: the invalidation counters may
 	// already include post-S0 invalidations that a vector at S0 cannot
 	// reflect, and recording them would let the dirty check skip real work.

@@ -72,7 +72,7 @@ func newEnv(t testing.TB, cfg Config) *env {
 		db.MustTable("ProductCategory").Insert(tx, []column.Value{column.IntV(int64(i)), column.StrV(name)})
 	}
 	tx.Commit()
-	if err := db.MergeTables(false, "ProductCategory"); err != nil {
+	if err := db.MergeTablesOnline(false, "ProductCategory"); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -165,7 +165,7 @@ func newEnvHotCold(t testing.TB) *env {
 		db.MustTable("ProductCategory").Insert(tx, []column.Value{column.IntV(int64(i)), column.StrV(name)})
 	}
 	tx.Commit()
-	db.MergeTables(false, "ProductCategory")
+	db.MergeTablesOnline(false, "ProductCategory")
 
 	// Cold-era objects (tids 2..4), then jump the clock past the split.
 	e.insertObject(t, 2010, 10, 20)
@@ -175,10 +175,10 @@ func newEnvHotCold(t testing.TB) *env {
 	e.insertObject(t, 2013, 7)
 	e.insertObject(t, 2014, 3, 4)
 	for part := 0; part < 2; part++ {
-		if _, err := db.Merge("Header", part, false); err != nil {
+		if _, err := db.MergeOnline("Header", part, false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.Merge("Item", part, false); err != nil {
+		if _, err := db.MergeOnline("Item", part, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func assertMatchesUncached(t testing.TB, e *env, q *query.Query, strat Strategy)
 func TestCacheMissThenHit(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 
 	q := joinQuery()
 	_, info, err := e.mgr.Execute(q, CachedFullPruning)
@@ -259,7 +259,7 @@ func TestDeltaCompensationCorrect(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
 	e.insertObject(t, 2012, 5)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := joinQuery()
 	// Cache on merged state, then insert into deltas.
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
@@ -276,7 +276,7 @@ func TestMainCompensationSingleTable(t *testing.T) {
 	e.insertObject(t, 2013, 1)
 	e.insertObject(t, 2013, 1)
 	e.insertObject(t, 2012, 1)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 
 	q := headerOnlyQuery()
 	res, _, err := e.mgr.Execute(q, CachedNoPruning)
@@ -317,7 +317,7 @@ func TestMainInvalidationOnJoinCompensates(t *testing.T) {
 	// in a main store is folded into the join entry without a rebuild.
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := joinQuery()
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestMainInvalidationOnJoinCompensates(t *testing.T) {
 func TestMainInvalidationOnJoinRebuildsWhenDisabled(t *testing.T) {
 	e := newEnv(t, Config{DisableJoinCompensation: true})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := joinQuery()
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestJoinCompensationMultiTableDiffs(t *testing.T) {
 	e.insertObject(t, 2013, 10, 20) // header 1, items 1-2
 	e.insertObject(t, 2013, 5)      // header 2, item 3
 	e.insertObject(t, 2014, 7)      // header 3, item 4
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := joinQuery()
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
 		t.Fatal(err)
@@ -416,7 +416,7 @@ func TestJoinCompensationMultiTableDiffs(t *testing.T) {
 func TestMergeMaintainsEntry(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := joinQuery()
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
 		t.Fatal(err)
@@ -424,7 +424,7 @@ func TestMergeMaintainsEntry(t *testing.T) {
 	// New business objects land in the deltas, then merge both tables.
 	e.insertObject(t, 2013, 5, 5)
 	e.insertObject(t, 2014, 3)
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	entry, ok := e.mgr.Entry(q)
@@ -447,18 +447,18 @@ func TestStaggeredMergesStayCorrect(t *testing.T) {
 	// must still converge to the correct value once both merged.
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := joinQuery()
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
 		t.Fatal(err)
 	}
 	e.insertObject(t, 2013, 4)
-	e.db.MergeTables(false, "Item") // Item first: Hdelta x Imain overlap
+	e.db.MergeTablesOnline(false, "Item") // Item first: Hdelta x Imain overlap
 	assertMatchesUncached(t, e, q, CachedFullPruning)
 	e.insertObject(t, 2014, 6)
-	e.db.MergeTables(false, "Header")
+	e.db.MergeTablesOnline(false, "Header")
 	assertMatchesUncached(t, e, q, CachedFullPruning)
-	e.db.MergeTables(false, "Item")
+	e.db.MergeTablesOnline(false, "Item")
 	assertMatchesUncached(t, e, q, CachedFullPruning)
 
 	entry, _ := e.mgr.Entry(q)
@@ -474,7 +474,7 @@ func TestStaggeredMergesStayCorrect(t *testing.T) {
 func TestFullPruningPrunesMixedCombos(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	e.insertObject(t, 2013, 5) // fresh delta on both tables
 	q := joinQuery()
 
@@ -508,10 +508,10 @@ func TestFullPruningPrunesMixedCombos(t *testing.T) {
 func TestPushdownApplied(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	// Create the Fig. 5 overlap: header in delta, its item merged to main.
 	e.insertObject(t, 2013, 4)
-	e.db.MergeTables(false, "Item")
+	e.db.MergeTablesOnline(false, "Item")
 	q := joinQuery()
 	_, info, err := e.mgr.Execute(q, CachedFullPruning)
 	if err != nil {
@@ -545,7 +545,7 @@ func TestNonSelfMaintainableNotAdmitted(t *testing.T) {
 func TestCapacityEviction(t *testing.T) {
 	e := newEnv(t, Config{CapacityBytes: 1}) // absurdly small: evict everything
 	e.insertObject(t, 2013, 10)
-	e.db.MergeTables(false, "Header") // entry must have a non-empty value
+	e.db.MergeTablesOnline(false, "Header") // entry must have a non-empty value
 	q := headerOnlyQuery()
 	_, info, err := e.mgr.Execute(q, CachedNoPruning)
 	if err != nil {
@@ -668,7 +668,7 @@ func TestQuickStrategiesAgree(t *testing.T) {
 				tx.Commit()
 			case op < 10: // merge a random subset, staggered
 				names := []string{"Header", "Item"}
-				e.db.MergeTables(rng.Intn(2) == 0, names[rng.Intn(2)])
+				e.db.MergeTablesOnline(rng.Intn(2) == 0, names[rng.Intn(2)])
 			default: // query with a random strategy to exercise caching
 				s := Strategies()[rng.Intn(4)]
 				if _, _, err := e.mgr.Execute(q, s); err != nil {

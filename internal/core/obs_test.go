@@ -17,7 +17,7 @@ func TestExplainAnalyzeVerdictsMatchStats(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20, 30)
 	e.insertObject(t, 2014, 5)
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	// Pending delta rows so delta compensation has real subjoins to prune
@@ -157,7 +157,7 @@ func TestManagerMetricsRegistry(t *testing.T) {
 
 	// Merge maintenance reports through the same registry.
 	e.insertObject(t, 2014, 5)
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("cache.maintenances").Value(); got == 0 {
@@ -175,7 +175,7 @@ func TestManagerMetricsRegistry(t *testing.T) {
 func TestEntriesByProfit(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	jq, hq := joinQuery(), headerOnlyQuery()
@@ -208,7 +208,7 @@ func TestEntriesByProfit(t *testing.T) {
 func TestEntryMetricsRace(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := joinQuery()
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestEntryMetricsRace(t *testing.T) {
 			}
 			tx.Commit()
 			e.db.Unlock()
-			if err := e.db.MergeTables(false, "Header"); err != nil {
+			if err := e.db.MergeTablesOnline(false, "Header"); err != nil {
 				errs <- err
 				return
 			}

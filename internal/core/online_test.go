@@ -27,7 +27,7 @@ func TestOnlineMergeMaintainsEntries(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		e.insertObject(t, 2013+int64(i%3), 10, 20, 30)
 	}
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	e.insertObject(t, 2014, 5, 15) // delta rows for the online merge to fold
@@ -100,7 +100,7 @@ func TestOnlineMergeGroupMaintainsEntries(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.insertObject(t, 2013+int64(i%2), 10, 20)
 	}
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	q := joinQuery()
@@ -129,7 +129,7 @@ func TestOnlineMergeFreezesEntry(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.insertObject(t, 2013, 10)
 	}
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	q := headerOnlyQuery()
@@ -188,7 +188,7 @@ func TestOnlineMergeAbortKeepsCacheConsistent(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.insertObject(t, 2013+int64(i%2), 10, 20)
 	}
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	q := joinQuery()
@@ -223,7 +223,7 @@ func TestEntryBuiltDuringOnlineMerge(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e.insertObject(t, 2013, 10)
 	}
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	e.insertObject(t, 2014, 5)
@@ -259,53 +259,66 @@ func TestEntryBuiltDuringOnlineMerge(t *testing.T) {
 // TestPinnedSnapshotAcrossOnlineMerge pins a read snapshot, mutates and
 // merges, and checks ExecuteAt returns byte-identical results for the
 // pinned snapshot before and after the swap — the version-retention
-// guarantee for long-running readers.
+// guarantee for long-running readers, whichever merge entry point runs.
 func TestPinnedSnapshotAcrossOnlineMerge(t *testing.T) {
-	e := newEnv(t, Config{})
-	for i := 0; i < 5; i++ {
-		e.insertObject(t, 2013+int64(i%2), 10, 20)
+	merges := map[string]func(e *env) error{
+		"grouped": func(e *env) error {
+			return e.db.MergeTablesOnline(false, "Header", "Item")
+		},
+		"one-partition": func(e *env) error {
+			_, err := e.db.MergeOnline("Item", 0, false)
+			return err
+		},
 	}
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
-		t.Fatal(err)
-	}
-	q := joinQuery()
-	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
-		t.Fatal(err)
-	}
+	for name, merge := range merges {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, Config{})
+			for i := 0; i < 5; i++ {
+				e.insertObject(t, 2013+int64(i%2), 10, 20)
+			}
+			if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
+				t.Fatal(err)
+			}
+			q := joinQuery()
+			if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
+				t.Fatal(err)
+			}
 
-	snap, release := e.mgr.PinSnapshot()
-	defer release()
-	var before []string
-	for _, strat := range Strategies() {
-		res, _, err := e.mgr.ExecuteAt(q, snap, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before = append(before, renderResult(res))
-	}
+			snap, release := e.mgr.PinSnapshot()
+			defer release()
+			var before []string
+			for _, strat := range Strategies() {
+				res, _, err := e.mgr.ExecuteAt(q, snap, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before = append(before, renderResult(res))
+			}
 
-	// Mutate: deletes invalidate rows the pinned snapshot still sees.
-	tx := e.db.Txns().Begin()
-	if err := e.db.MustTable("Item").Delete(tx, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.db.MustTable("Item").Update(tx, 2, map[string]column.Value{"Price": column.FloatV(1000)}); err != nil {
-		t.Fatal(err)
-	}
-	tx.Commit()
-	e.insertObject(t, 2014, 50)
-	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
-		t.Fatal(err)
-	}
+			// Mutate: deletes invalidate rows the pinned snapshot still sees.
+			tx := e.db.Txns().Begin()
+			if err := e.db.MustTable("Item").Delete(tx, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.db.MustTable("Item").Update(tx, 2, map[string]column.Value{"Price": column.FloatV(1000)}); err != nil {
+				t.Fatal(err)
+			}
+			tx.Commit()
+			e.insertObject(t, 2014, 50)
+			if err := merge(e); err != nil {
+				t.Fatal(err)
+			}
 
-	for i, strat := range Strategies() {
-		res, _, err := e.mgr.ExecuteAt(q, snap, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := renderResult(res); got != before[i] {
-			t.Fatalf("pinned snapshot result changed across online merge (strategy %v):\n got %s\nwant %s", strat, got, before[i])
-		}
+			for i, strat := range Strategies() {
+				res, _, err := e.mgr.ExecuteAt(q, snap, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := renderResult(res); got != before[i] {
+					t.Fatalf("pinned snapshot result changed across the merge (strategy %v):\n got %s\nwant %s", strat, got, before[i])
+				}
+			}
+		})
 	}
 }
 
@@ -339,7 +352,7 @@ func runOnlineMergeSoak(t *testing.T, cfg Config) {
 	for i := 0; i < 8; i++ {
 		e.insertObject(t, 2013+int64(i%3), 10, 20)
 	}
-	if err := e.db.MergeTables(false, "Header", "Item"); err != nil {
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
 		t.Fatal(err)
 	}
 	q := joinQuery()

@@ -44,7 +44,7 @@ func TestExecuteRowsMatchesExecute(t *testing.T) {
 	e := newEnv(t, Config{Recorder: rec})
 	e.insertObject(t, 2013, 10, 20)
 	e.insertObject(t, 2012, 5)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	e.insertObject(t, 2013, 7, 8) // pending delta
 
 	for _, q := range []*query.Query{joinQuery(), headerOnlyQuery()} {
@@ -75,7 +75,7 @@ func TestExecuteRowsAfterInvalidation(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10)
 	e.insertObject(t, 2013, 4)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	q := headerOnlyQuery()
 	if _, _, err := e.mgr.ExecuteRows(q, CachedNoPruning); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSizeAccountingInvariant(t *testing.T) {
 	// through compensation, maintenance, and rebuilds.
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	check := func(stage string) {
 		t.Helper()
 		var sum uint64
@@ -130,7 +130,7 @@ func TestSizeAccountingInvariant(t *testing.T) {
 	check("after caching")
 
 	e.insertObject(t, 2014, 3)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 	check("after merge maintenance")
 
 	tx := e.db.Txns().Begin()
@@ -147,7 +147,7 @@ func TestEvictionPrefersLowProfit(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)
 	e.insertObject(t, 2014, 5)
-	e.db.MergeTables(false, "Header", "Item")
+	e.db.MergeTablesOnline(false, "Header", "Item")
 
 	qBig := joinQuery()         // larger value, expensive to build
 	qSmall := headerOnlyQuery() // cheap
@@ -202,10 +202,10 @@ func TestCacheSurvivesAging(t *testing.T) {
 	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.db.Age("Header", 1<<40); err != nil { // everything cold
+	if err := e.db.AgeOnline("Header", 1<<40); err != nil { // everything cold
 		t.Fatal(err)
 	}
-	if err := e.db.Age("Item", 1<<40); err != nil {
+	if err := e.db.AgeOnline("Item", 1<<40); err != nil {
 		t.Fatal(err)
 	}
 	got, info, err := e.mgr.Execute(q, CachedFullPruning)

@@ -1,6 +1,6 @@
 // Package difftest is a randomized differential test harness for the
 // aggregate cache: seeded generators produce mixed workloads of inserts,
-// updates, deletes, offline/online/staged delta merges, fault-injected
+// updates, deletes, atomic and staged delta merges, fault-injected
 // crashes, and data aging over the ERP schema, and every embedded query
 // check asserts that all cached execution strategies — at one and at four
 // executor workers, with and without the cross-query recycler cache —
@@ -40,9 +40,7 @@ const (
 	// OpDelete deletes a live business object (header and items in one
 	// transaction, preserving the matching dependency).
 	OpDelete
-	// OpMergeOffline runs the classic synchronized offline merge.
-	OpMergeOffline
-	// OpMergeOnline runs an atomic online merge (group or single table).
+	// OpMergeOnline runs an atomic merge (group or single table).
 	OpMergeOnline
 	// OpBeginMerge stages an online merge (prepare + build) and leaves it
 	// open, so later operations run against the frozen partition.
@@ -69,7 +67,7 @@ const (
 )
 
 var opKindNames = [numOpKinds]string{"insert", "update", "delete",
-	"merge-offline", "merge-online", "begin-merge", "finish-merge",
+	"merge-online", "begin-merge", "finish-merge",
 	"abort-merge", "crash-merge", "age", "check", "corrupt"}
 
 // String names the op for failure reports.
@@ -149,8 +147,6 @@ func Generate(seed int64, n int) []Op {
 			k = OpUpdate
 		case p < 53:
 			k = OpDelete
-		case p < 58:
-			k = OpMergeOffline
 		case p < 66:
 			k = OpMergeOnline
 		case p < 72:
@@ -417,12 +413,6 @@ func (r *Runner) apply(op Op) error {
 		tx.Commit()
 		o.alive = false
 
-	case OpMergeOffline:
-		if r.cfg.DisableMerges || r.mergeActive() {
-			return nil
-		}
-		return db.MergeTables(false, workload.THeader, workload.TItem)
-
 	case OpMergeOnline:
 		if r.cfg.DisableMerges || r.mergeActive() {
 			return nil
@@ -508,7 +498,7 @@ func (r *Runner) apply(op Op) error {
 		// objects co-partitioned.
 		for _, name := range []string{workload.THeader, workload.TItem} {
 			for part := 0; part < r.parts(name); part++ {
-				if _, err := db.Merge(name, part, false); err != nil {
+				if _, err := db.MergeOnline(name, part, false); err != nil {
 					return err
 				}
 			}
@@ -727,6 +717,11 @@ func ParseProgram(s string) (int64, []Op, error) {
 		f := strings.Fields(line)
 		if len(f) != 5 {
 			return 0, nil, fmt.Errorf("difftest: bad program line %q", line)
+		}
+		if f[1] == "merge-offline" {
+			// Reproducers saved while an offline merge existed replay it
+			// as what it was: the grouped merge of both tables (even A).
+			f[1], f[2] = OpMergeOnline.String(), "A=0"
 		}
 		var op Op
 		kind := -1

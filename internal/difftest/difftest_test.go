@@ -152,3 +152,23 @@ func TestShrinkReducesFailingSequence(t *testing.T) {
 		t.Fatalf("Shrink modified a passing sequence: %d -> %d ops", len(ops), len(got))
 	}
 }
+
+// TestParseProgramRoundTrip: Format and ParseProgram are inverses, and a
+// reproducer saved while the offline merge existed parses as the grouped
+// merge it ran.
+func TestParseProgramRoundTrip(t *testing.T) {
+	ops := Generate(7, 40)
+	seed, got, err := ParseProgram(Format(7, ops))
+	if err != nil || seed != 7 || len(got) != len(ops) {
+		t.Fatalf("round trip: seed=%d ops=%d err=%v", seed, len(got), err)
+	}
+	for i := range ops {
+		if got[i] != ops[i] {
+			t.Fatalf("op %d = %+v, want %+v", i, got[i], ops[i])
+		}
+	}
+	_, got, err = ParseProgram("seed=1 ops=1\n  0 merge-offline  A=3 B=5 C=7\n")
+	if err != nil || len(got) != 1 || got[0].Kind != OpMergeOnline || got[0].A%2 != 0 {
+		t.Fatalf("merge-offline alias = %+v, err %v; want a grouped merge-online", got, err)
+	}
+}

@@ -194,16 +194,6 @@ func (r *ShardRunner) apply(op Op) error {
 		}
 		o.alive = false
 
-	case OpMergeOffline:
-		if err := r.oracle.DB.MergeTables(false, workload.THeader, workload.TItem); err != nil {
-			return err
-		}
-		for _, v := range r.views {
-			if err := v.erp.Cluster.MergeTables(false, workload.THeader, workload.TItem); err != nil {
-				return fmt.Errorf("shards=%d: %w", v.shards, err)
-			}
-		}
-
 	case OpMergeOnline:
 		if err := r.oracle.DB.MergeTablesOnline(false, workload.THeader, workload.TItem); err != nil {
 			return err

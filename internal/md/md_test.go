@@ -133,7 +133,7 @@ func TestPairPrunedFreshDeltas(t *testing.T) {
 	var nextItem int64 = 1
 	insertObject(t, db, reg, 1, 2, &nextItem)
 	insertObject(t, db, reg, 2, 2, &nextItem)
-	db.MergeTables(false, "Header", "Item")
+	db.MergeTablesOnline(false, "Header", "Item")
 	insertObject(t, db, reg, 3, 2, &nextItem)
 
 	m := headerItemMD()
@@ -162,11 +162,11 @@ func TestPairPrunedFig5Scenario(t *testing.T) {
 	var nextItem int64 = 1
 	insertObject(t, db, reg, 1, 1, &nextItem)
 	insertObject(t, db, reg, 2, 1, &nextItem)
-	db.MergeTables(false, "Header", "Item")
+	db.MergeTablesOnline(false, "Header", "Item")
 	// Header 3 inserted, then only Item merged: its item lands in Imain
 	// while header 3 stays in Hdelta.
 	insertObject(t, db, reg, 3, 1, &nextItem)
-	db.MergeTables(false, "Item")
+	db.MergeTablesOnline(false, "Item")
 	insertObject(t, db, reg, 4, 1, &nextItem)
 
 	m := headerItemMD()
@@ -204,7 +204,7 @@ func TestComboPruned(t *testing.T) {
 	reg.Add(headerItemMD())
 	var nextItem int64 = 1
 	insertObject(t, db, reg, 1, 1, &nextItem)
-	db.MergeTables(false, "Header", "Item")
+	db.MergeTablesOnline(false, "Header", "Item")
 	insertObject(t, db, reg, 2, 1, &nextItem)
 
 	q := joinQuery()
@@ -246,7 +246,7 @@ func TestPushdownFilters(t *testing.T) {
 	var nextItem int64 = 1
 	insertObject(t, db, reg, 1, 1, &nextItem) // tids 1
 	insertObject(t, db, reg, 2, 1, &nextItem) // tids 2
-	db.MergeTables(false, "Item")             // Imain has tids {1,2}; Hdelta keeps headers
+	db.MergeTablesOnline(false, "Item")       // Imain has tids {1,2}; Hdelta keeps headers
 	q := joinQuery()
 
 	// Mixed pair Hdelta x Imain: both sides get a tid window.

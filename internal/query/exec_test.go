@@ -78,7 +78,7 @@ func seedERP(t testing.TB, db *table.DB) {
 	insert(t, db, "Item", column.IntV(1), column.IntV(100), column.IntV(1), column.FloatV(30))
 	insert(t, db, "Item", column.IntV(2), column.IntV(100), column.IntV(2), column.FloatV(50))
 	insert(t, db, "Item", column.IntV(3), column.IntV(200), column.IntV(1), column.FloatV(20))
-	if err := db.MergeTables(false, "Header", "Item", "ProductCategory"); err != nil {
+	if err := db.MergeTablesOnline(false, "Header", "Item", "ProductCategory"); err != nil {
 		t.Fatal(err)
 	}
 	// Delta rows: a new business object, plus a late item for header 100.
@@ -448,7 +448,7 @@ func TestQuickExecutorMatchesOracle(t *testing.T) {
 				tx.Commit()
 			case op < 8: // merge one of the tables
 				name := []string{"Header", "Item"}[rng.Intn(2)]
-				if _, err := db.Merge(name, 0, rng.Intn(2) == 0); err != nil {
+				if _, err := db.MergeOnline(name, 0, rng.Intn(2) == 0); err != nil {
 					return false
 				}
 			}

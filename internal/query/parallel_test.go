@@ -272,7 +272,7 @@ func BenchmarkCandidateRows(b *testing.B) {
 		}
 	}
 	tx.Commit()
-	if err := db.MergeTables(false, "Header"); err != nil {
+	if err := db.MergeTablesOnline(false, "Header"); err != nil {
 		b.Fatal(err)
 	}
 	tbl := db.MustTable("Header")

@@ -454,11 +454,10 @@ func (c *Cache) evictOverCapacityLocked() []EvictionNote {
 }
 
 // InvalidateTable drops every partial and build table guarded by one of the
-// named table's stores. The merge hooks call it around fold/swap/abort (and
-// offline merges), so reuse never crosses a store swap; the lazy guards
-// would catch it anyway, but proactive dropping frees the bytes at the
-// moment they become dead. Returns eviction notes in key order for the
-// manager's ledger.
+// named table's stores. The merge hook calls it at swap and abort, so
+// reuse never crosses a store swap; the lazy guards would catch it anyway,
+// but proactive dropping frees the bytes at the moment they become dead.
+// Returns eviction notes in key order for the manager's ledger.
 func (c *Cache) InvalidateTable(name string) []EvictionNote {
 	c.mu.Lock()
 	var keys []string

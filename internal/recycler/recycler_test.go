@@ -200,7 +200,7 @@ func TestRecyclerInvalidateOnMerge(t *testing.T) {
 	if rc.Debug().Entries == 0 {
 		t.Fatal("no partials admitted before merge")
 	}
-	if err := erp.DB.MergeTables(false, workload.THeader, workload.TItem); err != nil {
+	if err := erp.DB.MergeTablesOnline(false, workload.THeader, workload.TItem); err != nil {
 		t.Fatal(err)
 	}
 	if d := rc.Debug(); d.Invalidations == 0 {

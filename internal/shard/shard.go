@@ -157,21 +157,10 @@ func (c *Cluster) FindPK(tableName string, pk int64) (int, bool) {
 	return 0, false
 }
 
-// MergeTables runs the classic synchronized offline merge of the named
-// tables on every shard, in shard order — the deterministic reorganization
-// used by the differential harness.
-func (c *Cluster) MergeTables(keepInvalidated bool, tableNames ...string) error {
-	for _, sh := range c.shards {
-		if err := sh.DB.MergeTables(keepInvalidated, tableNames...); err != nil {
-			return fmt.Errorf("shard %d: %w", sh.Index, err)
-		}
-	}
-	return nil
-}
-
-// MergeTablesOnline runs the non-blocking online merge of the named tables
-// on every shard, in shard order. Queries keep scattering while each
-// shard merges; only that shard's swap critical section excludes them.
+// MergeTablesOnline runs the synchronized merge of the named tables on every
+// shard, in shard order — the deterministic reorganization used by the
+// differential harness. Queries keep scattering while each shard merges;
+// only that shard's swap critical section excludes them.
 func (c *Cluster) MergeTablesOnline(keepInvalidated bool, tableNames ...string) error {
 	for _, sh := range c.shards {
 		if err := sh.DB.MergeTablesOnline(keepInvalidated, tableNames...); err != nil {
@@ -181,7 +170,7 @@ func (c *Cluster) MergeTablesOnline(keepInvalidated bool, tableNames ...string) 
 	return nil
 }
 
-// MergeTablesOnlineConcurrent fans the online merges across the shards
+// MergeTablesOnlineConcurrent fans the merges across the shards
 // concurrently — one goroutine per shard, no cross-shard coordination, no
 // global pause. Shards are independent databases, so the merges share no
 // locks; the first error (if any) is reported.

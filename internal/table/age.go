@@ -10,19 +10,12 @@ import (
 	"aggcache/internal/txn"
 )
 
-// Age moves the hot/cold boundary of a two-partition range-partitioned
+// AgeOnline moves the hot/cold boundary of a two-partition range-partitioned
 // table to newSplit and redistributes the main rows accordingly — the data
 // aging operation underlying the multi-partition scenario of paper
-// Sec. 5.4. It is a thin alias of AgeOnline: repartitioning rides the same
-// snapshot/swap machinery as the online delta merge, so it no longer stalls
-// readers for the whole rebuild.
-func (db *DB) Age(tableName string, newSplit int64) error {
-	return db.AgeOnline(tableName, newSplit)
-}
-
-// AgeOnline repartitions a hot/cold table without blocking traffic. Both
-// deltas must be empty (merge first): aging is an administrative operation
-// on settled data. The phases mirror the online merge (see online.go):
+// Sec. 5.4 — without blocking traffic. Both deltas must be empty (merge
+// first): aging is an administrative operation on settled data. The phases
+// mirror the delta merge (see online.go):
 //
 //	prepare: both partitions are frozen, each gets a delta2, and inserts
 //	    start routing against the NEW boundary so coalesced rows land in
@@ -144,10 +137,8 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 	// aging runs with empty deltas).
 	db.mu.RLock()
 	for _, h := range db.hooks {
-		if oh, ok := h.(OnlineMergeHook); ok {
-			oh.FoldOnline(db, t, 0, snap)
-			oh.FoldOnline(db, t, 1, snap)
-		}
+		h.FoldOnline(db, t, 0, snap)
+		h.FoldOnline(db, t, 1, snap)
 	}
 	db.mu.RUnlock()
 
@@ -159,13 +150,6 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 	// ---- swap (writer lock) ----
 	db.mu.Lock()
 	swapBegin := time.Now()
-	cur := db.txns.ReadSnapshot()
-	for _, h := range db.hooks {
-		if _, ok := h.(OnlineMergeHook); !ok {
-			h.BeforeMerge(db, t, 0, cur)
-			h.BeforeMerge(db, t, 1, cur)
-		}
-	}
 	oldMains := [2]*Store{cold.Main, hot.Main}
 	for pi, p := range []*Partition{cold, hot} {
 		p.Main = newMains[pi]
@@ -177,10 +161,8 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 	hot.Lo = newSplit
 	t.pendingSplit = nil
 	for _, h := range db.hooks {
-		if oh, ok := h.(OnlineMergeHook); ok {
-			oh.SwapOnline(db, t, 0, snap)
-			oh.SwapOnline(db, t, 1, snap)
-		}
+		h.SwapOnline(db, t, 0, snap)
+		h.SwapOnline(db, t, 1, snap)
 	}
 	// Replay invalidations that hit the frozen mains during the build.
 	for pi, p := range []*Partition{cold, hot} {
@@ -206,12 +188,6 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 			} else if ref.InMain {
 				t.pkIndex[pk] = rowMaps[ref.Part][ref.Row]
 			}
-		}
-	}
-	for _, h := range db.hooks {
-		if _, ok := h.(OnlineMergeHook); !ok {
-			h.AfterMerge(db, t, 0)
-			h.AfterMerge(db, t, 1)
 		}
 	}
 	cold.merge, hot.merge = nil, nil
@@ -262,10 +238,8 @@ func (t *Table) ageAbortLocked(db *DB) {
 		}
 	}
 	for _, h := range db.hooks {
-		if oh, ok := h.(OnlineMergeHook); ok {
-			oh.AbortOnline(db, t, 0)
-			oh.AbortOnline(db, t, 1)
-		}
+		h.AbortOnline(db, t, 0)
+		h.AbortOnline(db, t, 1)
 	}
 	db.mobs.onlineActive.Add(-1)
 	if db.ev.Enabled() {

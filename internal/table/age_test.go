@@ -23,10 +23,10 @@ func agedTable(t *testing.T) (*DB, *Table) {
 		}
 	}
 	tx.Commit()
-	if _, err := db.Merge("Header", 0, false); err != nil {
+	if _, err := db.MergeOnline("Header", 0, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Merge("Header", 1, false); err != nil {
+	if _, err := db.MergeOnline("Header", 1, false); err != nil {
 		t.Fatal(err)
 	}
 	return db, tbl
@@ -39,7 +39,7 @@ func TestAgeMovesRows(t *testing.T) {
 		t.Fatalf("pre-aging rows = %d/%d", cold.Main.Rows(), hot.Main.Rows())
 	}
 	// Move the boundary: 2012 and 2013 become cold.
-	if err := db.Age("Header", 2014); err != nil {
+	if err := db.AgeOnline("Header", 2014); err != nil {
 		t.Fatal(err)
 	}
 	if cold.Main.Rows() != 4 || hot.Main.Rows() != 1 {
@@ -69,22 +69,22 @@ func TestAgeMovesRows(t *testing.T) {
 
 func TestAgeValidation(t *testing.T) {
 	db, tbl := agedTable(t)
-	if err := db.Age("Nope", 2014); err == nil {
+	if err := db.AgeOnline("Nope", 2014); err == nil {
 		t.Fatal("aging a missing table accepted")
 	}
 	single, _ := db.Create(Schema{Name: "S", Cols: []ColumnDef{{Name: "a", Kind: column.Int64}}})
 	_ = single
-	if err := db.Age("S", 1); err == nil {
+	if err := db.AgeOnline("S", 1); err == nil {
 		t.Fatal("aging a single-partition table accepted")
 	}
-	if err := db.Age("Header", 2000); err == nil {
+	if err := db.AgeOnline("Header", 2000); err == nil {
 		t.Fatal("moving the boundary backwards accepted")
 	}
 	// Non-empty delta blocks aging.
 	tx := db.Txns().Begin()
 	tbl.Insert(tx, []column.Value{column.IntV(7), column.IntV(2015), column.StrV("C")})
 	tx.Commit()
-	if err := db.Age("Header", 2014); err == nil {
+	if err := db.AgeOnline("Header", 2014); err == nil {
 		t.Fatal("aging with pending delta accepted")
 	}
 }
@@ -96,7 +96,7 @@ func TestAgePreservesInvalidatedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	del.Commit()
-	if err := db.Age("Header", 2014); err != nil {
+	if err := db.AgeOnline("Header", 2014); err != nil {
 		t.Fatal(err)
 	}
 	// The invalidated row travels with its MVCC timestamps and stays

@@ -2,26 +2,19 @@ package table
 
 import (
 	"fmt"
-	"log/slog"
 	"sync"
-	"time"
 
 	"aggcache/internal/obs"
 	"aggcache/internal/txn"
 )
 
-// MergeHook observes delta-merge operations. The aggregate cache registers
-// one to maintain its entries incrementally: BeforeMerge runs while the old
-// main and delta are still in place (so the hook can fold the delta into
-// cached values), AfterMerge runs once the new main is installed (so the
-// hook can re-snapshot visibility vectors).
-type MergeHook interface {
-	BeforeMerge(db *DB, tbl *Table, part int, snap txn.Snapshot)
-	AfterMerge(db *DB, tbl *Table, part int)
-}
-
-// OnlineMergeHook is the concurrent-maintenance upgrade of MergeHook. A
-// hook that implements it participates in the online merge protocol:
+// MergeHook observes delta merges (and AgeOnline, which rides the same
+// protocol). The aggregate cache registers one to maintain its entries
+// incrementally during the merge (paper Sec. 5.2). Per (table, partition) a
+// hook sees FoldOnline then exactly one of SwapOnline or AbortOnline; a
+// merge rolled back before its build phase folded (a prepare or build
+// failure, a staged merge aborted before Build) sends a bare AbortOnline. A
+// swap never arrives without its fold.
 //
 //   - FoldOnline runs during the build phase under the shared reader lock,
 //     with the frozen old main+delta still serving queries; the hook
@@ -32,16 +25,10 @@ type MergeHook interface {
 //     after the new main and delta are installed but before the
 //     invalidation log is replayed, so baselines captured here observe the
 //     merge snapshot exactly.
-//   - AbortOnline runs (writer lock held) after an online merge rolled
-//     back; the hook discards whatever FoldOnline staged. The store layout
-//     observable by queries is unchanged by a rollback.
-//
-// Hooks that only implement MergeHook still work with online merges: their
-// BeforeMerge/AfterMerge pair fires inside the swap critical section, which
-// is quiescent exactly like an offline merge — correct, but paying the fold
-// inside the critical section.
-type OnlineMergeHook interface {
-	MergeHook
+//   - AbortOnline runs (writer lock held) after a merge rolled back; the
+//     hook discards whatever FoldOnline staged. The store layout observable
+//     by queries is unchanged by a rollback.
+type MergeHook interface {
 	FoldOnline(db *DB, tbl *Table, part int, snap txn.Snapshot)
 	SwapOnline(db *DB, tbl *Table, part int, snap txn.Snapshot)
 	AbortOnline(db *DB, tbl *Table, part int)
@@ -183,70 +170,3 @@ func (db *DB) RLock() { db.mu.RLock() }
 
 // RUnlock releases the shared reader lock.
 func (db *DB) RUnlock() { db.mu.RUnlock() }
-
-// Merge runs a delta merge on one partition under the writer lock, firing
-// the registered merge hooks around the store swap.
-func (db *DB) Merge(tableName string, part int, keepInvalidated bool) (MergeStats, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.mergeLocked(tableName, part, keepInvalidated)
-}
-
-func (db *DB) mergeLocked(tableName string, part int, keepInvalidated bool) (MergeStats, error) {
-	t := db.tables[tableName]
-	if t == nil {
-		return MergeStats{}, fmt.Errorf("table %s does not exist", tableName)
-	}
-	if part < 0 || part >= len(t.parts) {
-		return MergeStats{}, fmt.Errorf("table %s: merge of unknown partition %d", tableName, part)
-	}
-	// Reject before the hooks fire: a hook that folded the delta for a
-	// merge that then errors out would leave cache entries desynchronized.
-	if t.parts[part].MergeActive() {
-		return MergeStats{}, fmt.Errorf("table %s: partition %d has an online merge in flight", tableName, part)
-	}
-	snap := db.txns.ReadSnapshot()
-	begin := time.Now()
-	if db.ev.Enabled() {
-		db.ev.Emit("table.merge_start",
-			slog.String("table", tableName), slog.Int("part", part),
-			slog.Int("delta_rows", t.Partition(part).Delta.Rows()))
-	}
-	for _, h := range db.hooks {
-		h.BeforeMerge(db, t, part, snap)
-	}
-	stats, err := t.Merge(part, keepInvalidated)
-	if err != nil {
-		return stats, err
-	}
-	for _, h := range db.hooks {
-		h.AfterMerge(db, t, part)
-	}
-	db.mobs.merges.Inc()
-	db.mobs.fromMain.Add(int64(stats.FromMain))
-	db.mobs.fromDelta.Add(int64(stats.FromDelta))
-	db.mobs.dropped.Add(int64(stats.Dropped))
-	dur := time.Since(begin)
-	db.mobs.latency.Observe(dur)
-	if db.ev.Enabled() {
-		db.ev.Emit("table.merges",
-			slog.String("table", tableName), slog.Int("part", part),
-			slog.Int("from_main", stats.FromMain), slog.Int("from_delta", stats.FromDelta),
-			slog.Int("dropped", stats.Dropped), slog.Int64("dur_us", dur.Microseconds()))
-	}
-	return stats, nil
-}
-
-// MergeTables merges partition 0 of several tables inside one critical
-// section — the synchronized merge of related transactional tables that
-// maximizes join-pruning success (paper Sec. 5.2).
-func (db *DB) MergeTables(keepInvalidated bool, tableNames ...string) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, name := range tableNames {
-		if _, err := db.mergeLocked(name, 0, keepInvalidated); err != nil {
-			return err
-		}
-	}
-	return nil
-}

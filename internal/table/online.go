@@ -10,11 +10,12 @@ import (
 	"aggcache/internal/txn"
 )
 
-// This file implements the online (non-blocking) delta merge. The offline
-// merge in merge.go rebuilds a partition under the exclusive writer lock,
-// stalling every reader for the full rebuild; the online merge splits the
-// operation into three phases so that only an O(delta2 + logs) critical
-// section ever blocks traffic:
+// This file implements the delta merge: a new main store is built from the
+// live rows of the old main and the delta, encoded with fresh sorted
+// dictionaries, and the delta is emptied (paper Sec. 2, [17]). Rebuilding
+// under the exclusive writer lock would stall every reader for the full
+// rebuild, so the merge is split into three phases and only an
+// O(delta2 + logs) critical section ever blocks traffic:
 //
 //	prepare (writer lock, O(1)):
 //	    The partition's main and delta are frozen as the merge input
@@ -30,8 +31,8 @@ import (
 //	    retained with their timestamps so pinned readers straddling the
 //	    swap keep a consistent view; rows invalidated after S0 are carried
 //	    as live and pick up their final timestamp during the swap replay.
-//	    Registered OnlineMergeHooks then pre-compute their maintenance
-//	    folds under the shared reader lock.
+//	    Registered MergeHooks then pre-compute their maintenance folds
+//	    under the shared reader lock.
 //	swap (writer lock, O(delta2 + invLog + pkLog)):
 //	    The new main is installed, delta2 becomes the delta, hooks capture
 //	    their new baselines, the invalidation log is replayed onto the new
@@ -41,10 +42,10 @@ import (
 // partition exactly re-mergeable; aborting after the swap is impossible —
 // the swap is the commit point.
 
-// OnlineMerge is an in-flight online delta merge on one partition. Obtain
-// one with DB.StartOnlineMerge, then call Build and Finish (or Abort). The
-// convenience wrappers MergeOnline/MergeTablesOnline drive the phases for
-// callers that do not need to interleave their own work.
+// OnlineMerge is an in-flight delta merge on one partition. Obtain one with
+// DB.StartOnlineMerge, then call Build and Finish (or Abort). The wrappers
+// MergeOnline/MergeTablesOnline drive the phases for callers that do not
+// need to interleave their own work.
 type OnlineMerge struct {
 	db    *DB
 	t     *Table
@@ -57,6 +58,23 @@ type OnlineMerge struct {
 	begin time.Time
 	built *mergedBuild
 	done  bool
+}
+
+// MergeStats summarizes one delta-merge operation.
+type MergeStats struct {
+	// FromMain counts rows carried over from the old main store.
+	FromMain int
+	// FromDelta counts rows propagated from the delta store.
+	FromDelta int
+	// Dropped counts invalidated or aborted rows removed by the merge.
+	Dropped int
+	// RetainedForReaders counts invalidated rows the merge kept because a
+	// pinned read snapshot predating the invalidation could still see them
+	// (TID-watermark handling).
+	RetainedForReaders int
+	// Delta2Rows counts rows that coalesced in the second delta while the
+	// merge was building; they become the partition's new delta.
+	Delta2Rows int
 }
 
 // mergedBuild is the output of the off-line build phase.
@@ -116,7 +134,7 @@ func (db *DB) startOnlineMergeLocked(tableName string, part int, keepInvalidated
 }
 
 // Build runs the off-line phase: it encodes the new main from the frozen
-// stores without holding any lock, then lets OnlineMergeHooks pre-compute
+// stores without holding any lock, then lets the merge hooks pre-compute
 // their maintenance folds under the shared reader lock. Concurrent readers
 // and writers proceed throughout. On error the caller must Abort.
 func (om *OnlineMerge) Build() error {
@@ -129,9 +147,7 @@ func (om *OnlineMerge) Build() error {
 	om.built = om.t.buildOnline(om.part, om.snap, om.hor, om.keep)
 	om.db.mu.RLock()
 	for _, h := range om.db.hooks {
-		if oh, ok := h.(OnlineMergeHook); ok {
-			oh.FoldOnline(om.db, om.t, om.part, om.snap)
-		}
+		h.FoldOnline(om.db, om.t, om.part, om.snap)
 	}
 	om.db.mu.RUnlock()
 	return nil
@@ -269,14 +285,6 @@ func (om *OnlineMerge) finishLocked() (MergeStats, error) {
 		return MergeStats{}, fmt.Errorf("table %s: online merge not built", om.name)
 	}
 	swapBegin := time.Now()
-	cur := db.txns.ReadSnapshot()
-	// Legacy hooks fold with the old stores still in place — offline-merge
-	// semantics compressed into the critical section.
-	for _, h := range db.hooks {
-		if _, ok := h.(OnlineMergeHook); !ok {
-			h.BeforeMerge(db, t, part, cur)
-		}
-	}
 	oldMain, oldDelta, d2 := p.Main, p.Delta, p.Delta2
 	stats := om.built.stats
 	stats.Delta2Rows = d2.Rows()
@@ -284,12 +292,10 @@ func (om *OnlineMerge) finishLocked() (MergeStats, error) {
 	p.Delta = d2
 	p.Delta2 = nil
 	p.Merges++
-	// Online hooks capture the pre-replay baseline: the new main's
-	// invalidation counter is still 0 and its rows match baseVis at S0.
+	// Hooks capture the pre-replay baseline: the new main's invalidation
+	// counter is still 0 and its rows match baseVis at S0.
 	for _, h := range db.hooks {
-		if oh, ok := h.(OnlineMergeHook); ok {
-			oh.SwapOnline(db, t, part, om.snap)
-		}
+		h.SwapOnline(db, t, part, om.snap)
 	}
 	// Replay invalidations that hit the frozen stores during the build:
 	// copy each row's final timestamp into the new main and tick the dirty
@@ -338,11 +344,6 @@ func (om *OnlineMerge) finishLocked() (MergeStats, error) {
 					delete(t.pkIndex, pk)
 				}
 			}
-		}
-	}
-	for _, h := range db.hooks {
-		if _, ok := h.(OnlineMergeHook); !ok {
-			h.AfterMerge(db, t, part)
 		}
 	}
 	p.merge = nil
@@ -401,9 +402,7 @@ func (om *OnlineMerge) abortLocked() {
 	om.built = nil
 	om.done = true
 	for _, h := range db.hooks {
-		if oh, ok := h.(OnlineMergeHook); ok {
-			oh.AbortOnline(db, t, om.part)
-		}
+		h.AbortOnline(db, t, om.part)
 	}
 	db.mobs.onlineActive.Add(-1)
 	if db.ev.Enabled() {
@@ -413,9 +412,13 @@ func (om *OnlineMerge) abortLocked() {
 	}
 }
 
-// MergeOnline runs a complete online merge on one partition: prepare,
-// off-line build, swap. Readers and writers are only excluded during the
-// two O(small) critical sections.
+// MergeOnline runs a complete merge on one partition: prepare, off-line
+// build, swap. Readers and writers are only excluded during the two O(small)
+// critical sections.
+//
+// keepInvalidated keeps invalidated rows in the new main (for temporal
+// query processing on historical data); they remain invisible to current
+// snapshots via their MVCC timestamps.
 func (db *DB) MergeOnline(tableName string, part int, keepInvalidated bool) (MergeStats, error) {
 	om, err := db.StartOnlineMerge(tableName, part, keepInvalidated)
 	if err != nil {
@@ -429,9 +432,10 @@ func (db *DB) MergeOnline(tableName string, part int, keepInvalidated bool) (Mer
 }
 
 // MergeTablesOnline merges partition 0 of several tables with all builds
-// running online and a single combined swap critical section — the online
-// counterpart of MergeTables' synchronized merge (paper Sec. 5.2): related
-// tables' deltas empty out atomically, so join pruning sees them together.
+// running off-line and a single combined swap critical section — the
+// synchronized merge of related transactional tables that maximizes
+// join-pruning success (paper Sec. 5.2): their deltas empty out atomically,
+// so join pruning sees them together.
 //
 // All prepares happen under one writer lock so every table freezes at the
 // same snapshot S0: cache-maintenance hooks settle entries to a single

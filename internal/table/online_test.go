@@ -39,7 +39,7 @@ func insertRows(t *testing.T, db *DB, tbl *Table, from int64, n int) {
 }
 
 // visibleRows renders the committed-visible rows of a table as sorted
-// strings — the canonical form the online-merge tests compare across store
+// strings — the canonical form the merge tests compare across store
 // layouts.
 func visibleRows(db *DB, tbl *Table) []string {
 	snap := db.Txns().ReadSnapshot()
@@ -79,8 +79,8 @@ func equalRows(a, b []string) bool {
 	return true
 }
 
-// TestOnlineMergeBasic merges a delta online with no concurrent activity and
-// checks the result matches the offline merge semantics.
+// TestOnlineMergeBasic merges a delta with no concurrent activity: visible
+// rows are unchanged, the delta empties, unpinned invalidated versions go.
 func TestOnlineMergeBasic(t *testing.T) {
 	db, tbl := onlineEnv(t, 20)
 	tx := db.Txns().Begin()
@@ -458,8 +458,8 @@ func TestOnlineMergeConcurrentSoak(t *testing.T) {
 	}
 }
 
-// TestOnlineMergeRejectsOverlap covers the mutual exclusion between merge
-// flavors on one partition.
+// TestOnlineMergeRejectsOverlap covers the mutual exclusion between merges
+// on one partition.
 func TestOnlineMergeRejectsOverlap(t *testing.T) {
 	db, _ := onlineEnv(t, 4)
 	om, err := db.StartOnlineMerge("Header", 0, false)
@@ -469,12 +469,9 @@ func TestOnlineMergeRejectsOverlap(t *testing.T) {
 	if _, err := db.StartOnlineMerge("Header", 0, false); err == nil {
 		t.Fatal("second online merge on the same partition accepted")
 	}
-	if _, err := db.Merge("Header", 0, false); err == nil {
-		t.Fatal("offline merge during online merge accepted")
-	}
 	om.Abort()
-	if _, err := db.Merge("Header", 0, false); err != nil {
-		t.Fatalf("offline merge after abort: %v", err)
+	if _, err := db.MergeOnline("Header", 0, false); err != nil {
+		t.Fatalf("merge after abort: %v", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package table
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"aggcache/internal/column"
@@ -207,7 +210,7 @@ func TestMergeMovesDeltaToMain(t *testing.T) {
 	tbl.Delete(del, 3)
 	del.Commit()
 
-	stats, err := db.Merge("Header", 0, false)
+	stats, err := db.MergeOnline("Header", 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func TestMergeKeepInvalidated(t *testing.T) {
 	tbl.Delete(del, 1)
 	del.Commit()
 
-	if _, err := db.Merge("Header", 0, true); err != nil {
+	if _, err := db.MergeOnline("Header", 0, true); err != nil {
 		t.Fatal(err)
 	}
 	p := tbl.Partition(0)
@@ -272,7 +275,7 @@ func TestMergeAcrossMainInvalidation(t *testing.T) {
 	tx := db.Txns().Begin()
 	tbl.Insert(tx, []column.Value{column.IntV(1), column.IntV(2013), column.StrV("A")})
 	tx.Commit()
-	db.Merge("Header", 0, false)
+	db.MergeOnline("Header", 0, false)
 
 	up := db.Txns().Begin()
 	if err := tbl.Update(up, 1, map[string]column.Value{"Cat": column.StrV("Z")}); err != nil {
@@ -283,7 +286,7 @@ func TestMergeAcrossMainInvalidation(t *testing.T) {
 	if p.Main.InvalidTID(0) == 0 {
 		t.Fatal("main row not invalidated by update")
 	}
-	db.Merge("Header", 0, false)
+	db.MergeOnline("Header", 0, false)
 	if p := tbl.Partition(0); p.Main.Rows() != 1 || p.Main.Col(2).Value(0).S != "Z" {
 		t.Fatalf("merge after main-invalidation wrong: rows=%d", p.Main.Rows())
 	}
@@ -382,51 +385,117 @@ func TestDBContainer(t *testing.T) {
 	db.MustTable("nope")
 }
 
-type recordingHook struct {
-	events []string
+// protocolHook records the merge-hook calls it receives, per (table, part).
+type protocolHook struct {
+	calls map[string][]string
 }
 
-func (h *recordingHook) BeforeMerge(db *DB, tbl *Table, part int, snap txn.Snapshot) {
-	h.events = append(h.events, "before:"+tbl.Name())
-}
-func (h *recordingHook) AfterMerge(db *DB, tbl *Table, part int) {
-	h.events = append(h.events, "after:"+tbl.Name())
+func (h *protocolHook) record(tbl *Table, part int, call string) {
+	key := fmt.Sprintf("%s/%d", tbl.Name(), part)
+	h.calls[key] = append(h.calls[key], call)
 }
 
-func TestMergeHooksFire(t *testing.T) {
-	db := Open()
-	db.Create(headerSchema())
-	h := &recordingHook{}
-	db.RegisterMergeHook(h)
-	if _, err := db.Merge("Header", 0, false); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.events) != 2 || h.events[0] != "before:Header" || h.events[1] != "after:Header" {
-		t.Fatalf("events = %v", h.events)
-	}
+func (h *protocolHook) FoldOnline(db *DB, tbl *Table, part int, snap txn.Snapshot) {
+	h.record(tbl, part, "fold")
+}
+func (h *protocolHook) SwapOnline(db *DB, tbl *Table, part int, snap txn.Snapshot) {
+	h.record(tbl, part, "swap")
+}
+func (h *protocolHook) AbortOnline(db *DB, tbl *Table, part int) {
+	h.record(tbl, part, "abort")
 }
 
-func TestMergeTablesSynchronized(t *testing.T) {
-	db := Open()
-	db.Create(headerSchema())
-	item := Schema{Name: "Item", Cols: []ColumnDef{{Name: "ItemID", Kind: column.Int64}}, PK: "ItemID"}
-	db.Create(item)
-	h := &recordingHook{}
-	db.RegisterMergeHook(h)
-	if err := db.MergeTables(false, "Header", "Item"); err != nil {
-		t.Fatal(err)
+// TestMergeHookProtocol pins the hook contract of every merge entry point,
+// fault-free and with a crash injected at each merge fault point: every
+// registered hook sees, per (table, partition), fold→swap when the merge
+// commits, fold→abort when it rolls back after the build, and a bare abort
+// (or nothing, for a table the group never prepared) when it fails before
+// its fold — never a swap without its fold, never a call after the outcome.
+func TestMergeHookProtocol(t *testing.T) {
+	ops := []struct {
+		name string
+		keys []string
+		run  func(db *DB) error
+	}{
+		{"MergeOnline", []string{"A/0"}, func(db *DB) error {
+			_, err := db.MergeOnline("A", 0, false)
+			return err
+		}},
+		{"MergeTablesOnline", []string{"A/0", "B/0"}, func(db *DB) error {
+			return db.MergeTablesOnline(false, "A", "B")
+		}},
+		{"AgeOnline", []string{"P/0", "P/1"}, func(db *DB) error {
+			return db.AgeOnline("P", 2012)
+		}},
 	}
-	want := []string{"before:Header", "after:Header", "before:Item", "after:Item"}
-	if len(h.events) != len(want) {
-		t.Fatalf("events = %v", h.events)
+	faults := []struct {
+		name  string
+		point FaultPoint
+		crash bool
+		want  string
+	}{
+		{"none", 0, false, "fold,swap"},
+		{"prepared", FaultMergePrepared, true, "abort"},
+		{"build", FaultMergeBuild, true, "abort"},
+		{"before-swap", FaultMergeBeforeSwap, true, "fold,abort"},
+		{"after-swap", FaultMergeAfterSwap, true, "fold,swap"},
 	}
-	for i := range want {
-		if h.events[i] != want[i] {
-			t.Fatalf("events = %v, want %v", h.events, want)
+	for _, op := range ops {
+		for _, f := range faults {
+			t.Run(op.name+"/"+f.name, func(t *testing.T) {
+				db := Open()
+				for _, name := range []string{"A", "B"} {
+					s := headerSchema()
+					s.Name = name
+					tbl, err := db.Create(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					insertRows(t, db, tbl, 1, 6)
+				}
+				s := headerSchema()
+				s.Name = "P"
+				aged, err := db.CreatePartitioned(s, "FiscalYear", []RangePartition{
+					{Name: "cold", Lo: 0, Hi: 2011},
+					{Name: "hot", Lo: 2011, Hi: 1 << 40},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				insertRows(t, db, aged, 1, 6)
+				for part := 0; part < 2; part++ {
+					if _, err := db.MergeOnline("P", part, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				hooks := []*protocolHook{{calls: map[string][]string{}}, {calls: map[string][]string{}}}
+				for _, h := range hooks {
+					db.RegisterMergeHook(h)
+				}
+				if f.crash {
+					inj := NewFaults(1)
+					inj.Set(f.point, FaultSpec{Prob: 1, Crash: true})
+					db.SetFaults(inj)
+				}
+				err = op.run(db)
+				if f.crash && !errors.Is(err, ErrInjected) || !f.crash && err != nil {
+					t.Fatalf("error = %v, crash injected = %v", err, f.crash)
+				}
+				for hi, h := range hooks {
+					if len(h.calls) > len(op.keys) {
+						t.Fatalf("hook %d saw partitions outside the merge: %v", hi, h.calls)
+					}
+					for _, key := range op.keys {
+						got := strings.Join(h.calls[key], ",")
+						// A group whose first prepare crashes never touches
+						// its later tables.
+						if got != f.want && !(f.point == FaultMergePrepared && f.crash && got == "") {
+							t.Errorf("hook %d, %s: calls = %q, want %q", hi, key, got, f.want)
+						}
+					}
+				}
+			})
 		}
-	}
-	if err := db.MergeTables(false, "nope"); err == nil {
-		t.Fatal("merge of missing table accepted")
 	}
 }
 
@@ -465,7 +534,7 @@ func TestPartitionedMergePerPartition(t *testing.T) {
 	tbl.Insert(tx, []column.Value{column.IntV(2), column.IntV(2013), column.StrV("B")})
 	tx.Commit()
 	// Merge only the hot partition.
-	if _, err := db.Merge("Header", 1, false); err != nil {
+	if _, err := db.MergeOnline("Header", 1, false); err != nil {
 		t.Fatal(err)
 	}
 	cold, hot := tbl.Partition(0), tbl.Partition(1)
@@ -479,8 +548,11 @@ func TestPartitionedMergePerPartition(t *testing.T) {
 	if !ok || ref.Part != 1 || !ref.InMain {
 		t.Fatalf("pk 2 ref = %+v", ref)
 	}
-	if _, err := db.Merge("Header", 5, false); err == nil {
+	if _, err := db.MergeOnline("Header", 5, false); err == nil {
 		t.Fatal("merge of unknown partition accepted")
+	}
+	if err := db.MergeTablesOnline(false, "nope"); err == nil {
+		t.Fatal("merge of missing table accepted")
 	}
 }
 

@@ -5,8 +5,8 @@
 // surface serves for postmortems.
 //
 // The engine's answers rest on a tall stack of reuse machinery — delta
-// compensation, online-merge maintenance folds, the second-level recycler
-// — exactly where stale intermediates corrupt results silently. The
+// compensation, merge-time maintenance folds, the second-level recycler —
+// exactly where stale intermediates corrupt results silently. The
 // offline harnesses (difftest, CI soaks) assert correctness between
 // releases; this package watches it in the live process and captures a
 // complete reproducer the moment something diverges.

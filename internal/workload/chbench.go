@@ -291,7 +291,7 @@ func (c *CH) loadDimensions() error {
 	if err := ins(TStock, rows); err != nil {
 		return err
 	}
-	return c.DB.MergeTables(false, TRegion, TNation, TSupplier, TItemCH, TCustomer, TStock)
+	return c.DB.MergeTablesOnline(false, TRegion, TNation, TSupplier, TItemCH, TCustomer, TStock)
 }
 
 // orderRows builds the rows of one order business object with the given

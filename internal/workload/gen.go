@@ -158,7 +158,7 @@ func (g *erpGen) loadDimensionInto(db *table.DB) error {
 		}
 		tx.Commit()
 	}
-	return db.MergeTables(false, TCategory)
+	return db.MergeTablesOnline(false, TCategory)
 }
 
 // erpProfitQuery is the paper's Listing 1: profit per product category for
