@@ -172,10 +172,11 @@ func (e *Executor) ExecuteComboRestricted(q *Query, combo Combo, snap txn.Snapsh
 
 // ExecuteComboSpan is the instrumented ExecuteComboRestricted: when sp is
 // non-nil it records the subjoin's execution as span attributes and child
-// spans — the per-store scan sizes, the prune verdict, and the join result
-// size. A nil sp (the common case) costs nothing: every Span method is a
-// no-op on a nil receiver, so the execution path carries no tracing
-// branches.
+// spans — one timed span per store scan with its sizes, the prune verdict,
+// the join plan (join-order, e.g.
+// "Item[0].delta>Header[0].main(build=tuples)"), and the join result size.
+// A nil sp (the common case) costs nothing: span names and the plan are
+// rendered only when tracing.
 //
 // The span verdict is one of:
 //
@@ -221,11 +222,16 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 			}
 			return nil
 		}
+		var ss *obs.Span // the scan's own span: opened here, ended after scanStore
+		if sp != nil {
+			ss = sp.Child("scan " + ref.String())
+		}
 		var rows []int32
 		var scanned, vecRows, scalarRows int64
 		if store.Rows() > 0 {
 			bound, err := pred.Bind(tbl.Schema().ColIndex, store)
 			if err != nil {
+				ss.End()
 				return err
 			}
 			var set *vec.BitSet
@@ -235,13 +241,12 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 			rows, scanned, vecRows, scalarRows = scr.scanStore(store, snap, set, bound, scr.rowBufs[i])
 			scr.rowBufs[i] = rows
 		}
+		ss.End()
 		st.RowsScanned += scanned
 		st.ScanVecRows += vecRows
 		st.ScanScalarRows += scalarRows
-		ss := sp.Child("scan " + ref.String())
 		ss.AttrInt("scanned", scanned)
 		ss.AttrInt("matched", int64(len(rows)))
-		ss.End()
 		if len(rows) == 0 {
 			sp.Attr("verdict", "executed")
 			return nil // empty input: subjoin contributes nothing
@@ -249,40 +254,18 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 		scr.rowsPer[i] = rows
 	}
 
-	// Join phase: extend tuples table by table with hash joins over the
-	// scratch's double-buffered tuple columns.
-	tupleCols := scr.tupleRefs[1][:0]
-	tupleCols = append(tupleCols, scr.rowsPer[0])
-	scr.tupleRefs[1] = tupleCols
-	for ei, edge := range q.Joins {
-		rp := ei + 1
-		lp := tablePos(q, edge.Left.Table)
-		leftCol, err := colReader(e.DB, scr.stores[lp], edge.Left)
-		if err != nil {
-			return err
-		}
-		rightCol, err := colReader(e.DB, scr.stores[rp], edge.Right)
-		if err != nil {
-			return err
-		}
-		// Build-side reuse is only sound when this job's candidate rows
-		// for the build store are the batch-common ones: no explicit row
-		// restriction and no pushdown filter on the build table.
-		var shared *BuildTable
-		if memo != nil && restrict == nil && extra[combo[rp].Table] == nil &&
-			leftCol.Kind() == column.Int64 && rightCol.Kind() == column.Int64 {
-			shared = memo.acquire(ei, combo[rp], scr.stores[rp], rightCol, scr.rowsPer[rp])
-		}
-		tupleCols = scr.hashJoin(ei, tupleCols, lp, leftCol, scr.rowsPer[rp], rightCol, shared)
-		if len(tupleCols[0]) == 0 {
-			sp.Attr("verdict", "executed")
-			sp.Attr("empty-after-join", edge.String())
-			return nil
-		}
-	}
-	n := len(tupleCols[0])
-	st.TuplesJoined += int64(n)
+	// Join phase. Build-side reuse is only sound when this job's candidate
+	// rows are the batch-common ones, so an explicit row restriction turns
+	// the memo off (joinPhase checks the per-table pushdown filters).
 	sp.Attr("verdict", "executed")
+	if restrict != nil {
+		memo = nil
+	}
+	tupleCols, n, err := e.joinPhase(scr, q, combo, extra, memo, sp)
+	if err != nil || n == 0 {
+		return err // an empty join contributes nothing
+	}
+	st.TuplesJoined += int64(n)
 	sp.AttrInt("tuples", int64(n))
 
 	// Aggregation phase.
@@ -333,6 +316,73 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 		out.Add(keys, vals)
 	}
 	return nil
+}
+
+// joinPhase joins the scanned candidate rows (scr.rowsPer, over scr.stores)
+// smallest input first: planJoin fixes the order, and each step builds its
+// hash table on the smaller side. The returned tuple columns are indexed by
+// query table position, so the aggregation never sees the order; n is the
+// number of joined tuples, 0 when a step left the tuple set empty (the
+// span's empty-after-join names that step's edge). memo, when non-nil, may
+// serve store-side builds of tables without a pushdown filter in extra.
+func (e *Executor) joinPhase(scr *execScratch, q *Query, combo Combo, extra map[string]expr.Pred, memo *buildMemo, sp *obs.Span) (tupleCols [][]int32, n int, err error) {
+	start, steps, err := scr.planJoin(e.DB, q)
+	if err != nil {
+		return nil, 0, err
+	}
+	tupleCols = scr.tupleRefs[1][:0]
+	for range combo {
+		tupleCols = append(tupleCols, nil)
+	}
+	tupleCols[start] = scr.rowsPer[start]
+	scr.tupleRefs[1] = tupleCols
+	order := append(scr.order[:0], start)
+	var plan []byte // the join-order span attribute; traced runs only
+	if sp != nil {
+		plan = append(plan, combo[start].String()...)
+	}
+	var empty *JoinEdge
+	for si, s := range steps {
+		fromCol, err := colReader(e.DB, scr.stores[s.from], s.fromCol)
+		if err != nil {
+			return nil, 0, err
+		}
+		col, err := colReader(e.DB, scr.stores[s.pos], s.col)
+		if err != nil {
+			return nil, 0, err
+		}
+		rows := scr.rowsPer[s.pos]
+		buildTuples := len(tupleCols[start]) < len(rows)
+		var shared *BuildTable
+		if !buildTuples && memo != nil && extra[combo[s.pos].Table] == nil &&
+			fromCol.Kind() == column.Int64 && col.Kind() == column.Int64 {
+			shared = memo.acquire(s.edge, combo[s.pos], scr.stores[s.pos], col, rows)
+		}
+		if sp != nil {
+			plan = append(plan, '>')
+			plan = append(plan, combo[s.pos].String()...)
+			if buildTuples {
+				plan = append(plan, "(build=tuples)"...)
+			} else {
+				plan = append(plan, "(build=store)"...)
+			}
+		}
+		tupleCols = scr.hashJoin(si, tupleCols, order, s.from, fromCol, s.pos, rows, col, buildTuples, shared)
+		order = append(order, s.pos)
+		if len(tupleCols[start]) == 0 {
+			empty = &q.Joins[s.edge]
+			break
+		}
+	}
+	scr.order = order
+	if sp != nil && len(steps) > 0 {
+		sp.Attr("join-order", string(plan))
+	}
+	if empty != nil {
+		sp.Attr("empty-after-join", empty.String())
+		return tupleCols, 0, nil
+	}
+	return tupleCols, len(tupleCols[start]), nil
 }
 
 // tablePos resolves a table name to its position in the query's table list.

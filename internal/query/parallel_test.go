@@ -188,6 +188,52 @@ func TestHashJoinKernelZeroAlloc(t *testing.T) {
 	}
 }
 
+// The join phase — planning plus both kernel orientations — must not
+// allocate in the steady state: the plan, the tuple indices and the tuple
+// columns all live in the scratch. listing1's all-main subjoin over every
+// row starts at Header (2 rows), builds on the tuple side to add Item
+// (3 rows), then on the store side to add ProductCategory (3 rows, a tie).
+func TestJoinPhaseZeroAlloc(t *testing.T) {
+	db := buildERP(t)
+	seedERP(t, db)
+	q := listing1()
+	combo := Combo{
+		{Table: "Header", Part: 0, Main: true},
+		{Table: "Item", Part: 0, Main: true},
+		{Table: "ProductCategory", Part: 0, Main: true},
+	}
+	ex := &Executor{DB: db}
+	scr := getScratch()
+	defer putScratch(scr)
+	scr.ensureTables(len(combo))
+	for i, ref := range combo {
+		scr.stores[i] = ref.Resolve(db)
+		scr.rowsPer[i] = nil
+		for r := 0; r < scr.stores[i].Rows(); r++ {
+			scr.rowsPer[i] = append(scr.rowsPer[i], int32(r))
+		}
+	}
+	sp := obs.StartSpan("subjoin")
+	if _, n, err := ex.joinPhase(scr, q, combo, nil, nil, sp); err != nil || n != 5 {
+		t.Fatalf("join = %d tuples, %v; want 5", n, err)
+	}
+	want := "Header[0].main>Item[0].main(build=tuples)>ProductCategory[0].main(build=store)"
+	if got, _ := sp.GetAttr("join-order"); got != want {
+		t.Fatalf("join-order = %q, want %q", got, want)
+	}
+	var tuples int
+	allocs := testing.AllocsPerRun(20, func() {
+		_, n, _ := ex.joinPhase(scr, q, combo, nil, nil, nil)
+		tuples += n
+	})
+	if allocs != 0 {
+		t.Fatalf("join phase allocates %.1f per run, want 0", allocs)
+	}
+	if tuples != 5*21 {
+		t.Fatalf("steady-state joins produced %d tuples over 21 runs, want %d", tuples, 5*21)
+	}
+}
+
 // The vectorized scan kernel must not allocate in the steady state either:
 // visibility words, filter words, and the candidate-row list all live in the
 // scratch.

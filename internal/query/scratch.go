@@ -23,7 +23,8 @@ import (
 // term enters through the same restrict branch of scanStore (CopyFrom into
 // the pooled bitset), and probing a shared BuildTable still gathers probe
 // keys into probeKeys while leaving buildKeys and ht untouched for the next
-// local build.
+// local build. The join plan itself lives in scratch slices too, so ordering
+// a subjoin allocates nothing.
 type execScratch struct {
 	vis vec.BitSet
 
@@ -31,13 +32,22 @@ type execScratch struct {
 	rowBufs [][]int32 // per-table candidate rows, backing arrays recycled
 	rowsPer [][]int32
 
+	// Join plan (planJoin): every edge oriented Left→Right, which positions
+	// are joined, the chosen steps, and the joined positions in step order.
+	edges  []joinStep
+	joined []bool
+	steps  []joinStep
+	order  []int
+
 	buildKeys []int64 // gathered build-side join keys
 	probeKeys []int64 // gathered probe-side join keys
 	ht        joinTable
+	tupleIdx  []int32 // input tuple index per join output tuple
 
-	// Tuple columns are double-buffered by join-stage parity: stage s reads
-	// the output of stage s-1 (the other parity) and appends into its own,
-	// so a join chain of any length reuses two fixed sets of buffers.
+	// Tuple columns, indexed by query table position, are double-buffered
+	// by join-stage parity: stage s reads the output of stage s-1 (the other
+	// parity) and writes its own, so a join chain of any length reuses two
+	// fixed sets of buffers.
 	stageCols [2][][]int32
 	tupleRefs [2][][]int32
 

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"aggcache/internal/core"
+	"aggcache/internal/query"
 )
 
 func smallCH(t testing.TB) *CH {
@@ -136,6 +138,64 @@ func TestCHSubjoinCounts(t *testing.T) {
 	}
 	if info.Stats.Executed >= 64 {
 		t.Fatalf("full pruning executed %d of 127 compensation subjoins", info.Stats.Executed)
+	}
+}
+
+// rerooted rewrites q's join tree breadth-first from the table at position
+// root: another valid spelling of the same query, with Tables in a new
+// order and edges flipped wherever the walk crosses them child-to-parent.
+func rerooted(q *query.Query, root int) *query.Query {
+	out := &query.Query{Tables: []string{q.Tables[root]}, Filters: q.Filters, GroupBy: q.GroupBy, Aggs: q.Aggs}
+	seen := map[string]bool{q.Tables[root]: true}
+	for i := 0; i < len(out.Tables); i++ {
+		for _, e := range q.Joins {
+			switch {
+			case e.Left.Table == out.Tables[i] && !seen[e.Right.Table]:
+				out.Joins = append(out.Joins, e)
+			case e.Right.Table == out.Tables[i] && !seen[e.Left.Table]:
+				out.Joins = append(out.Joins, query.JoinEdge{Left: e.Right, Right: e.Left})
+			default:
+				continue
+			}
+			added := out.Joins[len(out.Joins)-1].Right.Table
+			seen[added] = true
+			out.Tables = append(out.Tables, added)
+		}
+	}
+	return out
+}
+
+// The join order inside a subjoin comes from the candidate counts, not from
+// how the query was written: every rerooted spelling of Q3/Q5/Q9/Q10 yields
+// byte-identical rows and the same TuplesJoined over all subjoins.
+func TestCHJoinOrderIgnoresQuerySpelling(t *testing.T) {
+	c := smallCH(t)
+	ex := &query.Executor{DB: c.DB}
+	snap := c.DB.Txns().ReadSnapshot()
+	for name, q := range c.Queries() {
+		want, wst, err := ex.ExecuteAll(q, snap)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if wst.TuplesJoined == 0 {
+			t.Fatalf("%s: joins nothing at this scale", name)
+		}
+		for root := 1; root < len(q.Tables); root++ {
+			rq := rerooted(q, root)
+			if err := rq.Validate(c.DB); err != nil {
+				t.Fatalf("%s rooted at %s: %v", name, q.Tables[root], err)
+			}
+			got, gst, err := ex.ExecuteAll(rq, snap)
+			if err != nil {
+				t.Fatalf("%s rooted at %s: %v", name, q.Tables[root], err)
+			}
+			if !reflect.DeepEqual(want.Rows(), got.Rows()) {
+				t.Fatalf("%s rooted at %s: rows differ\n got %+v\nwant %+v", name, q.Tables[root], got.Rows(), want.Rows())
+			}
+			if gst.TuplesJoined != wst.TuplesJoined {
+				t.Fatalf("%s rooted at %s: TuplesJoined %d, want %d", name, q.Tables[root], gst.TuplesJoined, wst.TuplesJoined)
+			}
+		}
 	}
 }
 
