@@ -723,8 +723,8 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 			}
 		}
 		start := time.Now()
-		// Same write-lock discipline as the serve soak's writers: the
-		// background shadow verifier scans under the read lock, so delta
+		// Writes run under the database writer lock: the background
+		// shadow verifier scans under the read lock, so delta
 		// appends must exclude it. Sharded inserts take each owning
 		// shard's lock inside insertSharded instead.
 		var err error

@@ -25,7 +25,7 @@
 //     and lazy materialized-view baselines.
 //
 // The experiments of the paper's evaluation section are reproduced in
-// internal/bench and runnable via cmd/benchrunner; the testing.B benchmarks
-// in bench_test.go cover the same figures. See DESIGN.md for the system
+// internal/bench and runnable via cmd/benchrunner; the benchmark/ module
+// measures the engine's end-to-end speed. See DESIGN.md for the system
 // inventory and EXPERIMENTS.md for paper-vs-measured results.
 package aggcache

@@ -1,25 +1,16 @@
 // Package bench implements the paper's evaluation (Sec. 6) as reproducible
 // experiments: one per figure or reported measurement, each returning a
-// Result that renders the same series the paper plots. The cmd/benchrunner
-// binary and the root-level testing.B benchmarks are thin wrappers around
-// this package.
+// Result that renders the same series the paper plots. cmd/benchrunner is a
+// thin wrapper around this package. Speed claims about the engine are made
+// by the separate benchmark/ harness, not here.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"os/exec"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
-
-	"aggcache/internal/advisor"
-	"aggcache/internal/core"
-	"aggcache/internal/obs"
-	"aggcache/internal/recycler"
 )
 
 // Workers is the subjoin worker-pool cap every experiment passes to the
@@ -28,182 +19,33 @@ import (
 // value — only timings change.
 var Workers int
 
-// Advisor attaches a cache decision ledger to the workload experiments'
-// managers and embeds the shadow-cache what-if report (capacity and
-// admission-threshold sweeps, eviction policies, tenant splits) into
-// BENCH_<exp>.json. cmd/benchrunner sets it from -advisor. Results are
-// identical either way — ledger capture is allocation-free on the query hot
-// path and the analysis runs after the timed sweep.
-var Advisor bool
-
-// Recycle attaches a second-level recycler cache (cross-query reuse of
-// subjoin intermediates and join build tables) to the workload experiments'
-// managers. cmd/benchrunner sets it from -recycle. Results are identical
-// either way — recycled partials are merged copies and top-ups are exact
-// incremental terms; only timings change. The ablate-recycler experiment
-// ignores this flag: it always runs one arm with and one without.
-var Recycle bool
-
-// advisorLedger returns the decision ledger experiments hand to their
-// manager: a fresh ring when -advisor is on, nil (disabled) otherwise.
-func advisorLedger() *obs.Ledger {
-	if Advisor {
-		return obs.NewLedger(0)
-	}
-	return nil
-}
-
-// benchRecycler returns the recycler cache for one experiment manager: a
-// fresh cache when -recycle is on, nil otherwise. Always per-manager fresh —
-// experiments must not leak reuse across arms or databases.
-func benchRecycler() *recycler.Cache {
-	if Recycle {
-		return recycler.New(recycler.Config{})
-	}
-	return nil
-}
-
-// advisorAnalyze replays the manager's ledger through the shadow-cache
-// simulator at the manager's live configuration; nil when no ledger was
-// attached.
-func advisorAnalyze(mgr *core.Manager) *advisor.Report {
-	if mgr.Ledger() == nil {
-		return nil
-	}
-	dbg := mgr.CacheDebug()
-	return advisor.Analyze(mgr.Ledger().Snapshot(), advisor.Options{
-		CapacityBytes: dbg.CapacityBytes,
-		MinProfit:     dbg.MinProfit,
-	})
-}
-
 // Point is one measurement: X is the experiment's sweep variable, Y the
 // measured value (milliseconds unless the result says otherwise).
 type Point struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
+	X, Y float64
 }
 
 // Series is one plotted line: a strategy or configuration across the sweep.
 type Series struct {
-	Label  string  `json:"label"`
-	Points []Point `json:"points"`
+	Label  string
+	Points []Point
 }
 
 // Result is one reproduced figure or table.
 type Result struct {
 	// ID is the experiment identifier (e.g. "fig7").
-	ID string `json:"id"`
+	ID string
 	// Title describes the experiment.
-	Title string `json:"title"`
+	Title string
 	// XLabel and YLabel name the axes.
-	XLabel string `json:"x_label"`
-	YLabel string `json:"y_label"`
+	XLabel, YLabel string
 	// XFormat renders sweep values ("%.0f" default).
-	XFormat string `json:"-"`
+	XFormat string
 	// Series holds one line per strategy/configuration.
-	Series []Series `json:"series"`
+	Series []Series
 	// Notes carries observations the paper's text reports alongside the
 	// figure (speedup factors, crossover points).
-	Notes []string `json:"notes,omitempty"`
-	// Soak is the structured throughput/SLO section of the serve soak
-	// experiment (QPS and hit rate live here, not in Series, because every
-	// series is a latency series to benchdiff).
-	Soak *SoakStats `json:"soak,omitempty"`
-	// Traces holds the per-point query traces the experiment captured; they
-	// are surfaced through Report.Traces rather than the result section.
-	Traces []TraceStat `json:"-"`
-	// Advisor holds the shadow-cache what-if report when the experiment ran
-	// with the decision ledger attached (bench.Advisor); surfaced through
-	// Report.Advisor.
-	Advisor *advisor.Report `json:"-"`
-}
-
-// Report is the machine-readable bench output: the experiment's series
-// plus the observability-registry snapshot taken after the run, so every
-// result file records not only how fast the run was but what the engine
-// did (subjoins pruned, cache hits, rows scanned). Written as
-// BENCH_<id>.json, it is the perf trajectory consumed by later PRs and
-// the input format of cmd/benchdiff.
-type Report struct {
-	Result *Result `json:"result"`
-	// Quick marks scaled-down smoke configurations; quick numbers are not
-	// comparable with full runs.
-	Quick bool `json:"quick"`
-	// Meta labels the run so benchdiff can say what it compares.
-	Meta RunMeta `json:"meta"`
-	// Metrics is the registry snapshot after the experiment.
-	Metrics obs.Snapshot `json:"metrics"`
-	// Traces lists the per-point query traces captured during the run, each
-	// with its critical-path analysis (and exported trace-event file when
-	// benchrunner ran with -trace-out).
-	Traces []TraceStat `json:"traces,omitempty"`
-	// Advisor is the shadow-cache what-if report of the run's decision
-	// ledger (benchrunner -advisor).
-	Advisor *advisor.Report `json:"advisor,omitempty"`
-}
-
-// RunMeta identifies one bench run: the code version, when and where it
-// ran. benchdiff prints both sides' metadata so a regression report names
-// the exact commits compared.
-type RunMeta struct {
-	// GitSHA is the commit the run was built from ("unknown" outside a git
-	// checkout).
-	GitSHA string `json:"git_sha"`
-	// Timestamp is the run's start time, UTC RFC 3339.
-	Timestamp string `json:"timestamp"`
-	// GoVersion is runtime.Version().
-	GoVersion string `json:"go_version"`
-	// GOMAXPROCS is the scheduler parallelism of the run.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// Host is the machine hostname plus GOOS/GOARCH.
-	Host string `json:"host"`
-}
-
-// CollectMeta stamps the current process and checkout.
-func CollectMeta() RunMeta {
-	sha := "unknown"
-	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
-		sha = strings.TrimSpace(string(out))
-	}
-	host, _ := os.Hostname()
-	return RunMeta{
-		GitSHA:     sha,
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Host:       fmt.Sprintf("%s (%s/%s)", host, runtime.GOOS, runtime.GOARCH),
-	}
-}
-
-// Report pairs the result with a metrics snapshot and stamps run metadata.
-func (r *Result) Report(quick bool, snap obs.Snapshot) *Report {
-	return &Report{Result: r, Quick: quick, Meta: CollectMeta(), Metrics: snap, Traces: r.Traces, Advisor: r.Advisor}
-}
-
-// LoadReport reads a BENCH_<exp>.json file.
-func LoadReport(path string) (*Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Result == nil {
-		return nil, fmt.Errorf("%s: no result section", path)
-	}
-	return &rep, nil
-}
-
-// WriteFile writes the report as indented JSON to path.
-func (rep *Report) WriteFile(path string) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	Notes []string
 }
 
 // Normalized returns a copy with every Y divided by the maximum Y across
@@ -347,9 +189,6 @@ func All() []Experiment {
 		{ID: "fig11", Title: "Join pruning with hot/cold partitioning (Fig. 11)", Run: RunFig11},
 		{ID: "ablate-sync", Title: "Merge synchronization ablation (Sec. 5.2)", Run: RunAblateMergeSync},
 		{ID: "ablate-negdelta", Title: "Negative-delta join compensation vs rebuild (Sec. 8 extension)", Run: RunAblateNegDelta},
-		{ID: "ablate-recycler", Title: "Second-level recycler cache: cross-query subjoin reuse vs full delta compensation", Run: RunAblateRecycler},
-		{ID: "shard", Title: "Horizontal sharding: scatter-gather with cross-shard pruning and tid-local deltas", Run: RunShard},
-		{ID: "serve", Title: "Closed-loop soak: sustained mixed traffic with SLO tracking and the maintenance governor", Run: RunServe},
 	}
 }
 

@@ -40,8 +40,13 @@ func TestByID(t *testing.T) {
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("unknown id found")
 	}
-	if len(All()) != 13 {
-		t.Fatalf("experiments = %d, want 13", len(All()))
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	want := "fig6 mem insert fig7 fig8 fig9 fig10 fig11 ablate-sync ablate-negdelta"
+	if got := strings.Join(ids, " "); got != want {
+		t.Fatalf("experiments = %s, want %s", got, want)
 	}
 }
 
@@ -208,52 +213,6 @@ func TestRunAblateMergeSyncQuick(t *testing.T) {
 	}
 	if syncNote == "" || indepNote == "" {
 		t.Fatalf("notes missing: %v", r.Notes)
-	}
-}
-
-func TestRunAblateRecyclerQuick(t *testing.T) {
-	r, err := RunAblateRecycler(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, r, 2)
-	// RunAblateRecycler itself errors if the arms ever diverge; here we
-	// only pin the report shape (the speedup magnitude is benchdiff-gated
-	// in CI, not asserted in a unit test where timer noise would flake).
-	var found bool
-	for _, n := range r.Notes {
-		if strings.Contains(n, "speedup") && strings.Contains(n, "byte-identical") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("notes missing speedup/identity line: %v", r.Notes)
-	}
-}
-
-func TestRunShardQuick(t *testing.T) {
-	r, err := RunShard(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkResult(t, r, 3)
-	// Four shard counts per series, and full delta locality on the
-	// tid-local insert stream at every count (RunShard itself errors on any
-	// cross-count row divergence; speedup magnitudes are benchdiff-gated in
-	// CI, not asserted here where timer noise would flake).
-	for _, s := range r.Series {
-		if len(s.Points) != 4 {
-			t.Fatalf("series %s has %d points, want 4", s.Label, len(s.Points))
-		}
-	}
-	var locality int
-	for _, n := range r.Notes {
-		if strings.Contains(n, "single shard for 100%") {
-			locality++
-		}
-	}
-	if locality != 4 {
-		t.Fatalf("want 4 full delta-locality notes, got %d: %v", locality, r.Notes)
 	}
 }
 

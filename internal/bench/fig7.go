@@ -43,7 +43,7 @@ func RunFig7(quick bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr := core.NewManager(erp.DB, erp.Reg, core.Config{Workers: Workers, Ledger: advisorLedger(), Recycler: benchRecycler()})
+	mgr := core.NewManager(erp.DB, erp.Reg, core.Config{Workers: Workers})
 	q := erp.ProfitQuery(cfg.erp.BaseYear+cfg.erp.Years-1, cfg.erp.Languages[0])
 
 	res := &Result{
@@ -82,14 +82,6 @@ func RunFig7(quick bool) (*Result, error) {
 				return nil, err
 			}
 			series[si].Points = append(series[si].Points, Point{X: float64(target), Y: ms})
-			// Profile the point after the timed reps: one traced run whose
-			// critical-path decomposition goes into the report (and whose
-			// span tree is exported as a Perfetto trace with -trace-out).
-			ts, err := captureTrace(mgr, q, s, res.ID, fmt.Sprintf("%s-%d", s, target))
-			if err != nil {
-				return nil, err
-			}
-			res.Traces = append(res.Traces, *ts)
 			if s == core.CachedFullPruning {
 				lastStats = fmt.Sprintf("full pruning at %d delta rows: %d/%d subjoins executed (%d MD-pruned, %d empty-pruned, %d pushdowns)",
 					target, info.Stats.Executed, info.Stats.Subjoins,
@@ -99,7 +91,6 @@ func RunFig7(quick bool) (*Result, error) {
 	}
 	res.Series = series
 	res.Notes = append(res.Notes, lastStats, speedupNote(series))
-	res.Advisor = advisorAnalyze(mgr)
 	return res, nil
 }
 

@@ -39,7 +39,7 @@ func RunFig9(quick bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mgr := core.NewManager(ch.DB, ch.Reg, core.Config{Workers: Workers, Ledger: advisorLedger(), Recycler: benchRecycler()})
+	mgr := core.NewManager(ch.DB, ch.Reg, core.Config{Workers: Workers})
 
 	res := &Result{
 		ID:     "fig9",
@@ -98,6 +98,5 @@ func RunFig9(quick bool) (*Result, error) {
 	res.Series = series
 	res.Notes = append(notes,
 		"paper: for joins of >3 tables the cache without pruning is only marginally better than uncached; full pruning gains up to an order of magnitude")
-	res.Advisor = advisorAnalyze(mgr)
 	return res, nil
 }

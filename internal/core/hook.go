@@ -53,10 +53,7 @@ func (h *mergeHook) FoldOnline(db *table.DB, tbl *table.Table, part int, snap tx
 			continue
 		}
 		var st query.Stats
-		if _, err := m.mainCompensate(e, snap, &st, nil, compSettle); err != nil {
-			m.markStale(e, "merge-time main compensation failed: "+err.Error())
-			continue
-		}
+		m.mainCompensate(e, snap, &st, nil, compSettle)
 		if e.Stale {
 			continue
 		}
@@ -228,40 +225,34 @@ func queryReferences(q *query.Query, tableName string) bool {
 	return false
 }
 
-// mergeFoldCombos enumerates the subjoins that fold one partition's delta
-// into an entry: the merging table pinned to that delta store, every other
-// table ranging over its main stores. A simultaneously-merging table whose
-// own fold is already staged additionally contributes its frozen delta:
-// that delta lands in its main together with ours, and the delta×delta
-// cross terms belong to exactly one fold — the later one.
+// mergeFoldCombos selects the subjoins that fold one partition's delta into
+// an entry: the merging table pinned to that delta store, every other table
+// ranging over its main stores. A simultaneously-merging table whose own
+// fold is already staged additionally contributes its frozen delta: that
+// delta lands in its main together with ours, and the delta×delta cross
+// terms belong to exactly one fold — the later one. Filtering AllCombos
+// keeps its enumeration order.
 func (m *Manager) mergeFoldCombos(q *query.Query, mergingTable string, part int) []query.Combo {
-	perTable := make([][]query.StoreRef, len(q.Tables))
-	for i, name := range q.Tables {
-		if name == mergingTable {
-			perTable[i] = []query.StoreRef{{Table: name, Part: part, Main: false}}
-			continue
+	folds := func(ref query.StoreRef) bool {
+		switch {
+		case ref.Table == mergingTable:
+			return ref == query.StoreRef{Table: mergingTable, Part: part}
+		case ref.Main:
+			return true
+		case ref.D2:
+			return false
 		}
-		t := m.db.MustTable(name)
-		for pi, p := range t.Partitions() {
-			perTable[i] = append(perTable[i], query.StoreRef{Table: name, Part: pi, Main: true})
-			if m.foldedActive[name] && p.MergeActive() {
-				perTable[i] = append(perTable[i], query.StoreRef{Table: name, Part: pi, Main: false})
-			}
-		}
+		return m.foldedActive[ref.Table] && m.db.MustTable(ref.Table).Partition(ref.Part).MergeActive()
 	}
 	var out []query.Combo
-	combo := make(query.Combo, len(q.Tables))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(perTable) {
-			out = append(out, append(query.Combo(nil), combo...))
-			return
+next:
+	for _, c := range query.AllCombos(m.db, q) {
+		for _, ref := range c {
+			if !folds(ref) {
+				continue next
+			}
 		}
-		for _, ref := range perTable[i] {
-			combo[i] = ref
-			rec(i + 1)
-		}
+		out = append(out, c)
 	}
-	rec(0)
 	return out
 }

@@ -518,8 +518,7 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 		lookup.Attr("verdict", "hit")
 		lookup.End()
 		// Main compensation: subtract rows invalidated since the entry's
-		// visibility snapshot (single-table), or via negative-delta
-		// subjoins (joins). While an online merge is running on one of the
+		// visibility snapshot via negative-delta subjoins. While an online merge is running on one of the
 		// entry's tables, the entry is frozen at the merge baseline — the
 		// staged maintenance fold depends on it — so compensation applies
 		// transiently to the served clone instead of the entry.
@@ -529,15 +528,12 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 			work = e.Value.Clone()
 		}
 		ms := sp.Child("main-compensation")
-		n, err := m.mainCompensate(e, snap, &info.Stats, work, mode)
+		n := m.mainCompensate(e, snap, &info.Stats, work, mode)
 		ms.AttrInt("invalidated-rows", int64(n))
 		if mode == compTransient {
 			ms.Attr("mode", "transient")
 		}
 		ms.End()
-		if err != nil {
-			return nil, nil, err
-		}
 		info.MainCompensated = n
 		if e.Stale {
 			work = nil
@@ -655,7 +651,10 @@ func (m *Manager) runCombos(q *query.Query, combos []query.Combo, snap txn.Snaps
 	var disp []recDisp
 	for _, combo := range combos {
 		st.Subjoins++
-		cs := sp.Child(combo.String())
+		var cs *obs.Span
+		if sp != nil {
+			cs = sp.Child(combo.String())
+		}
 		if strat >= CachedEmptyDelta && comboHasEmptyStore(m.db, combo) {
 			m.subjoinVerdict(q, combo, cs, &st.PrunedEmpty, "subjoins.pruned_empty", verdict("pruned-empty"), nil)
 			cs.End()
@@ -901,12 +900,14 @@ func (c compMode) String() string {
 
 // mainCompensate applies the bit-vector-comparison main compensation of
 // paper Sec. 2.2: rows of the tracked main stores that were visible at
-// entry time but are invalidated now are removed from the cached value.
-// Single-table entries subtract the rows directly; join entries are
-// compensated by negative-delta subjoins (see joinMainCompensate) or, with
-// that extension disabled, marked stale for rebuild. target is the table
-// compensated in compTransient mode and ignored otherwise.
-func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, target *query.AggTable, mode compMode) (int, error) {
+// entry time but are invalidated now are removed from the cached value by
+// negative-delta subjoins over the invalidated rows (see
+// joinMainCompensate); for a single-table entry that is one restricted scan.
+// With Config.DisableJoinCompensation, join entries are marked stale for
+// rebuild instead, as is any entry whose compensation fails. target is the
+// table compensated in compTransient mode and ignored otherwise. It returns
+// the number of invalidated rows found.
+func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, target *query.AggTable, mode compMode) int {
 	if mode != compTransient {
 		target = e.Value
 	}
@@ -937,27 +938,16 @@ func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, t
 		if mode == compSettle {
 			e.SnapHigh = snap.High
 		}
-		return 0, nil
+		return 0
 	}
-	switch {
-	case len(e.Query.Tables) == 1:
-		for _, d := range diffs {
-			if err := subtractRows(m.db, e.Query, d.ref, d.diff, target); err != nil {
-				return total, err
-			}
-			if mode != compTransient {
-				e.MainVis[d.ref] = d.cur
-			}
-		}
-	case m.cfg.DisableJoinCompensation:
+	if m.cfg.DisableJoinCompensation && len(e.Query.Tables) > 1 {
 		m.markStale(e, "join compensation disabled")
-		return total, nil
-	default:
-		if err := m.joinMainCompensate(e, diffs, st, target, mode != compTransient); err != nil {
-			// Fall back to a rebuild rather than serving a wrong result.
-			m.markStale(e, "join compensation failed: "+err.Error())
-			return total, nil
-		}
+		return total
+	}
+	if err := m.joinMainCompensate(e, diffs, st, target, mode != compTransient); err != nil {
+		// Fall back to a rebuild rather than serving a wrong result.
+		m.markStale(e, "join compensation failed: "+err.Error())
+		return total
 	}
 	if mode != compTransient {
 		e.Metrics.DirtyCounter += int64(total)
@@ -966,7 +956,7 @@ func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, t
 		e.SnapHigh = snap.High
 	}
 	m.decide(m.entryDecision(obs.DecisionCompensate, e, mode.String(), int64(total)))
-	return total, nil
+	return total
 }
 
 // SLO returns the manager's SLO tracker; nil when disabled.

@@ -375,6 +375,30 @@ func TestMainInvalidationOnJoinRebuildsWhenDisabled(t *testing.T) {
 	if entry.Metrics.Rebuilds != 1 {
 		t.Fatalf("rebuilds = %d, want 1", entry.Metrics.Rebuilds)
 	}
+
+	// The switch covers joins only: a single-table entry is still
+	// compensated in place, never marked stale.
+	hq := headerOnlyQuery()
+	if _, _, err := e.mgr.Execute(hq, CachedFullPruning); err != nil {
+		t.Fatal(err)
+	}
+	tx = e.db.Txns().Begin()
+	if err := e.db.MustTable("Header").Delete(tx, 1); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	_, info, err = e.mgr.Execute(hq, CachedFullPruning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Rebuilt || !info.CacheHit || info.MainCompensated != 1 {
+		t.Fatalf("single-table info = %+v, want hit with 1 compensated row, no rebuild", info)
+	}
+	hentry, _ := e.mgr.Entry(hq)
+	if hentry.Stale || hentry.Metrics.Rebuilds != 0 {
+		t.Fatalf("single-table entry stale=%v rebuilds=%d, want compensated in place", hentry.Stale, hentry.Metrics.Rebuilds)
+	}
+	assertMatchesUncached(t, e, hq, CachedFullPruning)
 }
 
 func TestJoinCompensationMultiTableDiffs(t *testing.T) {

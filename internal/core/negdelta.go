@@ -8,8 +8,10 @@ import (
 )
 
 // joinMainCompensate removes the contribution of invalidated main rows from
-// a join entry without rebuilding it — the negative-delta extension the
-// paper sketches as future work (Sec. 8).
+// an entry without rebuilding it — for joins, the negative-delta extension
+// the paper sketches as future work (Sec. 8). A single-table entry is the
+// degenerate case: one term of sign −1, a scan restricted to the
+// invalidated rows.
 //
 // Writing each table's old visible set as Old_t and its invalidated set as
 // R_t, the new all-main join expands by inclusion-exclusion:

@@ -15,8 +15,8 @@ import (
 // to delete emptied groups and to finalize AVG (paper Fig. 2).
 //
 // AggTable supports positive deltas (Add/Merge — delta compensation) and
-// negative deltas (Sub/SubMerge — main compensation of invalidated rows),
-// provided all aggregates are self-maintainable.
+// negative deltas (MergeSigned/ApplySigned — main compensation of
+// invalidated rows), provided all aggregates are self-maintainable.
 type AggTable struct {
 	specs  []AggSpec
 	groups map[string]*group
@@ -124,27 +124,6 @@ func (a *AggTable) AddGroup(keys []column.Value, accums []float64, count int64) 
 		default:
 			panic(fmt.Sprintf("query: AddGroup on non-self-maintainable %s", s.Func))
 		}
-	}
-}
-
-// Sub removes one source row — the negative-delta operation used by main
-// compensation for invalidated rows. It panics for non-self-maintainable
-// aggregates; the cache never admits those.
-func (a *AggTable) Sub(keys, vals []column.Value) {
-	g := a.groupFor(keys)
-	g.count--
-	for i, s := range a.specs {
-		switch s.Func {
-		case Sum, Avg:
-			g.sums[i] -= vals[i].Float()
-		case Count:
-			g.sums[i]--
-		default:
-			panic(fmt.Sprintf("query: Sub on non-self-maintainable %s", s.Func))
-		}
-	}
-	if g.count == 0 {
-		delete(a.groups, encodeKey(keys))
 	}
 }
 

@@ -43,12 +43,16 @@ func TestAggTableAddAndRows(t *testing.T) {
 	}
 }
 
-func TestAggTableSubDeletesEmptyGroup(t *testing.T) {
+func TestAggTableApplySignedDeletesEmptyGroup(t *testing.T) {
 	a := NewAggTable(specs())
 	k := []column.Value{column.IntV(7)}
 	v := []column.Value{column.FloatV(10), {}, column.FloatV(10)}
 	a.Add(k, v)
-	a.Sub(k, v)
+	neg := NewAggTable(specs())
+	neg.Add(k, v)
+	comp := NewAggTable(specs())
+	comp.MergeSigned(neg, -1)
+	a.ApplySigned(comp)
 	if a.Groups() != 0 {
 		t.Fatalf("Groups = %d after full subtraction, want 0", a.Groups())
 	}
@@ -116,10 +120,10 @@ func TestAggTableMinMax(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Sub on Min must panic")
+			t.Fatal("negative merge on Min must panic")
 		}
 	}()
-	a.Sub(k, []column.Value{column.FloatV(1), column.FloatV(1)})
+	a.MergeSigned(b, -1)
 }
 
 func TestEncodeKeyCollisionFree(t *testing.T) {

@@ -475,7 +475,10 @@ func (e *Executor) ExecuteAllSpan(q *Query, snap txn.Snapshot, sp *obs.Span) (*A
 	jobs := make([]ComboJob, len(combos))
 	for i, combo := range combos {
 		st.Subjoins++
-		jobs[i] = ComboJob{Combo: combo, Span: sp.Child(combo.String())}
+		jobs[i] = ComboJob{Combo: combo}
+		if sp != nil {
+			jobs[i].Span = sp.Child(combo.String())
+		}
 	}
 	if w := e.ParallelWorkers(len(jobs)); w > 0 {
 		sp.AttrInt("workers", int64(w))
