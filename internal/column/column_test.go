@@ -2,6 +2,7 @@ package column
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -259,5 +260,58 @@ func TestFloatMainAccess(t *testing.T) {
 	d.Append(FloatV(1))
 	if d.Kind() != Float64 {
 		t.Fatal("delta kind wrong")
+	}
+}
+
+// The bulk gathers agree with row-at-a-time access on every column
+// representation: delta, bit-packed main, run-length main, int-main.
+func TestGathersMatchRowAccess(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, kind := range []Kind{Int64, Float64, String} {
+		for _, runs := range []bool{false, true} {
+			d := NewDelta(kind)
+			b := NewMainBuilder(kind)
+			const n = 300
+			for i := 0; i < n; i++ {
+				x := rng.Intn(40)
+				if runs {
+					x = i / 25 // long runs: the main builder picks RLE
+				}
+				var v Value
+				switch kind {
+				case Int64:
+					v = IntV(int64(x) - 7)
+				case Float64:
+					v = FloatV(float64(x) / 4)
+				default:
+					v = StrV(strconv.Itoa(x))
+				}
+				d.Append(v)
+				b.Append(v)
+			}
+			rows := make([]int32, 120)
+			for i := range rows {
+				rows[i] = int32(rng.Intn(n))
+			}
+			for name, c := range map[string]Reader{"delta": d, "main": b.Build()} {
+				ids := make([]uint32, len(rows))
+				c.(IDGatherer).IDGather(rows, ids)
+				fs := make([]float64, len(rows))
+				fg := c.(Float64Gatherer)
+				if kind == String {
+					mustPanic(t, func() { fg.Float64Gather(rows, fs) })
+				} else {
+					fg.Float64Gather(rows, fs)
+				}
+				for i, r := range rows {
+					if ids[i] != c.ID(int(r)) {
+						t.Fatalf("%v %s runs=%v: IDGather[%d] = %d, ID = %d", kind, name, runs, i, ids[i], c.ID(int(r)))
+					}
+					if kind != String && fs[i] != c.Value(int(r)).Float() {
+						t.Fatalf("%v %s runs=%v: Float64Gather[%d] = %v, Value = %v", kind, name, runs, i, fs[i], c.Value(int(r)))
+					}
+				}
+			}
+		}
 	}
 }

@@ -68,6 +68,29 @@ func (c *deltaCol[T]) Int64Gather(rows []int32, dst []int64) {
 	}
 }
 
+// Float64Gather implements Float64Gatherer for numeric delta columns.
+func (c *deltaCol[T]) Float64Gather(rows []int32, dst []float64) {
+	switch dict := any(c.dict).(type) {
+	case []float64:
+		for i, r := range rows {
+			dst[i] = dict[c.ids[r]]
+		}
+	case []int64:
+		for i, r := range rows {
+			dst[i] = float64(dict[c.ids[r]])
+		}
+	default:
+		panic("column: Float64Gather on string delta column")
+	}
+}
+
+// IDGather implements IDGatherer.
+func (c *deltaCol[T]) IDGather(rows []int32, dst []uint32) {
+	for i, r := range rows {
+		dst[i] = c.ids[r]
+	}
+}
+
 func (c *deltaCol[T]) DictLen() int { return len(c.dict) }
 
 func (c *deltaCol[T]) ID(row int) uint32 { return c.ids[row] }

@@ -130,21 +130,31 @@ func (a *AggTable) AddGroup(keys []column.Value, accums []float64, count int64) 
 // Merge folds another table computed with identical specs into a.
 func (a *AggTable) Merge(b *AggTable) {
 	for _, gb := range b.groups {
-		g := a.groupFor(gb.keys)
-		first := g.count == 0
-		g.count += gb.count
-		for i, s := range a.specs {
-			switch s.Func {
-			case Sum, Avg, Count:
-				g.sums[i] += gb.sums[i]
-			case Min:
-				if first || column.Less(gb.exts[i], g.exts[i]) {
-					g.exts[i] = gb.exts[i]
-				}
-			case Max:
-				if first || column.Less(g.exts[i], gb.exts[i]) {
-					g.exts[i] = gb.exts[i]
-				}
+		a.foldPartial(gb.keys, gb.count, gb.sums, gb.exts)
+	}
+}
+
+// foldPartial folds one group's partial aggregate over a batch of rows into
+// the table: count rows, sums holding the SUM/AVG sums and COUNT counts per
+// spec, exts the MIN/MAX extremes per spec (other slots ignored). It is the
+// group-by kernel's way in — AddGroup refuses MIN/MAX. Unlike per-row Add, a
+// group that already exists adds the batch's sum in one step: S + (a+b)
+// rather than (S+a)+b.
+func (a *AggTable) foldPartial(keys []column.Value, count int64, sums []float64, exts []column.Value) {
+	g := a.groupFor(keys)
+	first := g.count == 0
+	g.count += count
+	for i, s := range a.specs {
+		switch s.Func {
+		case Sum, Avg, Count:
+			g.sums[i] += sums[i]
+		case Min:
+			if first || column.Less(exts[i], g.exts[i]) {
+				g.exts[i] = exts[i]
+			}
+		case Max:
+			if first || column.Less(g.exts[i], exts[i]) {
+				g.exts[i] = exts[i]
 			}
 		}
 	}
@@ -389,7 +399,8 @@ func (a *AggTable) Perturb(seed int64) string {
 }
 
 // Equal reports whether two tables hold the same groups with numerically
-// close accumulators (tolerance for float summation order).
+// close accumulators (tolerance for float summation order) and identical
+// MIN/MAX extremes, which no summation order can change.
 func (a *AggTable) Equal(b *AggTable) bool {
 	if len(a.groups) != len(b.groups) {
 		return false
@@ -400,7 +411,13 @@ func (a *AggTable) Equal(b *AggTable) bool {
 		if !ok || g.count != h.count {
 			return false
 		}
-		for i := range a.specs {
+		for i, s := range a.specs {
+			if s.Func == Min || s.Func == Max {
+				if g.exts[i] != h.exts[i] {
+					return false
+				}
+				continue
+			}
 			d := g.sums[i] - h.sums[i]
 			scale := math.Max(1, math.Max(math.Abs(g.sums[i]), math.Abs(h.sums[i])))
 			if math.Abs(d) > eps*scale {

@@ -268,24 +268,22 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 	st.TuplesJoined += int64(n)
 	sp.AttrInt("tuples", int64(n))
 
-	// Aggregation phase.
-	keyCols := scr.keyColBuf[:0]
-	keyPos := scr.keyPosBuf[:0]
+	// Aggregation phase: the group-by kernel over the tuple columns.
+	scr.keyCols, scr.keyRows = scr.keyCols[:0], scr.keyRows[:0]
 	for _, g := range q.GroupBy {
 		p := tablePos(q, g.Table)
 		c, err := colReader(e.DB, scr.stores[p], g)
 		if err != nil {
 			return err
 		}
-		keyCols = append(keyCols, c)
-		keyPos = append(keyPos, p)
+		scr.keyCols = append(scr.keyCols, c)
+		scr.keyRows = append(scr.keyRows, tupleCols[p])
 	}
-	aggCols := scr.aggColBuf[:0]
-	aggPos := scr.aggPosBuf[:0]
+	scr.aggCols, scr.aggRows = scr.aggCols[:0], scr.aggRows[:0]
 	for _, a := range q.Aggs {
 		if a.Col.Col == "" { // COUNT(*)
-			aggCols = append(aggCols, nil)
-			aggPos = append(aggPos, 0)
+			scr.aggCols = append(scr.aggCols, nil)
+			scr.aggRows = append(scr.aggRows, nil)
 			continue
 		}
 		p := tablePos(q, a.Col.Table)
@@ -293,27 +291,13 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 		if err != nil {
 			return err
 		}
-		aggCols = append(aggCols, c)
-		aggPos = append(aggPos, p)
+		scr.aggCols = append(scr.aggCols, c)
+		scr.aggRows = append(scr.aggRows, tupleCols[p])
 	}
-	scr.keyColBuf, scr.keyPosBuf = keyCols, keyPos
-	scr.aggColBuf, scr.aggPosBuf = aggCols, aggPos
-
-	if scr.fastAggregate(q, tupleCols, keyCols, keyPos, aggCols, aggPos, out) {
-		return nil
-	}
-	keys := make([]column.Value, len(q.GroupBy))
-	vals := make([]column.Value, len(q.Aggs))
-	for ti := 0; ti < n; ti++ {
-		for i := range keyCols {
-			keys[i] = keyCols[i].Value(int(tupleCols[keyPos[i]][ti]))
-		}
-		for i := range aggCols {
-			if aggCols[i] != nil {
-				vals[i] = aggCols[i].Value(int(tupleCols[aggPos[i]][ti]))
-			}
-		}
-		out.Add(keys, vals)
+	mode, groups := scr.gb.aggregate(q.Aggs, scr.keyCols, scr.keyRows, scr.aggCols, scr.aggRows, n, out)
+	if sp != nil {
+		sp.Attr("agg", mode.String())
+		sp.AttrInt("groups", int64(groups))
 	}
 	return nil
 }

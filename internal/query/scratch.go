@@ -13,10 +13,9 @@ import (
 
 // execScratch holds every reusable buffer one subjoin execution needs: the
 // visibility bitset of the scan kernel, per-table candidate-row buffers, the
-// hash-join arena, double-buffered tuple columns, and the flat accumulator
-// arrays of the fast aggregation path. Workers check one out of scratchPool
-// per batch, so steady-state subjoin execution allocates only the per-job
-// result table.
+// hash-join arena, double-buffered tuple columns, and the group-by kernel's
+// arrays. Workers check one out of scratchPool per batch, so steady-state
+// subjoin execution allocates only the per-job result table.
 //
 // The recycler's reuse paths stay inside this discipline: an exact recycled
 // hit merges the cached partial without touching scratch at all, a top-up
@@ -51,21 +50,13 @@ type execScratch struct {
 	stageCols [2][][]int32
 	tupleRefs [2][][]int32
 
-	keyColBuf []column.Reader
-	keyPosBuf []int
-	aggColBuf []column.Reader
-	aggPosBuf []int
-
-	// fastAggregate accumulators: group index, flat key/count/sum arrays,
-	// per-tuple group ids, and gathered int64 key/value blocks.
-	aggIdx    map[int64]int
-	aggKeys   []int64
-	aggCounts []int64
-	aggSums   []float64 // stride len(q.Aggs)
-	gids      []int32
-	keyI64    []int64
-	aggI64    []int64
-	keyValBuf []column.Value
+	// Aggregation phase: the key and aggregate columns with their per-tuple
+	// rows, and the group-by kernel.
+	keyCols []column.Reader
+	keyRows [][]int32
+	aggCols []column.Reader
+	aggRows [][]int32
+	gb      groupKernel
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
@@ -139,11 +130,7 @@ func (scr *execScratch) scanStore(st *table.Store, snap txn.Snapshot, set *vec.B
 // (resized, reused), taking the column's bulk-gather fast path when it has
 // one.
 func gatherInt64(col column.Reader, rowIDs []int32, dst []int64) []int64 {
-	if cap(dst) < len(rowIDs) {
-		dst = make([]int64, len(rowIDs))
-	} else {
-		dst = dst[:len(rowIDs)]
-	}
+	dst = grow(dst, len(rowIDs))
 	if g, ok := col.(column.Int64Gatherer); ok {
 		g.Int64Gather(rowIDs, dst)
 		return dst
@@ -152,81 +139,4 @@ func gatherInt64(col column.Reader, rowIDs []int32, dst []int64) []int64 {
 		dst[i] = col.Int64(int(r))
 	}
 	return dst
-}
-
-// fastAggregate is the vectorized path for the dominant aggregate shape: a
-// single int64 grouping column with self-maintainable numeric aggregates.
-// Group keys are gathered in one block, tuples are assigned dense group ids
-// in a first pass, and each aggregate column is then accumulated
-// column-at-a-time into flat arrays — all scratch-backed, so the steady
-// state allocates nothing. It reports whether it applied.
-func (scr *execScratch) fastAggregate(q *Query, tupleCols [][]int32, keyCols []column.Reader, keyPos []int, aggCols []column.Reader, aggPos []int, out *AggTable) bool {
-	if len(keyCols) != 1 || keyCols[0].Kind() != column.Int64 {
-		return false
-	}
-	for i, a := range q.Aggs {
-		if !a.Func.SelfMaintainable() {
-			return false
-		}
-		if aggCols[i] != nil && aggCols[i].Kind() == column.String {
-			return false
-		}
-	}
-	nAggs := len(q.Aggs)
-	if scr.aggIdx == nil {
-		scr.aggIdx = make(map[int64]int, 16)
-	} else {
-		clear(scr.aggIdx)
-	}
-	idx := scr.aggIdx
-	keys := scr.aggKeys[:0]
-	counts := scr.aggCounts[:0]
-	sums := scr.aggSums[:0]
-	gids := scr.gids[:0]
-
-	scr.keyI64 = gatherInt64(keyCols[0], tupleCols[keyPos[0]], scr.keyI64)
-	for _, k := range scr.keyI64 {
-		g, ok := idx[k]
-		if !ok {
-			g = len(keys)
-			idx[k] = g
-			keys = append(keys, k)
-			counts = append(counts, 0)
-			for z := 0; z < nAggs; z++ {
-				sums = append(sums, 0)
-			}
-		}
-		counts[g]++
-		gids = append(gids, int32(g))
-	}
-	for i := 0; i < nAggs; i++ {
-		c := aggCols[i]
-		if c == nil || q.Aggs[i].Func == Count {
-			for _, g := range gids {
-				sums[int(g)*nAggs+i]++
-			}
-			continue
-		}
-		rowIDs := tupleCols[aggPos[i]]
-		if c.Kind() == column.Int64 {
-			scr.aggI64 = gatherInt64(c, rowIDs, scr.aggI64)
-			for ti, g := range gids {
-				sums[int(g)*nAggs+i] += float64(scr.aggI64[ti])
-			}
-		} else {
-			for ti, g := range gids {
-				sums[int(g)*nAggs+i] += c.Value(int(rowIDs[ti])).F
-			}
-		}
-	}
-	if cap(scr.keyValBuf) < 1 {
-		scr.keyValBuf = make([]column.Value, 1)
-	}
-	kb := scr.keyValBuf[:1]
-	for g, k := range keys {
-		kb[0] = column.IntV(k)
-		out.AddGroup(kb, sums[g*nAggs:(g+1)*nAggs], counts[g])
-	}
-	scr.aggKeys, scr.aggCounts, scr.aggSums, scr.gids = keys, counts, sums, gids
-	return true
 }
