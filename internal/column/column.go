@@ -45,7 +45,7 @@ type Int64Blocker interface {
 
 // Int64Gatherer is the optional gather fast path of Int64 columns: it
 // materializes an arbitrary row-id list into dst with one virtual call. The
-// hash-join kernel uses it to decode build and probe keys in bulk.
+// group-by kernel uses it to decode MIN/MAX inputs in bulk.
 type Int64Gatherer interface {
 	Int64Gather(rows []int32, dst []int64)
 }

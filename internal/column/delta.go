@@ -8,10 +8,11 @@ type deltaCol[T elem] struct {
 	ids   []uint32
 	lo    T
 	hi    T
+	xlCache
 }
 
 func newDeltaCol[T elem]() *deltaCol[T] {
-	return &deltaCol[T]{index: make(map[T]uint32)}
+	return &deltaCol[T]{index: make(map[T]uint32), xlCache: newXLCache()}
 }
 
 func (c *deltaCol[T]) Kind() Kind { return kindOf[T]() }
@@ -89,6 +90,12 @@ func (c *deltaCol[T]) IDGather(rows []int32, dst []uint32) {
 	for i, r := range rows {
 		dst[i] = c.ids[r]
 	}
+}
+
+// Lookup implements lookuper through the dictionary's hash index.
+func (c *deltaCol[T]) Lookup(v Value) (uint32, bool) {
+	id, ok := c.index[fromValue[T](v)]
+	return id, ok
 }
 
 func (c *deltaCol[T]) DictLen() int { return len(c.dict) }

@@ -54,9 +54,7 @@ func (v *rleIDs) MemBytes() uint64 {
 func idVectorGather(v idVector, rows []int32, dst []uint32) {
 	switch ids := v.(type) {
 	case packedIDs:
-		for i, r := range rows {
-			dst[i] = uint32(ids.p.Get(int(r)))
-		}
+		ids.p.Gather(rows, dst)
 	default:
 		for i, r := range rows {
 			dst[i] = uint32(v.Get(int(r)))

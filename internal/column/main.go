@@ -12,6 +12,7 @@ import (
 type mainCol[T elem] struct {
 	dict []T
 	ids  idVector
+	xlCache
 }
 
 type mainBuilder[T elem] struct {
@@ -60,7 +61,7 @@ func (b *mainBuilder[T]) Build() Reader {
 	if intDict, ok := any(dict).([]int64); ok {
 		return newIntMain(intDict, ids)
 	}
-	return &mainCol[T]{dict: dict, ids: ids}
+	return &mainCol[T]{dict: dict, ids: ids, xlCache: newXLCache()}
 }
 
 // intMain is the read-optimized int64 column: bit-packed value IDs over a
@@ -70,10 +71,11 @@ type intMain struct {
 	offs *vec.Packed
 	ids  idVector
 	n    int // dictionary cardinality
+	xlCache
 }
 
 func newIntMain(dict []int64, ids idVector) *intMain {
-	c := &intMain{ids: ids, n: len(dict)}
+	c := &intMain{ids: ids, n: len(dict), xlCache: newXLCache()}
 	if len(dict) == 0 {
 		return c
 	}
@@ -102,14 +104,24 @@ func (c *intMain) Value(row int) Value { return IntV(c.dictAt(uint32(c.ids.Get(r
 // Int64 implements Reader.
 func (c *intMain) Int64(row int) int64 { return c.dictAt(uint32(c.ids.Get(row))) }
 
+// idChunk is how many value IDs the bulk decoders unpack at a time into a
+// stack buffer before decoding them through the dictionary.
+const idChunk = 256
+
 // Int64Block implements Int64Blocker. The id-vector representation is
-// resolved once per block instead of once per row, and the RLE layout
-// decodes runs sequentially rather than re-walking the sample index.
+// resolved once per block instead of once per row: packed IDs are unpacked
+// in bulk, and the RLE layout decodes runs sequentially rather than
+// re-walking the sample index.
 func (c *intMain) Int64Block(start int, dst []int64) {
 	switch ids := c.ids.(type) {
 	case packedIDs:
-		for i := range dst {
-			dst[i] = c.dictAt(uint32(ids.p.Get(start + i)))
+		var buf [idChunk]uint32
+		for lo := 0; lo < len(dst); lo += idChunk {
+			out := dst[lo:min(lo+idChunk, len(dst))]
+			ids.p.Unpack(start+lo, buf[:len(out)])
+			for i, id := range buf[:len(out)] {
+				out[i] = c.dictAt(id)
+			}
 		}
 	case *rleIDs:
 		r := int(ids.samples[start>>sampleShift])
@@ -132,36 +144,50 @@ func (c *intMain) Int64Block(start int, dst []int64) {
 	}
 }
 
-// Int64Gather implements Int64Gatherer.
+// Int64Gather implements Int64Gatherer: value IDs are gathered in bulk,
+// then decoded through the dictionary.
 func (c *intMain) Int64Gather(rows []int32, dst []int64) {
-	switch ids := c.ids.(type) {
-	case packedIDs:
-		for i, r := range rows {
-			dst[i] = c.dictAt(uint32(ids.p.Get(int(r))))
-		}
-	default:
-		for i, r := range rows {
-			dst[i] = c.dictAt(uint32(c.ids.Get(int(r))))
+	var buf [idChunk]uint32
+	for lo := 0; lo < len(rows); lo += idChunk {
+		chunk := rows[lo:min(lo+idChunk, len(rows))]
+		idVectorGather(c.ids, chunk, buf[:len(chunk)])
+		for i, id := range buf[:len(chunk)] {
+			dst[lo+i] = c.dictAt(id)
 		}
 	}
 }
 
-// Float64Gather implements Float64Gatherer.
+// Float64Gather implements Float64Gatherer, decoding as Int64Gather does.
 func (c *intMain) Float64Gather(rows []int32, dst []float64) {
-	switch ids := c.ids.(type) {
-	case packedIDs:
-		for i, r := range rows {
-			dst[i] = float64(c.dictAt(uint32(ids.p.Get(int(r)))))
-		}
-	default:
-		for i, r := range rows {
-			dst[i] = float64(c.dictAt(uint32(c.ids.Get(int(r)))))
+	var buf [idChunk]uint32
+	for lo := 0; lo < len(rows); lo += idChunk {
+		chunk := rows[lo:min(lo+idChunk, len(rows))]
+		idVectorGather(c.ids, chunk, buf[:len(chunk)])
+		for i, id := range buf[:len(chunk)] {
+			dst[lo+i] = float64(c.dictAt(id))
 		}
 	}
 }
 
 // IDGather implements IDGatherer.
 func (c *intMain) IDGather(rows []int32, dst []uint32) { idVectorGather(c.ids, rows, dst) }
+
+// Lookup implements lookuper: a binary search of the packed offsets for
+// v's offset from the base. A value below the base wraps to an offset
+// beyond every entry, so it is not found.
+func (c *intMain) Lookup(v Value) (uint32, bool) {
+	off := uint64(fromValue[int64](v)) - uint64(c.base)
+	lo, hi := 0, c.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.offs.Get(mid) < off {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return uint32(lo), lo < c.n && c.offs.Get(lo) == off
+}
 
 // DictLen implements Reader.
 func (c *intMain) DictLen() int { return c.n }
@@ -209,20 +235,33 @@ func (c *mainCol[T]) Float64Gather(rows []int32, dst []float64) {
 	if !ok {
 		panic("column: Float64Gather on non-float64 main column")
 	}
-	switch ids := c.ids.(type) {
-	case packedIDs:
-		for i, r := range rows {
-			dst[i] = dict[ids.p.Get(int(r))]
-		}
-	default:
-		for i, r := range rows {
-			dst[i] = dict[c.ids.Get(int(r))]
+	var buf [idChunk]uint32
+	for lo := 0; lo < len(rows); lo += idChunk {
+		chunk := rows[lo:min(lo+idChunk, len(rows))]
+		idVectorGather(c.ids, chunk, buf[:len(chunk)])
+		for i, id := range buf[:len(chunk)] {
+			dst[lo+i] = dict[id]
 		}
 	}
 }
 
 // IDGather implements IDGatherer.
 func (c *mainCol[T]) IDGather(rows []int32, dst []uint32) { idVectorGather(c.ids, rows, dst) }
+
+// Lookup implements lookuper by binary search of the sorted dictionary.
+func (c *mainCol[T]) Lookup(v Value) (uint32, bool) {
+	t := fromValue[T](v)
+	lo, hi := 0, len(c.dict)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.dict[mid] < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return uint32(lo), lo < len(c.dict) && c.dict[lo] == t
+}
 
 func (c *mainCol[T]) DictLen() int { return len(c.dict) }
 

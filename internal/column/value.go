@@ -35,9 +35,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a dynamically typed scalar. It is comparable and therefore usable
-// as a map key, which the query engine relies on for hash joins and hash
-// aggregation on arbitrary column kinds.
+// Value is a dynamically typed scalar. It is comparable, and equal values
+// of one kind are what the join kernel matches (through dictionary value
+// IDs) and the aggregation groups on.
 type Value struct {
 	K Kind
 	I int64

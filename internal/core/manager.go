@@ -72,11 +72,11 @@ type Config struct {
 	// \shapes, and EXPLAIN ANALYZE. Nil (the default) disables profiling.
 	Shapes *obs.Shapes
 	// Recycler is the second-level cache of subjoin intermediates and
-	// build-side join hash tables (internal/recycler): when non-nil, delta
+	// store-side join builds (internal/recycler): when non-nil, delta
 	// compensation consults it per subjoin — serving exact watermark hits
 	// without executing, topping up older partials by scanning only newly
-	// visible rows — and the hash-join build path reuses cached build
-	// tables across queries. Invalidation rides the merge hooks. Nil (the
+	// visible rows — and the join kernel reuses cached store-side builds
+	// across queries. Invalidation rides the merge hooks. Nil (the
 	// default) disables recycling; results are byte-identical either way.
 	Recycler *recycler.Cache
 }

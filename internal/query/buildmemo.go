@@ -1,40 +1,40 @@
 package query
 
 import (
+	"slices"
 	"sync"
 
 	"aggcache/internal/column"
 	"aggcache/internal/table"
 )
 
-// BuildTable is an immutable build-side join hash table, shareable across
-// subjoin jobs and — through a BuildSource — across queries. It wraps the
-// same flat bucket-chained layout the per-scratch kernel uses; build is a
-// pure function of (keys, rows), so a shared table probes identically to a
+// BuildTable is an immutable store-side build of the join kernel — a CSR
+// over the build column's value IDs — shareable across subjoin jobs and,
+// through a BuildSource, across queries. It serves every key kind and is a
+// pure function of (col, rows), so a shared table probes identically to a
 // privately built one.
 type BuildTable struct {
-	jt joinTable
+	csr  joinCSR
+	rows []int32
 }
 
 // NewBuildTable builds an immutable table over the given candidate rows of
 // col. rows is copied; the caller may reuse its backing array.
 func NewBuildTable(col column.Reader, rows []int32) *BuildTable {
-	bt := &BuildTable{}
-	keys := gatherInt64(col, rows, nil)
-	bt.jt.build(keys, rows)
+	bt := &BuildTable{rows: slices.Clone(rows)}
+	bt.csr.build(gatherIDs(col, rows, nil))
 	return bt
 }
 
 // Rows returns the candidate rows the table indexes, in scan order. Callers
 // use it to check validity: a cached table is reusable for a store iff a
 // fresh scan would produce exactly these rows (column values at fixed rows
-// are immutable, so equal rows imply equal keys). Read-only.
-func (b *BuildTable) Rows() []int32 { return b.jt.rows }
+// are immutable, so equal rows imply equal value IDs). Read-only.
+func (b *BuildTable) Rows() []int32 { return b.rows }
 
 // MemBytes estimates the table's heap footprint for cache accounting.
 func (b *BuildTable) MemBytes() uint64 {
-	return uint64(cap(b.jt.heads))*4 + uint64(cap(b.jt.next))*4 +
-		uint64(cap(b.jt.keys))*8 + uint64(cap(b.jt.rows))*4
+	return uint64(cap(b.csr.offs)+cap(b.csr.ents)+cap(b.rows)) * 4
 }
 
 // BuildSource is a cross-query cache of build tables (implemented by
@@ -46,7 +46,7 @@ type BuildSource interface {
 	AcquireBuild(qfp string, edge int, ref StoreRef, store *table.Store, col column.Reader, rows []int32) *BuildTable
 }
 
-// buildMemo shares build-side hash tables among the jobs of one ExecuteJobs
+// buildMemo shares store-side builds among the jobs of one ExecuteJobs
 // batch: every combo of the 2^t union that joins through the same physical
 // store on the same edge reuses one table instead of rebuilding it per
 // combo. The memo is valid for jobs whose candidate rows for the build

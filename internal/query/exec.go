@@ -145,8 +145,8 @@ type Executor struct {
 	// discards the count. It is an observability counter rather than a
 	// Stats field because its value depends on the worker count.
 	ParallelSubjoins *obs.Counter
-	// Builds, when non-nil, is a cross-query cache of build-side join
-	// hash tables (the recycler). Batches consult it through the
+	// Builds, when non-nil, is a cross-query cache of store-side join
+	// builds (the recycler). Batches consult it through the
 	// per-batch build memo; a miss populates it. Build reuse never
 	// changes results or Stats — a cached table is only served when its
 	// candidate row set is byte-identical to what a fresh scan produced.
@@ -189,9 +189,9 @@ func (e *Executor) ExecuteComboSpan(q *Query, combo Combo, snap txn.Snapshot, ex
 }
 
 // executeCombo runs one subjoin with all buffers drawn from scr: vectorized
-// scans per table, a chain of hash joins over reused tuple buffers, and the
-// aggregation fold into out. memo, when non-nil, shares build-side hash
-// tables across the jobs of one batch (and, through it, across queries).
+// scans per table, a chain of value-ID joins over reused tuple buffers, and
+// the aggregation fold into out. memo, when non-nil, shares store-side
+// builds across the jobs of one batch (and, through it, across queries).
 func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap txn.Snapshot, extra map[string]expr.Pred, restrict []*vec.BitSet, out *AggTable, st *Stats, sp *obs.Span, memo *buildMemo) error {
 	if len(combo) != len(q.Tables) {
 		return fmt.Errorf("query: combo has %d stores for %d tables", len(combo), len(q.Tables))
@@ -304,11 +304,13 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 
 // joinPhase joins the scanned candidate rows (scr.rowsPer, over scr.stores)
 // smallest input first: planJoin fixes the order, and each step builds its
-// hash table on the smaller side. The returned tuple columns are indexed by
-// query table position, so the aggregation never sees the order; n is the
-// number of joined tuples, 0 when a step left the tuple set empty (the
-// span's empty-after-join names that step's edge). memo, when non-nil, may
-// serve store-side builds of tables without a pushdown filter in extra.
+// CSR on the smaller side. The returned tuple columns are indexed by query
+// table position, so the aggregation never sees the order; n is the number
+// of joined tuples, 0 when a step left the tuple set empty (the span's
+// empty-after-join names that step's edge). memo, when non-nil, may serve
+// store-side builds of tables without a pushdown filter in extra. A step
+// whose two join columns differ in kind is an error, the one Validate
+// reports: value IDs of different kinds cannot be translated.
 func (e *Executor) joinPhase(scr *execScratch, q *Query, combo Combo, extra map[string]expr.Pred, memo *buildMemo, sp *obs.Span) (tupleCols [][]int32, n int, err error) {
 	start, steps, err := scr.planJoin(e.DB, q)
 	if err != nil {
@@ -335,11 +337,20 @@ func (e *Executor) joinPhase(scr *execScratch, q *Query, combo Combo, extra map[
 		if err != nil {
 			return nil, 0, err
 		}
+		if fromCol.Kind() != col.Kind() {
+			// Validate refuses this; a query run without it must not join
+			// value IDs of two different kinds.
+			edge := q.Joins[s.edge]
+			lk, rk := fromCol.Kind(), col.Kind()
+			if s.col == edge.Left {
+				lk, rk = rk, lk
+			}
+			return nil, 0, fmt.Errorf("query: join %s compares %v with %v", edge, lk, rk)
+		}
 		rows := scr.rowsPer[s.pos]
 		buildTuples := len(tupleCols[start]) < len(rows)
 		var shared *BuildTable
-		if !buildTuples && memo != nil && extra[combo[s.pos].Table] == nil &&
-			fromCol.Kind() == column.Int64 && col.Kind() == column.Int64 {
+		if !buildTuples && memo != nil && extra[combo[s.pos].Table] == nil {
 			shared = memo.acquire(s.edge, combo[s.pos], scr.stores[s.pos], col, rows)
 		}
 		if sp != nil {
@@ -351,7 +362,7 @@ func (e *Executor) joinPhase(scr *execScratch, q *Query, combo Combo, extra map[
 				plan = append(plan, "(build=store)"...)
 			}
 		}
-		tupleCols = scr.hashJoin(si, tupleCols, order, s.from, fromCol, s.pos, rows, col, buildTuples, shared)
+		tupleCols = scr.join(si, tupleCols, order, s.from, fromCol, s.pos, rows, col, buildTuples, shared)
 		order = append(order, s.pos)
 		if len(tupleCols[start]) == 0 {
 			empty = &q.Joins[s.edge]

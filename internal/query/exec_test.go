@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -110,6 +111,31 @@ func TestValidateAcceptsListing1(t *testing.T) {
 	db := buildERP(t)
 	if err := listing1().Validate(db); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Regression: ExecuteAll does not run Validate, and a join of an int64 with
+// a string column silently returned an empty result. The join phase now
+// refuses it with Validate's error, whichever side the edge names first.
+func TestExecuteAllRejectsMismatchedJoinKinds(t *testing.T) {
+	db := buildERP(t)
+	seedERP(t, db)
+	q := listing1()
+	q.Joins[1] = JoinEdge{Left: ColRef{Table: "Item", Col: "CategoryID"}, Right: ColRef{Table: "ProductCategory", Col: "Name"}}
+	want := q.Validate(db)
+	if want == nil || !strings.Contains(want.Error(), "compares int64 with string") {
+		t.Fatalf("Validate = %v, want a kind mismatch", want)
+	}
+	for _, flip := range []bool{false, true} {
+		if flip {
+			e := &q.Joins[1]
+			e.Left, e.Right = e.Right, e.Left
+			want = fmt.Errorf("query: join %s compares string with int64", e)
+		}
+		_, _, err := (&Executor{DB: db, Workers: 1}).ExecuteAll(q, db.Txns().ReadSnapshot())
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("ExecuteAll error = %v, want %q", err, want)
+		}
 	}
 }
 

@@ -275,6 +275,18 @@ func decodeExtreme(col column.Reader, x uint64) column.Value {
 	return col.DictValue(uint32(x))
 }
 
+// hashKey is the 64-bit mix (splitmix64 finalizer) the hash mode applies to
+// value-ID tuples. Sequential IDs would otherwise pile into adjacent
+// buckets.
+func hashKey(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // grow returns s resized to n elements, reusing its backing array when it
 // is large enough. Contents are unspecified.
 func grow[T any](s []T, n int) []T {
@@ -282,6 +294,15 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// gatherInt64 materializes the int64 values of the given rows into dst
+// (resized, reused). Every int64 column kind implements
+// column.Int64Gatherer.
+func gatherInt64(col column.Reader, rows []int32, dst []int64) []int64 {
+	dst = grow(dst, len(rows))
+	col.(column.Int64Gatherer).Int64Gather(rows, dst)
+	return dst
 }
 
 // gatherFloat64 materializes the numeric values of the given rows as

@@ -7,75 +7,52 @@ import (
 	"aggcache/internal/table"
 )
 
-// hashKey is the 64-bit mix (splitmix64 finalizer) applied to join keys
-// before bucketing. Sequential keys — the common case for surrogate primary
-// keys and tids — would otherwise pile into adjacent buckets.
-func hashKey(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
+// joinCSR is the build side of the join kernel: the build input's positions
+// grouped by the build column's dictionary value ID, as compressed sparse
+// rows. For lo <= b < lo+span, ents[offs[b-lo]:offs[b-lo+1]] lists the
+// positions whose row carries value ID b, ascending. lo is the smallest ID
+// present and span reaches the largest, so offs covers the IDs the input
+// holds, not the whole dictionary. Positions ascend within an ID, so matches
+// emit in build-input order, and the CSR is a pure function of the IDs.
+type joinCSR struct {
+	lo   uint32
+	offs []int32 // span+1 entries
+	ents []int32
 }
 
-// joinTable is the int64 hash-join build side: a bucket-chained table over
-// flat arrays instead of a map[int64][]int32, so building allocates nothing
-// in the steady state and probing touches two cache lines per entry. Bucket
-// count is the smallest power of two >= 2x the build size; heads and next
-// hold 1-based entry indices (0 = empty/end). Entry e-1 is the (e-1)-th
-// build input, so a probe learns both the matching row and its position in
-// the build input.
-//
-// Entries are inserted in reverse row order with head insertion, so walking
-// a chain yields build rows in ascending order — matches emit in the same
-// deterministic order as the append-based map build it replaces.
-type joinTable struct {
-	heads []int32
-	next  []int32
-	keys  []int64
-	rows  []int32
-	mask  uint64
-}
+// span is the number of IDs offs covers.
+func (t *joinCSR) span() uint32 { return uint32(len(t.offs) - 1) }
 
-// build indexes the build-side rows by their gathered keys, reusing the
-// table's arrays.
-func (t *joinTable) build(keys []int64, rowIDs []int32) {
-	n := len(rowIDs)
-	bcap := 8
-	for bcap < 2*n {
-		bcap <<= 1
+// build groups the positions of ids by ID, reusing the CSR's arrays. It is
+// a counting sort: ID b is counted at offs[b-lo+2]; after the prefix sum
+// offs[b-lo+1] is b's first slot and serves as its fill cursor, which leaves
+// it at b's end — the start of b+1 — so offs[b-lo] ends up at b's start.
+func (t *joinCSR) build(ids []uint32) {
+	lo, hi := ^uint32(0), uint32(0)
+	for _, id := range ids {
+		lo, hi = min(lo, id), max(hi, id)
 	}
-	if cap(t.heads) < bcap {
-		t.heads = make([]int32, bcap)
+	span := 0
+	if len(ids) > 0 {
+		span = int(hi-lo) + 1
 	} else {
-		t.heads = t.heads[:bcap]
-		clear(t.heads)
+		lo = 0
 	}
-	if cap(t.next) < n {
-		t.next = make([]int32, n)
-	} else {
-		t.next = t.next[:n]
+	offs := grow(t.offs, span+2)
+	clear(offs)
+	for _, id := range ids {
+		offs[id-lo+2]++
 	}
-	if cap(t.keys) < n {
-		t.keys = make([]int64, n)
-	} else {
-		t.keys = t.keys[:n]
+	for s := 2; s < len(offs); s++ {
+		offs[s] += offs[s-1]
 	}
-	if cap(t.rows) < n {
-		t.rows = make([]int32, n)
-	} else {
-		t.rows = t.rows[:n]
+	ents := grow(t.ents, len(ids))
+	for i, id := range ids {
+		c := &offs[id-lo+1]
+		ents[*c] = int32(i)
+		*c++
 	}
-	t.mask = uint64(bcap - 1)
-	for i := n - 1; i >= 0; i-- {
-		k := keys[i]
-		b := hashKey(uint64(k)) & t.mask
-		t.keys[i] = k
-		t.rows[i] = rowIDs[i]
-		t.next[i] = t.heads[b]
-		t.heads[b] = int32(i) + 1
-	}
+	t.lo, t.offs, t.ents = lo, offs[:span+1], ents
 }
 
 // joinStep attaches the table at query position pos to the tuple set through
@@ -178,29 +155,29 @@ func tableRows(t *table.Table) int {
 	return n
 }
 
-// hashJoin extends the tuple set with the table at position pos (candidate
+// join extends the tuple set with the table at position pos (candidate
 // rows rows, join column col) through the joined table at position from
 // (join column fromCol). tupleCols is indexed by query table position;
-// joined lists the positions it holds.
+// joined lists the positions it holds. The two columns must be of one kind.
 //
-// The hash table is built on the smaller side: over the new table's
-// candidate rows, probed by the tuples' join keys (buildTuples false), or
-// over the tuples' join keys, probed by the new table's rows (buildTuples
-// true) — then a large main store's column streams past a small,
-// cache-resident table. Either way the kernel records, per output tuple, the
-// input tuple index and the new table's row, and the joined columns are then
-// gathered column-at-a-time at those indices. Int64 keys take the flat
-// joinTable kernel with bulk-gathered keys; other kinds fall back to a
-// Value-keyed map. Output columns live in the scratch's stage buffers,
-// double-buffered by stage parity.
+// The build side is the smaller one: the new table's candidate rows, probed
+// by the tuples' join keys (buildTuples false), or the tuples' join keys,
+// probed by the new table's rows (buildTuples true) — then a large main
+// store's column streams past a small, cache-resident build. Both sides work
+// on dictionary value IDs and no key is decoded or hashed: the build is a CSR
+// over the build column's IDs, and each probe ID is translated into the
+// build dictionary's ID space (see translate), so a probe row without a
+// partner costs one bit-unpack and one load. The kernel records, per output
+// tuple, the input tuple index and the new table's row, and the joined
+// columns are then gathered column-at-a-time at those indices. Output
+// columns live in the scratch's stage buffers, double-buffered by stage
+// parity.
 //
-// shared, when non-nil, is a prebuilt table over exactly rows (the batch
-// build memo / recycler); the build step is skipped and the shared table is
-// probed read-only. build is a pure function of (keys, rows) and chains walk
-// in ascending row order, so probing a shared table emits tuples in the same
-// order a private build would — results stay byte-identical. Only the int64
-// store-side build may receive one (callers gate on column kinds).
-func (scr *execScratch) hashJoin(stage int, tupleCols [][]int32, joined []int, from int, fromCol column.Reader, pos int, rows []int32, col column.Reader, buildTuples bool, shared *BuildTable) [][]int32 {
+// shared, when non-nil, is a prebuilt store-side CSR over exactly rows (the
+// batch build memo / recycler), probed read-only instead of building one.
+// The CSR is a pure function of (col, rows), so a shared build emits tuples
+// in the same order a private one would — results stay byte-identical.
+func (scr *execScratch) join(stage int, tupleCols [][]int32, joined []int, from int, fromCol column.Reader, pos int, rows []int32, col column.Reader, buildTuples bool, shared *BuildTable) [][]int32 {
 	p := stage & 1
 	for len(scr.stageCols[p]) < len(tupleCols) {
 		scr.stageCols[p] = append(scr.stageCols[p], nil)
@@ -209,59 +186,36 @@ func (scr *execScratch) hashJoin(stage int, tupleCols [][]int32, joined []int, f
 	matched := scr.stageCols[p][pos][:0] // new table's row per output tuple
 	tuples := tupleCols[from]
 
-	if fromCol.Kind() == column.Int64 && col.Kind() == column.Int64 {
-		ht := &scr.ht
-		if buildTuples {
-			scr.buildKeys = gatherInt64(fromCol, tuples, scr.buildKeys)
-			scr.ht.build(scr.buildKeys, tuples)
-			scr.probeKeys = gatherInt64(col, rows, scr.probeKeys)
-			for j, k := range scr.probeKeys {
-				for e := ht.heads[hashKey(uint64(k))&ht.mask]; e != 0; e = ht.next[e-1] {
-					if ht.keys[e-1] == k {
-						idx = append(idx, e-1)
-						matched = append(matched, rows[j])
-					}
+	buildCol, buildRows, probeCol, probeRows := col, rows, fromCol, tuples
+	if buildTuples {
+		buildCol, buildRows, probeCol, probeRows = fromCol, tuples, col, rows
+	}
+	csr := &scr.csr
+	if shared != nil {
+		csr, buildRows = &shared.csr, shared.rows
+	} else {
+		scr.buildIDs = gatherIDs(buildCol, buildRows, scr.buildIDs)
+		csr.build(scr.buildIDs)
+	}
+	scr.probeIDs = gatherIDs(probeCol, probeRows, scr.probeIDs)
+	xl, plo := scr.translate(probeCol, buildCol, csr, scr.probeIDs)
+	base, span, offs, ents := csr.lo+1, csr.span(), csr.offs, csr.ents
+	if buildTuples {
+		for i, pid := range scr.probeIDs {
+			if b := uint32(xl[pid-plo]) - base; b < span {
+				for _, e := range ents[offs[b]:offs[b+1]] {
+					idx = append(idx, e)
+					matched = append(matched, rows[i])
 				}
-			}
-		} else {
-			if shared != nil {
-				ht = &shared.jt
-			} else {
-				scr.buildKeys = gatherInt64(col, rows, scr.buildKeys)
-				scr.ht.build(scr.buildKeys, rows)
-			}
-			scr.probeKeys = gatherInt64(fromCol, tuples, scr.probeKeys)
-			for ti, k := range scr.probeKeys {
-				for e := ht.heads[hashKey(uint64(k))&ht.mask]; e != 0; e = ht.next[e-1] {
-					if ht.keys[e-1] == k {
-						idx = append(idx, int32(ti))
-						matched = append(matched, ht.rows[e-1])
-					}
-				}
-			}
-		}
-	} else if buildTuples {
-		ht := make(map[column.Value][]int32, len(tuples))
-		for ti, r := range tuples {
-			k := fromCol.Value(int(r))
-			ht[k] = append(ht[k], int32(ti))
-		}
-		for _, r := range rows {
-			for _, ti := range ht[col.Value(int(r))] {
-				idx = append(idx, ti)
-				matched = append(matched, r)
 			}
 		}
 	} else {
-		ht := make(map[column.Value][]int32, len(rows))
-		for _, r := range rows {
-			k := col.Value(int(r))
-			ht[k] = append(ht[k], r)
-		}
-		for ti, r := range tuples {
-			for _, m := range ht[fromCol.Value(int(r))] {
-				idx = append(idx, int32(ti))
-				matched = append(matched, m)
+		for i, pid := range scr.probeIDs {
+			if b := uint32(xl[pid-plo]) - base; b < span {
+				for _, e := range ents[offs[b]:offs[b+1]] {
+					idx = append(idx, int32(i))
+					matched = append(matched, buildRows[e])
+				}
 			}
 		}
 	}
@@ -272,12 +226,7 @@ func (scr *execScratch) hashJoin(stage int, tupleCols [][]int32, joined []int, f
 	}
 	for _, c := range joined {
 		src := tupleCols[c]
-		dst := scr.stageCols[p][c]
-		if cap(dst) < len(idx) {
-			dst = make([]int32, len(idx))
-		} else {
-			dst = dst[:len(idx)]
-		}
+		dst := grow(scr.stageCols[p][c], len(idx))
 		for i, ti := range idx {
 			dst[i] = src[ti]
 		}
@@ -289,4 +238,43 @@ func (scr *execScratch) hashJoin(stage int, tupleCols [][]int32, joined []int, f
 	scr.tupleIdx = idx
 	scr.tupleRefs[p] = out
 	return out
+}
+
+// translate maps the probe value IDs pids into the build column's ID
+// space: xl[p-plo] is 1 + the build ID of the probe dictionary's p-th value,
+// 0 when the build dictionary lacks it. The probe loop subtracts lo+1 and
+// keeps results below the CSR's span, so an absent value and a build ID the
+// CSR does not hold are dropped by one unsigned compare.
+//
+// The whole-dictionary translation is cached on the column with the smaller
+// dictionary (column.Translation), so no cached vector is sized by a large
+// main's dictionary for the sake of a small delta. When that is the probe
+// column, xl is its cached vector (plo 0). Otherwise the build column's
+// cached translation into the probe dictionary is scattered, one entry per
+// build ID the CSR holds, into a scratch window over the probe IDs' range.
+func (scr *execScratch) translate(probe, build column.Reader, t *joinCSR, pids []uint32) (xl []int32, plo uint32) {
+	if probe.DictLen() <= build.DictLen() {
+		return column.Translation(probe, build), 0
+	}
+	if len(pids) == 0 {
+		return nil, 0
+	}
+	plo, phi := pids[0], pids[0]
+	for _, p := range pids[1:] {
+		plo, phi = min(plo, p), max(phi, p)
+	}
+	rev := column.Translation(build, probe)
+	xl = grow(scr.xl, int(phi-plo)+1)
+	clear(xl)
+	for s := range t.span() {
+		if t.offs[s] == t.offs[s+1] {
+			continue
+		}
+		b := t.lo + s
+		if p := uint32(rev[b]) - 1 - plo; p < uint32(len(xl)) {
+			xl[p] = int32(b) + 1
+		}
+	}
+	scr.xl = xl
+	return xl, plo
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,13 +18,13 @@ import (
 // parent's primary key, T<parent>.id = T<c>.up. The generator keeps every
 // live row in memory, so the reference below never reads the database back.
 type treeCase struct {
-	q      *Query
-	parent []int              // tree parent per table (-1 for T0)
-	strKey []bool             // strKey[c]: the edge from c to its parent joins strings
-	live   [][][]column.Value // live rows per table: id, g, v, then join keys
-	upCol  []int              // column of T<c>.up in T<c>'s rows
-	keyCol []int              // column of the parent's join key for c in its rows
-	filter []int64            // bound of the table's filter v < bound; 0: none
+	q       *Query
+	parent  []int              // tree parent per table (-1 for T0)
+	keyKind []column.Kind      // keyKind[c]: the kind of the edge from c to its parent
+	live    [][][]column.Value // live rows per table: id, g, v, then join keys
+	upCol   []int              // column of T<c>.up in T<c>'s rows
+	keyCol  []int              // column of the parent's join key for c in its rows
+	filter  []int64            // bound of the table's filter v < bound; 0: none
 }
 
 // newTreeCase builds a database for a random tree of 3–7 tables with skewed
@@ -34,7 +35,7 @@ type treeCase struct {
 func newTreeCase(t *testing.T, rng *rand.Rand) (*table.DB, *treeCase) {
 	t.Helper()
 	n := 3 + rng.Intn(5)
-	tc := &treeCase{parent: make([]int, n), strKey: make([]bool, n), live: make([][][]column.Value, n),
+	tc := &treeCase{parent: make([]int, n), keyKind: make([]column.Kind, n), live: make([][][]column.Value, n),
 		upCol: make([]int, n), keyCol: make([]int, n), filter: make([]int64, n)}
 	domain := make([]int, n)
 	keyed := make([]bool, n) // the edge joins through the parent's id
@@ -42,15 +43,18 @@ func newTreeCase(t *testing.T, rng *rand.Rand) (*table.DB, *treeCase) {
 	tc.parent[0] = -1
 	for c := 1; c < n; c++ {
 		tc.parent[c] = rng.Intn(c)
-		tc.strKey[c] = rng.Intn(2) == 0
-		keyed[c] = !tc.strKey[c] && rng.Intn(3) == 0
+		tc.keyKind[c] = column.Kind(rng.Intn(3))
+		keyed[c] = tc.keyKind[c] == column.Int64 && rng.Intn(3) == 0
 		domain[c] = 1 + rng.Intn(6)
 		missing[c] = rng.Intn(12) == 0 // the child's keys miss every parent key
 	}
 	sizes := make([]int, n)
 	key := func(c, v int) column.Value {
-		if tc.strKey[c] {
+		switch tc.keyKind[c] {
+		case column.String:
 			return column.StrV(fmt.Sprintf("s%d", v))
+		case column.Float64:
+			return column.FloatV(float64(v) / 4)
 		}
 		return column.IntV(int64(v))
 	}
@@ -190,7 +194,7 @@ func (tc *treeCase) nestedLoop(limit int) (groups map[int64]refGroup, tuples int
 // off the join-order span attribute.
 type planCoverage struct {
 	starts map[int]bool
-	builds map[string]bool // "tuples/int64", "store/string", ...
+	builds map[string]bool // "tuples/int64", "store/float64", ...
 	empty  bool
 }
 
@@ -224,10 +228,7 @@ func (pc *planCoverage) record(t *testing.T, tc *treeCase, sp *obs.Span) {
 					}
 				}
 			}
-			kind := "int64"
-			if tc.strKey[edgeOwner] {
-				kind = "string"
-			}
+			kind := tc.keyKind[edgeOwner].String()
 			side := "store"
 			if strings.HasSuffix(tok, "(build=tuples)") {
 				side = "tuples"
@@ -241,7 +242,7 @@ func (pc *planCoverage) record(t *testing.T, tc *treeCase, sp *obs.Span) {
 // TestJoinOrderMatchesNestedLoop: for random tree-shaped joins, the
 // executor's rows and TuplesJoined equal the nested-loop reference, and the
 // cases together make the planner start at every table position and use
-// both build orientations for int64 and string keys.
+// both build orientations for int64, float64 and string keys.
 func TestJoinOrderMatchesNestedLoop(t *testing.T) {
 	cov := planCoverage{starts: map[int]bool{}, builds: map[string]bool{}}
 	checked := 0
@@ -283,7 +284,7 @@ func TestJoinOrderMatchesNestedLoop(t *testing.T) {
 			t.Errorf("no plan started at table position %d", pos)
 		}
 	}
-	for _, b := range []string{"tuples/int64", "store/int64", "tuples/string", "store/string"} {
+	for _, b := range []string{"tuples/int64", "store/int64", "tuples/float64", "store/float64", "tuples/string", "store/string"} {
 		if !cov.builds[b] {
 			t.Errorf("no step built on %s", b)
 		}
@@ -291,4 +292,143 @@ func TestJoinOrderMatchesNestedLoop(t *testing.T) {
 	if !cov.empty {
 		t.Error("no subjoin ran empty after a join")
 	}
+}
+
+// kernelJoin is one standalone run of the join kernel: tuples over fromCol
+// joined to candidate rows of col, as the second table of a two-table join.
+type kernelJoin struct {
+	fromCol, col column.Reader
+	rows         []int32
+	tupleCols    [][]int32
+	joined       []int
+}
+
+func newKernelJoin(fromCol column.Reader, tuples []int32, col column.Reader, rows []int32) *kernelJoin {
+	return &kernelJoin{fromCol: fromCol, col: col, rows: rows, tupleCols: [][]int32{tuples, nil}, joined: []int{0}}
+}
+
+// run joins on the given build side, probing shared instead of building
+// when it is non-nil, and returns the number of output tuples. The output
+// is scr.tupleIdx (the input tuple per output tuple) and
+// scr.stageCols[0][1] (the row of col per output tuple).
+func (kj *kernelJoin) runShared(scr *execScratch, buildTuples bool, shared *BuildTable) int {
+	out := scr.join(0, kj.tupleCols, kj.joined, 0, kj.fromCol, 1, kj.rows, kj.col, buildTuples, shared)
+	return len(out[1])
+}
+
+func (kj *kernelJoin) run(scr *execScratch, buildTuples bool) int {
+	return kj.runShared(scr, buildTuples, nil)
+}
+
+// allRows lists every row of a column.
+func allRows(col column.Reader) []int32 {
+	rows := make([]int32, col.Len())
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
+// fuzzJoinValue is the v-th key of a fuzzed join column's domain. wide
+// spreads int64 keys over the whole range, negatives and extremes included.
+func fuzzJoinValue(kind column.Kind, v int, wide bool) column.Value {
+	switch kind {
+	case column.Int64:
+		if wide {
+			return column.IntV(int64(uint64(v) * 0x9e3779b97f4a7c15))
+		}
+		return column.IntV(int64(v) - 8)
+	case column.Float64:
+		return column.FloatV(float64(v)/4 - 2)
+	}
+	return column.StrV(fmt.Sprintf("k%02d", v))
+}
+
+// FuzzJoinKernel: the kernel's output — (input tuple, row) pairs, in order —
+// equals a nested loop over the same columns, for both build orientations,
+// main or delta stores of every kind, dictionaries of 0, 1 or many values
+// with duplicate rows, and key ranges that overlap or are disjoint. A
+// shared store-side build probes identically, also after the build's
+// delta dictionary has grown.
+//
+// layout: [0] kind, wide ints, which sides are main; [1], [2] dictionary
+// size of the tuple and the store column; [3], [4] their domain offsets.
+// data: one value byte per column row, then a tuple-row byte and a
+// candidate-row bit per byte.
+func FuzzJoinKernel(f *testing.F) {
+	f.Add([]byte{0x00, 5, 7, 0, 3}, []byte("duplicated int keys over overlapping ranges"))
+	f.Fuzz(func(t *testing.T, layout, data []byte) {
+		if len(layout) < 5 {
+			return
+		}
+		kind := column.Kind(layout[0] % 3)
+		wide := layout[0]&0x04 != 0
+		dFrom, dCol := int(layout[1]%24), int(layout[2]%24)
+		offFrom, offCol := int(layout[3]%32), int(layout[4]%32)
+		half := len(data) / 2
+		gen := func(main bool, d, off int, vals []byte) column.Reader {
+			if d == 0 {
+				vals = nil // an empty dictionary is an empty column
+			}
+			if main {
+				b := column.NewMainBuilder(kind)
+				for _, v := range vals {
+					b.Append(fuzzJoinValue(kind, off+int(v)%d, wide))
+				}
+				return b.Build()
+			}
+			c := column.NewDelta(kind)
+			for _, v := range vals {
+				c.Append(fuzzJoinValue(kind, off+int(v)%d, wide))
+			}
+			return c
+		}
+		fromCol := gen(layout[0]&0x08 != 0, dFrom, offFrom, data[:half/2])
+		col := gen(layout[0]&0x10 != 0, dCol, offCol, data[half/2:half])
+		var tuples, rows []int32
+		for i, b := range data[half:] {
+			if fromCol.Len() > 0 {
+				tuples = append(tuples, int32(int(b)%fromCol.Len()))
+			}
+			if i < col.Len() && b&1 != 0 {
+				rows = append(rows, int32(i))
+			}
+		}
+
+		kj := newKernelJoin(fromCol, tuples, col, rows)
+		scr := new(execScratch)
+		for _, buildTuples := range []bool{false, true} {
+			// The reference emits in probe order: tuple-major when the
+			// build is the store side, candidate-row-major otherwise.
+			var want [][2]int32
+			for ti, tr := range tuples {
+				for _, r := range rows {
+					if fromCol.Value(int(tr)) == col.Value(int(r)) {
+						want = append(want, [2]int32{int32(ti), r})
+					}
+				}
+			}
+			if buildTuples {
+				slices.SortStableFunc(want, func(a, b [2]int32) int { return int(a[1]) - int(b[1]) })
+			}
+			check := func(what string, n int) {
+				t.Helper()
+				got := make([][2]int32, n)
+				for i := range got {
+					got[i] = [2]int32{scr.tupleIdx[i], scr.stageCols[0][1][i]}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s (build-tuples=%v): kernel %v, nested loop %v", what, buildTuples, got, want)
+				}
+			}
+			check("private build", kj.run(scr, buildTuples))
+			if !buildTuples {
+				shared := NewBuildTable(col, rows)
+				if app, ok := col.(column.Appender); ok && len(rows) > 0 {
+					app.Append(fuzzJoinValue(kind, offCol+dCol+1, wide)) // a new ID past the build's
+				}
+				check("shared build", kj.runShared(scr, false, shared))
+			}
+		}
+	})
 }

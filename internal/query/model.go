@@ -1,6 +1,6 @@
 // Package query implements the aggregate-query engine over main-delta
 // tables: the query model (joins, filters, grouping, aggregate functions),
-// hash-join execution against an arbitrary combination of physical stores,
+// value-ID join execution against an arbitrary combination of physical stores,
 // incremental-maintenance-capable aggregation tables, and the enumeration of
 // the subjoin combinations the delta-compensation step must union (paper
 // Sec. 2.3).

@@ -158,34 +158,33 @@ func TestRestrictScanCountsOnlyStoreRows(t *testing.T) {
 	}
 }
 
-// The int64 hash-join kernel must not allocate in the steady state: build
-// and probe reuse the joinTable arrays checked out with the scratch.
-func TestHashJoinKernelZeroAlloc(t *testing.T) {
-	const n = 1024
-	keys := make([]int64, n)
-	rowIDs := make([]int32, n)
-	for i := range keys {
-		keys[i] = int64(i % 257)
-		rowIDs[i] = int32(i)
-	}
-	var ht joinTable
-	ht.build(keys, rowIDs) // warm the arrays
-	var matches int
-	allocs := testing.AllocsPerRun(20, func() {
-		ht.build(keys, rowIDs)
-		for _, k := range keys {
-			for e := ht.heads[hashKey(uint64(k))&ht.mask]; e != 0; e = ht.next[e-1] {
-				if ht.keys[e-1] == k {
-					matches++
+// The join kernel must not allocate in the steady state: the gathered IDs,
+// the CSR, the translation and the output tuples all reuse the scratch's
+// arrays, and a main × main translation is cached on the probe main after
+// the first join. Int64 and string keys, both build orientations, every
+// main/delta pairing.
+func TestJoinKernelZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, kind := range []column.Kind{column.Int64, column.String} {
+		cols := map[string]column.Reader{
+			"main":  genColumn(rng, kernelCol{kind: kind, main: true, distinct: 257}, true),
+			"delta": genColumn(rng, kernelCol{kind: kind, distinct: 100}, true),
+			"main2": genColumn(rng, kernelCol{kind: kind, main: true, distinct: 60}, true),
+		}
+		for _, pair := range [][2]string{{"main", "delta"}, {"delta", "main"}, {"main", "main2"}, {"main2", "main"}} {
+			for _, buildTuples := range []bool{false, true} {
+				from, col := cols[pair[0]], cols[pair[1]]
+				kj := newKernelJoin(from, allRows(from), col, allRows(col))
+				scr := new(execScratch)
+				if n := kj.run(scr, buildTuples); n == 0 { // warms the scratch and the translation cache
+					t.Fatalf("%v %s x %s: no matches; kernel broken", kind, pair[0], pair[1])
+				}
+				if allocs := testing.AllocsPerRun(20, func() { kj.run(scr, buildTuples) }); allocs != 0 {
+					t.Fatalf("%v %s x %s build-tuples=%v: join allocates %.1f per run, want 0",
+						kind, pair[0], pair[1], buildTuples, allocs)
 				}
 			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("hash-join build+probe allocates %.1f per run, want 0", allocs)
-	}
-	if matches == 0 {
-		t.Fatal("probe found no matches; kernel broken")
 	}
 }
 
@@ -307,36 +306,49 @@ func TestAggregationPhaseZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkHashJoinInt64 measures the flat int64 join kernel: build over n
-// rows, probe with n keys at ~4 matches per probe.
-func BenchmarkHashJoinInt64(b *testing.B) {
+// BenchmarkJoinKernel measures the join kernel: a store-side build over n
+// rows of n/4 distinct keys, probed by n tuples over n/2 keys, so half the
+// probes miss and each hit finds about four partners. main×main probes
+// through the cached translation, delta×main through a per-join one.
+func BenchmarkJoinKernel(b *testing.B) {
 	const n = 8192
-	keys := make([]int64, n)
-	rowIDs := make([]int32, n)
-	probe := make([]int64, n)
-	for i := range keys {
-		keys[i] = int64(i % (n / 4))
-		rowIDs[i] = int32(i)
-		probe[i] = int64(i % (n / 2))
-	}
-	var ht joinTable
-	ht.build(keys, rowIDs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var matches int
-	for i := 0; i < b.N; i++ {
-		ht.build(keys, rowIDs)
-		for _, k := range probe {
-			for e := ht.heads[hashKey(uint64(k))&ht.mask]; e != 0; e = ht.next[e-1] {
-				if ht.keys[e-1] == k {
-					matches++
-				}
+	for _, kind := range []column.Kind{column.Int64, column.String} {
+		for _, probeMain := range []bool{true, false} {
+			build := benchJoinColumn(kind, true, n, n/4)
+			probe := benchJoinColumn(kind, probeMain, n, n/2)
+			kj := newKernelJoin(probe, allRows(probe), build, allRows(build))
+			pair := "delta-x-main"
+			if probeMain {
+				pair = "main-x-main"
 			}
+			b.Run(fmt.Sprintf("%v/%s", kind, pair), func(b *testing.B) {
+				scr := new(execScratch)
+				kj.run(scr, false)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					kj.run(scr, false)
+				}
+			})
 		}
 	}
-	if matches == 0 {
-		b.Fatal("no matches")
+}
+
+// benchJoinColumn builds a main or delta column of n rows cycling through d
+// keys.
+func benchJoinColumn(kind column.Kind, main bool, n, d int) column.Reader {
+	if main {
+		mb := column.NewMainBuilder(kind)
+		for i := 0; i < n; i++ {
+			mb.Append(genValue(nil, kind, i%d, true))
+		}
+		return mb.Build()
 	}
+	dc := column.NewDelta(kind)
+	for i := 0; i < n; i++ {
+		dc.Append(genValue(nil, kind, i%d, true))
+	}
+	return dc
 }
 
 // BenchmarkCandidateRows measures the vectorized scan kernel over a merged

@@ -13,15 +13,15 @@ import (
 
 // execScratch holds every reusable buffer one subjoin execution needs: the
 // visibility bitset of the scan kernel, per-table candidate-row buffers, the
-// hash-join arena, double-buffered tuple columns, and the group-by kernel's
-// arrays. Workers check one out of scratchPool per batch, so steady-state
-// subjoin execution allocates only the per-job result table.
+// join kernel's arrays, double-buffered tuple columns, and the group-by
+// kernel's arrays. Workers check one out of scratchPool per batch, so
+// steady-state subjoin execution allocates only the per-job result table.
 //
 // The recycler's reuse paths stay inside this discipline: an exact recycled
 // hit merges the cached partial without touching scratch at all, a top-up
 // term enters through the same restrict branch of scanStore (CopyFrom into
 // the pooled bitset), and probing a shared BuildTable still gathers probe
-// keys into probeKeys while leaving buildKeys and ht untouched for the next
+// IDs into probeIDs while leaving buildIDs and csr untouched for the next
 // local build. The join plan itself lives in scratch slices too, so ordering
 // a subjoin allocates nothing.
 type execScratch struct {
@@ -38,10 +38,11 @@ type execScratch struct {
 	steps  []joinStep
 	order  []int
 
-	buildKeys []int64 // gathered build-side join keys
-	probeKeys []int64 // gathered probe-side join keys
-	ht        joinTable
-	tupleIdx  []int32 // input tuple index per join output tuple
+	buildIDs []uint32 // gathered build-side join value IDs
+	probeIDs []uint32 // gathered probe-side join value IDs
+	csr      joinCSR
+	xl       []int32 // a per-join probe → build ID translation
+	tupleIdx []int32 // input tuple index per join output tuple
 
 	// Tuple columns, indexed by query table position, are double-buffered
 	// by join-stage parity: stage s reads the output of stage s-1 (the other
@@ -126,17 +127,10 @@ func (scr *execScratch) scanStore(st *table.Store, snap txn.Snapshot, set *vec.B
 	return dst, scanned, 0, scanned
 }
 
-// gatherInt64 materializes the int64 values of the given rows into dst
-// (resized, reused), taking the column's bulk-gather fast path when it has
-// one.
-func gatherInt64(col column.Reader, rowIDs []int32, dst []int64) []int64 {
-	dst = grow(dst, len(rowIDs))
-	if g, ok := col.(column.Int64Gatherer); ok {
-		g.Int64Gather(rowIDs, dst)
-		return dst
-	}
-	for i, r := range rowIDs {
-		dst[i] = col.Int64(int(r))
-	}
+// gatherIDs materializes the dictionary value IDs of the given rows into dst
+// (resized, reused). Every column kind implements column.IDGatherer.
+func gatherIDs(col column.Reader, rows []int32, dst []uint32) []uint32 {
+	dst = grow(dst, len(rows))
+	col.(column.IDGatherer).IDGather(rows, dst)
 	return dst
 }

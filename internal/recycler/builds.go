@@ -10,7 +10,7 @@ import (
 	"aggcache/internal/table"
 )
 
-// buildEntry is one cached build-side join hash table. Unlike partials,
+// buildEntry is one cached store-side join build. Unlike partials,
 // builds carry no watermark: validity is re-established per acquisition by
 // comparing the requesting scan's candidate rows against the cached ones
 // (column values at fixed rows are immutable, so equal rows imply an

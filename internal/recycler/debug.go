@@ -37,7 +37,7 @@ type EntryDebug struct {
 	Profit   float64 `json:"profit"`
 }
 
-// BuildDebug describes one cached build-side hash table.
+// BuildDebug describes one cached store-side join build.
 type BuildDebug struct {
 	Key   string `json:"key"`
 	Rows  int    `json:"rows"`

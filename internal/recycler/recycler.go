@@ -1,6 +1,6 @@
 // Package recycler implements the second-level cache of join-processing
-// intermediates: materialized subjoin aggregate partials and build-side join
-// hash tables, reused across queries and across successive delta
+// intermediates: materialized subjoin aggregate partials and store-side join
+// builds, reused across queries and across successive delta
 // compensations of the same query.
 //
 // The aggregate cache (internal/core) only reuses each entry's final

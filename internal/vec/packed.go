@@ -66,8 +66,8 @@ func (p *Packed) Set(i int, v uint64) {
 
 // Get loads the value at index i.
 func (p *Packed) Get(i int) uint64 {
-	if i < 0 || i >= p.n {
-		panic(fmt.Sprintf("vec: packed index %d out of range [0,%d)", i, p.n))
+	if uint(i) >= uint(p.n) {
+		p.outOfRange(i)
 	}
 	bitPos := uint64(i) * uint64(p.bits)
 	wi, off := bitPos/wordBits, uint(bitPos%wordBits)
@@ -76,6 +76,55 @@ func (p *Packed) Get(i int) uint64 {
 		v |= p.words[wi+1] << (wordBits - off)
 	}
 	return v & p.mask()
+}
+
+// Gather loads the entries at the given indices into dst[:len(rows)],
+// truncated to their low 32 bits — the width of a dictionary value ID.
+// Width and mask are resolved once per call instead of once per entry; an
+// index out of range panics as Get does.
+func (p *Packed) Gather(rows []int32, dst []uint32) {
+	words, bits, n, mask := p.words, uint64(p.bits), uint(p.n), p.mask()
+	dst = dst[:len(rows)]
+	for i, r := range rows {
+		if uint(r) >= n {
+			p.outOfRange(int(r))
+		}
+		bitPos := uint64(r) * bits
+		wi, off := bitPos/wordBits, bitPos%wordBits
+		v := words[wi] >> off
+		if off+bits > wordBits {
+			v |= words[wi+1] << (wordBits - off)
+		}
+		dst[i] = uint32(v & mask)
+	}
+}
+
+// Unpack loads the entries [start, start+len(dst)) into dst, truncated to
+// their low 32 bits as Gather does, walking the words sequentially. A range
+// reaching outside [0, Len()) panics.
+func (p *Packed) Unpack(start int, dst []uint32) {
+	if start < 0 || start+len(dst) > p.n {
+		p.outOfRange(start + len(dst) - 1)
+	}
+	words, bits, mask := p.words, uint64(p.bits), p.mask()
+	bitPos := uint64(start) * bits
+	for i := range dst {
+		wi, off := bitPos/wordBits, bitPos%wordBits
+		v := words[wi] >> off
+		if off+bits > wordBits {
+			v |= words[wi+1] << (wordBits - off)
+		}
+		dst[i] = uint32(v & mask)
+		bitPos += bits
+	}
+}
+
+// outOfRange panics for an index outside [0, Len()). It is kept out of line
+// so the panic's formatting stays out of the Get and Gather loops.
+//
+//go:noinline
+func (p *Packed) outOfRange(i int) {
+	panic(fmt.Sprintf("vec: packed index %d out of range [0,%d)", i, p.n))
 }
 
 func (p *Packed) mask() uint64 {

@@ -101,3 +101,66 @@ func TestPackedQuickIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Gather and Unpack must agree with Get, truncated to 32 bits, at every
+// width — including entries that straddle a word boundary — for any index
+// list or run.
+func TestPackedGatherMatchesGet(t *testing.T) {
+	f := func(seed int64, bitsRaw uint8, nRaw uint16) bool {
+		bits := uint(bitsRaw)%64 + 1
+		n := int(nRaw)%300 + 1
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPacked(bits, n)
+		for i := 0; i < n; i++ {
+			p.Set(i, rng.Uint64()&p.mask())
+		}
+		rows := make([]int32, 2*n)
+		for i := range rows {
+			rows[i] = int32(rng.Intn(n))
+		}
+		dst := make([]uint32, len(rows)+1)
+		dst[len(rows)] = 0xdeadbeef // Gather writes dst[:len(rows)] only
+		p.Gather(rows, dst)
+		for i, r := range rows {
+			if dst[i] != uint32(p.Get(int(r))) {
+				return false
+			}
+		}
+		if dst[len(rows)] != 0xdeadbeef {
+			return false
+		}
+		start := rng.Intn(n)
+		run := make([]uint32, rng.Intn(n-start+1))
+		p.Unpack(start, run)
+		for i, v := range run {
+			if v != uint32(p.Get(start+i)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	for bits := uint(1); bits <= 64; bits++ { // every width, every spill offset
+		p := NewPacked(bits, 130)
+		for i := 0; i < p.Len(); i++ {
+			p.Set(i, (uint64(i)*0x9e3779b97f4a7c15)&p.mask())
+		}
+		rows := make([]int32, p.Len())
+		for i := range rows {
+			rows[i] = int32(p.Len() - 1 - i)
+		}
+		dst := make([]uint32, len(rows))
+		p.Gather(rows, dst)
+		for i, r := range rows {
+			if dst[i] != uint32(p.Get(int(r))) {
+				t.Fatalf("bits=%d: Gather[%d] = %d, Get(%d) = %d", bits, i, dst[i], r, p.Get(int(r)))
+			}
+		}
+	}
+	p := NewPacked(7, 4)
+	mustPanic(t, func() { p.Gather([]int32{0, 4}, make([]uint32, 2)) })
+	mustPanic(t, func() { p.Gather([]int32{-1}, make([]uint32, 1)) })
+	mustPanic(t, func() { p.Unpack(2, make([]uint32, 3)) })
+}
