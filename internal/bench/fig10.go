@@ -77,9 +77,8 @@ func RunFig10(quick bool) (*Result, error) {
 			}
 			snap := erp.DB.Txns().ReadSnapshot()
 			msReg, err := minOf(cfg.reps, func() error {
-				out := query.NewAggTable(q.Aggs)
 				var st query.Stats
-				return ex.ExecuteCombo(q, combo, snap, nil, out, &st)
+				return ex.ExecuteJobs(q, []query.ComboJob{{Combo: combo}}, snap, query.NewAggTable(q.Aggs), &st, nil)
 			})
 			if err != nil {
 				return nil, err
@@ -89,9 +88,8 @@ func RunFig10(quick bool) (*Result, error) {
 				return nil, fmt.Errorf("fig10: no pushdown filters derived")
 			}
 			msPush, err := minOf(cfg.reps, func() error {
-				out := query.NewAggTable(q.Aggs)
 				var st query.Stats
-				return ex.ExecuteCombo(q, combo, snap, filters, out, &st)
+				return ex.ExecuteJobs(q, []query.ComboJob{{Combo: combo, Extra: filters}}, snap, query.NewAggTable(q.Aggs), &st, nil)
 			})
 			if err != nil {
 				return nil, err

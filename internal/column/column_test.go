@@ -1,6 +1,8 @@
 package column
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -111,6 +113,38 @@ func TestMainBuilderSortedDict(t *testing.T) {
 	}
 	if m.DictValue(0).S != "apple" || m.DictValue(2).S != "pear" {
 		t.Fatal("main dictionary must be sorted")
+	}
+}
+
+// A float main with NaN, ±Inf and repeated values keeps one total order: the
+// dictionary is strictly ascending under cmp.Compare (NaN first, one NaN
+// entry), every row reads back its value, and Lookup finds every entry.
+func TestFloatMainDictionaryWithNaN(t *testing.T) {
+	nan := math.NaN()
+	vals := []float64{3, nan, math.Inf(1), -1, nan, 3, math.Inf(-1), 0, nan, -1, math.Inf(1), 2.5}
+	b := NewMainBuilder(Float64)
+	for _, v := range vals {
+		b.Append(FloatV(v))
+	}
+	m := b.Build()
+	if m.DictLen() != 7 {
+		t.Fatalf("DictLen = %d, want 7 (NaN, -Inf, -1, 0, 2.5, 3, +Inf)", m.DictLen())
+	}
+	for id := 1; id < m.DictLen(); id++ {
+		if prev, cur := m.DictValue(uint32(id-1)).F, m.DictValue(uint32(id)).F; cmp.Compare(prev, cur) >= 0 {
+			t.Fatalf("dictionary not strictly ascending at %d: %v then %v", id, prev, cur)
+		}
+	}
+	for i, v := range vals {
+		if got := m.Value(i).F; cmp.Compare(got, v) != 0 {
+			t.Fatalf("Value(%d) = %v, want %v", i, got, v)
+		}
+	}
+	lk := m.(lookuper)
+	for id := 0; id < m.DictLen(); id++ {
+		if got, ok := lk.Lookup(m.DictValue(uint32(id))); !ok || got != uint32(id) {
+			t.Fatalf("Lookup(%v) = %d, %v, want %d", m.DictValue(uint32(id)), got, ok, id)
+		}
 	}
 }
 

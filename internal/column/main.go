@@ -1,14 +1,17 @@
 package column
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"aggcache/internal/vec"
 )
 
 // mainCol is a frozen, read-optimized column: a sorted deduplicated
 // dictionary plus a compressed vector of value IDs (bit-packed or
-// run-length encoded, whichever is smaller).
+// run-length encoded, whichever is smaller). The dictionary's order is
+// cmp.Compare's total order, under which a float NaN sorts first and equals
+// every other NaN, so the builder's binary search and Lookup find it.
 type mainCol[T elem] struct {
 	dict []T
 	ids  idVector
@@ -25,10 +28,10 @@ func (b *mainBuilder[T]) Build() Reader {
 	// Sort a copy to derive the dictionary, keeping row order intact.
 	sorted := make([]T, len(b.vals))
 	copy(sorted, b.vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.SortFunc(sorted, cmp.Compare[T])
 	dict := sorted[:0]
 	for i, v := range sorted {
-		if i == 0 || v != dict[len(dict)-1] {
+		if i == 0 || cmp.Compare(v, dict[len(dict)-1]) != 0 {
 			dict = append(dict, v)
 		}
 	}
@@ -42,7 +45,7 @@ func (b *mainBuilder[T]) Build() Reader {
 		lo, hi := 0, len(dict)
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if dict[mid] < v {
+			if cmp.Less(dict[mid], v) {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -254,13 +257,13 @@ func (c *mainCol[T]) Lookup(v Value) (uint32, bool) {
 	lo, hi := 0, len(c.dict)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.dict[mid] < t {
+		if cmp.Less(c.dict[mid], t) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return uint32(lo), lo < len(c.dict) && c.dict[lo] == t
+	return uint32(lo), lo < len(c.dict) && cmp.Compare(c.dict[lo], t) == 0
 }
 
 func (c *mainCol[T]) DictLen() int { return len(c.dict) }

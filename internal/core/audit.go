@@ -81,16 +81,12 @@ func (m *Manager) AuditCache() CacheAuditReport {
 		rep.Violations = append(rep.Violations, fmt.Sprintf(
 			"ghost list over capacity: %d > %d", len(m.ghost), ghostCapacity))
 	}
-	if m.ghostNext < 0 || m.ghostNext >= ghostCapacity {
-		rep.Violations = append(rep.Violations, fmt.Sprintf(
-			"ghost FIFO cursor out of range: %d", m.ghostNext))
-	}
 	if len(m.ghost) > 0 {
 		// Re-added keys get fresh FIFO slots without clearing their old
 		// ones, so stale slots are legal; every live ghost key must still
 		// be reachable through some slot or the FIFO can never retire it.
-		inFIFO := make(map[string]bool, len(m.ghostFIFO))
-		for _, k := range m.ghostFIFO {
+		inFIFO := make(map[string]bool, ghostCapacity)
+		for _, k := range m.ghostFIFO.Snapshot() {
 			inFIFO[k] = true
 		}
 		for k := range m.ghost {

@@ -94,14 +94,12 @@ type ghostInfo struct {
 // shadow of departed entries). Callers hold m.mu.
 func (m *Manager) addGhost(key string, g ghostInfo) {
 	if m.ghostFIFO == nil {
-		m.ghostFIFO = make([]string, ghostCapacity)
+		m.ghostFIFO = obs.NewRing[string](ghostCapacity)
 	}
 	if _, dup := m.ghost[key]; !dup {
-		if old := m.ghostFIFO[m.ghostNext]; old != "" {
+		if old, evicted := m.ghostFIFO.Push(key); evicted {
 			delete(m.ghost, old)
 		}
-		m.ghostFIFO[m.ghostNext] = key
-		m.ghostNext = (m.ghostNext + 1) % ghostCapacity
 	}
 	m.ghost[key] = g
 }

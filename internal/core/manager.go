@@ -136,8 +136,7 @@ type Manager struct {
 	// ghost is the bounded shadow of recently evicted keys (ghostFIFO holds
 	// insertion order); a miss that finds its key here is a capacity regret.
 	ghost     map[string]ghostInfo
-	ghostFIFO []string
-	ghostNext int
+	ghostFIFO *obs.Ring[string]
 	// evictionsByReason counts evictions per reason string (capacity,
 	// stale, min-profit) for /debug/cache.
 	evictionsByReason map[string]int64
@@ -356,7 +355,7 @@ func (m *Manager) OracleArms(q *query.Query, snap txn.Snapshot, sps []*obs.Span,
 			sp = sps[i]
 		}
 		ex := &query.Executor{DB: m.db, Workers: w}
-		rows, st, err := ex.ExecuteAllSpan(q, snap, sp)
+		rows, st, err := ex.ExecuteAll(q, snap, sp)
 		arms[i] = OracleArm{Workers: w, Rows: rows, Stats: st, Err: err}
 	}
 	return arms
@@ -558,7 +557,7 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 // old-snapshot bypass — returning prepare's "no entry, final result" shape.
 func (m *Manager) executeAll(q *query.Query, snap txn.Snapshot, info *ExecInfo, sp *obs.Span) (*Entry, *query.AggTable, error) {
 	us := sp.Child("execute-all")
-	res, st, err := m.exec.ExecuteAllSpan(q, snap, us)
+	res, st, err := m.exec.ExecuteAll(q, snap, us)
 	us.End()
 	info.Stats = st
 	return nil, res, err

@@ -106,7 +106,7 @@ func NewMaterializedView(db *table.DB, q *query.Query, mode MaintenanceMode) (*M
 
 	// Initial state: aggregate the base table and persist the groups.
 	ex := &query.Executor{DB: db}
-	initial, _, err := ex.ExecuteAll(q, db.Txns().ReadSnapshot())
+	initial, _, err := ex.ExecuteAll(q, db.Txns().ReadSnapshot(), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -87,7 +87,7 @@ func (m *Manager) joinMainCompensate(e *Entry, diffs []storeDiff, st *query.Stat
 			if skip {
 				continue
 			}
-			jobs = append(jobs, query.ComboJob{Combo: combo, Restrict: restrict})
+			jobs = append(jobs, query.ComboJob{Combo: combo, Terms: [][]*vec.BitSet{restrict}})
 		}
 		if err := m.exec.ExecuteJobs(e.Query, jobs, snap, term, st, nil); err != nil {
 			return fmt.Errorf("core: negative-delta term failed: %w", err)

@@ -73,11 +73,9 @@ type managerObs struct {
 	recycledSubjoins *obs.Counter // subjoins.recycled — served whole from the recycler
 	recycledTopups   *obs.Counter // subjoins.recycle_topups — seeded and topped up
 
-	// Parallel subjoin pipeline and scan kernels.
+	// Parallel subjoin pipeline.
 	workers          *obs.Gauge   // exec.workers — resolved worker pool cap
 	parallelSubjoins *obs.Counter // exec.parallel_subjoins — subjoins run on pool workers
-	scanVecRows      *obs.Counter // exec.scan_vec_rows — rows through the vectorized scan path
-	scanScalarRows   *obs.Counter // exec.scan_scalar_rows — rows through the scalar fallback
 
 	// Decision ledger and regret accounting.
 	decisions  *obs.Counter // cache.decisions — ledger decisions recorded
@@ -127,8 +125,6 @@ func newManagerObs(reg *obs.Registry) *managerObs {
 		recycledTopups:   reg.Counter("subjoins.recycle_topups"),
 
 		parallelSubjoins: reg.Counter("exec.parallel_subjoins"),
-		scanVecRows:      reg.Counter("exec.scan_vec_rows"),
-		scanScalarRows:   reg.Counter("exec.scan_scalar_rows"),
 		decisions:        reg.Counter("cache.decisions"),
 		regretHits:       reg.Counter("cache.regret_hits"),
 		queryLat:         reg.Histogram("latency.query"),
@@ -274,8 +270,6 @@ func (o *managerObs) recordStats(st *query.Stats) {
 	o.prunedScan.Add(int64(st.PrunedScan))
 	o.pushdowns.Add(int64(st.Pushdowns))
 	o.rowsScanned.Add(st.RowsScanned)
-	o.scanVecRows.Add(st.ScanVecRows)
-	o.scanScalarRows.Add(st.ScanScalarRows)
 	o.tuplesJoined.Add(st.TuplesJoined)
 	o.recycledSubjoins.Add(int64(st.RecycledSubjoins))
 	o.recycledTopups.Add(int64(st.RecycledTopups))

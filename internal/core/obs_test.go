@@ -98,7 +98,7 @@ func TestExplainAnalyzeVerdictsMatchStats(t *testing.T) {
 }
 
 // TestUncachedTrace checks the Uncached strategy traces through
-// ExecuteAllSpan: every subjoin gets a span under execute-all.
+// ExecuteAll: every subjoin gets a span under execute-all.
 func TestUncachedTrace(t *testing.T) {
 	e := newEnv(t, Config{})
 	e.insertObject(t, 2013, 10, 20)

@@ -1,7 +1,7 @@
 // Package expr provides the scalar predicate language of the query engine:
 // comparisons of a column against a constant, boolean combinators, and a
 // binding step that compiles a predicate against a physical store for
-// row-at-a-time evaluation. Local filter predicates — including the
+// word-at-a-time evaluation. Local filter predicates — including the
 // tid-range filters derived by join-predicate pushdown (paper Sec. 5.3) —
 // are expressed in this language.
 package expr
@@ -73,20 +73,34 @@ type RowSource interface {
 	Col(i int) column.Reader
 }
 
-// Bound is a predicate compiled against one store, evaluable per row.
+// Bound is a predicate compiled against one store. Scans evaluate it a word
+// at a time through EvalWord; per-row Eval is the reference semantics and
+// serves one-row evaluation.
 type Bound interface {
 	Eval(row int) bool
+	WordEvaler
 }
 
-// WordEvaler is the optional vectorized fast path of a Bound: EvalWord
-// evaluates the predicate for the 64 rows [base, base+64), restricted to the
-// rows whose bit is set in mask, and returns the bits that satisfy it. Bits
-// clear in mask must come back clear; bits for rows past the end of the
-// store are clear in mask by construction (the caller passes the visibility
-// word). Scan kernels probe for this interface and fall back to per-row Eval
-// when it is absent.
+// WordEvaler is word-at-a-time evaluation: EvalWord evaluates the predicate
+// for the 64 rows [base, base+64), restricted to the rows whose bit is set in
+// mask, and returns the bits that satisfy it. Bits clear in mask must come
+// back clear; bits for rows past the end of the store are clear in mask by
+// construction (the caller passes the visibility word).
 type WordEvaler interface {
 	EvalWord(base int, mask uint64) uint64
+}
+
+// evalBits is the per-bit EvalWord: it tests each row whose bit is set in
+// mask with b's Eval, so a selective mask costs only its set rows.
+func evalBits(b Bound, base int, mask uint64) uint64 {
+	var out uint64
+	for m := mask; m != 0; m &= m - 1 {
+		bit := m & -m
+		if b.Eval(base + trailingZeros(bit)) {
+			out |= bit
+		}
+	}
+	return out
 }
 
 // Pred is an unbound predicate over named columns of a single table.
@@ -157,6 +171,8 @@ type boundCmp struct {
 
 func (b *boundCmp) Eval(row int) bool { return b.op.holds(column.Compare(b.col.Value(row), b.val)) }
 
+func (b *boundCmp) EvalWord(base int, mask uint64) uint64 { return evalBits(b, base, mask) }
+
 // boundIntCmp is the allocation-free fast path for int64 comparisons —
 // the dominant case (keys, tids, years).
 type boundIntCmp struct {
@@ -180,7 +196,7 @@ func (b *boundIntCmp) Eval(row int) bool {
 
 // EvalWord implements WordEvaler. A mostly-full mask with a block-decoding
 // column takes the dense path: decode 64 contiguous values in one virtual
-// call and compare in a tight loop. Sparse masks fall back to per-bit Eval so
+// call and compare in a tight loop. Sparse masks are tested per bit so
 // selective upstream filters are not paid for twice.
 func (b *boundIntCmp) EvalWord(base int, mask uint64) uint64 {
 	if mask == 0 {
@@ -208,14 +224,7 @@ func (b *boundIntCmp) EvalWord(base int, mask uint64) uint64 {
 		}
 		return out & mask
 	}
-	var out uint64
-	for m := mask; m != 0; m &= m - 1 {
-		bit := m & -m
-		if b.Eval(base + trailingZeros(bit)) {
-			out |= bit
-		}
-	}
-	return out
+	return evalBits(b, base, mask)
 }
 
 // And is the conjunction of predicates; an empty And is true.
@@ -253,15 +262,7 @@ func (a And) Bind(colIndex func(string) int, src RowSource) (Bound, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := make([]WordEvaler, len(bs))
-	for i, b := range bs {
-		w, ok := b.(WordEvaler)
-		if !ok {
-			return boundAnd(bs), nil
-		}
-		ws[i] = w
-	}
-	return &boundAndWords{bs: bs, ws: ws}, nil
+	return boundAnd(bs), nil
 }
 
 type boundAnd []Bound
@@ -275,22 +276,14 @@ func (b boundAnd) Eval(row int) bool {
 	return true
 }
 
-// boundAndWords is a conjunction whose children all support word-at-a-time
-// evaluation; it threads the shrinking mask through the chain so later terms
-// only evaluate surviving rows.
-type boundAndWords struct {
-	bs []Bound
-	ws []WordEvaler
-}
-
-func (b *boundAndWords) Eval(row int) bool { return boundAnd(b.bs).Eval(row) }
-
-func (b *boundAndWords) EvalWord(base int, mask uint64) uint64 {
-	for _, w := range b.ws {
+// EvalWord threads the shrinking mask through the chain, so later terms only
+// evaluate surviving rows.
+func (b boundAnd) EvalWord(base int, mask uint64) uint64 {
+	for _, p := range b {
 		if mask == 0 {
 			return 0
 		}
-		mask = w.EvalWord(base, mask)
+		mask = p.EvalWord(base, mask)
 	}
 	return mask
 }
@@ -326,6 +319,19 @@ func (b boundOr) Eval(row int) bool {
 	return false
 }
 
+// EvalWord evaluates each child only on the rows no earlier child satisfied.
+func (b boundOr) EvalWord(base int, mask uint64) uint64 {
+	var out uint64
+	for _, p := range b {
+		rest := mask &^ out
+		if rest == 0 {
+			break
+		}
+		out |= p.EvalWord(base, rest)
+	}
+	return out
+}
+
 // Not negates a predicate.
 type Not struct {
 	P Pred
@@ -349,6 +355,8 @@ func (n Not) Bind(colIndex func(string) int, src RowSource) (Bound, error) {
 type boundNot struct{ p Bound }
 
 func (b boundNot) Eval(row int) bool { return !b.p.Eval(row) }
+
+func (b boundNot) EvalWord(base int, mask uint64) uint64 { return mask &^ b.p.EvalWord(base, mask) }
 
 // ColStats reports the value range of a named column, typically read from
 // a store's dictionary. ok is false when the range is unknown (the column

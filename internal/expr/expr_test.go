@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -210,5 +211,109 @@ func TestQuickIntFastPathAgrees(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readerSource is a RowSource over built columns: main or delta.
+type readerSource []column.Reader
+
+func (s readerSource) Col(i int) column.Reader { return s[i] }
+
+// TestBoundEvalWordMatchesEval checks word-at-a-time evaluation against the
+// per-row Eval reference: Cmp on int, float and string columns and
+// And/Or/Not nested two deep, on main and delta stores, under random masks
+// that include the store's last, partial word.
+func TestBoundEvalWordMatchesEval(t *testing.T) {
+	const rows = 200 // three full words and a partial one of 8 rows
+	rng := rand.New(rand.NewSource(7))
+	names := []string{"i", "f", "s"}
+	colIndex := func(name string) int {
+		for i, n := range names {
+			if n == name {
+				return i
+			}
+		}
+		return -1
+	}
+	value := func(c int) column.Value {
+		switch c {
+		case 0:
+			return column.IntV(int64(rng.Intn(12)))
+		case 1:
+			return column.FloatV(float64(rng.Intn(12)) / 2)
+		}
+		return column.StrV(string(rune('a' + rng.Intn(12))))
+	}
+	kinds := []column.Kind{column.Int64, column.Float64, column.String}
+	stores := map[string]readerSource{}
+	for _, side := range []string{"main", "delta"} {
+		var src readerSource
+		for c, k := range kinds {
+			if side == "main" {
+				b := column.NewMainBuilder(k)
+				for r := 0; r < rows; r++ {
+					b.Append(value(c))
+				}
+				src = append(src, b.Build())
+				continue
+			}
+			d := column.NewDelta(k)
+			for r := 0; r < rows; r++ {
+				d.Append(value(c))
+			}
+			src = append(src, d)
+		}
+		stores[side] = src
+	}
+	cmp := func() Pred {
+		c := rng.Intn(len(names))
+		return Cmp{Col: names[c], Op: Op(rng.Intn(6)), Val: value(c)}
+	}
+	var pred func(depth int) Pred
+	pred = func(depth int) Pred {
+		if depth == 0 {
+			return cmp()
+		}
+		switch rng.Intn(4) {
+		case 0:
+			return cmp()
+		case 1:
+			return And{Preds: []Pred{pred(depth - 1), pred(depth - 1), pred(depth - 1)}}
+		case 2:
+			return Or{Preds: []Pred{pred(depth - 1), pred(depth - 1)}}
+		}
+		return Not{P: pred(depth - 1)}
+	}
+	for side, src := range stores {
+		for trial := 0; trial < 300; trial++ {
+			p := pred(2)
+			b, err := p.Bind(colIndex, src)
+			if err != nil {
+				t.Fatalf("Bind(%s): %v", p, err)
+			}
+			for base := 0; base < rows; base += 64 {
+				var mask uint64
+				switch rng.Intn(3) {
+				case 0:
+					mask = ^uint64(0) // dense
+				case 1:
+					mask = rng.Uint64() & rng.Uint64() & rng.Uint64() // sparse
+				default:
+					mask = rng.Uint64()
+				}
+				if n := rows - base; n < 64 {
+					mask &= 1<<uint(n) - 1
+				}
+				var want uint64
+				for i := 0; i < 64; i++ {
+					if mask&(1<<uint(i)) != 0 && b.Eval(base+i) {
+						want |= 1 << uint(i)
+					}
+				}
+				if got := b.EvalWord(base, mask); got != want {
+					t.Fatalf("%s store, %s, word %d mask %#x: EvalWord = %#x, Eval = %#x", side, p, base/64, mask, got, want)
+				}
+			}
+		}
 	}
 }

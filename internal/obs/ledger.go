@@ -222,10 +222,7 @@ func CanonLedger(ds []Decision) string {
 // records under its own lock or at well-ordered points).
 type Ledger struct {
 	mu   sync.Mutex
-	seq  int64
-	ring []Decision // fixed capacity, oldest overwritten
-	next int
-	full bool
+	ring *Ring[Decision]
 }
 
 // DefaultLedgerCapacity is the ring size used when none is configured.
@@ -237,7 +234,7 @@ func NewLedger(capacity int) *Ledger {
 	if capacity <= 0 {
 		capacity = DefaultLedgerCapacity
 	}
-	return &Ledger{ring: make([]Decision, capacity)}
+	return &Ledger{ring: NewRing[Decision](capacity)}
 }
 
 // Enabled reports whether decisions are recorded; a nil receiver reports
@@ -252,15 +249,9 @@ func (l *Ledger) Record(d Decision) {
 		return
 	}
 	l.mu.Lock()
-	l.seq++
-	d.Seq = l.seq
+	d.Seq = l.ring.Pushed() + 1
 	d.UnixNS = time.Now().UnixNano()
-	l.ring[l.next] = d
-	l.next++
-	if l.next == len(l.ring) {
-		l.next = 0
-		l.full = true
-	}
+	l.ring.Push(d)
 	l.mu.Unlock()
 }
 
@@ -271,10 +262,7 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.full {
-		return len(l.ring)
-	}
-	return l.next
+	return l.ring.Len()
 }
 
 // Seq reports the total number of decisions ever recorded; Seq() - Len() is
@@ -285,7 +273,7 @@ func (l *Ledger) Seq() int64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.seq
+	return l.ring.Pushed()
 }
 
 // Snapshot copies the retained decisions in recording order (oldest first).
@@ -296,14 +284,5 @@ func (l *Ledger) Snapshot() []Decision {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.next
-	if !l.full {
-		out := make([]Decision, n)
-		copy(out, l.ring[:n])
-		return out
-	}
-	out := make([]Decision, 0, len(l.ring))
-	out = append(out, l.ring[n:]...)
-	out = append(out, l.ring[:n]...)
-	return out
+	return l.ring.Snapshot()
 }

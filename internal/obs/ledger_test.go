@@ -72,7 +72,7 @@ func TestLedgerRingRetention(t *testing.T) {
 	if snap := small.Snapshot(); len(snap) != 1 || snap[0].Key != "a" || snap[0].Seq != 1 {
 		t.Fatalf("partial snapshot = %+v", snap)
 	}
-	if NewLedger(0).ring == nil || len(NewLedger(0).ring) != DefaultLedgerCapacity {
+	if len(NewLedger(0).ring.buf) != DefaultLedgerCapacity {
 		t.Fatal("capacity 0 must fall back to DefaultLedgerCapacity")
 	}
 }

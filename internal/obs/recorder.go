@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"slices"
+	"sort"
 	"sync"
 	"time"
 )
@@ -24,11 +26,8 @@ type Recorder struct {
 	cfg RecorderConfig
 
 	mu   sync.Mutex
-	seq  int64
-	ring []*TraceRecord // fixed capacity, oldest overwritten
-	next int
-	full bool
-	slow []*TraceRecord // FIFO, oldest evicted at SlowCapacity
+	ring *Ring[*TraceRecord] // the last Capacity traces
+	slow *Ring[*TraceRecord] // the last SlowCapacity slow traces
 }
 
 // RecorderConfig tunes retention.
@@ -80,7 +79,11 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 	if cfg.SlowCapacity <= 0 {
 		cfg.SlowCapacity = DefaultSlowCapacity
 	}
-	return &Recorder{cfg: cfg, ring: make([]*TraceRecord, cfg.Capacity)}
+	return &Recorder{
+		cfg:  cfg,
+		ring: NewRing[*TraceRecord](cfg.Capacity),
+		slow: NewRing[*TraceRecord](cfg.SlowCapacity),
+	}
 }
 
 // Enabled reports whether traces are retained; a nil receiver reports
@@ -97,22 +100,12 @@ func (r *Recorder) Record(root *Span) int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.seq++
-	rec := &TraceRecord{ID: r.seq, Root: root}
+	rec := &TraceRecord{ID: r.ring.Pushed() + 1, Root: root}
 	if r.cfg.SlowThreshold > 0 && root.Dur >= r.cfg.SlowThreshold {
 		rec.Slow = true
-		if len(r.slow) == r.cfg.SlowCapacity {
-			copy(r.slow, r.slow[1:])
-			r.slow = r.slow[:len(r.slow)-1]
-		}
-		r.slow = append(r.slow, rec)
+		r.slow.Push(rec)
 	}
-	r.ring[r.next] = rec
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
+	r.ring.Push(rec)
 	return rec.ID
 }
 
@@ -124,33 +117,11 @@ func (r *Recorder) List() []TraceSummary {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	seen := make(map[int64]bool, len(r.ring)+len(r.slow))
-	recs := make([]*TraceRecord, 0, len(r.ring)+len(r.slow))
-	collect := func(rec *TraceRecord) {
-		if rec != nil && !seen[rec.ID] {
-			seen[rec.ID] = true
-			recs = append(recs, rec)
-		}
-	}
-	// Ring newest-first: entries before next are newer than those after.
-	for i := r.next - 1; i >= 0; i-- {
-		collect(r.ring[i])
-	}
-	if r.full {
-		for i := len(r.ring) - 1; i >= r.next; i-- {
-			collect(r.ring[i])
-		}
-	}
-	for i := len(r.slow) - 1; i >= 0; i-- {
-		collect(r.slow[i])
-	}
-	// The slow log only holds ids older than the ring's, so a final sort by
-	// descending id restores global newest-first order.
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].ID > recs[j-1].ID; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
+	// A slow trace may sit in both rings: sort by descending id, then
+	// drop the duplicates.
+	recs := append(r.ring.Snapshot(), r.slow.Snapshot()...)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].ID > recs[j].ID })
+	recs = slices.CompactFunc(recs, func(a, b *TraceRecord) bool { return a.ID == b.ID })
 	out := make([]TraceSummary, len(recs))
 	for i, rec := range recs {
 		out[i] = summarize(rec)
@@ -165,12 +136,7 @@ func (r *Recorder) Get(id int64) (*TraceRecord, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, rec := range r.ring {
-		if rec != nil && rec.ID == id {
-			return rec, true
-		}
-	}
-	for _, rec := range r.slow {
+	for _, rec := range append(r.ring.Snapshot(), r.slow.Snapshot()...) {
 		if rec.ID == id {
 			return rec, true
 		}

@@ -95,7 +95,7 @@ func TestRecorderFastTracesBelowThresholdNotSlow(t *testing.T) {
 	}
 	r2 := NewRecorder(RecorderConfig{Capacity: 1})
 	r2.Record(trace("x", time.Hour))
-	if len(r2.slow) != 0 {
+	if r2.slow.Len() != 0 {
 		t.Fatal("slow log populated with threshold disabled")
 	}
 }

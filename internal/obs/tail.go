@@ -16,9 +16,7 @@ import (
 // are captured intact. LineTail is safe for concurrent use.
 type LineTail struct {
 	mu      sync.Mutex
-	lines   []string // fixed capacity ring, oldest overwritten
-	next    int
-	full    bool
+	lines   *Ring[string]
 	partial []byte
 }
 
@@ -31,7 +29,7 @@ func NewLineTail(capacity int) *LineTail {
 	if capacity <= 0 {
 		capacity = DefaultTailLines
 	}
-	return &LineTail{lines: make([]string, capacity)}
+	return &LineTail{lines: NewRing[string](capacity)}
 }
 
 // Write implements io.Writer; it never fails. A nil tail discards.
@@ -51,21 +49,12 @@ func (t *LineTail) Write(p []byte) (int, error) {
 		line := rest[:i]
 		if len(t.partial) > 0 {
 			t.partial = append(t.partial, line...)
-			t.pushLocked(string(t.partial))
+			t.lines.Push(string(t.partial))
 			t.partial = t.partial[:0]
 		} else {
-			t.pushLocked(string(line))
+			t.lines.Push(string(line))
 		}
 		rest = rest[i+1:]
-	}
-}
-
-func (t *LineTail) pushLocked(line string) {
-	t.lines[t.next] = line
-	t.next++
-	if t.next == len(t.lines) {
-		t.next = 0
-		t.full = true
 	}
 }
 
@@ -76,10 +65,5 @@ func (t *LineTail) Lines() []string {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.full {
-		return append([]string(nil), t.lines[:t.next]...)
-	}
-	out := make([]string, 0, len(t.lines))
-	out = append(out, t.lines[t.next:]...)
-	return append(out, t.lines[:t.next]...)
+	return t.lines.Snapshot()
 }

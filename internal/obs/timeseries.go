@@ -15,52 +15,6 @@ type Sample struct {
 	Value float64 `json:"v"`
 }
 
-// Ring is a fixed-capacity ring buffer of samples: appends overwrite the
-// oldest sample once full, so a long-running sampler holds a bounded
-// sliding window. Ring is not safe for concurrent use; the owning Sampler
-// serializes access.
-type Ring struct {
-	buf  []Sample
-	next int
-	full bool
-}
-
-// NewRing returns a ring holding at most capacity samples.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]Sample, capacity)}
-}
-
-// Push appends a sample, evicting the oldest when full.
-func (r *Ring) Push(s Sample) {
-	r.buf[r.next] = s
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// Len reports the number of samples held.
-func (r *Ring) Len() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-// Samples returns the held samples oldest-first as a fresh slice.
-func (r *Ring) Samples() []Sample {
-	if !r.full {
-		return append([]Sample(nil), r.buf[:r.next]...)
-	}
-	out := make([]Sample, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
-}
-
 // SamplerConfig tunes the background sampler.
 type SamplerConfig struct {
 	// Interval is the scrape period; 0 means DefaultSampleInterval.
@@ -105,7 +59,7 @@ type Sampler struct {
 	rotateEvery time.Duration
 
 	mu         sync.Mutex
-	series     map[string]*Ring
+	series     map[string]*Ring[Sample]
 	stop       chan struct{}
 	done       chan struct{}
 	lastRotate time.Time
@@ -131,7 +85,7 @@ func NewSampler(reg *Registry, cfg SamplerConfig) *Sampler {
 		capacity:    cfg.Capacity,
 		rotate:      cfg.Rotate,
 		rotateEvery: cfg.RotateEvery,
-		series:      make(map[string]*Ring),
+		series:      make(map[string]*Ring[Sample]),
 		now:         time.Now,
 	}
 }
@@ -218,7 +172,7 @@ func (s *Sampler) SampleOnce() {
 func (s *Sampler) push(name string, t int64, v float64) {
 	r, ok := s.series[name]
 	if !ok {
-		r = NewRing(s.capacity)
+		r = NewRing[Sample](s.capacity)
 		s.series[name] = r
 	}
 	r.Push(Sample{UnixMS: t, Value: v})
@@ -232,7 +186,7 @@ func (s *Sampler) Dump() map[string][]Sample {
 	defer s.mu.Unlock()
 	out := make(map[string][]Sample, len(s.series))
 	for name, r := range s.series {
-		out[name] = r.Samples()
+		out[name] = r.Snapshot()
 	}
 	return out
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRingWraps(t *testing.T) {
-	r := NewRing(3)
+	r := NewRing[Sample](3)
 	if got := r.Len(); got != 0 {
 		t.Fatalf("empty ring Len = %d", got)
 	}
@@ -18,7 +18,7 @@ func TestRingWraps(t *testing.T) {
 	if got := r.Len(); got != 3 {
 		t.Fatalf("Len = %d, want 3", got)
 	}
-	got := r.Samples()
+	got := r.Snapshot()
 	want := []int64{3, 4, 5}
 	for i, s := range got {
 		if s.UnixMS != want[i] {
@@ -26,10 +26,10 @@ func TestRingWraps(t *testing.T) {
 		}
 	}
 	// Partial fill stays oldest-first too.
-	r2 := NewRing(4)
+	r2 := NewRing[Sample](4)
 	r2.Push(Sample{UnixMS: 7})
 	r2.Push(Sample{UnixMS: 8})
-	s2 := r2.Samples()
+	s2 := r2.Snapshot()
 	if len(s2) != 2 || s2[0].UnixMS != 7 || s2[1].UnixMS != 8 {
 		t.Fatalf("partial samples = %v", s2)
 	}

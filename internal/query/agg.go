@@ -115,68 +115,13 @@ func (a *AggTable) Add(keys, vals []column.Value) {
 // aggregate extent from stored group rows. It panics for
 // non-self-maintainable aggregates, which cannot be stored as accumulators.
 func (a *AggTable) AddGroup(keys []column.Value, accums []float64, count int64) {
-	g := a.groupFor(keys)
-	g.count += count
-	for i, s := range a.specs {
-		switch s.Func {
-		case Sum, Avg, Count:
-			g.sums[i] += accums[i]
-		default:
-			panic(fmt.Sprintf("query: AddGroup on non-self-maintainable %s", s.Func))
-		}
-	}
+	a.fold(keys, 1, count, accums, nil)
 }
 
 // Merge folds another table computed with identical specs into a.
 func (a *AggTable) Merge(b *AggTable) {
 	for _, gb := range b.groups {
-		a.foldPartial(gb.keys, gb.count, gb.sums, gb.exts)
-	}
-}
-
-// foldPartial folds one group's partial aggregate over a batch of rows into
-// the table: count rows, sums holding the SUM/AVG sums and COUNT counts per
-// spec, exts the MIN/MAX extremes per spec (other slots ignored). It is the
-// group-by kernel's way in — AddGroup refuses MIN/MAX. Unlike per-row Add, a
-// group that already exists adds the batch's sum in one step: S + (a+b)
-// rather than (S+a)+b.
-func (a *AggTable) foldPartial(keys []column.Value, count int64, sums []float64, exts []column.Value) {
-	g := a.groupFor(keys)
-	first := g.count == 0
-	g.count += count
-	for i, s := range a.specs {
-		switch s.Func {
-		case Sum, Avg, Count:
-			g.sums[i] += sums[i]
-		case Min:
-			if first || column.Less(exts[i], g.exts[i]) {
-				g.exts[i] = exts[i]
-			}
-		case Max:
-			if first || column.Less(g.exts[i], exts[i]) {
-				g.exts[i] = exts[i]
-			}
-		}
-	}
-}
-
-// SubMerge subtracts another table computed with identical specs — merging
-// a negative delta. Emptied groups are removed.
-func (a *AggTable) SubMerge(b *AggTable) {
-	for ek, gb := range b.groups {
-		g := a.groupFor(gb.keys)
-		g.count -= gb.count
-		for i, s := range a.specs {
-			switch s.Func {
-			case Sum, Avg, Count:
-				g.sums[i] -= gb.sums[i]
-			default:
-				panic(fmt.Sprintf("query: SubMerge on non-self-maintainable %s", s.Func))
-			}
-		}
-		if g.count == 0 {
-			delete(a.groups, ek)
-		}
+		a.fold(gb.keys, 1, gb.count, gb.sums, gb.exts)
 	}
 }
 
@@ -187,24 +132,7 @@ func (a *AggTable) SubMerge(b *AggTable) {
 // be self-maintainable when sign is negative.
 func (a *AggTable) MergeSigned(b *AggTable, sign int) {
 	for _, gb := range b.groups {
-		g := a.groupFor(gb.keys)
-		g.count += int64(sign) * gb.count
-		for i, s := range a.specs {
-			switch s.Func {
-			case Sum, Avg, Count:
-				g.sums[i] += float64(sign) * gb.sums[i]
-			default:
-				if sign < 0 {
-					panic(fmt.Sprintf("query: MergeSigned(-1) on non-self-maintainable %s", s.Func))
-				}
-				if s.Func == Min && (g.count == gb.count || column.Less(gb.exts[i], g.exts[i])) {
-					g.exts[i] = gb.exts[i]
-				}
-				if s.Func == Max && (g.count == gb.count || column.Less(g.exts[i], gb.exts[i])) {
-					g.exts[i] = gb.exts[i]
-				}
-			}
-		}
+		a.fold(gb.keys, int64(sign), gb.count, gb.sums, gb.exts)
 	}
 }
 
@@ -216,20 +144,40 @@ func (a *AggTable) ApplySigned(delta *AggTable) {
 		if gd.count == 0 && allZero(gd.sums) {
 			continue
 		}
-		g := a.groupFor(gd.keys)
-		g.count += gd.count
-		for i, s := range a.specs {
-			switch s.Func {
-			case Sum, Avg, Count:
-				g.sums[i] += gd.sums[i]
-			default:
-				panic(fmt.Sprintf("query: ApplySigned on non-self-maintainable %s", s.Func))
-			}
-		}
-		if g.count == 0 {
-			delete(a.groups, encodeKey(gd.keys))
+		if a.fold(gd.keys, 1, gd.count, gd.sums, gd.exts).count == 0 {
+			delete(a.groups, string(a.keyBuf))
 		}
 	}
+}
+
+// fold is the one table-to-table fold: it adds sign (±1) times one group's
+// partial aggregate — count rows, sums holding the SUM/AVG sums and COUNT
+// counts per spec, exts the MIN/MAX extremes per spec (other slots ignored)
+// — into the group with the given keys, and returns that group, whose key
+// a.keyBuf still holds. A group that already exists adds the partial's sum
+// in one step: S + (a+b) rather than per-row Add's (S+a)+b; sign*x is exact,
+// so a signed fold is bit-identical to an unsigned one of the negated sums.
+// MIN/MAX extremes fold only with sign +1 and non-nil exts, since they
+// cannot be subtracted; anything else panics.
+func (a *AggTable) fold(keys []column.Value, sign, count int64, sums []float64, exts []column.Value) *group {
+	g := a.groupFor(keys)
+	first := g.count == 0
+	g.count += sign * count
+	for i, s := range a.specs {
+		switch s.Func {
+		case Sum, Avg, Count:
+			g.sums[i] += float64(sign) * sums[i]
+		case Min, Max:
+			if sign < 0 || exts == nil {
+				panic(fmt.Sprintf("query: signed fold of non-self-maintainable %s", s.Func))
+			}
+			if first || s.Func == Min && column.Less(exts[i], g.exts[i]) ||
+				s.Func == Max && column.Less(g.exts[i], exts[i]) {
+				g.exts[i] = exts[i]
+			}
+		}
+	}
+	return g
 }
 
 func allZero(fs []float64) bool {

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"testing"
 
 	"aggcache/internal/column"
@@ -58,7 +59,7 @@ func TestAggTableApplySignedDeletesEmptyGroup(t *testing.T) {
 	}
 }
 
-func TestAggTableMergeAndSubMerge(t *testing.T) {
+func TestAggTableMergeAndSignedSubtract(t *testing.T) {
 	a := NewAggTable(specs())
 	b := NewAggTable(specs())
 	k := []column.Value{column.IntV(1)}
@@ -73,10 +74,46 @@ func TestAggTableMergeAndSubMerge(t *testing.T) {
 	if rows[0].Keys[0].I != 1 || rows[0].Aggs[0].F != 3 || rows[0].Count != 2 {
 		t.Fatalf("merged group 1 = %+v", rows[0])
 	}
-	a.SubMerge(b)
+	comp := NewAggTable(specs())
+	comp.MergeSigned(b, -1)
+	a.ApplySigned(comp)
 	rows = a.Rows()
 	if a.Groups() != 1 || rows[0].Aggs[0].F != 1 || rows[0].Count != 1 {
-		t.Fatalf("after SubMerge: %+v", rows)
+		t.Fatalf("after subtracting b: %+v", rows)
+	}
+}
+
+// TestMergeEqualsMergeSignedPlus checks that Merge and MergeSigned(+1) leave
+// bit-identical tables: both are the one signed fold with sign +1.
+func TestMergeEqualsMergeSignedPlus(t *testing.T) {
+	sp := append(specs(),
+		AggSpec{Func: Min, Col: ColRef{Table: "I", Col: "Price"}},
+		AggSpec{Func: Max, Col: ColRef{Table: "I", Col: "Price"}})
+	fill := func(seed float64) *AggTable {
+		a := NewAggTable(sp)
+		for i := 0; i < 40; i++ {
+			v := column.FloatV(seed*float64(i%7) + 0.1*float64(i))
+			a.Add([]column.Value{column.IntV(int64(i % 5))}, []column.Value{v, {}, v, v, v})
+		}
+		return a
+	}
+	x, y := fill(1.3), fill(1.3)
+	b := fill(-2.7)
+	x.Merge(b)
+	y.MergeSigned(b, +1)
+	if len(x.groups) != len(y.groups) {
+		t.Fatalf("groups %d vs %d", len(x.groups), len(y.groups))
+	}
+	for ek, g := range x.groups {
+		h := y.groups[ek]
+		if h == nil || g.count != h.count {
+			t.Fatalf("group %q: %+v vs %+v", ek, g, h)
+		}
+		for i := range g.sums {
+			if math.Float64bits(g.sums[i]) != math.Float64bits(h.sums[i]) || g.exts[i] != h.exts[i] {
+				t.Fatalf("group %q spec %d: %v/%v vs %v/%v", ek, i, g.sums[i], g.exts[i], h.sums[i], h.exts[i])
+			}
+		}
 	}
 }
 

@@ -96,11 +96,12 @@ type Stats struct {
 	Pushdowns int
 	// RowsScanned counts rows inspected by scans.
 	RowsScanned int64
-	// ScanVecRows counts rows inspected through the word-at-a-time
-	// vectorized scan path.
+	// ScanVecRows counts rows inspected through the word-at-a-time scan —
+	// every scanned row, so it equals RowsScanned.
 	ScanVecRows int64
-	// ScanScalarRows counts rows inspected through the row-at-a-time
-	// fallback scan path.
+	// ScanScalarRows is always 0: every scan evaluates a word at a time. The
+	// field stays only because the benchmark harness reads it; it goes when
+	// the harness moves to the engine's public surface (ROADMAP item 8).
 	ScanScalarRows int64
 	// TuplesJoined counts join result tuples aggregated.
 	TuplesJoined int64
@@ -153,45 +154,25 @@ type Executor struct {
 	Builds BuildSource
 }
 
-// ExecuteCombo evaluates one subjoin — the query restricted to the given
-// store per table — under the snapshot, folding its rows into out. extra
-// holds additional per-table local filters (the pushed-down tid ranges);
-// they are conjoined with the query's own filters.
-func (e *Executor) ExecuteCombo(q *Query, combo Combo, snap txn.Snapshot, extra map[string]expr.Pred, out *AggTable, st *Stats) error {
-	return e.ExecuteComboSpan(q, combo, snap, extra, nil, out, st, nil)
-}
-
-// ExecuteComboRestricted is ExecuteCombo with optional explicit row sets:
-// restrict[i], when non-nil, replaces snapshot visibility for the i-th
-// table's store — only rows whose bit is set participate (local filters
-// still apply). The negative-delta main compensation of the aggregate cache
-// uses this to join invalidated-row sets against visibility snapshots.
-func (e *Executor) ExecuteComboRestricted(q *Query, combo Combo, snap txn.Snapshot, extra map[string]expr.Pred, restrict []*vec.BitSet, out *AggTable, st *Stats) error {
-	return e.ExecuteComboSpan(q, combo, snap, extra, restrict, out, st, nil)
-}
-
-// ExecuteComboSpan is the instrumented ExecuteComboRestricted: when sp is
-// non-nil it records the subjoin's execution as span attributes and child
-// spans — one timed span per store scan with its sizes, the prune verdict,
-// the join plan (join-order, e.g.
+// executeCombo runs one subjoin — the query restricted to the given store
+// per table — under the snapshot, with all buffers drawn from scr:
+// word-at-a-time scans per table, a chain of value-ID joins over reused
+// tuple buffers, and the aggregation fold into out. extra holds additional
+// per-table local filters (the pushed-down tid ranges), conjoined with the
+// query's own filters. restrict, when non-nil, replaces snapshot visibility
+// per table with an explicit row set (nil entries keep visibility). memo,
+// when non-nil, shares store-side builds across the jobs of one batch (and,
+// through it, across queries).
+//
+// When sp is non-nil it records the subjoin's execution as span attributes
+// and child spans — one timed span per store scan with its sizes, the
+// verdict, the join plan (join-order, e.g.
 // "Item[0].delta>Header[0].main(build=tuples)"), and the join result size.
 // A nil sp (the common case) costs nothing: span names and the plan are
-// rendered only when tracing.
-//
-// The span verdict is one of:
+// rendered only when tracing. The verdict is one of:
 //
 //	pruned-scan  the store's dictionary ranges proved a filter unsatisfiable
 //	executed     the subjoin ran (possibly contributing zero tuples)
-func (e *Executor) ExecuteComboSpan(q *Query, combo Combo, snap txn.Snapshot, extra map[string]expr.Pred, restrict []*vec.BitSet, out *AggTable, st *Stats, sp *obs.Span) error {
-	scr := getScratch()
-	defer putScratch(scr)
-	return e.executeCombo(scr, q, combo, snap, extra, restrict, out, st, sp, nil)
-}
-
-// executeCombo runs one subjoin with all buffers drawn from scr: vectorized
-// scans per table, a chain of value-ID joins over reused tuple buffers, and
-// the aggregation fold into out. memo, when non-nil, shares store-side
-// builds across the jobs of one batch (and, through it, across queries).
 func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap txn.Snapshot, extra map[string]expr.Pred, restrict []*vec.BitSet, out *AggTable, st *Stats, sp *obs.Span, memo *buildMemo) error {
 	if len(combo) != len(q.Tables) {
 		return fmt.Errorf("query: combo has %d stores for %d tables", len(combo), len(q.Tables))
@@ -227,7 +208,7 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 			ss = sp.Child("scan " + ref.String())
 		}
 		var rows []int32
-		var scanned, vecRows, scalarRows int64
+		var scanned int64
 		if store.Rows() > 0 {
 			bound, err := pred.Bind(tbl.Schema().ColIndex, store)
 			if err != nil {
@@ -238,13 +219,12 @@ func (e *Executor) executeCombo(scr *execScratch, q *Query, combo Combo, snap tx
 			if restrict != nil {
 				set = restrict[i]
 			}
-			rows, scanned, vecRows, scalarRows = scr.scanStore(store, snap, set, bound, scr.rowBufs[i])
+			rows, scanned = scr.scanStore(store, snap, set, bound, scr.rowBufs[i])
 			scr.rowBufs[i] = rows
 		}
 		ss.End()
 		st.RowsScanned += scanned
-		st.ScanVecRows += vecRows
-		st.ScanScalarRows += scalarRows
+		st.ScanVecRows += scanned
 		ss.AttrInt("scanned", scanned)
 		ss.AttrInt("matched", int64(len(rows)))
 		if len(rows) == 0 {
@@ -454,16 +434,11 @@ func AllCombos(db *table.DB, q *Query) []Combo {
 }
 
 // ExecuteAll evaluates the query over all subjoin combinations — query
-// processing without the aggregate cache (paper Sec. 2.3.1).
-func (e *Executor) ExecuteAll(q *Query, snap txn.Snapshot) (*AggTable, Stats, error) {
-	return e.ExecuteAllSpan(q, snap, nil)
-}
-
-// ExecuteAllSpan is ExecuteAll recording one child span per subjoin under
-// sp when tracing is enabled (nil sp disables tracing). The subjoins are
+// processing without the aggregate cache (paper Sec. 2.3.1). When sp is
+// non-nil every subjoin records a child span under it. The subjoins are
 // independent, so they run through the worker pool; results merge in combo
 // order, keeping the output identical for every worker count.
-func (e *Executor) ExecuteAllSpan(q *Query, snap txn.Snapshot, sp *obs.Span) (*AggTable, Stats, error) {
+func (e *Executor) ExecuteAll(q *Query, snap txn.Snapshot, sp *obs.Span) (*AggTable, Stats, error) {
 	out := NewAggTable(q.Aggs)
 	var st Stats
 	combos := AllCombos(e.DB, q)

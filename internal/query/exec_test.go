@@ -10,6 +10,7 @@ import (
 	"aggcache/internal/column"
 	"aggcache/internal/expr"
 	"aggcache/internal/table"
+	"aggcache/internal/txn"
 )
 
 // buildERP creates the paper's three-table schema: Header, Item, and the
@@ -132,7 +133,7 @@ func TestExecuteAllRejectsMismatchedJoinKinds(t *testing.T) {
 			e.Left, e.Right = e.Right, e.Left
 			want = fmt.Errorf("query: join %s compares string with int64", e)
 		}
-		_, _, err := (&Executor{DB: db, Workers: 1}).ExecuteAll(q, db.Txns().ReadSnapshot())
+		_, _, err := (&Executor{DB: db, Workers: 1}).ExecuteAll(q, db.Txns().ReadSnapshot(), nil)
 		if err == nil || err.Error() != want.Error() {
 			t.Fatalf("ExecuteAll error = %v, want %q", err, want)
 		}
@@ -258,7 +259,7 @@ func TestExecuteAllListing1(t *testing.T) {
 	db := buildERP(t)
 	seedERP(t, db)
 	ex := &Executor{DB: db}
-	res, st, err := ex.ExecuteAll(listing1(), db.Txns().ReadSnapshot())
+	res, st, err := ex.ExecuteAll(listing1(), db.Txns().ReadSnapshot(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestExecuteRespectsInvalidation(t *testing.T) {
 	}
 	tx.Commit()
 	ex := &Executor{DB: db}
-	res, _, err := ex.ExecuteAll(listing1(), db.Txns().ReadSnapshot())
+	res, _, err := ex.ExecuteAll(listing1(), db.Txns().ReadSnapshot(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,6 +300,14 @@ func TestExecuteRespectsInvalidation(t *testing.T) {
 	if len(rows) != 1 || rows[0].Keys[0].S != "Food" || rows[0].Aggs[0].F != 75 {
 		t.Fatalf("rows = %+v, want only Food=75", rows)
 	}
+}
+
+// executeJob runs one subjoin job through ExecuteJobs into a fresh table.
+func executeJob(ex *Executor, q *Query, job ComboJob, snap txn.Snapshot) (*AggTable, Stats, error) {
+	out := NewAggTable(q.Aggs)
+	var st Stats
+	err := ex.ExecuteJobs(q, []ComboJob{job}, snap, out, &st, nil)
+	return out, st, err
 }
 
 func TestExecuteComboSingleSubjoin(t *testing.T) {
@@ -313,9 +322,8 @@ func TestExecuteComboSingleSubjoin(t *testing.T) {
 		{Table: "Item", Part: 0, Main: false},
 		{Table: "ProductCategory", Part: 0, Main: true},
 	}
-	out := NewAggTable(q.Aggs)
-	var st Stats
-	if err := ex.ExecuteCombo(q, combo, db.Txns().ReadSnapshot(), nil, out, &st); err != nil {
+	out, _, err := executeJob(ex, q, ComboJob{Combo: combo}, db.Txns().ReadSnapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	rows := out.Rows()
@@ -337,9 +345,8 @@ func TestExecuteComboExtraFilter(t *testing.T) {
 	extra := map[string]expr.Pred{
 		"Item": expr.Cmp{Col: "Price", Op: expr.Gt, Val: column.FloatV(40)},
 	}
-	out := NewAggTable(q.Aggs)
-	var st Stats
-	if err := ex.ExecuteCombo(q, combo, db.Txns().ReadSnapshot(), extra, out, &st); err != nil {
+	out, _, err := executeJob(ex, q, ComboJob{Combo: combo, Extra: extra}, db.Txns().ReadSnapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	rows := out.Rows()
@@ -353,14 +360,13 @@ func TestExecuteComboErrors(t *testing.T) {
 	seedERP(t, db)
 	ex := &Executor{DB: db}
 	q := listing1()
-	var st Stats
-	if err := ex.ExecuteCombo(q, Combo{}, db.Txns().ReadSnapshot(), nil, NewAggTable(q.Aggs), &st); err == nil {
+	if _, _, err := executeJob(ex, q, ComboJob{Combo: Combo{}}, db.Txns().ReadSnapshot()); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 	bad := listing1()
 	bad.Filters["Item"] = expr.Cmp{Col: "Nope", Op: expr.Eq, Val: column.IntV(1)}
 	combo := AllCombos(db, bad)[0]
-	if err := ex.ExecuteCombo(bad, combo, db.Txns().ReadSnapshot(), nil, NewAggTable(bad.Aggs), &st); err == nil {
+	if _, _, err := executeJob(ex, bad, ComboJob{Combo: combo}, db.Txns().ReadSnapshot()); err == nil {
 		t.Fatal("bad filter accepted at execution")
 	}
 }
@@ -377,7 +383,7 @@ func TestCountStarAndAvg(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := &Executor{DB: db}
-	res, _, err := ex.ExecuteAll(q, db.Txns().ReadSnapshot())
+	res, _, err := ex.ExecuteAll(q, db.Txns().ReadSnapshot(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +486,7 @@ func TestQuickExecutorMatchesOracle(t *testing.T) {
 			}
 		}
 		ex := &Executor{DB: db}
-		res, _, err := ex.ExecuteAll(q, db.Txns().ReadSnapshot())
+		res, _, err := ex.ExecuteAll(q, db.Txns().ReadSnapshot(), nil)
 		if err != nil {
 			return false
 		}

@@ -89,7 +89,7 @@ func (k *groupKernel) aggregate(specs []AggSpec, keyCols []column.Reader, keyRow
 				k.extVs[i] = decodeExtreme(aggCols[i], k.exts[i*groups+g])
 			}
 		}
-		out.foldPartial(k.keys, k.counts[g], k.accs, k.extVs)
+		out.fold(k.keys, 1, k.counts[g], k.accs, k.extVs)
 	}
 	return mode, groups
 }

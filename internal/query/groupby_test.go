@@ -387,7 +387,7 @@ func TestSubjoinSpanRecordsGrouping(t *testing.T) {
 	db := buildERP(t)
 	seedERP(t, db)
 	sp := obs.StartSpan("execute-all")
-	if _, _, err := (&Executor{DB: db, Workers: 1}).ExecuteAllSpan(listing1(), db.Txns().ReadSnapshot(), sp); err != nil {
+	if _, _, err := (&Executor{DB: db, Workers: 1}).ExecuteAll(listing1(), db.Txns().ReadSnapshot(), sp); err != nil {
 		t.Fatal(err)
 	}
 	aggregated := 0

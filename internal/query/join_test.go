@@ -256,7 +256,7 @@ func TestJoinOrderMatchesNestedLoop(t *testing.T) {
 		checked++
 		ex := &Executor{DB: db, Workers: 1 + rng.Intn(3)}
 		sp := obs.StartSpan("execute-all")
-		res, st, err := ex.ExecuteAllSpan(tc.q, db.Txns().ReadSnapshot(), sp)
+		res, st, err := ex.ExecuteAll(tc.q, db.Txns().ReadSnapshot(), sp)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

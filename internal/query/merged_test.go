@@ -125,11 +125,11 @@ func TestIntKeyAggregatesIgnoreExtraMax(t *testing.T) {
 			AggSpec{Func: Max, Col: ColRef{Table: "Item", Col: "Price"}}),
 	}
 	snap := db.Txns().ReadSnapshot()
-	fres, _, err := ex.ExecuteAll(base, snap)
+	fres, _, err := ex.ExecuteAll(base, snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gres, _, err := ex.ExecuteAll(withMax, snap)
+	gres, _, err := ex.ExecuteAll(withMax, snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

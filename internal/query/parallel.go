@@ -12,18 +12,16 @@ import (
 )
 
 // ComboJob is one unit of work for ExecuteJobs: a subjoin combination plus
-// its pushed-down filters, optional explicit row sets, and a pre-created
-// trace span. The caller (the aggregate cache manager, or ExecuteAll) plans
-// jobs sequentially — pruning decisions, events, and span creation stay on
-// the coordinating goroutine — and hands the surviving subjoins to the pool.
+// its pushed-down filters, its terms, an optional recycled seed, and a
+// pre-created trace span. The caller (the aggregate cache manager, or
+// ExecuteAll) plans jobs sequentially — pruning decisions, events, and span
+// creation stay on the coordinating goroutine — and hands the surviving
+// subjoins to the pool.
 type ComboJob struct {
 	Combo Combo
 	// Extra holds per-table pushdown filters, conjoined with the query's
 	// own local filters.
 	Extra map[string]expr.Pred
-	// Restrict, when non-nil, replaces snapshot visibility per table (the
-	// negative-delta main compensation path).
-	Restrict []*vec.BitSet
 	// Span is the job's pre-created child span; nil disables tracing. The
 	// worker running the job calls Begin/End on it, so durations measure
 	// execution rather than queueing, while the span tree itself — created
@@ -33,14 +31,19 @@ type ComboJob struct {
 	// partial (merged read-only into the job's private table). With Terms
 	// nil the seed is exact — the job executes nothing.
 	Cached *AggTable
-	// Terms holds the watermark top-up restrict sets: each term is a
-	// per-table explicit row set (nil entries keep snapshot visibility),
-	// and the job executes the terms in order on top of the Cached seed.
-	// The terms partition exactly the join contributions involving rows
-	// that became visible after the seed's watermark, so seed + terms
-	// equals a fresh execution.
+	// Terms are the job's executions, run in order into one private table:
+	// each term is a per-table explicit row set replacing snapshot
+	// visibility (nil entries keep it). A negative-delta main compensation
+	// job is one term; a recycler top-up's terms partition exactly the join
+	// contributions of rows that became visible after the Cached seed's
+	// watermark, so seed + terms equals a fresh execution. Terms and Cached
+	// both nil is one execution under snapshot visibility.
 	Terms [][]*vec.BitSet
 }
+
+// snapshotTerm is the one term of a job without terms or seed: every table
+// under snapshot visibility.
+var snapshotTerm = [][]*vec.BitSet{nil}
 
 // PoolSize reports how many worker goroutines ExecuteJobs uses for a batch
 // of n jobs: Workers (or GOMAXPROCS when unset), capped by n.
@@ -173,26 +176,22 @@ func (e *Executor) ExecuteJobs(q *Query, jobs []ComboJob, snap txn.Snapshot, out
 // both key off these attributes.
 func (e *Executor) runJob(scr *execScratch, q *Query, job *ComboJob, snap txn.Snapshot, sub *AggTable, jst *Stats, worker int, memo *buildMemo) error {
 	job.Span.Begin()
-	var err error
-	switch {
-	case job.Cached != nil && job.Terms == nil:
-		// Exact recycler hit: the seed IS the subjoin's result at this
-		// watermark. Merge copies the groups, so the cached value is never
+	terms := job.Terms
+	if job.Cached != nil {
+		// A recycled partial: exact without terms, topped up by them
+		// otherwise. Merge copies the groups, so the cached value is never
 		// aliased into the output.
 		sub.Merge(job.Cached)
-	case job.Cached != nil:
-		// Watermark top-up: seed with the old partial, then execute each
-		// restrict term sequentially into the same private table. Term
-		// order is fixed at plan time, so the fold order — and with it the
-		// Stats — is identical at every worker count.
-		sub.Merge(job.Cached)
-		for _, restrict := range job.Terms {
-			if err = e.executeCombo(scr, q, job.Combo, snap, job.Extra, restrict, sub, jst, job.Span, memo); err != nil {
-				break
-			}
+	} else if terms == nil {
+		terms = snapshotTerm
+	}
+	// Term order is fixed at plan time, so the fold order — and with it the
+	// Stats — is identical at every worker count.
+	var err error
+	for _, restrict := range terms {
+		if err = e.executeCombo(scr, q, job.Combo, snap, job.Extra, restrict, sub, jst, job.Span, memo); err != nil {
+			break
 		}
-	default:
-		err = e.executeCombo(scr, q, job.Combo, snap, job.Extra, job.Restrict, sub, jst, job.Span, memo)
 	}
 	job.Span.End()
 	if worker >= 0 && job.Span != nil {

@@ -40,7 +40,7 @@ func TestExecuteAllDeterministicAcrossWorkers(t *testing.T) {
 			var base *run
 			for _, workers := range []int{1, 0, 2, 8} {
 				ex := &Executor{DB: db, Workers: workers}
-				res, st, err := ex.ExecuteAll(q, snap)
+				res, st, err := ex.ExecuteAll(q, snap, nil)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -70,14 +70,14 @@ func TestParallelSubjoinsCounter(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	par := &Executor{DB: db, Workers: 8, ParallelSubjoins: reg.Counter("exec.parallel_subjoins")}
-	if _, st, err := par.ExecuteAll(q, snap); err != nil {
+	if _, st, err := par.ExecuteAll(q, snap, nil); err != nil {
 		t.Fatal(err)
 	} else if got := par.ParallelSubjoins.Value(); got != int64(st.Subjoins) {
 		t.Fatalf("parallel_subjoins = %d, want %d (all %d jobs on pool workers)", got, st.Subjoins, st.Subjoins)
 	}
 
 	seq := &Executor{DB: db, Workers: 1, ParallelSubjoins: reg.Counter("seq.parallel_subjoins")}
-	if _, _, err := seq.ExecuteAll(q, snap); err != nil {
+	if _, _, err := seq.ExecuteAll(q, snap, nil); err != nil {
 		t.Fatal(err)
 	} else if got := seq.ParallelSubjoins.Value(); got != 0 {
 		t.Fatalf("sequential fallback incremented parallel_subjoins to %d", got)
@@ -144,16 +144,15 @@ func TestRestrictScanCountsOnlyStoreRows(t *testing.T) {
 		t.Fatalf("fixture changed: main stores hold %d rows, want 8", wantScanned)
 	}
 	ex := &Executor{DB: db}
-	out := NewAggTable(q.Aggs)
-	var st Stats
-	if err := ex.ExecuteComboRestricted(q, combo, db.Txns().ReadSnapshot(), nil, restrict, out, &st); err != nil {
+	_, st, err := executeJob(ex, q, ComboJob{Combo: combo, Terms: [][]*vec.BitSet{restrict}}, db.Txns().ReadSnapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st.RowsScanned != wantScanned {
 		t.Fatalf("RowsScanned = %d, want %d (oversized restrict bits leaked in)", st.RowsScanned, wantScanned)
 	}
-	if st.ScanVecRows+st.ScanScalarRows != wantScanned {
-		t.Fatalf("scan path split %d+%d does not cover %d scanned rows",
+	if st.ScanVecRows != wantScanned || st.ScanScalarRows != 0 {
+		t.Fatalf("scan path split %d+%d, want %d+0: every row scans a word at a time",
 			st.ScanVecRows, st.ScanScalarRows, wantScanned)
 	}
 }
@@ -247,28 +246,21 @@ func TestScanStoreZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := bound.(expr.WordEvaler); !ok {
-		t.Fatal("int comparison must support word-at-a-time evaluation")
-	}
 	snap := db.Txns().ReadSnapshot()
 	scr := getScratch()
 	defer putScratch(scr)
 	var dst []int32
-	dst, _, _, _ = scr.scanStore(store, snap, nil, bound, dst) // warm the buffers
+	dst, _ = scr.scanStore(store, snap, nil, bound, dst) // warm the buffers
 	var total int
 	allocs := testing.AllocsPerRun(20, func() {
-		var vecRows int64
-		dst, _, vecRows, _ = scr.scanStore(store, snap, nil, bound, dst)
+		dst, _ = scr.scanStore(store, snap, nil, bound, dst)
 		total += len(dst)
-		if vecRows == 0 {
-			total = -1 << 30
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("scanStore allocates %.1f per run, want 0", allocs)
 	}
 	if total <= 0 {
-		t.Fatal("scan found no rows through the vectorized path")
+		t.Fatal("scan found no rows")
 	}
 }
 
@@ -379,7 +371,7 @@ func BenchmarkCandidateRows(b *testing.B) {
 	scr := getScratch()
 	defer putScratch(scr)
 	var dst []int32
-	dst, _, _, _ = scr.scanStore(store, snap, nil, bound, dst)
+	dst, _ = scr.scanStore(store, snap, nil, bound, dst)
 	if len(dst) != rows/5 {
 		b.Fatalf("selectivity off: %d candidates, want %d", len(dst), rows/5)
 	}
@@ -387,7 +379,7 @@ func BenchmarkCandidateRows(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, _, _, _ = scr.scanStore(store, snap, nil, bound, dst)
+		dst, _ = scr.scanStore(store, snap, nil, bound, dst)
 	}
 	_ = fmt.Sprintf("%d", len(dst))
 }
@@ -395,7 +387,7 @@ func BenchmarkCandidateRows(b *testing.B) {
 // Traced parallel execution must annotate every subjoin span with the pool
 // worker that ran it and its queue/run time split, and declare the pool size
 // on the parent span; the sequential fallback leaves spans unannotated.
-func TestExecuteAllSpanWorkerAttrs(t *testing.T) {
+func TestExecuteAllWorkerAttrs(t *testing.T) {
 	db := buildERP(t)
 	seedERP(t, db)
 	snap := db.Txns().ReadSnapshot()
@@ -403,7 +395,7 @@ func TestExecuteAllSpanWorkerAttrs(t *testing.T) {
 
 	ex := &Executor{DB: db, Workers: 4}
 	sp := obs.StartSpan("execute-all")
-	if _, st, err := ex.ExecuteAllSpan(q, snap, sp); err != nil {
+	if _, st, err := ex.ExecuteAll(q, snap, sp); err != nil {
 		t.Fatal(err)
 	} else if st.Subjoins == 0 {
 		t.Fatal("no subjoins planned")
@@ -434,7 +426,7 @@ func TestExecuteAllSpanWorkerAttrs(t *testing.T) {
 
 	seq := &Executor{DB: db, Workers: 1}
 	ssp := obs.StartSpan("execute-all")
-	if _, _, err := seq.ExecuteAllSpan(q, snap, ssp); err != nil {
+	if _, _, err := seq.ExecuteAll(q, snap, ssp); err != nil {
 		t.Fatal(err)
 	}
 	ssp.End()

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math/bits"
 	"sync"
 
 	"aggcache/internal/column"
@@ -79,21 +78,19 @@ func (scr *execScratch) ensureTables(n int) {
 	}
 }
 
-// scanStore is the vectorized scan kernel: it lists the store's candidate
-// rows for a subjoin into dst (reused) and reports how many rows were
-// inspected, split by evaluation path.
+// scanStore is the scan kernel: it lists the store's candidate rows for a
+// subjoin into dst (reused) and reports how many rows were inspected.
 //
 // Visibility is rendered word-at-a-time into the scratch bitset (or copied
 // truncated from the explicit restrict set — Count of the truncated copy is
 // the inspected-row count, so bits past the store's row count never inflate
-// RowsScanned). When the bound predicate supports word-at-a-time evaluation
-// the filter runs 64 rows per step directly on the visibility words;
-// otherwise each visible row is tested one at a time.
-func (scr *execScratch) scanStore(st *table.Store, snap txn.Snapshot, set *vec.BitSet, bound expr.Bound, dst []int32) (rows []int32, scanned, vecRows, scalarRows int64) {
+// RowsScanned), and the filter then runs 64 rows per step directly on the
+// visibility words.
+func (scr *execScratch) scanStore(st *table.Store, snap txn.Snapshot, set *vec.BitSet, bound expr.Bound, dst []int32) (rows []int32, scanned int64) {
 	n := st.Rows()
 	dst = dst[:0]
 	if n == 0 {
-		return dst, 0, 0, 0
+		return dst, 0
 	}
 	vis := &scr.vis
 	if set != nil {
@@ -103,28 +100,12 @@ func (scr *execScratch) scanStore(st *table.Store, snap txn.Snapshot, set *vec.B
 		st.VisibilityInto(snap, vis)
 		scanned = int64(n)
 	}
-	nw := vis.Words()
-	if we, ok := bound.(expr.WordEvaler); ok {
-		for wi := 0; wi < nw; wi++ {
-			w := vis.Word(wi)
-			if w == 0 {
-				continue
-			}
-			vis.SetWord(wi, we.EvalWord(wi*64, w))
-		}
-		return vis.AppendSetBits(dst), scanned, scanned, 0
-	}
-	for wi := 0; wi < nw; wi++ {
-		w := vis.Word(wi)
-		base := wi * 64
-		for ; w != 0; w &= w - 1 {
-			i := base + bits.TrailingZeros64(w)
-			if bound.Eval(i) {
-				dst = append(dst, int32(i))
-			}
+	for wi := 0; wi < vis.Words(); wi++ {
+		if w := vis.Word(wi); w != 0 {
+			vis.SetWord(wi, bound.EvalWord(wi*64, w))
 		}
 	}
-	return dst, scanned, 0, scanned
+	return vis.AppendSetBits(dst), scanned
 }
 
 // gatherIDs materializes the dictionary value IDs of the given rows into dst

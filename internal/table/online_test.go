@@ -3,6 +3,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -335,15 +336,18 @@ func TestOnlineMergePinnedReader(t *testing.T) {
 	}
 }
 
-// TestOnlineMergeReaderLatency arms a slow build (well above the latency
-// budget) and asserts concurrent readers are never blocked for anything near
-// the build time — the non-blocking property the online merge exists for.
+// TestOnlineMergeReaderLatency arms a slow build and asserts, by ordering
+// rather than by a wall-clock bound, that readers are never blocked by it —
+// the non-blocking property the online merge exists for. Once the merge is
+// seen active, a fresh reader takes the read lock and lists the visible rows
+// while the merge is still active. A reader blocked by the build could only
+// finish after the swap, when the merge is no longer active.
 func TestOnlineMergeReaderLatency(t *testing.T) {
 	db, tbl := onlineEnv(t, 50)
-	const buildDelay = 300 * time.Millisecond
 	f := NewFaults(1)
-	f.Set(FaultMergeBuild, FaultSpec{Prob: 1, Delay: buildDelay})
+	f.Set(FaultMergeBuild, FaultSpec{Prob: 1, Delay: 300 * time.Millisecond})
 	db.SetFaults(f)
+	want := len(visibleRows(db, tbl))
 
 	done := make(chan error, 1)
 	go func() {
@@ -351,23 +355,31 @@ func TestOnlineMergeReaderLatency(t *testing.T) {
 		done <- err
 	}()
 
-	var worst time.Duration
-	deadline := time.Now().Add(buildDelay)
-	for time.Now().Before(deadline) {
-		start := time.Now()
+	active := func() bool {
 		db.RLock()
-		_ = visibleRows(db, tbl)
-		db.RUnlock()
-		if d := time.Since(start); d > worst {
-			worst = d
-		}
-		time.Sleep(time.Millisecond)
+		defer db.RUnlock()
+		return db.MergeActive("Header")
 	}
+	for !active() {
+		select {
+		case err := <-done:
+			t.Fatalf("merge finished (err %v) without ever being seen active", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	db.RLock()
+	rows := visibleRows(db, tbl)
+	stillActive := db.MergeActive("Header")
+	db.RUnlock()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if worst > buildDelay/3 {
-		t.Fatalf("reader blocked %v during a %v online merge build", worst, buildDelay)
+	if !stillActive {
+		t.Fatal("a reader started during the merge build finished only after the swap")
+	}
+	if len(rows) != want {
+		t.Fatalf("reader during the build saw %d rows, want %d", len(rows), want)
 	}
 }
 

@@ -173,7 +173,7 @@ func TestCHJoinOrderIgnoresQuerySpelling(t *testing.T) {
 	ex := &query.Executor{DB: c.DB}
 	snap := c.DB.Txns().ReadSnapshot()
 	for name, q := range c.Queries() {
-		want, wst, err := ex.ExecuteAll(q, snap)
+		want, wst, err := ex.ExecuteAll(q, snap, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -185,7 +185,7 @@ func TestCHJoinOrderIgnoresQuerySpelling(t *testing.T) {
 			if err := rq.Validate(c.DB); err != nil {
 				t.Fatalf("%s rooted at %s: %v", name, q.Tables[root], err)
 			}
-			got, gst, err := ex.ExecuteAll(rq, snap)
+			got, gst, err := ex.ExecuteAll(rq, snap, nil)
 			if err != nil {
 				t.Fatalf("%s rooted at %s: %v", name, q.Tables[root], err)
 			}
