@@ -140,7 +140,7 @@ func TestFloatMainDictionaryWithNaN(t *testing.T) {
 			t.Fatalf("Value(%d) = %v, want %v", i, got, v)
 		}
 	}
-	lk := m.(lookuper)
+	lk := m.(Lookuper)
 	for id := 0; id < m.DictLen(); id++ {
 		if got, ok := lk.Lookup(m.DictValue(uint32(id))); !ok || got != uint32(id) {
 			t.Fatalf("Lookup(%v) = %d, %v, want %d", m.DictValue(uint32(id)), got, ok, id)

@@ -1,10 +1,18 @@
 package column
 
+import (
+	"cmp"
+	"math"
+)
+
 // deltaCol is a write-optimized column: an unsorted append-order dictionary
 // with a hash index for O(1) encoding, plus an uncompressed value-ID vector.
+// A Go map never finds a NaN key, so a float column keeps NaN's ID apart:
+// like a main dictionary, the delta holds one NaN entry, equal to every NaN.
 type deltaCol[T elem] struct {
 	dict  []T
 	index map[T]uint32
+	nan   uint32 // 1 + the ID of NaN, 0 while the dictionary holds none
 	ids   []uint32
 	lo    T
 	hi    T
@@ -21,15 +29,21 @@ func (c *deltaCol[T]) Len() int { return len(c.ids) }
 
 func (c *deltaCol[T]) Append(v Value) {
 	t := fromValue[T](v)
-	id, ok := c.index[t]
+	id, ok := c.Lookup(v)
 	if !ok {
 		id = uint32(len(c.dict))
 		c.dict = append(c.dict, t)
-		c.index[t] = id
-		if len(c.dict) == 1 || t < c.lo {
+		if isNaN(v) {
+			c.nan = id + 1
+		} else {
+			c.index[t] = id
+		}
+		// The bounds follow the main dictionaries' order (cmp.Less), NaN
+		// lowest; t < c.lo would leave a NaN bound stuck.
+		if len(c.dict) == 1 || cmp.Less(t, c.lo) {
 			c.lo = t
 		}
-		if len(c.dict) == 1 || t > c.hi {
+		if len(c.dict) == 1 || cmp.Less(c.hi, t) {
 			c.hi = t
 		}
 	}
@@ -92,11 +106,16 @@ func (c *deltaCol[T]) IDGather(rows []int32, dst []uint32) {
 	}
 }
 
-// Lookup implements lookuper through the dictionary's hash index.
+// Lookup implements Lookuper through the dictionary's hash index.
 func (c *deltaCol[T]) Lookup(v Value) (uint32, bool) {
+	if isNaN(v) {
+		return c.nan - 1, c.nan != 0
+	}
 	id, ok := c.index[fromValue[T](v)]
 	return id, ok
 }
+
+func isNaN(v Value) bool { return v.K == Float64 && math.IsNaN(v.F) }
 
 func (c *deltaCol[T]) DictLen() int { return len(c.dict) }
 

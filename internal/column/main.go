@@ -175,7 +175,7 @@ func (c *intMain) Float64Gather(rows []int32, dst []float64) {
 // IDGather implements IDGatherer.
 func (c *intMain) IDGather(rows []int32, dst []uint32) { idVectorGather(c.ids, rows, dst) }
 
-// Lookup implements lookuper: a binary search of the packed offsets for
+// Lookup implements Lookuper: a binary search of the packed offsets for
 // v's offset from the base. A value below the base wraps to an offset
 // beyond every entry, so it is not found.
 func (c *intMain) Lookup(v Value) (uint32, bool) {
@@ -251,7 +251,7 @@ func (c *mainCol[T]) Float64Gather(rows []int32, dst []float64) {
 // IDGather implements IDGatherer.
 func (c *mainCol[T]) IDGather(rows []int32, dst []uint32) { idVectorGather(c.ids, rows, dst) }
 
-// Lookup implements lookuper by binary search of the sorted dictionary.
+// Lookup implements Lookuper by binary search of the sorted dictionary.
 func (c *mainCol[T]) Lookup(v Value) (uint32, bool) {
 	t := fromValue[T](v)
 	lo, hi := 0, len(c.dict)

@@ -39,13 +39,13 @@ func newXLCache() xlCache { return xlCache{seq: colSeq.Add(1)} }
 
 func (c *xlCache) cache() *xlCache { return c }
 
-// lookuper is the value → ID direction of a column's dictionary: Lookup
+// Lookuper is the value → ID direction of a column's dictionary: Lookup
 // returns the value ID of v, with ok false when the dictionary lacks v. v
 // must be of the column's kind. Every column kind implements it — main
 // columns by binary search of the sorted dictionary, delta columns through
 // their hash index. A delta's dictionary grows with inserts, so it is read
 // under the same database read lock as Value.
-type lookuper interface {
+type Lookuper interface {
 	Lookup(v Value) (id uint32, ok bool)
 }
 
@@ -82,14 +82,14 @@ func Translation(probe, build Reader) []int32 {
 		return e.xl
 	}
 	if len(e.xl) > 0 {
-		pl := probe.(lookuper)
+		pl := probe.(Lookuper)
 		for b := e.built; b < nb; b++ {
 			if p, ok := pl.Lookup(build.DictValue(uint32(b))); ok && int(p) < len(e.xl) {
 				e.xl[p] = int32(b) + 1
 			}
 		}
 	}
-	bl := build.(lookuper)
+	bl := build.(Lookuper)
 	for p := len(e.xl); p < np; p++ {
 		var b1 int32
 		if b, ok := bl.Lookup(probe.DictValue(uint32(p))); ok {

@@ -38,7 +38,7 @@ func TestDictionaryLookup(t *testing.T) {
 			delta.Append(v)
 		}
 		for _, col := range []Reader{mb.Build(), delta} {
-			l := col.(lookuper)
+			l := col.(Lookuper)
 			for id := 0; id < col.DictLen(); id++ {
 				v := col.DictValue(uint32(id))
 				if got, ok := l.Lookup(v); !ok || got != uint32(id) {
@@ -66,7 +66,7 @@ func TestTranslationExtendsAndIsBounded(t *testing.T) {
 		}
 		for p, b1 := range xl {
 			var want int32
-			if b, ok := build.(lookuper).Lookup(probe.DictValue(uint32(p))); ok {
+			if b, ok := build.(Lookuper).Lookup(probe.DictValue(uint32(p))); ok {
 				want = int32(b) + 1
 			}
 			if b1 != want {

@@ -6,6 +6,7 @@
 package column
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -54,7 +55,10 @@ func FloatV(v float64) Value { return Value{K: Float64, F: v} }
 // StrV wraps a string as a Value.
 func StrV(v string) Value { return Value{K: String, S: v} }
 
-// Compare orders two values of the same kind: -1, 0, or +1.
+// Compare orders two values of the same kind: -1, 0, or +1. The order is
+// the main dictionaries' (cmp.Compare): a float NaN sorts before every
+// other value and equals every other NaN, so predicates, MIN/MAX and the
+// dictionary bounds read by pruning agree on it.
 // Comparing values of different kinds panics; the schema layer guarantees
 // homogeneous columns.
 func Compare(a, b Value) int {
@@ -63,28 +67,11 @@ func Compare(a, b Value) int {
 	}
 	switch a.K {
 	case Int64:
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		}
+		return cmp.Compare(a.I, b.I)
 	case Float64:
-		switch {
-		case a.F < b.F:
-			return -1
-		case a.F > b.F:
-			return 1
-		}
-	case String:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		}
+		return cmp.Compare(a.F, b.F)
 	}
-	return 0
+	return cmp.Compare(a.S, b.S)
 }
 
 // Less reports a < b for same-kind values.

@@ -151,6 +151,10 @@ type Governor struct {
 	gOverloaded *obs.Gauge   // governor.overloaded (0/1)
 	gBurnShortK *obs.Gauge   // governor.burn_short_x1000
 	gQueue      *obs.Gauge   // governor.queue_depth
+
+	// tickSrc, when set by a test, replaces the loop's ticker with a
+	// channel the test drives, so it can count ticks exactly.
+	tickSrc <-chan time.Time
 }
 
 // NewGovernor builds a governor over the manager's database and telemetry.
@@ -204,13 +208,17 @@ func (g *Governor) Start() {
 
 func (g *Governor) loop(stop, done chan struct{}) {
 	defer close(done)
-	t := time.NewTicker(g.cfg.Interval)
-	defer t.Stop()
+	ticks := g.tickSrc
+	if ticks == nil {
+		t := time.NewTicker(g.cfg.Interval)
+		defer t.Stop()
+		ticks = t.C
+	}
 	for {
 		select {
 		case <-stop:
 			return
-		case now := <-t.C:
+		case now := <-ticks:
 			g.Tick(now)
 		}
 	}

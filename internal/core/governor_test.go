@@ -139,28 +139,28 @@ func TestGovernorAgesHotCold(t *testing.T) {
 	}
 }
 
-// TestGovernorStartStop: the background loop starts once, stops cleanly,
-// and both Start and Stop are idempotent.
+// TestGovernorStartStop: the background loop starts once, ticks once per
+// tick of its (injected) tick source, stops cleanly, and both Start and
+// Stop are idempotent.
 func TestGovernorStartStop(t *testing.T) {
 	e := newEnv(t, Config{Metrics: obs.NewRegistry()})
-	g := NewGovernor(e.mgr, GovernorConfig{
-		Tables:   []string{"Header", "Item"},
-		Interval: time.Millisecond,
-	})
+	g := NewGovernor(e.mgr, GovernorConfig{Tables: []string{"Header", "Item"}})
+	ticks := make(chan time.Time)
+	g.tickSrc = ticks
 	g.Start()
 	g.Start() // no-op
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Snapshot().Ticks == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background loop never ticked")
-		}
-		time.Sleep(time.Millisecond)
+	base := time.Unix(1_700_000_000, 0)
+	for i := 0; i < 3; i++ {
+		ticks <- base.Add(time.Duration(i) * time.Second)
 	}
 	g.Stop()
 	g.Stop() // no-op
-	n := g.Snapshot().Ticks
-	time.Sleep(5 * time.Millisecond)
-	if got := g.Snapshot().Ticks; got != n {
-		t.Fatalf("ticks advanced after Stop: %d -> %d", n, got)
+	if got := g.Snapshot().Ticks; got != 3 {
+		t.Fatalf("3 ticks ran %d governor ticks", got)
+	}
+	select {
+	case ticks <- base:
+		t.Fatal("a control loop still receives ticks after Stop")
+	default:
 	}
 }

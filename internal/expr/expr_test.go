@@ -1,7 +1,12 @@
 package expr
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -312,6 +317,140 @@ func TestBoundEvalWordMatchesEval(t *testing.T) {
 				}
 				if got := b.EvalWord(base, mask); got != want {
 					t.Fatalf("%s store, %s, word %d mask %#x: EvalWord = %#x, Eval = %#x", side, p, base/64, mask, got, want)
+				}
+			}
+		}
+	}
+}
+
+// evalWords checks b over every row of a rows-long store: EvalWord under a
+// full and a sparse mask must equal per-row Eval, and Eval must equal want.
+func evalWords(t *testing.T, what string, b Bound, rows int, want func(row int) bool) {
+	t.Helper()
+	for row := 0; row < rows; row++ {
+		if got := b.Eval(row); got != want(row) {
+			t.Fatalf("%s: row %d Eval = %v, reference %v", what, row, got, want(row))
+		}
+	}
+	for base := 0; base < rows; base += 64 {
+		full := ^uint64(0)
+		if n := rows - base; n < 64 {
+			full = 1<<uint(n) - 1
+		}
+		for _, mask := range []uint64{full, full & 0x5a5a_0f0f_3c3c_9999} {
+			var ref uint64
+			for i := 0; i < 64; i++ {
+				if mask&(1<<uint(i)) != 0 && b.Eval(base+i) {
+					ref |= 1 << uint(i)
+				}
+			}
+			if got := b.EvalWord(base, mask); got != ref {
+				t.Fatalf("%s: word %d mask %#x: EvalWord = %#x, Eval = %#x", what, base/64, mask, got, ref)
+			}
+		}
+	}
+}
+
+// TestStringEqualityOnIDs: string = and <> compare dictionary value IDs.
+// On main and delta stores, with the constant present and absent, EvalWord
+// and Eval agree with a string comparison per row — also after the delta
+// dictionary grew between two binds.
+func TestStringEqualityOnIDs(t *testing.T) {
+	const rows = 150
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]string, rows)
+	for i := range vals {
+		vals[i] = string(rune('a' + rng.Intn(9)))
+	}
+	mb, delta := column.NewMainBuilder(column.String), column.NewDelta(column.String)
+	for _, v := range vals {
+		mb.Append(column.StrV(v))
+		delta.Append(column.StrV(v))
+	}
+	stores := map[string]column.Reader{"main": mb.Build(), "delta": delta}
+	colIndex := func(string) int { return 0 }
+	check := func(side string, col column.Reader, vals []string) {
+		for _, c := range []string{"a", "e", "i", "zz", ""} {
+			for _, op := range []Op{Eq, Ne} {
+				p := Cmp{Col: "s", Op: op, Val: column.StrV(c)}
+				b, err := p.Bind(colIndex, readerSource{col})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := b.(*boundIDEq); !ok {
+					t.Fatalf("%s: bound %T, want the value-ID path", p, b)
+				}
+				evalWords(t, side+" "+p.String(), b, len(vals), func(row int) bool {
+					return op.holds(strings.Compare(vals[row], c))
+				})
+			}
+		}
+	}
+	for side, col := range stores {
+		check(side, col, vals)
+	}
+	// "zz" is absent at the first bind; appending it grows the delta's
+	// dictionary, and a second bind must find it.
+	p := Cmp{Col: "s", Op: Eq, Val: column.StrV("zz")}
+	before, _ := p.Bind(colIndex, readerSource{delta})
+	delta.Append(column.StrV("zz"))
+	vals = append(vals, "zz")
+	if before.Eval(rows) {
+		t.Fatal("a bind taken while zz was absent matches the row appended later")
+	}
+	check("grown delta", delta, vals)
+}
+
+// TestFloatTotalOrder: on float stores holding NaN, ±Inf, signed zeros and
+// repeated values, every operator against every constant evaluates in
+// cmp.Compare's total order (NaN first, equal to NaN) — per row, a word at
+// a time, and in ProvablyEmpty's verdict from the store's MinMax bounds,
+// which must be the total order's minimum and maximum.
+func TestFloatTotalOrder(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	domains := [][]float64{
+		{1.5, nan, -inf, 1.5, inf, 0, nan, -2, math.Copysign(0, -1), 7},
+		{nan, 3, 3, -1},
+		{nan, nan},
+		{inf, 2, -inf},
+		{4, 4, 4},
+	}
+	consts := []float64{nan, -inf, inf, -2, 0, math.Copysign(0, -1), 1.5, 3, 4, 7, 100, -100}
+	for d, dom := range domains {
+		rows := 5 * len(dom)
+		mb, delta := column.NewMainBuilder(column.Float64), column.NewDelta(column.Float64)
+		vals := make([]float64, rows)
+		for r := range vals {
+			vals[r] = dom[(r*7)%len(dom)]
+			mb.Append(column.FloatV(vals[r]))
+			delta.Append(column.FloatV(vals[r]))
+		}
+		lo, hi := slices.MinFunc(vals, cmp.Compare[float64]), slices.MaxFunc(vals, cmp.Compare[float64])
+		for side, col := range map[string]column.Reader{"main": mb.Build(), "delta": delta} {
+			clo, chi, ok := col.MinMax()
+			if !ok || cmp.Compare(clo.F, lo) != 0 || cmp.Compare(chi.F, hi) != 0 {
+				t.Fatalf("domain %d %s: MinMax = %v..%v, want %v..%v", d, side, clo, chi, lo, hi)
+			}
+			stats := func(string) (column.Value, column.Value, bool) { return col.MinMax() }
+			for _, c := range consts {
+				for op := Eq; op <= Ge; op++ {
+					p := Cmp{Col: "f", Op: op, Val: column.FloatV(c)}
+					b, err := p.Bind(func(string) int { return 0 }, readerSource{col})
+					if err != nil {
+						t.Fatal(err)
+					}
+					matches := 0
+					want := func(row int) bool { return op.holds(cmp.Compare(vals[row], c)) }
+					for r := range vals {
+						if want(r) {
+							matches++
+						}
+					}
+					what := fmt.Sprintf("domain %d %s %s", d, side, p)
+					evalWords(t, what, b, rows, want)
+					if ProvablyEmpty(p, stats) && matches > 0 {
+						t.Fatalf("%s: ProvablyEmpty with %d matching rows", what, matches)
+					}
 				}
 			}
 		}

@@ -66,6 +66,9 @@ type Sampler struct {
 
 	// now is stubbed by tests.
 	now func() time.Time
+	// tickSrc, when set by a test, replaces the loop's ticker with a
+	// channel the test drives, so it can count ticks exactly.
+	tickSrc <-chan time.Time
 }
 
 // NewSampler returns a sampler over reg; call Start to begin scraping.
@@ -105,13 +108,17 @@ func (s *Sampler) Start() {
 
 func (s *Sampler) loop(stop, done chan struct{}) {
 	defer close(done)
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
+	ticks := s.tickSrc
+	if ticks == nil {
+		t := time.NewTicker(s.interval)
+		defer t.Stop()
+		ticks = t.C
+	}
 	for {
 		select {
 		case <-stop:
 			return
-		case <-t.C:
+		case <-ticks:
 			s.SampleOnce()
 		}
 	}

@@ -71,35 +71,37 @@ func TestSamplerScrapesAllMetricKinds(t *testing.T) {
 	}
 }
 
+// TestSamplerStartStop drives the loop from an injected tick channel: every
+// tick is one scrape, Stop waits for the loop to finish, no loop receives
+// ticks after Stop, and a stopped sampler restarts.
 func TestSamplerStartStop(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()
-	s := NewSampler(r, SamplerConfig{Interval: time.Millisecond, Capacity: 16})
+	s := NewSampler(r, SamplerConfig{Capacity: 16})
+	ticks := make(chan time.Time)
+	s.tickSrc = ticks
 	s.Start()
 	s.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for len(s.Dump()["c"]) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sampler collected nothing within 2s")
-		}
-		time.Sleep(time.Millisecond)
+	for i := 0; i < 3; i++ {
+		ticks <- time.Time{}
 	}
 	s.Stop()
 	s.Stop() // idempotent
-	n := len(s.Dump()["c"])
-	time.Sleep(5 * time.Millisecond)
-	if got := len(s.Dump()["c"]); got != n {
-		t.Fatalf("sampler still scraping after Stop: %d -> %d", n, got)
+	if got := len(s.Dump()["c"]); got != 3 {
+		t.Fatalf("3 ticks scraped %d samples", got)
+	}
+	select {
+	case ticks <- time.Time{}:
+		t.Fatal("a scrape loop still receives ticks after Stop")
+	default:
 	}
 	// Restartable after Stop.
 	s.Start()
-	defer s.Stop()
-	deadline = time.Now().Add(2 * time.Second)
-	for len(s.Dump()["c"]) == n {
-		if time.Now().After(deadline) {
-			t.Fatal("restarted sampler collected nothing within 2s")
-		}
-		time.Sleep(time.Millisecond)
+	ticks <- time.Time{}
+	ticks <- time.Time{}
+	s.Stop()
+	if got := len(s.Dump()["c"]); got != 5 {
+		t.Fatalf("after restart and 2 more ticks: %d samples, want 5", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"math"
 
 	"aggcache/internal/column"
@@ -239,8 +240,9 @@ func (k *groupKernel) extremes(col column.Reader, rows []int32, isMin bool, ext 
 		for g, t := range k.rep {
 			ext[g] = math.Float64bits(k.f64[t])
 		}
+		// cmp.Less is column.Less's total order: NaN below every value.
 		for t, g := range k.gids {
-			if v, e := k.f64[t], math.Float64frombits(ext[g]); isMin && v < e || !isMin && v > e {
+			if v, e := k.f64[t], math.Float64frombits(ext[g]); isMin && cmp.Less(v, e) || !isMin && cmp.Less(e, v) {
 				ext[g] = math.Float64bits(v)
 			}
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -13,11 +14,13 @@ import (
 
 // kernelCol describes one generated column: its kind, whether it is a main
 // store (sorted dictionary, bit-packed or run-length IDs) or a delta
-// (unsorted dictionary), and its dictionary size.
+// (unsorted dictionary), its dictionary size, and for floats whether the
+// first value of the domain is NaN.
 type kernelCol struct {
 	kind     column.Kind
 	main     bool
 	distinct int
+	nan      bool
 }
 
 // kernelAgg describes one generated aggregate; col is ignored for COUNT(*).
@@ -59,6 +62,9 @@ func genColumn(rng *rand.Rand, d kernelCol, exact bool) column.Reader {
 	domain := make([]column.Value, d.distinct)
 	for v := range domain {
 		domain[v] = genValue(rng, d.kind, v, exact)
+	}
+	if d.nan && d.kind == column.Float64 {
+		domain[0] = column.FloatV(math.NaN())
 	}
 	order := rng.Perm(d.distinct)
 	for i := 0; i < d.distinct; i++ {
@@ -184,7 +190,8 @@ func checkKernel(t *testing.T, name string, kc *kernelCase, seeded bool) groupMo
 	if !seeded && groups != want.Groups() {
 		t.Fatalf("%s: kernel formed %d groups, reference %d", name, groups, want.Groups())
 	}
-	if g, w := got.Rows(), want.Rows(); !reflect.DeepEqual(g, w) {
+	if !identical(got, want) {
+		g, w := got.Rows(), want.Rows()
 		t.Fatalf("%s (mode %v, %d tuples): kernel rows diverge from per-row Add\n got %+v\nwant %+v", name, mode, kc.n, g, w)
 	}
 	if !got.Equal(want) {
@@ -220,6 +227,17 @@ var allFuncs = append(append([]kernelAgg(nil), sumCountAvg...),
 	kernelAgg{fn: Max, col: strMainCol(40)},
 )
 
+func nanCol(c kernelCol) kernelCol { c.nan = true; return c }
+
+// nanAggs is allFuncs with NaN in every float column.
+func nanAggs() []kernelAgg {
+	aggs := append([]kernelAgg(nil), allFuncs...)
+	for i := range aggs {
+		aggs[i].col = nanCol(aggs[i].col)
+	}
+	return aggs
+}
+
 // wideKeys are eight columns of 257 values: 257^8 overflows 64 bits.
 func wideKeys() []kernelCol {
 	keys := make([]kernelCol, 8)
@@ -250,6 +268,8 @@ func TestGroupByKernelMatchesPerRowAdd(t *testing.T) {
 		{"one distinct key", []kernelCol{strDelta(1)}, allFuncs, 50, groupDense},
 		{"empty join", []kernelCol{strMainCol(5)}, allFuncs, 0, groupDense},
 		{"empty join hash", []kernelCol{intDelta(300), intDelta(300)}, allFuncs, 0, groupHash},
+		{"NaN keys and values", []kernelCol{nanCol(fltMainCol(6)), nanCol(fltDelta(5))}, nanAggs(), 700, groupDense},
+		{"NaN keys hash", []kernelCol{nanCol(fltDelta(300)), nanCol(fltMainCol(300))}, nanAggs(), 900, groupHash},
 	}
 	for i, c := range cases {
 		for _, seeded := range []bool{false, true} {
@@ -310,9 +330,11 @@ func TestGroupByKernelRandomized(t *testing.T) {
 // column then picks kind, store and dictionary size (1 to 280 values, so
 // nine key columns can overflow 64 bits), one byte per aggregate its
 // function and column; tuples supplies one row byte per column per tuple;
-// seed draws the column values.
+// seed draws the column values, and an odd seed puts NaN into every float
+// column.
 func FuzzGroupByKernel(f *testing.F) {
 	f.Add(int64(1), []byte{0x12, 0x08, 0x11, 0x22}, []byte("tuples over one key"))
+	f.Add(int64(3), []byte{0x22, 0x09, 0x0d, 0x13, 0x21}, []byte("NaN keys, sums and extremes"))
 	f.Fuzz(func(t *testing.T, seed int64, layout, tuples []byte) {
 		if len(layout) == 0 {
 			return
@@ -322,7 +344,7 @@ func FuzzGroupByKernel(f *testing.F) {
 			return
 		}
 		col := func(b byte) kernelCol {
-			return kernelCol{kind: column.Kind(b % 3), main: b&4 != 0, distinct: 1 + int(b>>3)*9}
+			return kernelCol{kind: column.Kind(b % 3), main: b&4 != 0, distinct: 1 + int(b>>3)*9, nan: seed&1 == 1}
 		}
 		keys := make([]kernelCol, nKeys)
 		for c := range keys {

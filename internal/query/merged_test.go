@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,20 +10,9 @@ import (
 	"aggcache/internal/column"
 )
 
-func rowsToMap(rows []Row) map[string][]float64 {
-	out := map[string][]float64{}
-	for _, r := range rows {
-		vals := make([]float64, 0, len(r.Aggs)+1)
-		for _, a := range r.Aggs {
-			vals = append(vals, a.Float())
-		}
-		vals = append(vals, float64(r.Count))
-		out[EncodeGroupKey(r.Keys)] = vals
-	}
-	return out
-}
-
-func TestMergedRowsEqualsMergeThenRows(t *testing.T) {
+// TestUnsortedRowsEqualsRows: UnsortedRows finalizes the same rows as Rows,
+// in slot order — after merges, and after removals and revivals too.
+func TestUnsortedRowsEqualsRows(t *testing.T) {
 	sp := specs()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -36,23 +26,17 @@ func TestMergedRowsEqualsMergeThenRows(t *testing.T) {
 				b.Add(k, v)
 			}
 		}
-		merged := rowsToMap(a.MergedRows(b))
-		ref := a.Clone()
-		ref.Merge(b)
-		want := rowsToMap(ref.Rows())
-		if len(merged) != len(want) {
-			return false
-		}
-		for k, vals := range want {
-			got, ok := merged[k]
-			if !ok {
+		a.Merge(b)
+		neg := NewAggTable(sp)
+		neg.MergeSigned(b, -1)
+		c := a.Clone()
+		c.ApplySigned(neg)
+		c.Merge(b)
+		for _, x := range []*AggTable{a, c} {
+			got := x.UnsortedRows()
+			sort.Slice(got, func(i, j int) bool { return EncodeGroupKey(got[i].Keys) < EncodeGroupKey(got[j].Keys) })
+			if !reflect.DeepEqual(got, x.Rows()) {
 				return false
-			}
-			for i := range vals {
-				d := got[i] - vals[i]
-				if d > 1e-9 || d < -1e-9 {
-					return false
-				}
 			}
 		}
 		return true
@@ -62,25 +46,18 @@ func TestMergedRowsEqualsMergeThenRows(t *testing.T) {
 	}
 }
 
-func TestMergedRowsDropsEmptiedGroups(t *testing.T) {
+func TestUnsortedRowsSkipsRemovedGroups(t *testing.T) {
 	sp := []AggSpec{{Func: Sum, Col: ColRef{Table: "T", Col: "x"}}}
 	a, comp := NewAggTable(sp), NewAggTable(sp)
 	k := []column.Value{column.IntV(1)}
 	a.Add(k, []column.Value{column.FloatV(5)})
-	// The compensation holds a full negative of the group.
+	a.Add([]column.Value{column.IntV(2)}, []column.Value{column.FloatV(7)})
+	// The compensation holds a full negative of group 1.
 	comp.AddGroup(k, []float64{-5}, -1)
-	if rows := a.MergedRows(comp); len(rows) != 0 {
+	a.ApplySigned(comp)
+	rows := a.UnsortedRows()
+	if len(rows) != 1 || rows[0].Keys[0].I != 2 || a.Groups() != 1 {
 		t.Fatalf("emptied group survived: %+v", rows)
-	}
-}
-
-func TestMergedRowsCompOnlyGroups(t *testing.T) {
-	sp := []AggSpec{{Func: Sum, Col: ColRef{Table: "T", Col: "x"}}}
-	a, comp := NewAggTable(sp), NewAggTable(sp)
-	comp.Add([]column.Value{column.IntV(9)}, []column.Value{column.FloatV(2)})
-	rows := a.MergedRows(comp)
-	if len(rows) != 1 || rows[0].Keys[0].I != 9 || rows[0].Aggs[0].F != 2 {
-		t.Fatalf("comp-only group wrong: %+v", rows)
 	}
 }
 
@@ -149,21 +126,6 @@ func TestIntKeyAggregatesIgnoreExtraMax(t *testing.T) {
 				t.Fatalf("agg %d differs at row %d: %v vs %v", a, i, frows[i].Aggs[a], grows[i].Aggs[a])
 			}
 		}
-	}
-}
-
-func TestMergedRowsMinMax(t *testing.T) {
-	sp := []AggSpec{
-		{Func: Min, Col: ColRef{Table: "T", Col: "x"}},
-		{Func: Max, Col: ColRef{Table: "T", Col: "x"}},
-	}
-	a, comp := NewAggTable(sp), NewAggTable(sp)
-	k := []column.Value{column.IntV(1)}
-	a.Add(k, []column.Value{column.FloatV(5), column.FloatV(5)})
-	comp.Add(k, []column.Value{column.FloatV(2), column.FloatV(9)})
-	rows := a.MergedRows(comp)
-	if len(rows) != 1 || rows[0].Aggs[0].F != 2 || rows[0].Aggs[1].F != 9 {
-		t.Fatalf("merged min/max = %+v", rows)
 	}
 }
 

@@ -78,8 +78,9 @@ func (e *Executor) ParallelWorkers(n int) int {
 
 // ExecuteJobs evaluates a batch of subjoin jobs and folds their results into
 // out and st. Jobs are independent — each accumulates into a private
-// AggTable with private Stats — so the pool may run them in any order on up
-// to PoolSize goroutines; results are then merged in job-index order. The
+// AggTable (a pooled partial, reset rather than reallocated) with private
+// Stats — so the pool may run them in any order on up to PoolSize
+// goroutines; results are then merged in job-index order. The
 // sequential fallback (one worker, or a single job) follows the exact same
 // private-table discipline, so the result and the Stats are byte-identical
 // for every worker count: float summation order per group never depends on
@@ -87,8 +88,9 @@ func (e *Executor) ParallelWorkers(n int) int {
 //
 // onDone, when non-nil, is invoked in job-index order after each job's
 // result is merged — the manager's per-subjoin event and recycler-admission
-// hook; sub is the job's private result table, which the callback may take
-// ownership of (it is never touched again after the merge).
+// hook. sub is the job's private result table, valid only during the call:
+// it comes from a pool in the execution scratch and is reset for a later
+// job, so a callback that keeps it takes a Clone.
 //
 // On error, stats are folded in job order up to and including the first
 // failing job and that job's error is returned.
@@ -112,7 +114,8 @@ func (e *Executor) ExecuteJobs(q *Query, jobs []ComboJob, snap txn.Snapshot, out
 		scr := getScratch()
 		defer putScratch(scr)
 		for i := range jobs {
-			sub := NewAggTable(q.Aggs)
+			scr.partials = 0
+			sub := scr.partial(q.Aggs)
 			var jst Stats
 			err := e.runJob(scr, q, &jobs[i], snap, sub, &jst, -1, memo)
 			st.Add(jst)
@@ -133,26 +136,33 @@ func (e *Executor) ExecuteJobs(q *Query, jobs []ComboJob, snap txn.Snapshot, out
 		err error
 	}
 	results := make([]jobResult, len(jobs))
+	// The workers' scratches hold the job partials until the job-order fold
+	// below has read them, so they go back to the pool only afterwards.
+	scrs := make([]*execScratch, e.PoolSize(len(jobs)))
+	defer func() {
+		for _, scr := range scrs {
+			putScratch(scr)
+		}
+	}()
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < e.PoolSize(len(jobs)); g++ {
+	for g := range scrs {
+		scrs[g] = getScratch()
+		scrs[g].partials = 0
 		wg.Add(1)
-		go func(worker int) {
+		go func(worker int, scr *execScratch) {
 			defer wg.Done()
-			scr := getScratch()
-			defer putScratch(scr)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(jobs) {
 					return
 				}
 				r := &results[i]
-				sub := NewAggTable(q.Aggs)
-				r.err = e.runJob(scr, q, &jobs[i], snap, sub, &r.st, worker, memo)
-				r.sub = sub
+				r.sub = scr.partial(q.Aggs)
+				r.err = e.runJob(scr, q, &jobs[i], snap, r.sub, &r.st, worker, memo)
 				e.ParallelSubjoins.Inc()
 			}
-		}(g)
+		}(g, scrs[g])
 	}
 	wg.Wait()
 	for i := range results {

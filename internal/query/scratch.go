@@ -12,9 +12,10 @@ import (
 
 // execScratch holds every reusable buffer one subjoin execution needs: the
 // visibility bitset of the scan kernel, per-table candidate-row buffers, the
-// join kernel's arrays, double-buffered tuple columns, and the group-by
-// kernel's arrays. Workers check one out of scratchPool per batch, so
-// steady-state subjoin execution allocates only the per-job result table.
+// join kernel's arrays, double-buffered tuple columns, the group-by
+// kernel's arrays, and the per-job result tables. Workers check one out of
+// scratchPool per batch, so steady-state subjoin execution reuses buffers
+// and result tables instead of allocating them.
 //
 // The recycler's reuse paths stay inside this discipline: an exact recycled
 // hit merges the cached partial without touching scratch at all, a top-up
@@ -57,12 +58,30 @@ type execScratch struct {
 	aggCols []column.Reader
 	aggRows [][]int32
 	gb      groupKernel
+
+	// Job result tables: ExecuteJobs hands every job it runs on this scratch
+	// the next table of pool, reset for the query's specs; partials counts
+	// the tables handed out in the current batch.
+	pool     []*AggTable
+	partials int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(execScratch) }}
 
 func getScratch() *execScratch  { return scratchPool.Get().(*execScratch) }
 func putScratch(s *execScratch) { scratchPool.Put(s) }
+
+// partial returns the next pooled job result table, empty and set up for
+// specs. It stays valid until the scratch's next batch resets partials.
+func (scr *execScratch) partial(specs []AggSpec) *AggTable {
+	if scr.partials == len(scr.pool) {
+		scr.pool = append(scr.pool, new(AggTable))
+	}
+	t := scr.pool[scr.partials]
+	scr.partials++
+	t.reset(specs)
+	return t
+}
 
 // ensureTables grows the per-table slices to hold at least n entries. The
 // slices never shrink, so buffers survive across combos of different widths.

@@ -50,11 +50,13 @@ type Auditor struct {
 	cacheDrift  *obs.Gauge   // audit.cache_bytes_drift — |accounted − summed| cache bytes
 	staleGuards *obs.Gauge   // audit.recycler_stale_guards — recycler entries pending lazy invalidation
 
-	mu     sync.Mutex
-	last   *AuditReport
-	stop   chan struct{}
-	done   chan struct{}
-	ticker *time.Ticker
+	mu   sync.Mutex
+	last *AuditReport
+	stop chan struct{}
+	done chan struct{}
+	// tickSrc, when set by a test, replaces the loop's ticker with a
+	// channel the test drives, so it can count passes exactly.
+	tickSrc <-chan time.Time
 }
 
 // NewAuditor builds an auditor over the manager. It does not start a loop;
@@ -130,16 +132,20 @@ func (a *Auditor) Start(interval time.Duration) {
 	}
 	a.stop = make(chan struct{})
 	a.done = make(chan struct{})
-	a.ticker = time.NewTicker(interval)
-	stop, done, tick := a.stop, a.done, a.ticker
+	stop, done, ticks := a.stop, a.done, a.tickSrc
 	a.mu.Unlock()
 	go func() {
 		defer close(done)
+		if ticks == nil {
+			t := time.NewTicker(interval)
+			defer t.Stop()
+			ticks = t.C
+		}
 		for {
 			select {
 			case <-stop:
 				return
-			case <-tick.C:
+			case <-ticks:
 				a.RunOnce()
 			}
 		}
@@ -149,13 +155,12 @@ func (a *Auditor) Start(interval time.Duration) {
 // Stop halts the standalone loop (no-op when Start was never called).
 func (a *Auditor) Stop() {
 	a.mu.Lock()
-	stop, done, tick := a.stop, a.done, a.ticker
-	a.stop, a.done, a.ticker = nil, nil, nil
+	stop, done := a.stop, a.done
+	a.stop, a.done = nil, nil
 	a.mu.Unlock()
 	if stop == nil {
 		return
 	}
 	close(stop)
-	tick.Stop()
 	<-done
 }

@@ -76,8 +76,9 @@ func TestAuditorLastRunsWhenEmpty(t *testing.T) {
 	}
 }
 
-// TestAuditorLoop smoke-tests the standalone Start/Stop cadence used by
-// ungoverned processes.
+// TestAuditorLoop drives the standalone Start/Stop cadence used by
+// ungoverned processes from an injected tick channel: one pass per tick,
+// none after Stop.
 func TestAuditorLoop(t *testing.T) {
 	erp, err := workload.BuildERP(difftest.SmallERP(1))
 	if err != nil {
@@ -86,14 +87,20 @@ func TestAuditorLoop(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := core.NewManager(erp.DB, erp.Reg, core.Config{Metrics: reg})
 	a := verify.NewAuditor(m, verify.AuditorConfig{Metrics: reg})
-	a.Start(time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for reg.Counter("audit.passes").Value() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	ticks := make(chan time.Time)
+	verify.SetAuditTicks(a, ticks)
+	a.Start(time.Hour)
+	a.Start(time.Hour) // no-op
+	ticks <- time.Time{}
+	ticks <- time.Time{}
 	a.Stop()
-	if got := reg.Counter("audit.passes").Value(); got < 2 {
-		t.Fatalf("audit loop completed %d passes, want >= 2", got)
+	if got := reg.Counter("audit.passes").Value(); got != 2 {
+		t.Fatalf("2 ticks completed %d audit passes", got)
+	}
+	select {
+	case ticks <- time.Time{}:
+		t.Fatal("the audit loop still receives ticks after Stop")
+	default:
 	}
 	a.Stop() // double-Stop is a no-op
 }
