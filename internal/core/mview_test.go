@@ -200,3 +200,57 @@ func TestSummaryTableVersionsAccumulate(t *testing.T) {
 		t.Fatalf("visible extent = %+v, want one group with count 10", rows)
 	}
 }
+
+// TestViewStringEqualityFilter maintains single-table views filtered by a
+// string = or <> under both modes. Maintenance evaluates the filter against
+// one in-flight row, a column with no dictionary, so the bound predicate
+// must not assume one.
+func TestViewStringEqualityFilter(t *testing.T) {
+	for _, mode := range []MaintenanceMode{Eager, Lazy} {
+		for _, op := range []expr.Op{expr.Eq, expr.Ne} {
+			// "Toys" is in the merged dictionary; "Gadgets" only enters
+			// through the inserts below.
+			for _, name := range []string{"Toys", "Gadgets"} {
+				e := newEnv(t, Config{})
+				q := &query.Query{
+					Tables:  []string{"ProductCategory"},
+					Filters: map[string]expr.Pred{"ProductCategory": expr.Cmp{Col: "Name", Op: op, Val: column.StrV(name)}},
+					GroupBy: []query.ColRef{{Table: "ProductCategory", Col: "Name"}},
+					Aggs: []query.AggSpec{
+						{Func: query.Count, As: "N"},
+						{Func: query.Sum, Col: query.ColRef{Table: "ProductCategory", Col: "CategoryID"}, As: "S"},
+					},
+				}
+				v, err := NewMaterializedView(e.db, q, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, n := range []string{"Toys", "Gadgets", "Food", "Gadgets", "Toys"} {
+					vals := []column.Value{column.IntV(int64(10 + i)), column.StrV(n)}
+					tx := e.db.Txns().Begin()
+					if _, err := e.db.MustTable("ProductCategory").Insert(tx, vals); err != nil {
+						t.Fatal(err)
+					}
+					tx.Commit()
+					if err := v.OnInsert(vals); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got, err := v.Read()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := e.mgr.Execute(q, Uncached)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !want.Equal(got) {
+					t.Fatalf("%v %v %q: view diverged:\n got %+v\nwant %+v", mode, op, name, got.Rows(), want.Rows())
+				}
+				if want.Groups() == 0 {
+					t.Fatalf("%v %v %q: empty result proves nothing", mode, op, name)
+				}
+			}
+		}
+	}
+}

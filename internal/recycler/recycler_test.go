@@ -185,6 +185,63 @@ func TestRecyclerResultNotAliased(t *testing.T) {
 	}
 }
 
+// TestRecyclerKeepsOwnCopy admits non-empty partials, runs other queries
+// whose jobs reuse the executor's pooled result tables the admitted
+// partials were computed in, and requires the recycled hit to stay exact:
+// the cache stores a copy, never the pooled table.
+func TestRecyclerKeepsOwnCopy(t *testing.T) {
+	erp, cfg := buildERP(t)
+	oracle := core.NewManager(erp.DB, erp.Reg, core.Config{Workers: 1, Metrics: obs.NewRegistry()})
+	m, rc := newRecycledManager(erp, 1)
+	// The appended objects fall in the last fiscal year, so its delta
+	// subjoins have groups.
+	q := erp.ProfitQuery(cfg.BaseYear+cfg.Years-1, "ENG")
+	if _, _, err := m.Execute(q, core.CachedNoPruning); err != nil {
+		t.Fatal(err)
+	}
+	groups := 0
+	for _, p := range rc.Debug().Partials {
+		groups += p.Groups
+	}
+	if groups == 0 {
+		t.Fatal("no admitted partial has groups; the test proves nothing")
+	}
+	// recheck runs other queries, then q again, which must recycle and match
+	// the oracle.
+	recheck := func(name string) query.Stats {
+		t.Helper()
+		for _, lang := range []string{"GER", "ENG"} {
+			if _, _, err := m.Execute(erp.ProfitQuery(cfg.BaseYear, lang), core.CachedNoPruning); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, info, err := m.Execute(q, core.CachedNoPruning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := oracle.Execute(q, core.Uncached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(got) != render(want) {
+			t.Fatalf("%s: recycled partials changed with the executor's pooled tables:\n got %s\nwant %s", name, render(got), render(want))
+		}
+		return info.Stats
+	}
+	if st := recheck("admitted"); st.RecycledSubjoins == 0 {
+		t.Fatalf("repeat execution not recycled: %+v", st)
+	}
+	if err := erp.InsertBusinessObjects(10); err != nil {
+		t.Fatal(err)
+	}
+	if st := recheck("topped up"); st.RecycledTopups == 0 {
+		t.Fatalf("no top-up after appends: %+v", st)
+	}
+	if st := recheck("after top-up"); st.RecycledSubjoins == 0 {
+		t.Fatalf("topped-up partials not recycled: %+v", st)
+	}
+}
+
 // TestRecyclerInvalidateOnMerge asserts the merge hooks drop partials whose
 // stores a delta merge retires, and that post-merge executions are correct.
 func TestRecyclerInvalidateOnMerge(t *testing.T) {
