@@ -560,8 +560,8 @@ func (sh *shell) runStatement(stmt string) error {
 	}
 	elapsed := time.Since(start)
 	printResult(st, res)
-	fmt.Printf("-- %d group(s) in %s [%s: hit=%v subjoins %d/%d, md-pruned %d, empty-pruned %d, pushdowns %d]\n",
-		res.Groups(), elapsed.Round(10*time.Microsecond), info.Strategy, info.CacheHit,
+	fmt.Printf("-- %d group(s) in %s [%s: hit=%v memo=%v subjoins %d/%d, md-pruned %d, empty-pruned %d, pushdowns %d]\n",
+		res.Groups(), elapsed.Round(10*time.Microsecond), info.Strategy, info.CacheHit, info.MemoHit,
 		info.Stats.Executed, info.Stats.Subjoins, info.Stats.PrunedMD,
 		info.Stats.PrunedEmpty, info.Stats.Pushdowns)
 	return nil
@@ -620,8 +620,8 @@ func (sh *shell) runExplainAnalyze(stmt string) error {
 	if info.Regret > 0 {
 		fmt.Printf("-- regret: this miss was a ledger-predicted hit at capacity %.1fx\n", info.Regret)
 	}
-	fmt.Printf("-- %d group(s) in %s [%s: hit=%v subjoins %d/%d, md-pruned %d, scan-pruned %d, empty-pruned %d, pushdowns %d, rows scanned %d]\n",
-		res.Groups(), info.Total.Round(10*time.Microsecond), info.Strategy, info.CacheHit,
+	fmt.Printf("-- %d group(s) in %s [%s: hit=%v memo=%v subjoins %d/%d, md-pruned %d, scan-pruned %d, empty-pruned %d, pushdowns %d, rows scanned %d]\n",
+		res.Groups(), info.Total.Round(10*time.Microsecond), info.Strategy, info.CacheHit, info.MemoHit,
 		info.Stats.Executed, info.Stats.Subjoins, info.Stats.PrunedMD, info.Stats.PrunedScan,
 		info.Stats.PrunedEmpty, info.Stats.Pushdowns, info.Stats.RowsScanned)
 	return nil

@@ -115,8 +115,10 @@ func (m *Manager) AuditRecycler() *recycler.AuditReport {
 // CorruptEntryForVerify deterministically corrupts one cached aggregate
 // value — the fault-injection hook behind shadow-verification tests and
 // the difftest "corrupt" op. The victim entry is chosen by seed over the
-// sorted keys and one of its groups is perturbed (query.AggTable.Perturb),
-// leaving all bookkeeping untouched so only a result diff can catch it.
+// sorted keys and one of its groups is perturbed (query.AggTable.Perturb) —
+// in the cached value and in the entry's result memo, which a memo hit
+// serves instead — leaving all bookkeeping untouched so only a result diff
+// can catch it.
 // It returns the corrupted entry's key, or "" when the cache is empty.
 func (m *Manager) CorruptEntryForVerify(seed int64) string {
 	m.mu.Lock()
@@ -129,6 +131,10 @@ func (m *Manager) CorruptEntryForVerify(seed int64) string {
 		seed = -seed
 	}
 	key := keys[seed%int64(len(keys))]
-	m.entries[key].Value.Perturb(seed)
+	e := m.entries[key]
+	e.Value.Perturb(seed)
+	if e.memo != nil {
+		e.memo.Perturb(seed)
+	}
 	return key
 }

@@ -51,10 +51,10 @@ func (m *Metrics) Profit() float64 {
 // metrics.
 //
 // Locking invariant: every mutable field of an admitted Entry — Value,
-// SnapHigh, MainVis, MainInv, Stale, and all of Metrics (Hits, LastAccess,
-// DirtyCounter, ...) — is guarded by the owning Manager's mu. The manager
-// mutates them only with mu held (prepare, compensateAndAccount,
-// mainCompensate, and the merge hook all lock it). Callers that obtained
+// SnapHigh, MainVis, MainInv, Stale, the result memo, and all of Metrics
+// (Hits, LastAccess, DirtyCounter, ...) — is guarded by the owning
+// Manager's mu. The manager mutates them only with mu held (prepare,
+// compensateAndAccount, mainCompensate, and the merge hook all lock it). Callers that obtained
 // the pointer via Manager.Entry may read these fields only while execution
 // is quiescent (no concurrent Execute/merge); concurrent introspection must
 // go through Manager.EntryMetrics or Manager.EntriesByProfit, which copy
@@ -85,6 +85,15 @@ type Entry struct {
 	// vectors describe the pre-swap store layout, so the merge swap marks
 	// it stale instead of applying the staged maintenance fold.
 	mergedDirty bool
+	// memo is the last fully compensated answer served from this entry,
+	// computed at read watermark memoHigh under strategy memoStrat; nil when
+	// there is none. It shares keys and index with the served tables
+	// copy-on-write. A memo hit serves a clone of it and skips main and
+	// delta compensation (Manager.memoServable); it is dropped wherever
+	// Value or the stores under it change (dropMemo).
+	memo      *query.AggTable
+	memoHigh  txn.TID
+	memoStrat Strategy
 	// Metrics are the entry's profit metrics.
 	Metrics Metrics
 }

@@ -112,6 +112,9 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 		if !queryReferences(e.Query, name) {
 			continue
 		}
+		// The swap replaces the stores under the entry and the fold below
+		// changes its value.
+		e.dropMemo()
 		if e.Stale {
 			e.mergedDirty = false
 			continue

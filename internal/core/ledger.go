@@ -167,6 +167,9 @@ func (m *Manager) accessDecision(q *query.Query, info *ExecInfo) obs.Decision {
 		}
 	}
 	m.mu.Unlock()
+	if info.MemoHit {
+		d.Reason = "memo"
+	}
 	d.Strategy = info.Strategy.String()
 	d.ServeNS = int64(info.Total)
 	d.RegretX = info.Regret

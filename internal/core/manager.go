@@ -86,6 +86,10 @@ type ExecInfo struct {
 	Strategy Strategy
 	// CacheHit is true when an existing, non-stale entry served the query.
 	CacheHit bool
+	// MemoHit is true when the cache hit was served from the entry's result
+	// memo: the answer last computed for it was still exact, so main and
+	// delta compensation were skipped. A memo hit is also a CacheHit.
+	MemoHit bool
 	// Admitted is true when this execution created a cache entry that was
 	// admitted.
 	Admitted bool
@@ -293,7 +297,7 @@ func (m *Manager) serve(q *query.Query, strat Strategy, traced bool) (res *query
 		sp.Attr("strategy", strat.String())
 		sp.Attr("shape", q.Shape())
 	}
-	res, info, err = m.execute(q, snap, strat, sp)
+	res, info, err = m.execute(q, snap, strat, sp, !traced)
 	m.observeExec(q, snap, sp, res, &info, err)
 	return res, info, sp, err
 }
@@ -371,7 +375,7 @@ func (m *Manager) PinSnapshot() (txn.Snapshot, func()) {
 // the snapshot's pin, so the execution is observed but neither traced nor
 // offered to the shadow verifier.
 func (m *Manager) ExecuteAt(q *query.Query, snap txn.Snapshot, strat Strategy) (*query.AggTable, ExecInfo, error) {
-	res, info, err := m.execute(q, snap, strat, nil)
+	res, info, err := m.execute(q, snap, strat, nil, true)
 	m.observeExec(q, snap, nil, nil, &info, err)
 	return res, info, err
 }
@@ -379,8 +383,11 @@ func (m *Manager) ExecuteAt(q *query.Query, snap txn.Snapshot, strat Strategy) (
 // ExplainAnalyze is Execute with tracing enabled: it additionally returns
 // the span tree of the execution — cache-lookup verdict, main and delta
 // compensation, and one child span per subjoin combination carrying its
-// prune/pushdown verdict. Tracing is per call; concurrent Execute calls on
-// the same manager stay untraced and unaffected.
+// prune/pushdown verdict. It never serves the entry's result memo: a memo
+// hit has no plan to explain, so a cache hit always runs (and shows) main
+// and delta compensation, and its answer then becomes the memo as any
+// computed answer does. Tracing is per call; concurrent Execute calls on the
+// same manager stay untraced and unaffected.
 func (m *Manager) ExplainAnalyze(q *query.Query, strat Strategy) (*query.AggTable, ExecInfo, *obs.Span, error) {
 	return m.serve(q, strat, true)
 }
@@ -396,11 +403,12 @@ func (m *Manager) ExecuteRows(q *query.Query, strat Strategy) ([]query.Row, Exec
 }
 
 // execute answers q at snap: prepare resolves the entry, delta compensation
-// completes its main-compensated clone.
-func (m *Manager) execute(q *query.Query, snap txn.Snapshot, strat Strategy, sp *obs.Span) (*query.AggTable, ExecInfo, error) {
+// completes its main-compensated clone. useMemo lets a cache hit be served
+// from the entry's result memo.
+func (m *Manager) execute(q *query.Query, snap txn.Snapshot, strat Strategy, sp *obs.Span, useMemo bool) (*query.AggTable, ExecInfo, error) {
 	start := time.Now()
 	info := ExecInfo{Strategy: strat}
-	e, work, err := m.prepare(q, snap, strat, &info, sp)
+	e, work, err := m.prepare(q, snap, strat, &info, sp, useMemo)
 	if err == nil && e != nil { // a nil entry: uncached or bypassed, work is already the answer
 		err = m.compensateAndAccount(e, q, snap, strat, work, &info, sp)
 	}
@@ -414,12 +422,13 @@ func (m *Manager) execute(q *query.Query, snap txn.Snapshot, strat Strategy, sp 
 // prepare resolves the cache entry for a query: lookup, admission on miss,
 // rebuild when stale, and main compensation on hit. It returns the entry
 // together with a private, main-compensated clone of its value for the
-// caller to apply delta compensation to. The clone is taken under the cache
+// caller to apply delta compensation to — or, with useMemo and a servable
+// result memo, a clone of the memo, which is already the answer. The clone is taken under the cache
 // lock: during an online merge the maintenance fold settles entry values
 // concurrently with readers. For the Uncached strategy and for snapshots
 // predating the entry it executes the query directly and returns the final
 // result with a nil entry instead.
-func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, info *ExecInfo, sp *obs.Span) (*Entry, *query.AggTable, error) {
+func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, info *ExecInfo, sp *obs.Span, useMemo bool) (*Entry, *query.AggTable, error) {
 	if strat == Uncached {
 		if err := q.Validate(m.db); err != nil {
 			return nil, nil, err
@@ -490,6 +499,12 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 		info.Rebuilt = true
 	default:
 		info.CacheHit = true
+		if useMemo && m.memoServable(e, snap, strat) {
+			info.MemoHit = true
+			lookup.Attr("verdict", "memo-hit")
+			lookup.End()
+			return e, e.memo.Clone(), nil
+		}
 		lookup.Attr("verdict", "hit")
 		lookup.End()
 		// Main compensation: subtract rows invalidated since the entry's
@@ -552,30 +567,35 @@ func (m *Manager) entryMergeActive(e *Entry) bool {
 	return false
 }
 
-// compensateAndAccount runs delta compensation into out and updates the
-// entry's usage metrics.
+// compensateAndAccount runs delta compensation into out, updates the
+// entry's usage metrics and keeps out as the entry's result memo. A memo hit
+// arrives already complete: it is only accounted.
 func (m *Manager) compensateAndAccount(e *Entry, q *query.Query, snap txn.Snapshot, strat Strategy, out *query.AggTable, info *ExecInfo, sp *obs.Span) error {
-	dcStart := time.Now()
-	before := info.Stats.TuplesJoined
-	ds := sp.Child("delta-compensation")
-	err := m.deltaCompensate(q, snap, strat, out, &info.Stats, ds)
-	ds.AttrInt("delta-tuples", info.Stats.TuplesJoined-before)
-	ds.End()
-	if err != nil {
-		return err
+	if !info.MemoHit {
+		dcStart := time.Now()
+		before := info.Stats.TuplesJoined
+		ds := sp.Child("delta-compensation")
+		err := m.deltaCompensate(q, snap, strat, out, &info.Stats, ds)
+		ds.AttrInt("delta-tuples", info.Stats.TuplesJoined-before)
+		ds.End()
+		if err != nil {
+			return err
+		}
+		info.DeltaComp = time.Since(dcStart)
+		info.DeltaTuples = info.Stats.TuplesJoined - before
+		m.obs.deltaCompLat.Observe(info.DeltaComp)
+		m.obs.compWin.Observe(info.DeltaComp)
 	}
-	dcTime := time.Since(dcStart)
-	info.DeltaComp = dcTime
-	info.DeltaTuples = info.Stats.TuplesJoined - before
-	m.obs.deltaCompLat.Observe(dcTime)
-	m.obs.compWin.Observe(dcTime)
 	m.mu.Lock()
-	e.Metrics.DeltaCompTime += dcTime
-	e.Metrics.DeltaRows += info.Stats.TuplesJoined - before
+	e.Metrics.DeltaCompTime += info.DeltaComp
+	e.Metrics.DeltaRows += info.DeltaTuples
 	if info.CacheHit || info.Rebuilt {
 		e.Metrics.Hits++
 	}
 	e.Metrics.LastAccess = time.Now()
+	if !info.MemoHit {
+		m.storeMemo(e, snap, strat, out)
+	}
 	m.mu.Unlock()
 	return nil
 }
@@ -742,6 +762,7 @@ func (m *Manager) rebuildEntry(e *Entry, snap txn.Snapshot, strat Strategy, st *
 		return err
 	}
 	e.Value = value
+	e.dropMemo()
 	e.SnapHigh = snap.High
 	e.Stale = false
 	// An entry (re)built while an online merge is running describes the
@@ -829,6 +850,7 @@ func (m *Manager) evictOverCapacity() {
 // Callers hold m.mu.
 func (m *Manager) markStale(e *Entry, cause string) {
 	e.Stale = true
+	e.dropMemo()
 	m.decide(m.entryDecision(obs.DecisionInvalidate, e, cause, 0))
 }
 
@@ -894,12 +916,17 @@ func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, t
 		// have disappeared; skip the O(rows) vector comparison. (MainInv
 		// only ever holds counter values whose invalidations are already
 		// excluded from MainVis, so equality is a safe skip in every mode.)
-		if store.Invalidations() == e.MainInv[ref] {
+		inv := store.Invalidations()
+		if inv == e.MainInv[ref] {
 			continue
 		}
 		cur := store.Visibility(snap)
-		if mode == compPersist {
-			e.MainInv[ref] = store.Invalidations()
+		// The counter also counts invalidations by transactions snap cannot
+		// see yet; recording it then would hide them from every later read.
+		// The table's LastWrite, read after the counter, tells: at or below
+		// snap.High, every counted invalidation is resolved and in cur.
+		if mode == compPersist && m.db.MustTable(ref.Table).LastWrite() <= snap.High {
+			e.MainInv[ref] = inv
 		}
 		diff := e.MainVis[ref].AndNot(cur)
 		if n := diff.Count(); n > 0 {
@@ -925,6 +952,7 @@ func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, t
 		return total
 	}
 	if mode != compTransient {
+		e.dropMemo()
 		e.Metrics.DirtyCounter += int64(total)
 		m.resize(e)
 		m.syncGauges()

@@ -209,7 +209,7 @@ func (m *Manager) observeExec(q *query.Query, snap txn.Snapshot, sp *obs.Span, s
 	}
 	m.slo.Record(info.Total, err != nil)
 	if m.shapes.Enabled() {
-		m.shapes.Observe(q.Shape(), info.Total, info.CacheHit, err != nil,
+		m.shapes.Observe(q.Shape(), info.Total, info.CacheHit, info.MemoHit, err != nil,
 			int64(info.DeltaComp/time.Microsecond), info.DeltaTuples)
 	}
 	if sp != nil {

@@ -26,6 +26,7 @@ import (
 	"aggcache/internal/query"
 	"aggcache/internal/recycler"
 	"aggcache/internal/table"
+	"aggcache/internal/txn"
 	"aggcache/internal/workload"
 )
 
@@ -63,12 +64,20 @@ const (
 	// for shadow-verification reproducer artifacts (internal/verify) and
 	// hand-written fault programs.
 	OpCorrupt
+	// OpRepeat reads one query twice under one cached strategy with
+	// something in between (see repeatCase) and compares each read with
+	// the uncached oracle at its snapshot — the staleness check of the
+	// cache's result memo. With nothing in between, or only a write to a
+	// table the query does not read, the second read must be a memo hit.
+	// Generate never emits it, so seeded check sequences stay as they
+	// were; the repeat tests turn checks into repeats (checksToRepeats).
+	OpRepeat
 	numOpKinds
 )
 
 var opKindNames = [numOpKinds]string{"insert", "update", "delete",
 	"merge-online", "begin-merge", "finish-merge",
-	"abort-merge", "crash-merge", "age", "check", "corrupt"}
+	"abort-merge", "crash-merge", "age", "check", "corrupt", "repeat"}
 
 // String names the op for failure reports.
 func (k OpKind) String() string {
@@ -167,6 +176,17 @@ func Generate(seed int64, n int) []Op {
 	return ops
 }
 
+// checksToRepeats turns every check of ops into a repeat with the same
+// operands, in place, and returns ops.
+func checksToRepeats(ops []Op) []Op {
+	for i := range ops {
+		if ops[i].Kind == OpCheck {
+			ops[i].Kind = OpRepeat
+		}
+	}
+	return ops
+}
+
 type object struct {
 	hid   int64
 	items []int64
@@ -195,17 +215,25 @@ type Runner struct {
 	// are a pure function of the op sequence.
 	gov      *core.Governor
 	govClock time.Time
-	// Outputs collects the rendered result of every query check, in
-	// order — the unit of cross-run comparison.
+	// Outputs collects the rendered result of every query check (and of
+	// both reads of a repeat), in order — the unit of cross-run comparison.
 	Outputs []string
 	cfg     Config
 	checks  int
+	// repeats counts the executed repeat ops per in-between case.
+	repeats [numRepeatCases]int
 }
 
 // NewRunner builds the database and managers for one run.
 func NewRunner(cfg Config) (*Runner, error) {
 	erp, err := workload.BuildERP(cfg.ERP)
 	if err != nil {
+		return nil, err
+	}
+	if _, err := erp.DB.Create(table.Schema{
+		Name: sideTable,
+		Cols: []table.ColumnDef{{Name: "NoteID", Kind: column.Int64}},
+	}); err != nil {
 		return nil, err
 	}
 	// Unlimited capacity and zero admission threshold keep the entry
@@ -371,17 +399,14 @@ func (r *Runner) apply(op Op) error {
 	db := r.erp.DB
 	switch op.Kind {
 	case OpInsert:
-		items := int(op.A%3) + 1
-		hid := r.erp.NextHeaderID()
-		start := r.nextItemID()
-		if err := r.erp.InsertBusinessObject(items); err != nil {
+		tx := db.Txns().Begin()
+		idx, err := r.insertIn(tx, int(op.A%3)+1)
+		if err != nil {
+			tx.Abort()
 			return err
 		}
-		o := object{hid: hid, alive: true}
-		for j := 0; j < items; j++ {
-			o.items = append(o.items, start+int64(j))
-		}
-		r.objs = append(r.objs, o)
+		tx.Commit()
+		r.objs[idx].alive = true
 
 	case OpUpdate:
 		idx := r.pickAlive(op.A)
@@ -394,24 +419,9 @@ func (r *Runner) apply(op Op) error {
 		return r.reprice(itemID, price)
 
 	case OpDelete:
-		idx := r.pickAlive(op.A)
-		if idx < 0 {
-			return nil
+		if idx := r.pickAlive(op.A); idx >= 0 {
+			return r.deleteObject(idx)
 		}
-		o := &r.objs[idx]
-		tx := db.Txns().Begin()
-		for _, itemID := range o.items {
-			if err := db.MustTable(workload.TItem).Delete(tx, itemID); err != nil {
-				tx.Abort()
-				return err
-			}
-		}
-		if err := db.MustTable(workload.THeader).Delete(tx, o.hid); err != nil {
-			tx.Abort()
-			return err
-		}
-		tx.Commit()
-		o.alive = false
 
 	case OpMergeOnline:
 		if r.cfg.DisableMerges || r.mergeActive() {
@@ -518,6 +528,9 @@ func (r *Runner) apply(op Op) error {
 	case OpCheck:
 		return r.check(op)
 
+	case OpRepeat:
+		return r.repeat(op)
+
 	case OpCorrupt:
 		// Fault injection: perturb the same entry (chosen by seed over
 		// sorted keys) in every manager. The corruption is silent — only a
@@ -528,6 +541,42 @@ func (r *Runner) apply(op Op) error {
 			}
 		}
 	}
+	return nil
+}
+
+// insertIn writes one business object with the given number of items inside
+// tx, left open, and records it — not alive until the caller commits.
+func (r *Runner) insertIn(tx *txn.Txn, items int) (int, error) {
+	o := object{hid: r.erp.NextHeaderID()}
+	start := r.nextItemID()
+	if err := r.erp.InsertBusinessObjectIn(tx, items); err != nil {
+		return -1, err
+	}
+	for j := 0; j < items; j++ {
+		o.items = append(o.items, start+int64(j))
+	}
+	r.objs = append(r.objs, o)
+	return len(r.objs) - 1, nil
+}
+
+// deleteObject deletes a live business object: header and items in one
+// transaction, preserving the matching dependency.
+func (r *Runner) deleteObject(idx int) error {
+	db := r.erp.DB
+	o := &r.objs[idx]
+	tx := db.Txns().Begin()
+	for _, itemID := range o.items {
+		if err := db.MustTable(workload.TItem).Delete(tx, itemID); err != nil {
+			tx.Abort()
+			return err
+		}
+	}
+	if err := db.MustTable(workload.THeader).Delete(tx, o.hid); err != nil {
+		tx.Abort()
+		return err
+	}
+	tx.Commit()
+	o.alive = false
 	return nil
 }
 
@@ -580,17 +629,38 @@ func (r *Runner) reprice(itemID int64, price float64) error {
 // and compares everything against the single-worker uncached oracle.
 func (r *Runner) check(op Op) error {
 	q := r.pickQuery(op)
-	oracle, _, err := r.m1.Execute(q, core.Uncached)
+	want, err := r.oracleRows(q)
 	if err != nil {
 		return err
 	}
-	want := renderRows(oracle)
 	r.checks++
+	for _, strat := range core.Strategies() {
+		if _, err := r.serve(q, strat, want); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// oracleRows renders q's uncached answer at the current snapshot and records it
+// in Outputs.
+func (r *Runner) oracleRows(q *query.Query) (string, error) {
+	res, _, err := r.m1.Execute(q, core.Uncached)
+	if err != nil {
+		return "", err
+	}
+	want := renderRows(res)
 	r.Outputs = append(r.Outputs, want)
-	// Each mode is a worker-count pair sharing all state that may legally
-	// influence results (none) and stats (its cache and recycler): plain
-	// managers always, the recycled pair when enabled. Stats are compared
-	// within a mode — recycled executions legitimately scan fewer rows.
+	return want, nil
+}
+
+// serve runs q under strat on every manager and compares each result with
+// the oracle's rendering want. Each mode is a worker-count pair sharing all
+// state that may legally influence results (none) and stats (its cache and
+// recycler): plain managers always, the recycled pair when enabled. Stats
+// are compared within a mode — recycled executions legitimately scan fewer
+// rows. It returns every manager's ExecInfo.
+func (r *Runner) serve(q *query.Query, strat core.Strategy, want string) ([]core.ExecInfo, error) {
 	modes := []struct {
 		name   string
 		m1, m4 *core.Manager
@@ -601,31 +671,31 @@ func (r *Runner) check(op Op) error {
 			m1, m4 *core.Manager
 		}{"recycled", r.mr1, r.mr4})
 	}
+	var infos []core.ExecInfo
 	for _, mode := range modes {
-		for _, strat := range core.Strategies() {
-			var ref query.Stats
-			for wi, m := range []*core.Manager{mode.m1, mode.m4} {
-				res, info, err := m.Execute(q, strat)
-				if err != nil {
-					return fmt.Errorf("%s %v workers=%d: %w", mode.name, strat, 1+3*wi, err)
-				}
-				if got := renderRows(res); got != want {
-					return fmt.Errorf("%s %v workers=%d diverged from oracle\n got: %s\nwant: %s",
-						mode.name, strat, 1+3*wi, got, want)
-				}
-				// The executor guarantees worker-count-independent results;
-				// the deterministic subjoin counters must agree too.
-				st := canonStats(info.Stats)
-				if wi == 0 {
-					ref = st
-				} else if st != ref {
-					return fmt.Errorf("%s %v stats diverged across worker counts:\n w1: %+v\n w4: %+v",
-						mode.name, strat, ref, st)
-				}
+		var ref query.Stats
+		for wi, m := range []*core.Manager{mode.m1, mode.m4} {
+			res, info, err := m.Execute(q, strat)
+			if err != nil {
+				return nil, fmt.Errorf("%s %v workers=%d: %w", mode.name, strat, 1+3*wi, err)
 			}
+			if got := renderRows(res); got != want {
+				return nil, fmt.Errorf("%s %v workers=%d diverged from oracle\n got: %s\nwant: %s",
+					mode.name, strat, 1+3*wi, got, want)
+			}
+			// The executor guarantees worker-count-independent results;
+			// the deterministic subjoin counters must agree too.
+			st := canonStats(info.Stats)
+			if wi == 0 {
+				ref = st
+			} else if st != ref {
+				return nil, fmt.Errorf("%s %v stats diverged across worker counts:\n w1: %+v\n w4: %+v",
+					mode.name, strat, ref, st)
+			}
+			infos = append(infos, info)
 		}
 	}
-	return nil
+	return infos, nil
 }
 
 // canonStats keeps the counters that are deterministic across worker

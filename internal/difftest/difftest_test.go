@@ -99,6 +99,39 @@ func TestDifferentialGoverned(t *testing.T) {
 	}
 }
 
+// TestDifferentialRepeat is the result memo's staleness check: seeded
+// sequences in which every check reads its query twice under one strategy,
+// with nothing, a committed, aborted or in-flight write, a write elsewhere,
+// or an online merge in between, each read compared with the oracle at its
+// snapshot. Across the seeds every in-between case must have run.
+func TestDifferentialRepeat(t *testing.T) {
+	seeds := seedCount(16)
+	var ran [numRepeatCases]int
+	for s := 0; s < seeds; s++ {
+		seed := int64(5000 + s)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := Config{ERP: SmallERP(seed), Ops: 60, Recycle: true}
+			ops := checksToRepeats(Generate(seed, cfg.Ops))
+			r, err := NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Run(ops); err != nil {
+				reportFailure(t, cfg, seed, ops, err)
+			}
+			for c, n := range r.repeats {
+				ran[c] += n
+			}
+		})
+	}
+	t.Logf("repeat cases run: %v", ran)
+	for c, n := range ran {
+		if n == 0 && seeds >= 16 {
+			t.Errorf("no repeat ran the %s case across %d seeds", repeatCase(c), seeds)
+		}
+	}
+}
+
 // TestMergesAreTransparent runs the same seeded sequence twice — once with
 // every merge/age op disabled, once live — and asserts the rendered output
 // of every query check is byte-identical: merges and aging are pure

@@ -138,7 +138,8 @@ func (r *ShardRunner) Run(ops []Op) error {
 // apply replays one operation on the oracle database and on every sharded
 // view. Mutations consume the deterministic row generators in lockstep;
 // staged-merge, crash, and aging operations are no-ops here (they are
-// covered by the base harness) so any generated sequence remains valid.
+// covered by the base harness) so any generated sequence remains valid, and
+// a repeat reads its query twice with nothing in between.
 func (r *ShardRunner) apply(op Op) error {
 	switch op.Kind {
 	case OpInsert:
@@ -207,6 +208,21 @@ func (r *ShardRunner) apply(op Op) error {
 	case OpCheck:
 		return r.check(op)
 
+	case OpRepeat:
+		// One cached strategy twice, so the second read of every shard
+		// manager can be served from its entries' result memos.
+		q := r.pickQuery(op)
+		strat := core.Strategies()[1+(op.C>>8)%3]
+		for i := 0; i < 2; i++ {
+			want, err := r.oracleRows(q)
+			if err != nil {
+				return err
+			}
+			if err := r.serve(q, strat, want); err != nil {
+				return fmt.Errorf("repeat, read %d: %w", i+1, err)
+			}
+		}
+
 	case OpCorrupt:
 		// Fault injection: perturb the seed-chosen cached partial in every
 		// shard manager of every view. Silent until the next oracle check.
@@ -241,32 +257,50 @@ func (r *ShardRunner) nextItemID() int64 {
 // is per shard count, like the worker-order one is per worker pool.)
 func (r *ShardRunner) check(op Op) error {
 	q := r.pickQuery(op)
-	oracle, _, err := r.om.Execute(q, core.Uncached)
+	want, err := r.oracleRows(q)
 	if err != nil {
 		return err
 	}
-	want := renderRows(oracle)
-	r.Outputs = append(r.Outputs, want)
+	for _, strat := range core.Strategies() {
+		if err := r.serve(q, strat, want); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// oracleRows renders q's unsharded uncached answer and records it in Outputs.
+func (r *ShardRunner) oracleRows(q *query.Query) (string, error) {
+	res, _, err := r.om.Execute(q, core.Uncached)
+	if err != nil {
+		return "", err
+	}
+	want := renderRows(res)
+	r.Outputs = append(r.Outputs, want)
+	return want, nil
+}
+
+// serve runs q under strat on every view at both worker counts and compares
+// the rows with the oracle's rendering want, and the Stats across the
+// worker counts of each view.
+func (r *ShardRunner) serve(q *query.Query, strat core.Strategy, want string) error {
 	for _, v := range r.views {
-		for _, strat := range core.Strategies() {
-			var ref query.Stats
-			for wi, s := range []*shard.Sharded{v.s1, v.s4} {
-				res, info, err := s.Execute(q, strat)
-				if err != nil {
-					return fmt.Errorf("shards=%d %v workers=%d: %w", v.shards, strat, 1+3*wi, err)
-				}
-				if got := renderRows(res); got != want {
-					return fmt.Errorf("shards=%d %v workers=%d diverged from oracle\n got: %s\nwant: %s",
-						v.shards, strat, 1+3*wi, got, want)
-				}
-				st := canonStats(info.Stats)
-				if wi == 0 {
-					ref = st
-				} else if st != ref {
-					return fmt.Errorf("shards=%d %v stats diverged across worker counts:\n w1: %+v\n w4: %+v",
-						v.shards, strat, ref, st)
-				}
+		var ref query.Stats
+		for wi, s := range []*shard.Sharded{v.s1, v.s4} {
+			res, info, err := s.Execute(q, strat)
+			if err != nil {
+				return fmt.Errorf("shards=%d %v workers=%d: %w", v.shards, strat, 1+3*wi, err)
+			}
+			if got := renderRows(res); got != want {
+				return fmt.Errorf("shards=%d %v workers=%d diverged from oracle\n got: %s\nwant: %s",
+					v.shards, strat, 1+3*wi, got, want)
+			}
+			st := canonStats(info.Stats)
+			if wi == 0 {
+				ref = st
+			} else if st != ref {
+				return fmt.Errorf("shards=%d %v stats diverged across worker counts:\n w1: %+v\n w4: %+v",
+					v.shards, strat, ref, st)
 			}
 		}
 	}

@@ -47,6 +47,25 @@ func TestDifferentialShard(t *testing.T) {
 	}
 }
 
+// TestDifferentialShardRepeat is TestDifferentialShard with every check
+// read twice under one strategy and nothing in between, so the second read
+// of every shard manager may come from its entries' result memos and must
+// still match the unsharded oracle.
+func TestDifferentialShardRepeat(t *testing.T) {
+	seeds := seedCount(4)
+	for s := 0; s < seeds; s++ {
+		seed := int64(5000 + s)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cfg := ShardConfig{ERP: SmallERP(seed), Ops: 50}
+			ops := checksToRepeats(Generate(seed, cfg.Ops))
+			if _, err := RunShardSeed(cfg, seed, ops); err != nil {
+				reportShardFailure(t, cfg, seed, ops, err)
+			}
+		})
+	}
+}
+
 // TestDifferentialShardHotCold combines horizontal sharding with hot/cold
 // range partitioning inside every shard: two orthogonal partitioning axes
 // must still be invisible in results.

@@ -31,7 +31,7 @@ func TestServeDebugEndToEnd(t *testing.T) {
 	slo.Record(100*time.Microsecond, false)
 	slo.Record(5*time.Millisecond, false)
 	shapes := NewShapes(8, 4)
-	shapes.Observe("T[A]P[A:x = ?]", 300*time.Microsecond, true, false, 40, 7)
+	shapes.Observe("T[A]P[A:x = ?]", 300*time.Microsecond, true, false, false, 40, 7)
 	addr, err := ServeDebug("127.0.0.1:0", r, DebugOptions{
 		CacheDump: func() any { return dumpResult },
 		Sampler:   sampler,

@@ -21,6 +21,7 @@ const (
 type ShapeStats struct {
 	queries   atomic.Int64
 	hits      atomic.Int64
+	memoHits  atomic.Int64
 	errors    atomic.Int64
 	compUS    atomic.Int64
 	deltaRows atomic.Int64
@@ -81,10 +82,11 @@ func (t *Shapes) stats(shape string) *ShapeStats {
 }
 
 // Observe records one execution of the given shape: its latency, whether
-// it was served from the aggregate cache, whether it failed, and the
+// it was served from the aggregate cache (hit) and, within that, from an
+// entry's result memo (memo), whether it failed, and the
 // delta-compensation cost it paid (microseconds joining deltaRows
 // delta-side tuples).
-func (t *Shapes) Observe(shape string, d time.Duration, hit, failed bool, compUS, deltaRows int64) {
+func (t *Shapes) Observe(shape string, d time.Duration, hit, memo, failed bool, compUS, deltaRows int64) {
 	if t == nil || shape == "" {
 		return
 	}
@@ -95,6 +97,9 @@ func (t *Shapes) Observe(shape string, d time.Duration, hit, failed bool, compUS
 	s.queries.Add(1)
 	if hit {
 		s.hits.Add(1)
+	}
+	if memo {
+		s.memoHits.Add(1)
 	}
 	if failed {
 		s.errors.Add(1)
@@ -123,6 +128,9 @@ type ShapeProfile struct {
 	Shape   string `json:"shape"`
 	Queries int64  `json:"queries"`
 	Hits    int64  `json:"hits"`
+	// MemoHits counts the hits served from a result memo, without
+	// compensation.
+	MemoHits int64 `json:"memo_hits"`
 	// HitRate is Hits/Queries (0 when empty).
 	HitRate float64 `json:"hit_rate"`
 	Errors  int64   `json:"errors,omitempty"`
@@ -137,11 +145,12 @@ type ShapeProfile struct {
 // profile snapshots one accumulator.
 func (s *ShapeStats) profile(shape string) ShapeProfile {
 	p := ShapeProfile{
-		Shape:   shape,
-		Queries: s.queries.Load(),
-		Hits:    s.hits.Load(),
-		Errors:  s.errors.Load(),
-		Window:  s.lat.Snapshot(),
+		Shape:    shape,
+		Queries:  s.queries.Load(),
+		Hits:     s.hits.Load(),
+		MemoHits: s.memoHits.Load(),
+		Errors:   s.errors.Load(),
+		Window:   s.lat.Snapshot(),
 	}
 	if p.Queries > 0 {
 		p.HitRate = float64(p.Hits) / float64(p.Queries)

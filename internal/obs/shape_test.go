@@ -10,7 +10,7 @@ func TestShapesNilSafe(t *testing.T) {
 	if s.Enabled() {
 		t.Fatal("nil Shapes enabled")
 	}
-	s.Observe("x", time.Millisecond, true, false, 1, 2)
+	s.Observe("x", time.Millisecond, true, false, false, 1, 2)
 	s.Rotate()
 	if _, ok := s.Profile("x"); ok {
 		t.Fatal("nil Shapes has a profile")
@@ -22,16 +22,16 @@ func TestShapesNilSafe(t *testing.T) {
 
 func TestShapesAccumulates(t *testing.T) {
 	tab := NewShapes(8, 4)
-	tab.Observe("A", 100*time.Microsecond, true, false, 50, 10)
-	tab.Observe("A", 300*time.Microsecond, false, false, 150, 30)
-	tab.Observe("A", 200*time.Microsecond, true, true, 100, 20)
-	tab.Observe("", time.Second, false, false, 0, 0) // empty shape: dropped
+	tab.Observe("A", 100*time.Microsecond, true, true, false, 0, 0)
+	tab.Observe("A", 300*time.Microsecond, false, false, false, 150, 30)
+	tab.Observe("A", 200*time.Microsecond, true, false, true, 150, 30)
+	tab.Observe("", time.Second, false, false, false, 0, 0) // empty shape: dropped
 
 	p, ok := tab.Profile("A")
 	if !ok {
 		t.Fatal("shape A missing")
 	}
-	if p.Queries != 3 || p.Hits != 2 || p.Errors != 1 {
+	if p.Queries != 3 || p.Hits != 2 || p.MemoHits != 1 || p.Errors != 1 {
 		t.Fatalf("profile = %+v", p)
 	}
 	if p.HitRate < 0.66 || p.HitRate > 0.67 {
@@ -52,10 +52,10 @@ func TestShapesAccumulates(t *testing.T) {
 // string so the /debug/shapes payload is deterministic.
 func TestShapesProfilesOrdering(t *testing.T) {
 	tab := NewShapes(8, 4)
-	tab.Observe("zz", time.Millisecond, false, false, 0, 0)
-	tab.Observe("aa", time.Millisecond, false, false, 0, 0)
-	tab.Observe("mm", time.Millisecond, false, false, 0, 0)
-	tab.Observe("mm", time.Millisecond, false, false, 0, 0)
+	tab.Observe("zz", time.Millisecond, false, false, false, 0, 0)
+	tab.Observe("aa", time.Millisecond, false, false, false, 0, 0)
+	tab.Observe("mm", time.Millisecond, false, false, false, 0, 0)
+	tab.Observe("mm", time.Millisecond, false, false, false, 0, 0)
 
 	got := tab.Profiles()
 	if len(got) != 3 {
@@ -70,10 +70,10 @@ func TestShapesProfilesOrdering(t *testing.T) {
 // not grown without limit; existing shapes keep accumulating.
 func TestShapesBoundedCapacity(t *testing.T) {
 	tab := NewShapes(2, 4)
-	tab.Observe("A", time.Millisecond, false, false, 0, 0)
-	tab.Observe("B", time.Millisecond, false, false, 0, 0)
-	tab.Observe("C", time.Millisecond, false, false, 0, 0) // table full: dropped
-	tab.Observe("A", time.Millisecond, false, false, 0, 0) // existing: fine
+	tab.Observe("A", time.Millisecond, false, false, false, 0, 0)
+	tab.Observe("B", time.Millisecond, false, false, false, 0, 0)
+	tab.Observe("C", time.Millisecond, false, false, false, 0, 0) // table full: dropped
+	tab.Observe("A", time.Millisecond, false, false, false, 0, 0) // existing: fine
 
 	if tab.Overflow() != 1 {
 		t.Fatalf("overflow = %d, want 1", tab.Overflow())
@@ -90,7 +90,7 @@ func TestShapesBoundedCapacity(t *testing.T) {
 // window while totals are preserved.
 func TestShapesRotateAgesWindows(t *testing.T) {
 	tab := NewShapes(8, 2)
-	tab.Observe("A", time.Millisecond, true, false, 0, 0)
+	tab.Observe("A", time.Millisecond, true, false, false, 0, 0)
 	tab.Rotate()
 	tab.Rotate()
 	p, _ := tab.Profile("A")

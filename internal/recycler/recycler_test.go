@@ -95,7 +95,11 @@ func TestRecyclerReuseAndTopup(t *testing.T) {
 	if rc1.Debug().Entries == 0 {
 		t.Fatal("no partials admitted after first delta compensation")
 	}
-	// Cache hit: the same subjoins are served from the recycler.
+	// Cache hit: the same subjoins are served from the recycler. Clearing
+	// the aggregate caches makes the repeat compensate again instead of
+	// serving the entries' result memos; the recyclers keep their partials.
+	m1.Clear()
+	m4.Clear()
 	if st := step("hit"); st.RecycledSubjoins == 0 {
 		t.Fatalf("expected recycled subjoins on repeat execution: %+v", st)
 	}
@@ -108,6 +112,8 @@ func TestRecyclerReuseAndTopup(t *testing.T) {
 		t.Fatalf("expected watermark top-ups after appends: %+v", st)
 	}
 	// And once topped up, the advanced watermark serves exact hits again.
+	m1.Clear()
+	m4.Clear()
 	if st := step("re-hit"); st.RecycledSubjoins == 0 {
 		t.Fatalf("expected exact hits after top-up advanced the watermark: %+v", st)
 	}
@@ -162,6 +168,9 @@ func TestRecyclerResultNotAliased(t *testing.T) {
 	var a *query.AggTable
 	var st query.Stats
 	for i := 0; i < 3; i++ { // admit cold, then recycled hits
+		// Clearing the aggregate cache makes each repeat compensate through
+		// the recycler instead of serving the entry's result memo.
+		m.Clear()
 		res, info, err := m.Execute(q, core.CachedNoPruning)
 		if err != nil {
 			t.Fatal(err)
@@ -172,16 +181,27 @@ func TestRecyclerResultNotAliased(t *testing.T) {
 		t.Fatalf("third execution not recycled: %+v", st)
 	}
 	a.Merge(a) // double every aggregate in the caller's copy
-	got, _, err := m.Execute(q, core.CachedNoPruning)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, _, err := oracle.Execute(q, core.Uncached)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if render(got) != render(want) {
-		t.Fatalf("mutating a result corrupted the recycler:\n got %s\nwant %s", render(got), render(want))
+	// The first repeat is served from the entry's result memo, which must
+	// not share storage with the mutated result either; the second, after
+	// a Clear, is seeded from the recycled partials.
+	for _, clear := range []bool{false, true} {
+		if clear {
+			m.Clear()
+		}
+		got, info, err := m.Execute(q, core.CachedNoPruning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.MemoHit == clear {
+			t.Fatalf("clear=%v: memo hit = %v", clear, info.MemoHit)
+		}
+		if render(got) != render(want) {
+			t.Fatalf("mutating a result corrupted the cache (clear=%v):\n got %s\nwant %s", clear, render(got), render(want))
+		}
 	}
 }
 
@@ -210,6 +230,10 @@ func TestRecyclerKeepsOwnCopy(t *testing.T) {
 	// the oracle.
 	recheck := func(name string) query.Stats {
 		t.Helper()
+		// Clearing the aggregate cache makes every execution below
+		// compensate again — through the pooled tables, then the recycler —
+		// instead of serving an entry's result memo.
+		m.Clear()
 		for _, lang := range []string{"GER", "ENG"} {
 			if _, _, err := m.Execute(erp.ProfitQuery(cfg.BaseYear, lang), core.CachedNoPruning); err != nil {
 				t.Fatal(err)

@@ -34,6 +34,9 @@ type Table struct {
 	// faults is the database's fault-injection hook set (nil in
 	// production); Insert consults the WriterAppend point.
 	faults *Faults
+	// lastWrite is the highest transaction ID that appended, invalidated
+	// or bulk-loaded a row (see LastWrite).
+	lastWrite atomic.Uint64
 }
 
 // New creates a single-partition table.
@@ -100,6 +103,24 @@ func (t *Table) Partitions() []*Partition { return t.parts }
 // Partition returns partition i.
 func (t *Table) Partition(i int) *Partition { return t.parts[i] }
 
+// LastWrite returns the highest transaction ID that appended, invalidated
+// or bulk-loaded a row of the table. A read snapshot's visible rows can
+// change only through a transaction with a higher ID, so a result computed
+// at watermark h stays exact for every later read snapshot while
+// LastWrite() <= h. An abort leaves it raised, which is conservative.
+func (t *Table) LastWrite() txn.TID { return txn.TID(t.lastWrite.Load()) }
+
+// wrote raises LastWrite to id. Writers normally hold the database lock;
+// the compare-and-swap keeps the maximum under any interleaving.
+func (t *Table) wrote(id txn.TID) {
+	for {
+		cur := t.lastWrite.Load()
+		if uint64(id) <= cur || t.lastWrite.CompareAndSwap(cur, uint64(id)) {
+			return
+		}
+	}
+}
+
 // routeFor picks the partition an inserted row belongs to. While an online
 // aging is in flight the pending boundary wins, so new rows land in the
 // partition they will belong to after the swap.
@@ -160,6 +181,7 @@ func (t *Table) Insert(tx *txn.Txn, vals []column.Value) (RowRef, error) {
 		// An online merge froze the delta; new rows coalesce in delta2.
 		st, d2 = p.Delta2, true
 	}
+	t.wrote(tx.ID())
 	row := st.appendRow(vals, tx.ID())
 	ref := RowRef{Part: pi, InMain: false, D2: d2, Row: row}
 	if t.pkIndex != nil {
@@ -287,6 +309,7 @@ func (t *Table) invalidate(tx *txn.Txn, ref RowRef) error {
 	if txn.LoadTID(&st.invalid[ref.Row]) != 0 {
 		return fmt.Errorf("table %s: row already invalidated", t.schema.Name)
 	}
+	t.wrote(tx.ID())
 	txn.StoreTID(&st.invalid[ref.Row], tx.ID())
 	atomic.AddUint64(&st.invalidations, 1)
 	if p := t.parts[ref.Part]; p.merge != nil && !ref.D2 {
@@ -330,6 +353,11 @@ func (t *Table) BulkLoadMain(part int, rows [][]column.Value, tids []txn.TID) er
 		st.cols[i] = b.Build()
 	}
 	p.Main = st
+	for _, id := range tids {
+		if id != txn.Aborted {
+			t.wrote(id)
+		}
+	}
 	if t.pkIndex != nil {
 		pkc := t.schema.MustColIndex(t.schema.PK)
 		for row, r := range rows {

@@ -232,27 +232,36 @@ func partitionFor(t *table.Table, vals []column.Value) int {
 // looked up from the header) — the insert pattern of Sec. 3.2.
 func (e *ERP) InsertBusinessObject(items int) error {
 	tx := e.DB.Txns().Begin()
+	if err := e.InsertBusinessObjectIn(tx, items); err != nil {
+		tx.Abort()
+		return err
+	}
+	tx.Commit()
+	return nil
+}
+
+// InsertBusinessObjectIn writes one business object — a header and the
+// given number of items, MD-enforced — inside tx and leaves tx open, so a
+// caller can read while the write is in flight and then commit or abort it.
+// The object's ids are consumed either way.
+func (e *ERP) InsertBusinessObjectIn(tx *txn.Txn, items int) error {
 	hid := e.gen.nextHeader
 	e.gen.nextHeader++
 	year := e.Cfg.BaseYear + e.Cfg.Years - 1 // new objects belong to the current year
 	hvals := e.gen.headerRow(hid, year, tx.ID())
 	if _, err := e.DB.MustTable(THeader).Insert(tx, hvals); err != nil {
-		tx.Abort()
 		return err
 	}
 	for j := 0; j < items; j++ {
 		// TidHeader is left zero for the MD enforcement to fill.
 		ivals := e.gen.itemRow(hid, tx.ID(), 0)
 		if err := e.Reg.FillChildTIDs(TItem, ivals); err != nil {
-			tx.Abort()
 			return err
 		}
 		if _, err := e.DB.MustTable(TItem).Insert(tx, ivals); err != nil {
-			tx.Abort()
 			return err
 		}
 	}
-	tx.Commit()
 	return nil
 }
 
