@@ -32,8 +32,8 @@
 //	                     budget splits)
 //	\stats               dump the observability registry (counters, latencies)
 //	\slo                 windowed SLO report (error-budget burn over the short
-//	                     and long windows) plus the maintenance-governor
-//	                     snapshot when -govern is set
+//	                     and long windows) plus, with -govern, the
+//	                     governor's work against its merge price
 //	\shapes              per-query-shape profiles: rolling p50/p99, hit rate,
 //	                     compensation cost, delta rows scanned
 //	\traces              list flight-recorded query traces (newest first)
@@ -78,18 +78,17 @@
 // /debug/shapes (the per-query-shape profiles), and — with -shards —
 // /debug/shards (the cluster layout snapshot).
 //
-// With -govern the metrics-driven maintenance governor runs in the
-// background: it watches delta growth, windowed compensation cost, and SLO
-// burn, and triggers online merges of the transactional tables with
-// hysteresis and a cooldown (\merge stays available for manual merges).
+// With -govern the maintenance governor runs in the background: it merges
+// the transactional tables online once the delta tuples their compensation
+// has joined since the last merge reach the rows a merge would rewrite
+// (\merge stays available for manual merges).
 //
 // With -verify-sample <rate> the online shadow verifier re-executes that
 // fraction of queries in the background against the uncached oracle under
 // the same pinned snapshot, diffing rows and statistics; divergences bump
 // verify.divergences, land in the decision ledger as verify-mismatch, and
 // persist a replayable reproducer artifact. With -audit <interval> the
-// invariant auditor checks cache/recycler bookkeeping on that cadence
-// (under -govern it rides the governor's rotation cadence instead); the
+// invariant auditor checks cache/recycler bookkeeping on that cadence; the
 // latest report serves at /debug/audit and via \audit.
 package main
 
@@ -188,7 +187,7 @@ func main() {
 		dataset    = flag.String("dataset", "erp", "erp or ch")
 		stmt       = flag.String("c", "", "execute one statement and exit")
 		debugAddr  = flag.String("debug", "", "serve the observability debug endpoint (/metrics, /debug/cache, /debug/series, /debug/pprof) on this address")
-		sample     = flag.Duration("sample", obs.DefaultSampleInterval, "time-series scrape interval for /debug/series (with -debug)")
+		sample     = flag.Duration("sample", obs.DefaultSampleInterval, "time-series scrape interval of the background sampler (/debug/series, \\bundle)")
 		events     = flag.String("events", "", "write structured lifecycle events (JSON lines) to this file; \"-\" for stderr")
 		workers    = flag.Int("workers", 0, "subjoin worker-pool size per query; 0 = GOMAXPROCS, 1 = sequential")
 		traces     = flag.Int("traces", obs.DefaultTraceCapacity, "flight-recorder ring size (last n query traces retained for \\traces); 0 disables recording")
@@ -196,14 +195,14 @@ func main() {
 		ledger     = flag.Int("ledger", obs.DefaultLedgerCapacity, "decision-ledger ring size (last n cache decisions retained for \\advisor and /debug/advisor); 0 disables the ledger")
 		capacity   = flag.Uint64("capacity", 0, "cache capacity in bytes (0 = unlimited); evictions feed the ledger and the advisor")
 		minProfit  = flag.Float64("min-profit", 0, "cache admission threshold on entry profit (0 admits every self-maintainable query)")
-		govern     = flag.Bool("govern", false, "run the metrics-driven maintenance governor (background online merges with hysteresis and cooldown)")
+		govern     = flag.Bool("govern", false, "run the maintenance governor: merge the transactional tables online once the delta compensation they caused since the last merge reaches the rows a merge rewrites")
 		recycle    = flag.Bool("recycle", false, "run the second-level recycler cache: cross-query reuse of subjoin intermediates (exact hits and watermark top-ups) and join build tables; \\recycler and /debug/recycler show its contents")
 		recycleCap = flag.Uint64("recycle-capacity", 0, "recycler capacity in bytes for subjoin partials, and again for build tables (0 = unlimited); lowest-profit entries are evicted first")
 		sloTarget  = flag.Duration("slo-target", obs.DefaultSLOTarget, "per-query latency target for the SLO tracker (\\slo, /debug/slo)")
 		sloObj     = flag.Float64("slo-objective", obs.DefaultSLOObjective, "fraction of queries that must meet the SLO target")
 		verifyRate = flag.Float64("verify-sample", 0, "fraction of queries shadow-verified in the background against the uncached oracle (0 disables); divergences are counted, ledgered, and persisted as reproducer artifacts")
 		verifySeed = flag.Uint64("verify-seed", 0, "seed perturbing the deterministic shadow-verification sampler")
-		auditEvery = flag.Duration("audit", 0, "run the cache/recycler invariant auditor on this cadence (0 disables the standalone loop; with -govern audits ride the governor's rotation cadence regardless)")
+		auditEvery = flag.Duration("audit", 0, "run the cache/recycler invariant auditor on this cadence (0 runs it only on demand: \\audit, /debug/audit, \\bundle)")
 		nshards    = flag.Int("shards", 1, "range-shard the erp dataset by header id into this many shards; >1 runs every SELECT through the scatter-gather executor with cross-shard pruning (\\shards, /debug/shards); results are identical at every count")
 	)
 	flag.Parse()
@@ -261,45 +260,35 @@ func main() {
 	}
 
 	// The invariant auditor backs \audit, /debug/audit, and the bundle's
-	// audit section; governed processes run it on the governor's rotation
-	// cadence, ungoverned ones on the -audit interval (or on demand). A
-	// sharded shell audits every shard independently instead.
+	// audit section; -audit runs it on that interval (otherwise it runs on
+	// demand). A sharded shell audits every shard independently instead.
 	if sh.sharded != nil {
 		sh.saud = verify.NewShardAuditor(sh.sharded, verify.AuditorConfig{})
 	} else {
 		sh.aud = verify.NewAuditor(sh.mgr, verify.AuditorConfig{})
 	}
-
-	// The governor owns the rolling-window rotation; without it the windows
-	// still fill but never rotate (the background sampler takes over below
-	// when -debug runs one). With -govern it also merges the transactional
-	// deltas when the signals say so, and carries the invariant audits. A
-	// sharded shell runs one governor per shard — each watches its own
-	// shard's delta growth and merges it online with no cross-shard pause.
 	switch {
-	case *govern && sh.sharded != nil:
-		sh.sharded.Govern(core.GovernorConfig{
-			Tables:        sh.mergeTables,
-			DeltaRowsHigh: 20000,
-			CompP99HighUS: 5000,
-		})
-		sh.sharded.StartGovernors()
-		defer sh.sharded.StopGovernors()
-	case *govern:
-		sh.gov = core.NewGovernor(sh.mgr, core.GovernorConfig{
-			Tables:        sh.mergeTables,
-			DeltaRowsHigh: 20000,
-			CompP99HighUS: 5000,
-			Audit:         func() { sh.aud.RunOnce() },
-		})
-		sh.gov.Start()
-		defer sh.gov.Stop()
 	case *auditEvery > 0 && sh.sharded != nil:
 		sh.saud.Start(*auditEvery)
 		defer sh.saud.Stop()
 	case *auditEvery > 0:
 		sh.aud.Start(*auditEvery)
 		defer sh.aud.Stop()
+	}
+
+	// With -govern the governor merges the transactional tables once the
+	// delta compensation they caused has cost what a merge costs. A sharded
+	// shell runs one governor per shard — each weighs its own shard's work
+	// and merges it online with no cross-shard pause.
+	switch {
+	case *govern && sh.sharded != nil:
+		sh.sharded.Govern(core.GovernorConfig{Tables: sh.mergeTables})
+		sh.sharded.StartGovernors()
+		defer sh.sharded.StopGovernors()
+	case *govern:
+		sh.gov = core.NewGovernor(sh.mgr, core.GovernorConfig{Tables: sh.mergeTables})
+		sh.gov.Start()
+		defer sh.gov.Stop()
 	}
 
 	// The online shadow verifier re-executes a deterministic sample of
@@ -332,19 +321,25 @@ func main() {
 		}
 	}
 
-	var sampler *obs.Sampler
+	// The background sampler always runs: it owns window rotation, so the
+	// SLO error budgets and per-shape quantiles advance once a second, and
+	// its series back /debug/series and the bundle.
+	sampler := obs.NewSampler(sh.mgr.Metrics(), obs.SamplerConfig{Interval: *sample, Rotate: sh.mgr.RotateWindows})
+	sampler.Start()
+	defer sampler.Stop()
+	// The governor and recycler sections of the bundle and the debug
+	// endpoint; nil when the subsystem is off.
+	var governor, recyclerDump func() any
+	if sh.gov != nil {
+		governor = func() any { return sh.gov.Snapshot() }
+	}
+	if rc != nil {
+		recyclerDump = func() any { return rc.Debug() }
+	}
 	sh.bundle = func() *verify.Bundle {
 		var advisorThunk func() any
 		if led != nil {
 			advisorThunk = func() any { return sh.advisorReport() }
-		}
-		var governorThunk func() any
-		if sh.gov != nil {
-			governorThunk = func() any { return sh.gov.Snapshot() }
-		}
-		var recyclerThunk func() any
-		if rc != nil {
-			recyclerThunk = func() any { return rc.Debug() }
 		}
 		return verify.Collect(verify.BundleSources{
 			Meta:     map[string]string{"binary": "aggsql", "dataset": *dataset},
@@ -356,8 +351,8 @@ func main() {
 			Advisor:  advisorThunk,
 			Shapes:   sh.mgr.Shapes(),
 			SLO:      sh.mgr.SLO(),
-			Governor: governorThunk,
-			Recycler: recyclerThunk,
+			Governor: governor,
+			Recycler: recyclerDump,
 			Cache:    func() any { return sh.mgr.CacheDebug() },
 			Auditor:  sh.aud,
 			Verifier: verifier,
@@ -365,15 +360,6 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		scfg := obs.SamplerConfig{Interval: *sample}
-		if sh.gov == nil {
-			// No governor: the sampler owns window rotation so the SLO
-			// error budgets and per-shape quantiles still advance.
-			scfg.Rotate = sh.mgr.RotateWindows
-		}
-		sampler = obs.NewSampler(sh.mgr.Metrics(), scfg)
-		sampler.Start()
-		defer sampler.Stop()
 		var advisorSource func() (any, string)
 		if led != nil {
 			advisorSource = func() (any, string) {
@@ -382,14 +368,6 @@ func main() {
 				rep.Render(&sb)
 				return rep, sb.String()
 			}
-		}
-		var governor func() any
-		if sh.gov != nil {
-			governor = func() any { return sh.gov.Snapshot() }
-		}
-		var recyclerDump func() any
-		if rc != nil {
-			recyclerDump = func() any { return rc.Debug() }
 		}
 		var shardsDump func() any
 		if sh.sharded != nil {
@@ -831,12 +809,10 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 		sh.mgr.SLO().Report().Render(os.Stdout)
 		if sh.gov != nil {
 			snap := sh.gov.Snapshot()
-			fmt.Printf("governor: ticks=%d merges=%d ages=%d armed=%v overloaded=%v queue=%d burn-short=%.2f delta-rows=%d\n",
-				snap.Ticks, snap.Merges, snap.Ages, snap.Armed,
-				snap.Overload.Overloaded, snap.Overload.QueueDepth,
-				snap.Overload.BurnShort, snap.Overload.DeltaRows)
-			if snap.LastAction != "" {
-				fmt.Printf("governor: last action %s (%s)\n", snap.LastAction, snap.LastReason)
+			fmt.Printf("governor: work=%d price=%d merges=%d ticks=%d last=%s\n",
+				snap.Work, snap.Price, snap.Merges, snap.Ticks, snap.LastReason)
+			if snap.Failures > 0 {
+				fmt.Printf("governor: %d failed merges, last: %s\n", snap.Failures, snap.LastError)
 			}
 		} else {
 			fmt.Println("governor: off (run with -govern)")

@@ -1,141 +1,275 @@
 package core
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
 	"aggcache/internal/obs"
+	"aggcache/internal/table"
+	"aggcache/internal/txn"
 )
 
-// tickAt drives a deterministic governor clock from a fixed epoch.
-func tickAt(g *Governor, t *testing.T, offset time.Duration) (GovernorAction, error) {
-	t.Helper()
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	return g.Tick(base.Add(offset))
+// governedRows returns the merge price of the Header+Item group (main +
+// delta rows) and its delta rows alone.
+func governedRows(e *env) (price, delta int64) {
+	for _, name := range []string{"Header", "Item"} {
+		for _, p := range e.db.MustTable(name).Partitions() {
+			price += int64(p.Main.Rows() + p.Delta.Rows())
+			delta += int64(p.Delta.Rows())
+		}
+	}
+	return price, delta
 }
 
-// TestGovernorDeltaRowsHysteresis: the delta-rows trigger fires on crossing
-// the high-water mark, empties the deltas via an online group merge, and
-// does not re-fire until the deltas cross the low-water mark again (which
-// the merge itself causes) AND the cooldown has passed.
-func TestGovernorDeltaRowsHysteresis(t *testing.T) {
+// TestGovernorCostRule drives the merge rule tick by tick with no clock.
+// Each round writes one object and reads the header count once, so the
+// read misses the memo and compensates a delta one header longer than the
+// last. The governor must hold while the work since its baseline is below
+// the price and merge on the first tick where it is not; a loop of memo
+// hits adds no work and never merges; and an external merge resets the
+// baseline just as the governor's own merge does.
+func TestGovernorCostRule(t *testing.T) {
 	e := newEnv(t, Config{Metrics: obs.NewRegistry()})
-	g := NewGovernor(e.mgr, GovernorConfig{
-		Tables:        []string{"Header", "Item"},
-		DeltaRowsHigh: 4,
-		Cooldown:      time.Second,
-	})
+	for i := 0; i < 4; i++ {
+		e.insertObject(t, 2013, 1, 2)
+	}
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
+		t.Fatal(err)
+	}
+	g := NewGovernor(e.mgr, GovernorConfig{Tables: []string{"Header", "Item"}})
+	q := headerOnlyQuery()
 
-	// Below threshold: 1 header + 2 items = 3 delta rows.
-	e.insertObject(t, 2013, 10, 20)
-	if act, err := tickAt(g, t, 0); err != nil || act != GovNone {
-		t.Fatalf("tick below threshold: action %q err %v, want none", act, err)
+	var work int64 // delta tuples the reads compensated since the baseline
+	read := func() ExecInfo {
+		t.Helper()
+		_, info, err := e.mgr.Execute(q, CachedFullPruning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		work += info.DeltaTuples
+		return info
+	}
+	tick := func() bool {
+		t.Helper()
+		price, _ := governedRows(e)
+		merged, err := g.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := g.Snapshot()
+		if !merged && (snap.Work != work || snap.Price != price) {
+			t.Fatalf("snapshot work %d price %d, want %d and %d", snap.Work, snap.Price, work, price)
+		}
+		return merged
+	}
+	// round writes, reads and ticks; it fails unless the tick merged
+	// exactly when the work had reached the price.
+	round := func() bool {
+		t.Helper()
+		e.insertObject(t, 2014, 3)
+		if info := read(); info.MemoHit || info.DeltaTuples == 0 {
+			t.Fatalf("read after a write: %+v, want a compensating memo miss", info)
+		}
+		price, delta := governedRows(e)
+		due := work >= price
+		merged := tick()
+		if merged != due {
+			t.Fatalf("work %d price %d delta rows %d: merged=%v, want %v", work, price, delta, merged, due)
+		}
+		if merged {
+			work = 0
+		}
+		return merged
 	}
 
-	// Cross the high-water mark: merge fires and empties the deltas.
-	e.insertObject(t, 2014, 5, 6)
-	if act, err := tickAt(g, t, 100*time.Millisecond); err != nil || act != GovMerge {
-		t.Fatalf("tick above threshold: action %q err %v, want merge", act, err)
-	}
-	if n := e.db.MustTable("Header").DeltaRows(); n != 0 {
-		t.Fatalf("Header delta rows after governed merge = %d, want 0", n)
-	}
-	if n := e.db.MustTable("Item").DeltaRows(); n != 0 {
-		t.Fatalf("Item delta rows after governed merge = %d, want 0", n)
-	}
-
-	// A tick sees the drained deltas below the low-water mark and re-arms.
-	if act, err := tickAt(g, t, 200*time.Millisecond); err != nil || act != GovNone {
-		t.Fatalf("tick on drained deltas: action %q err %v, want none", act, err)
-	}
-	// Refill past the threshold inside the cooldown: no action.
-	e.insertObject(t, 2015, 1, 2)
-	e.insertObject(t, 2015, 3, 4)
-	if act, err := tickAt(g, t, 600*time.Millisecond); err != nil || act != GovNone {
-		t.Fatalf("tick inside cooldown: action %q err %v, want none", act, err)
-	}
-	// Past the cooldown the re-armed trigger fires again.
-	if act, err := tickAt(g, t, 1200*time.Millisecond); err != nil || act != GovMerge {
-		t.Fatalf("tick after cooldown: action %q err %v, want merge", act, err)
+	// untilMerged runs rounds until one merges, counting the rounds below
+	// the price and those of them whose work had already passed the delta
+	// rows.
+	untilMerged := func() (below, pastDelta int) {
+		t.Helper()
+		for ; !round(); below++ {
+			if _, delta := governedRows(e); work >= delta {
+				pastDelta++
+			}
+			if below > 100 {
+				t.Fatal("no merge after 100 rounds")
+			}
+		}
+		return below, pastDelta
 	}
 
+	// The rule: below the price nothing happens; the first tick at or past
+	// it merges and empties the deltas. Some round must sit between the
+	// delta rows and the price, or a trigger on delta rows would pass too.
+	if below, pastDelta := untilMerged(); below == 0 || pastDelta == 0 {
+		t.Fatalf("%d rounds below price, %d of them past the delta rows; the rule went untested", below, pastDelta)
+	}
+	if _, delta := governedRows(e); delta != 0 {
+		t.Fatalf("%d delta rows after the governed merge", delta)
+	}
+	if snap := g.Snapshot(); snap.Merges != 1 || snap.LastReason != GovMerged {
+		t.Fatalf("after the merge: %+v", snap)
+	}
+
+	// The merge reset the baseline, and memo hits add nothing: a write
+	// before the next tick, then a read-only loop, never merges. Nor do
+	// uncached reads, whose joins a merge would not shorten.
+	round()
+	for i := 0; i < 50; i++ {
+		if info := read(); !info.MemoHit || info.DeltaTuples != 0 {
+			t.Fatalf("repeat read %d: %+v, want a memo hit with no delta work", i, info)
+		}
+		before := e.mgr.DeltaWork()
+		if _, _, err := e.mgr.Execute(q, Uncached); err != nil {
+			t.Fatal(err)
+		}
+		if after := e.mgr.DeltaWork(); after != before {
+			t.Fatalf("uncached read %d added %d work", i, after-before)
+		}
+		if tick() {
+			t.Fatalf("repeat read %d: memo hits merged", i)
+		}
+	}
+
+	// An external merge resets the baseline: work accrued before it must
+	// not count toward the next merge.
+	for price, _ := governedRows(e); work*2 < price; price, _ = governedRows(e) {
+		if round() {
+			t.Fatal("merged while accruing half the price")
+		}
+	}
+	if err := e.db.MergeTablesOnline(false, "Header", "Item"); err != nil {
+		t.Fatal(err)
+	}
+	work = 0
+	if tick() {
+		t.Fatal("merged with empty deltas")
+	}
+	if snap := g.Snapshot(); snap.LastReason != GovDeltasEmpty || snap.Work != 0 {
+		t.Fatalf("after an external merge: %+v", snap)
+	}
+	untilMerged()
+	if snap := g.Snapshot(); snap.Merges != 2 {
+		t.Fatalf("merges = %d, want 2", snap.Merges)
+	}
+
+	// A merge already in flight defers the governor even once work has
+	// paid; once it finishes, the rule applies again.
+	om, err := e.db.StartOnlineMerge("Item", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for paid := false; !paid; {
+		e.insertObject(t, 2015, 4)
+		read()
+		price, _ := governedRows(e)
+		paid = work >= price
+	}
+	if tick() || g.Snapshot().LastReason != GovMergeActive {
+		t.Fatalf("tick during a merge: %+v, want deferred", g.Snapshot())
+	}
+	if err := om.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := om.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	untilMerged()
+}
+
+// TestGovernorMergeFailure: a failed merge is counted and reported, and it
+// resets the baseline like a merge would, so the governor retries only once
+// compensation has paid for another attempt rather than on every tick.
+func TestGovernorMergeFailure(t *testing.T) {
+	e := newEnv(t, Config{Metrics: obs.NewRegistry()})
+	for paid := false; !paid; {
+		e.insertObject(t, 2013, 1)
+		if _, _, err := e.mgr.Execute(headerOnlyQuery(), CachedFullPruning); err != nil {
+			t.Fatal(err)
+		}
+		price, _ := governedRows(e)
+		paid = e.mgr.DeltaWork() >= price
+	}
+	g := NewGovernor(e.mgr, GovernorConfig{Tables: []string{"Header", "Item"}})
+	f := table.NewFaults(1)
+	f.Set(table.FaultMergeBuild, table.FaultSpec{Prob: 1, Crash: true})
+	e.db.SetFaults(f)
+	if merged, err := g.Tick(); merged || !errors.Is(err, table.ErrInjected) {
+		t.Fatalf("tick with a crashing merge: merged=%v err=%v", merged, err)
+	}
 	snap := g.Snapshot()
-	if snap.Merges != 2 || snap.Ticks != 5 {
-		t.Fatalf("snapshot merges=%d ticks=%d, want 2 and 5", snap.Merges, snap.Ticks)
+	if snap.Merges != 0 || snap.Failures != 1 || snap.LastReason != GovMergeFailed || snap.LastError == "" {
+		t.Fatalf("after a failed merge: %+v", snap)
 	}
-	if snap.LastReason != "delta-rows" {
-		t.Fatalf("last reason = %q, want delta-rows", snap.LastReason)
+	e.db.SetFaults(nil)
+	if merged, err := g.Tick(); merged || err != nil {
+		t.Fatalf("tick right after a failed merge: merged=%v err=%v, want no retry", merged, err)
 	}
-}
-
-// TestGovernorRotatesWindows: ticks advance the manager's rolling windows
-// on the configured cadence, not on every tick.
-func TestGovernorRotatesWindows(t *testing.T) {
-	e := newEnv(t, Config{Metrics: obs.NewRegistry(), SLO: obs.NewSLO(obs.SLOConfig{})})
-	g := NewGovernor(e.mgr, GovernorConfig{Tables: []string{"Header", "Item"}, Rotate: time.Second})
-
-	tickAt(g, t, 0) // first tick always rotates
-	for ms := 100; ms < 1000; ms += 100 {
-		tickAt(g, t, time.Duration(ms)*time.Millisecond)
-	}
-	if got := e.mgr.QueryWindow().Rotations(); got != 1 {
-		t.Fatalf("rotations after 1s of ticks = %d, want 1", got)
-	}
-	tickAt(g, t, 1100*time.Millisecond)
-	if got := e.mgr.QueryWindow().Rotations(); got != 2 {
-		t.Fatalf("rotations after rotate cadence = %d, want 2", got)
+	if snap := g.Snapshot(); snap.Work != 0 || snap.LastReason != GovBelowPrice || snap.Failures != 1 {
+		t.Fatalf("after the retry tick: %+v", snap)
 	}
 }
 
-// TestGovernorOverloadMerge: a high short-window SLO burn marks the engine
-// overloaded and, with non-trivial deltas, triggers a relief merge.
-func TestGovernorOverloadMerge(t *testing.T) {
-	slo := obs.NewSLO(obs.SLOConfig{Target: time.Millisecond, Slots: 8, ShortSlots: 2})
-	e := newEnv(t, Config{Metrics: obs.NewRegistry(), SLO: slo})
+// blockingHook holds the first merge fold it sees until released.
+type blockingHook struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (h *blockingHook) FoldOnline(*table.DB, *table.Table, int, txn.Snapshot) {
+	h.once.Do(func() {
+		close(h.entered)
+		<-h.release
+	})
+}
+func (h *blockingHook) SwapOnline(*table.DB, *table.Table, int, txn.Snapshot) {}
+func (h *blockingHook) AbortOnline(*table.DB, *table.Table, int)              {}
+
+// TestGovernorSnapshotDuringMerge: Snapshot answers while the governor's
+// merge is held mid-flight, reporting the merge as running.
+func TestGovernorSnapshotDuringMerge(t *testing.T) {
+	e := newEnv(t, Config{Metrics: obs.NewRegistry()})
+	// Write and read until the compensation work has paid for a merge.
+	for paid := false; !paid; {
+		e.insertObject(t, 2013, 1)
+		if _, _, err := e.mgr.Execute(headerOnlyQuery(), CachedFullPruning); err != nil {
+			t.Fatal(err)
+		}
+		price, _ := governedRows(e)
+		paid = e.mgr.DeltaWork() >= price
+	}
+	hook := &blockingHook{entered: make(chan struct{}), release: make(chan struct{})}
+	e.db.RegisterMergeHook(hook)
 	g := NewGovernor(e.mgr, GovernorConfig{Tables: []string{"Header", "Item"}})
 
-	e.insertObject(t, 2013, 10, 20)
-	for i := 0; i < 10; i++ {
-		slo.Record(5*time.Millisecond, false) // all bad: burn far above BurnHigh
+	ticked := make(chan bool)
+	go func() {
+		merged, err := g.Tick()
+		if err != nil {
+			t.Error(err)
+		}
+		ticked <- merged
+	}()
+	select {
+	case <-hook.entered:
+	case merged := <-ticked:
+		t.Fatalf("the tick returned (merged=%v) without reaching the merge", merged)
 	}
-	act, err := tickAt(g, t, 0)
-	if err != nil || act != GovMerge {
-		t.Fatalf("overloaded tick: action %q err %v, want merge", act, err)
+	snapped := make(chan GovernorSnapshot)
+	go func() { snapped <- g.Snapshot() }()
+	select {
+	case snap := <-snapped:
+		if snap.LastReason != GovMerging || snap.Ticks != 1 {
+			t.Errorf("snapshot mid-merge: %+v, want a running merge", snap)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Snapshot blocked behind the governor's merge")
 	}
-	ov := g.Overload()
-	if !ov.Overloaded || ov.BurnShort < DefaultBurnHigh {
-		t.Fatalf("overload signal = %+v, want overloaded with burn >= %v", ov, DefaultBurnHigh)
-	}
-	if g.Snapshot().LastReason != "slo-burn" {
-		t.Fatalf("last reason = %q, want slo-burn", g.Snapshot().LastReason)
-	}
-}
-
-// TestGovernorAgesHotCold: with aging enabled, empty deltas, and a hot main
-// past the threshold, the governor moves both tables' boundaries to the
-// same split (co-partitioned objects stay together).
-func TestGovernorAgesHotCold(t *testing.T) {
-	e := newEnvHotCold(t)
-	g := NewGovernor(e.mgr, GovernorConfig{
-		Tables:     []string{"Header", "Item"},
-		AgeHotRows: 1,
-	})
-	oldSplit := e.db.MustTable("Header").Partitions()[0].Hi
-
-	act, err := tickAt(g, t, 0)
-	if err != nil || act != GovAge {
-		t.Fatalf("aging tick: action %q err %v, want age", act, err)
-	}
-	hdrSplit := e.db.MustTable("Header").Partitions()[0].Hi
-	itemSplit := e.db.MustTable("Item").Partitions()[0].Hi
-	if hdrSplit <= oldSplit {
-		t.Fatalf("split did not advance: %d -> %d", oldSplit, hdrSplit)
-	}
-	if hdrSplit != itemSplit {
-		t.Fatalf("tables aged at different splits: Header %d, Item %d", hdrSplit, itemSplit)
-	}
-	if g.Snapshot().Ages != 1 {
-		t.Fatalf("ages = %d, want 1", g.Snapshot().Ages)
+	close(hook.release)
+	if !<-ticked {
+		t.Fatal("the tick did not merge")
 	}
 }
 
@@ -149,9 +283,8 @@ func TestGovernorStartStop(t *testing.T) {
 	g.tickSrc = ticks
 	g.Start()
 	g.Start() // no-op
-	base := time.Unix(1_700_000_000, 0)
 	for i := 0; i < 3; i++ {
-		ticks <- base.Add(time.Duration(i) * time.Second)
+		ticks <- time.Time{}
 	}
 	g.Stop()
 	g.Stop() // no-op
@@ -159,7 +292,7 @@ func TestGovernorStartStop(t *testing.T) {
 		t.Fatalf("3 ticks ran %d governor ticks", got)
 	}
 	select {
-	case ticks <- base:
+	case ticks <- time.Time{}:
 		t.Fatal("a control loop still receives ticks after Stop")
 	default:
 	}

@@ -158,6 +158,10 @@ type Manager struct {
 	// shadow is the installed shadow-verification hook (SetShadow); read
 	// lock-free on the Execute path, nil when verification is off.
 	shadow atomic.Pointer[shadowBox]
+	// deltaWork tallies ExecInfo.DeltaTuples over every compensation this
+	// manager ran — the work side of the governor's merge rule. Guarded
+	// by mu.
+	deltaWork int64
 	// Evictions counts evicted entries (for introspection and tests).
 	Evictions int64
 }
@@ -584,11 +588,11 @@ func (m *Manager) compensateAndAccount(e *Entry, q *query.Query, snap txn.Snapsh
 		info.DeltaComp = time.Since(dcStart)
 		info.DeltaTuples = info.Stats.TuplesJoined - before
 		m.obs.deltaCompLat.Observe(info.DeltaComp)
-		m.obs.compWin.Observe(info.DeltaComp)
 	}
 	m.mu.Lock()
 	e.Metrics.DeltaCompTime += info.DeltaComp
 	e.Metrics.DeltaRows += info.DeltaTuples
+	m.deltaWork += info.DeltaTuples
 	if info.CacheHit || info.Rebuilt {
 		e.Metrics.Hits++
 	}
@@ -971,22 +975,18 @@ func (m *Manager) Recycler() *recycler.Cache { return m.rc }
 // Shapes returns the per-shape profile table; nil when disabled.
 func (m *Manager) Shapes() *obs.Shapes { return m.shapes }
 
-// QueryWindow and CompWindow return the always-on rolling latency windows
-// over full executions and delta compensation — the governor's windowed
-// cost signals.
-func (m *Manager) QueryWindow() *obs.Window { return m.obs.queryWin }
-func (m *Manager) CompWindow() *obs.Window  { return m.obs.compWin }
+// DeltaWork reports the delta tuples joined by every delta compensation
+// this manager has run; a memo hit adds nothing.
+func (m *Manager) DeltaWork() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.deltaWork
+}
 
-// InflightQueries reports the current number of executions in flight.
-func (m *Manager) InflightQueries() int64 { return m.obs.inflight.Value() }
-
-// RotateWindows advances every rolling view one slot — the latency
-// windows, the SLO tracker, and each shape's window. Driven on a fixed
-// cadence by the governor (or a test clock); slot count × cadence is the
-// rolling span.
+// RotateWindows advances every rolling view one slot — the SLO tracker and
+// each shape's window. Driven on a fixed cadence by the background sampler
+// (or a test clock); slot count × cadence is the rolling span.
 func (m *Manager) RotateWindows() {
-	m.obs.queryWin.Rotate()
-	m.obs.compWin.Rotate()
 	m.slo.Rotate()
 	m.shapes.Rotate()
 }

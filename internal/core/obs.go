@@ -85,15 +85,8 @@ type managerObs struct {
 	queryLat     *obs.Histogram // latency.query — full Execute wall clock
 	deltaCompLat *obs.Histogram // latency.delta_comp — delta compensation only
 
-	// Rolling windows over the same two distributions (windowed p50/p95/p99
-	// rather than since-process-start), rotated by Manager.RotateWindows;
-	// always on — Observe is the same atomics as a Histogram.
-	queryWin *obs.Window
-	compWin  *obs.Window
-
 	// inflight tracks executions currently inside Execute/ExecuteRows/
-	// ExplainAnalyze — the queue-depth half of the governor's overload
-	// signal.
+	// ExplainAnalyze.
 	inflight *obs.Gauge // exec.inflight
 }
 
@@ -129,8 +122,6 @@ func newManagerObs(reg *obs.Registry) *managerObs {
 		regretHits:       reg.Counter("cache.regret_hits"),
 		queryLat:         reg.Histogram("latency.query"),
 		deltaCompLat:     reg.Histogram("latency.delta_comp"),
-		queryWin:         obs.NewWindow(obs.DefaultWindowSlots),
-		compWin:          obs.NewWindow(obs.DefaultWindowSlots),
 		inflight:         reg.Gauge("exec.inflight"),
 	}
 	for kind, spec := range decisionSpecs {
@@ -185,11 +176,11 @@ func (m *Manager) record(d obs.Decision) {
 }
 
 // observeExec announces one finished execution, in fixed order: registry
-// counters and latency histogram, rolling window, the access decision
-// (cached strategies only — uncached executions make no cache decision),
-// SLO tracker, shape profiler, flight recorder, shadow verifier. Failed
-// executions reach only the SLO, the profiler and the recorder. sp is the
-// root span to end and retain, if any.
+// counters and latency histogram, the access decision (cached strategies
+// only — uncached executions make no cache decision), SLO tracker, shape
+// profiler, flight recorder, shadow verifier. Failed executions reach only
+// the SLO, the profiler and the recorder. sp is the root span to end and
+// retain, if any.
 //
 // shadow is the result to offer the shadow verifier, nil for none. The
 // hand-off must run before the serving pin releases: the hook's nested Pin
@@ -202,7 +193,6 @@ func (m *Manager) observeExec(q *query.Query, snap txn.Snapshot, sp *obs.Span, s
 		m.obs.mainCompRows.Add(int64(info.MainCompensated))
 		m.obs.recordStats(&info.Stats)
 		m.obs.queryLat.Observe(info.Total)
-		m.obs.queryWin.Observe(info.Total)
 		if cached {
 			m.decide(m.accessDecision(q, info))
 		}

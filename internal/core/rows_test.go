@@ -66,7 +66,7 @@ func TestExecuteRowsMatchesExecute(t *testing.T) {
 			}
 		}
 	}
-	if n := e.mgr.InflightQueries(); n != 0 {
+	if n := e.mgr.obs.inflight.Value(); n != 0 {
 		t.Fatalf("exec.inflight = %d after all executions returned", n)
 	}
 }

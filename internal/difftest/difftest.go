@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"aggcache/internal/advisor"
 	"aggcache/internal/column"
@@ -107,11 +106,15 @@ type Config struct {
 	// paired run with and without merges must produce byte-identical
 	// check outputs (merges are pure reorganizations).
 	DisableMerges bool
-	// Govern attaches a maintenance governor driven by a synthetic clock:
+	// Govern attaches a maintenance governor to the single-worker manager:
 	// one deterministic Tick after every applied op (no background
-	// goroutine), delta-rows trigger only, aging off. Governor-initiated
-	// merges are physical reorganizations of the shared database, so the
-	// worker-count ledger identity must survive them.
+	// goroutine). The governor is then the only group merger — the group
+	// branch of OpMergeOnline is a no-op — because a generated group merge
+	// every few ops would reset its baseline long before compensation paid
+	// for one. Single-table, staged and crash-injected merges stay live, so
+	// ticks still meet an open staged merge and the aftermath of a crash.
+	// Governor-initiated merges are physical reorganizations of the shared
+	// database, so the worker-count ledger identity must survive them.
 	Govern bool
 	// Recycle adds a second pair of managers (one and four workers), each
 	// with its own recycler cache and decision ledger. Every check also runs
@@ -210,11 +213,9 @@ type Runner struct {
 	ledR1, ledR4 *obs.Ledger
 	objs         []object
 	staged       map[stagedKey]*table.OnlineMerge
-	// gov ticks on a synthetic clock when cfg.Govern is set; govClock is
-	// the fake "now" advanced a fixed step per op, so governor decisions
-	// are a pure function of the op sequence.
-	gov      *core.Governor
-	govClock time.Time
+	// gov ticks once per op when cfg.Govern is set; its decisions are a
+	// pure function of the op sequence.
+	gov *core.Governor
 	// Outputs collects the rendered result of every query check (and of
 	// both reads of a repeat), in order — the unit of cross-run comparison.
 	Outputs []string
@@ -269,17 +270,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.mr4 = mk(4, r.ledR4, recycler.New(recycler.Config{Metrics: obs.NewRegistry()}))
 	}
 	if cfg.Govern {
-		// Delta-rows trigger only: growth, compensation-p99, and SLO burn
-		// depend on wall-clock timings and would make decisions
-		// non-deterministic. The synthetic clock steps 100ms per op, so the
-		// 300ms cooldown allows an action every few ops at most.
-		r.gov = core.NewGovernor(r.m1, core.GovernorConfig{
-			Tables:        []string{workload.THeader, workload.TItem},
-			DeltaRowsHigh: 24,
-			Cooldown:      300 * time.Millisecond,
-			Rotate:        500 * time.Millisecond,
-		})
-		r.govClock = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+		r.gov = core.NewGovernor(r.m1, core.GovernorConfig{Tables: []string{workload.THeader, workload.TItem}})
 	}
 	// Reconstruct the bulk-loaded objects: header ids and item ids are
 	// assigned sequentially by the loader.
@@ -321,10 +312,11 @@ func (r *Runner) Run(ops []Op) error {
 			return fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
 		}
 		if r.gov != nil {
-			// One synchronous tick per op on the synthetic clock: governor
-			// merges land at op boundaries, never concurrent with a check.
-			r.govClock = r.govClock.Add(100 * time.Millisecond)
-			r.gov.Tick(r.govClock)
+			// One synchronous tick per op: governor merges land at op
+			// boundaries, never concurrent with a check.
+			if _, err := r.gov.Tick(); err != nil {
+				return fmt.Errorf("op %d governor tick: %w", i, err)
+			}
 		}
 	}
 	// Close any merge the sequence left open, then do a final sweep of
@@ -428,6 +420,9 @@ func (r *Runner) apply(op Op) error {
 			return nil
 		}
 		if op.A%2 == 0 {
+			if r.gov != nil {
+				return nil // the governor owns group merges
+			}
 			return db.MergeTablesOnline(false, workload.THeader, workload.TItem)
 		}
 		name := workload.THeader

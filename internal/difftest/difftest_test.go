@@ -71,18 +71,20 @@ func TestDifferentialHotCold(t *testing.T) {
 }
 
 // TestDifferentialGoverned runs seeded sequences with the maintenance
-// governor attached on a synthetic clock: governor-initiated merges are
-// physical reorganizations, so every check must still match the oracle and
-// the decision ledgers must stay byte-identical across worker counts
-// (which Runner.Run asserts). Across the seeds the governor must have
-// actually merged at least once, or the mode tested nothing.
+// governor ticked after every op: governor-initiated merges are physical
+// reorganizations, so every check must still match the oracle and the
+// decision ledgers must stay byte-identical across worker counts (which
+// Runner.Run asserts). The sequences are longer than the other modes'
+// because the governor merges only once compensation has cost what a merge
+// costs. Across the seeds the governor must have actually merged at least
+// once, or the mode tested nothing.
 func TestDifferentialGoverned(t *testing.T) {
 	seeds := seedCount(4)
 	var merges int64
 	for s := 0; s < seeds; s++ {
 		seed := int64(4000 + s)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			cfg := Config{ERP: SmallERP(seed), Ops: 60, Govern: true}
+			cfg := Config{ERP: SmallERP(seed), Ops: 200, Govern: true}
 			ops := Generate(seed, cfg.Ops)
 			r, err := NewRunner(cfg)
 			if err != nil {

@@ -278,7 +278,7 @@ func debugIndex(opts DebugOptions) []DebugEndpoint {
 		{"/debug/series", "sampled metric time series; ?last=N trims each series", opts.Sampler != nil},
 		{"/debug/cache", "aggregate cache entries with profit metrics, by profit", opts.CacheDump != nil},
 		{"/debug/recycler", "second-level recycler cache: subjoin partials and build tables", opts.Recycler != nil},
-		{"/debug/slo", "SLO burn rates and budget, plus governor signals when governed", opts.SLO != nil || opts.Governor != nil},
+		{"/debug/slo", "SLO burn rates and budget, plus the governor's work against its merge price when governed", opts.SLO != nil || opts.Governor != nil},
 		{"/debug/shapes", "per-query-shape latency/compensation profiles, busiest first", opts.Shapes != nil},
 		{"/debug/advisor", "shadow-cache what-if report; ?format=text for aligned text", opts.Advisor != nil},
 		{"/debug/traces", "flight-recorder traces; ?id=N for one, &format=trace_event for Perfetto", opts.Recorder != nil},

@@ -9,7 +9,7 @@ import (
 
 // SLO tracker defaults: a 50 ms latency target at 99.5% availability,
 // judged over a 60-slot long window with a 6-slot short window (one minute
-// and six seconds at the governor's one-second rotation cadence).
+// and six seconds at the sampler's one-second rotation cadence).
 const (
 	DefaultSLOTarget     = 50 * time.Millisecond
 	DefaultSLOObjective  = 0.995

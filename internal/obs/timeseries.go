@@ -22,10 +22,9 @@ type SamplerConfig struct {
 	// Capacity is the per-series ring size; 0 means DefaultSampleCapacity.
 	Capacity int
 	// Rotate, when non-nil, is invoked from the scrape loop every
-	// RotateEvery (DefaultRotateEvery when zero). Ungoverned processes
-	// wire core.Manager.RotateWindows here so the SLO tracker and
-	// per-shape quantiles keep rotating when no Governor runs; governed
-	// processes leave it nil (the Governor tick already rotates).
+	// RotateEvery (DefaultRotateEvery when zero). Processes wire
+	// core.Manager.RotateWindows here so the SLO tracker and per-shape
+	// quantiles rotate; nothing else rotates them.
 	Rotate func()
 	// RotateEvery is the rotation cadence for Rotate.
 	RotateEvery time.Duration

@@ -161,10 +161,9 @@ func TestSamplerHotPathAllocs(t *testing.T) {
 	}
 }
 
-// TestSamplerRotates pins the ungoverned-process window rotation: a
-// sampler wired with a Rotate hook fires it on the RotateEvery cadence —
-// at most once per due interval, never more — so SLO windows and
-// per-shape quantiles rotate even when no governor runs.
+// TestSamplerRotates pins the process window rotation: a sampler wired
+// with a Rotate hook fires it on the RotateEvery cadence — at most once per
+// due interval, never more — so SLO windows and per-shape quantiles rotate.
 func TestSamplerRotates(t *testing.T) {
 	r := NewRegistry()
 	rotations := 0

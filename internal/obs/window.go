@@ -6,7 +6,7 @@ import (
 )
 
 // DefaultWindowSlots is the slot count windows default to: with the
-// governor's one-second rotation cadence it yields a one-minute rolling
+// sampler's one-second rotation cadence it yields a one-minute rolling
 // view.
 const DefaultWindowSlots = 60
 
@@ -15,8 +15,8 @@ const DefaultWindowSlots = 60
 // Rotate clears the oldest slot and makes it current, so a snapshot merges
 // the last len(slots) rotation periods. Observe is branch-light atomics —
 // the same hot-path cost as a plain Histogram — and a nil *Window discards
-// observations. Rotation is driven externally (sampler tick or governor
-// tick), which keeps the hot path free of clock reads.
+// observations. Rotation is driven externally (the sampler's tick or a
+// test), which keeps the hot path free of clock reads.
 //
 // An observation racing a concurrent Rotate may land in the slot being
 // cleared and be lost; that single-sample noise is acceptable for
@@ -58,15 +58,6 @@ func (w *Window) Rotate() {
 	w.slots[next].reset()
 	w.cur.Store(next)
 	w.rotations.Add(1)
-}
-
-// Rotations reports how many times the window has rotated — slots rotated
-// past their first lap have aged data out.
-func (w *Window) Rotations() int64 {
-	if w == nil {
-		return 0
-	}
-	return w.rotations.Load()
 }
 
 // WindowSnapshot is a point-in-time merge of every slot in the window:

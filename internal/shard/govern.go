@@ -1,15 +1,16 @@
 package shard
 
 import (
-	"time"
+	"errors"
+	"sync"
 
 	"aggcache/internal/core"
 )
 
 // Govern attaches one maintenance governor per shard from the template
-// config. Each governor watches only its shard's delta growth, windowed
-// compensation cost, and SLO burn, and triggers online merges of that
-// shard alone — shard maintenance never pauses the others.
+// config. Each governor weighs only its shard's compensation work against
+// that shard's merge price and merges that shard alone — shard maintenance
+// never pauses the others.
 func (s *Sharded) Govern(cfg core.GovernorConfig) {
 	s.govs = s.govs[:0]
 	for _, m := range s.mgrs {
@@ -20,30 +21,24 @@ func (s *Sharded) Govern(cfg core.GovernorConfig) {
 // Governors lists the per-shard governors (nil before Govern).
 func (s *Sharded) Governors() []*core.Governor { return append([]*core.Governor(nil), s.govs...) }
 
-// TickAll fans one deterministic governor tick per shard concurrently —
-// one goroutine per shard, no cross-shard coordination. A tick that
-// decides to merge runs that shard's MergeOnline while the other shards
-// keep ticking and serving: there is no global pause. Actions are
-// returned in shard order; the first error (if any) is reported.
-func (s *Sharded) TickAll(now time.Time) ([]core.GovernorAction, error) {
-	actions := make([]core.GovernorAction, len(s.govs))
+// TickAll fans one governor tick per shard concurrently — one goroutine
+// per shard, no cross-shard coordination. A tick that decides to merge
+// runs that shard's merge while the other shards keep ticking and
+// serving: there is no global pause. It reports, in shard order, which
+// shards merged, and every shard's error joined.
+func (s *Sharded) TickAll() ([]bool, error) {
+	merged := make([]bool, len(s.govs))
 	errs := make([]error, len(s.govs))
-	done := make(chan struct{}, len(s.govs))
+	var wg sync.WaitGroup
 	for i, g := range s.govs {
-		go func(i int, g *core.Governor) {
-			actions[i], errs[i] = g.Tick(now)
-			done <- struct{}{}
-		}(i, g)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			merged[i], errs[i] = g.Tick()
+		}()
 	}
-	for range s.govs {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return actions, err
-		}
-	}
-	return actions, nil
+	wg.Wait()
+	return merged, errors.Join(errs...)
 }
 
 // StartGovernors launches every shard governor's background loop.

@@ -15,10 +15,7 @@ const DefaultAuditInterval = 2 * time.Second
 
 // AuditorConfig tunes an Auditor.
 type AuditorConfig struct {
-	// Interval paces the standalone Start loop; 0 means
-	// DefaultAuditInterval. Governed processes skip Start and wire RunOnce
-	// into GovernorConfig.Audit instead, so the pass rides the governor's
-	// window-rotation cadence.
+	// Interval paces the Start loop; 0 means DefaultAuditInterval.
 	Interval time.Duration
 	// Metrics receives the audit.* gauges; nil uses the manager's
 	// registry.
@@ -60,7 +57,7 @@ type Auditor struct {
 }
 
 // NewAuditor builds an auditor over the manager. It does not start a loop;
-// call Start for a standalone cadence or hand RunOnce to the governor.
+// call Start for a periodic cadence or RunOnce on demand.
 func NewAuditor(m *core.Manager, cfg AuditorConfig) *Auditor {
 	reg := cfg.Metrics
 	if reg == nil {
@@ -77,8 +74,8 @@ func NewAuditor(m *core.Manager, cfg AuditorConfig) *Auditor {
 
 // RunOnce executes one invariant pass and publishes its metrics. It is
 // safe from any goroutine (the underlying audits take the Execute-path
-// lock order) — the governor tick, the standalone loop, and tests all call
-// it directly.
+// lock order) — the Start loop, on-demand callers, and tests all call it
+// directly.
 func (a *Auditor) RunOnce() AuditReport {
 	rep := AuditReport{
 		Cache:      a.m.AuditCache(),
@@ -118,9 +115,7 @@ func (a *Auditor) Last() AuditReport {
 	return a.RunOnce()
 }
 
-// Start launches the standalone audit loop. Ungoverned processes use this;
-// governed ones route RunOnce through GovernorConfig.Audit instead and
-// never call Start.
+// Start launches the periodic audit loop.
 func (a *Auditor) Start(interval time.Duration) {
 	if interval <= 0 {
 		interval = DefaultAuditInterval

@@ -76,9 +76,8 @@ func TestAuditorLastRunsWhenEmpty(t *testing.T) {
 	}
 }
 
-// TestAuditorLoop drives the standalone Start/Stop cadence used by
-// ungoverned processes from an injected tick channel: one pass per tick,
-// none after Stop.
+// TestAuditorLoop drives the Start/Stop cadence behind -audit from an
+// injected tick channel: one pass per tick, none after Stop.
 func TestAuditorLoop(t *testing.T) {
 	erp, err := workload.BuildERP(difftest.SmallERP(1))
 	if err != nil {

@@ -21,7 +21,7 @@ type soakDB struct {
 	ver  *verify.Verifier
 	// write inserts one batch under the database writer lock.
 	write func() error
-	// batches bounds the front-loaded write burst.
+	// batches sizes the front-loaded write burst.
 	batches int
 }
 
@@ -33,26 +33,21 @@ func newSoakDB(t *testing.T, name string, mgr *core.Manager, tables []string) *s
 	return &soakDB{
 		name: name,
 		mgr:  mgr,
-		gov: core.NewGovernor(mgr, core.GovernorConfig{
-			Tables:        tables,
-			DeltaRowsHigh: 1500,
-			Interval:      25 * time.Millisecond,
-			Rotate:        250 * time.Millisecond,
-			Cooldown:      500 * time.Millisecond,
-		}),
-		ver: verify.Attach(mgr, verify.Config{SampleRate: 0.05, OracleWorkers: -1, ArtifactDir: t.TempDir()}),
+		gov:  core.NewGovernor(mgr, core.GovernorConfig{Tables: tables, Interval: 25 * time.Millisecond}),
+		ver:  verify.Attach(mgr, verify.Config{SampleRate: 0.05, OracleWorkers: -1, ArtifactDir: t.TempDir()}),
 	}
 }
 
 // TestGovernedSoakShadowVerified runs closed-loop mixed traffic against an
 // ERP and a CH-benCHmark database: two readers replay the ERP dashboard
 // and the four CH analytics queries under full pruning while a
-// front-loaded insert burst pushes each database past its governor's
-// delta-rows mark, so the governors merge online under live reads. Every
-// sampled read is re-executed against the uncached oracle under its pinned
-// snapshot. The run ends once the burst is written, each governor has
-// merged and each verifier has completed a check; the deadline only guards
-// against a hang. No latency is asserted.
+// front-loaded insert burst, trickling on until each governor has merged,
+// makes the readers' delta compensation pay past the merge price, so the
+// governors merge online under live reads. Every sampled read is
+// re-executed against the uncached oracle under its pinned snapshot. The
+// run ends once the writes are done, each governor has merged and each
+// verifier has completed a check; the deadline only guards against a hang.
+// No latency is asserted.
 func TestGovernedSoakShadowVerified(t *testing.T) {
 	erpCfg := workload.DefaultERPConfig()
 	erpCfg.Headers = 500
@@ -147,12 +142,19 @@ func TestGovernedSoakShadowVerified(t *testing.T) {
 		writers.Add(1)
 		go func(d *soakDB) {
 			defer writers.Done()
-			for i := 0; i < d.batches && !stopped(); i++ {
+			// Past the burst the writer trickles batches until its
+			// governor has merged: reads pay for a merge only while
+			// writes keep them missing the result memo.
+			for i := 0; !stopped() && (i < d.batches || d.gov.Snapshot().Merges == 0); i++ {
 				if err := d.write(); err != nil {
 					t.Errorf("%s writer: %v", d.name, err)
 					return
 				}
-				time.Sleep(200 * time.Microsecond)
+				pause := 200 * time.Microsecond
+				if i >= d.batches {
+					pause = 5 * time.Millisecond
+				}
+				time.Sleep(pause)
 			}
 		}(d)
 	}
@@ -187,8 +189,10 @@ func TestGovernedSoakShadowVerified(t *testing.T) {
 		d.mgr.SetShadow(nil)
 		d.ver.Stop()
 		d.gov.Stop()
-		merges, st := d.gov.Snapshot().Merges, d.ver.Status()
-		t.Logf("%s: %d merges, %d shadow checks, %d dropped", d.name, merges, st.Checks, st.Dropped)
+		gs, st := d.gov.Snapshot(), d.ver.Status()
+		merges := gs.Merges
+		t.Logf("%s: %d merges (work %d, price %d, last %s), %d shadow checks, %d dropped",
+			d.name, merges, gs.Work, gs.Price, gs.LastReason, st.Checks, st.Dropped)
 		if merges < 1 {
 			t.Errorf("%s: governor never merged", d.name)
 		}
