@@ -33,7 +33,8 @@
 //	\stats               dump the observability registry (counters, latencies)
 //	\slo                 windowed SLO report (error-budget burn over the short
 //	                     and long windows) plus, with -govern, the
-//	                     governor's work against its merge price
+//	                     governor's work against its merge price (one
+//	                     line per shard with -shards)
 //	\shapes              per-query-shape profiles: rolling p50/p99, hit rate,
 //	                     compensation cost, delta rows scanned
 //	\traces              list flight-recorded query traces (newest first)
@@ -74,7 +75,8 @@
 // /metrics (registry snapshot as JSON), /debug/cache (cache configuration,
 // eviction reasons, and entry metrics sorted by profit), /debug/recycler
 // (the recycler cache snapshot), /debug/advisor (the shadow-cache what-if
-// report), /debug/slo (the windowed SLO report and governor snapshot),
+// report), /debug/slo (the windowed SLO report and governor snapshot, a
+// list of per-shard snapshots with -shards),
 // /debug/shapes (the per-query-shape profiles), and — with -shards —
 // /debug/shards (the cluster layout snapshot).
 //
@@ -138,13 +140,28 @@ type shell struct {
 	rec *obs.Recorder
 	// led is the cache decision ledger behind \advisor; nil when disabled.
 	led *obs.Ledger
-	// gov is the maintenance governor; nil unless -govern.
-	gov *core.Governor
+	// govs are the maintenance governors, one per shard in a sharded
+	// shell; nil unless -govern.
+	govs []*core.Governor
 	// aud is the invariant auditor behind \audit and /debug/audit.
 	aud *verify.Auditor
 	// bundle assembles the one-shot diagnostics bundle behind \bundle and
 	// /debug/bundle.
 	bundle func() *verify.Bundle
+}
+
+// governorSection is the governor payload of /debug/slo and the bundle:
+// the governor's snapshot, or in a sharded shell one snapshot per shard in
+// shard order.
+func (sh *shell) governorSection() any {
+	if sh.sharded == nil {
+		return sh.govs[0].Snapshot()
+	}
+	snaps := make([]core.GovernorSnapshot, len(sh.govs))
+	for i, g := range sh.govs {
+		snaps[i] = g.Snapshot()
+	}
+	return snaps
 }
 
 // insertSharded inserts n business objects, each under its owning shard's
@@ -285,10 +302,12 @@ func main() {
 		sh.sharded.Govern(core.GovernorConfig{Tables: sh.mergeTables})
 		sh.sharded.StartGovernors()
 		defer sh.sharded.StopGovernors()
+		sh.govs = sh.sharded.Governors()
 	case *govern:
-		sh.gov = core.NewGovernor(sh.mgr, core.GovernorConfig{Tables: sh.mergeTables})
-		sh.gov.Start()
-		defer sh.gov.Stop()
+		g := core.NewGovernor(sh.mgr, core.GovernorConfig{Tables: sh.mergeTables})
+		g.Start()
+		defer g.Stop()
+		sh.govs = []*core.Governor{g}
 	}
 
 	// The online shadow verifier re-executes a deterministic sample of
@@ -330,8 +349,8 @@ func main() {
 	// The governor and recycler sections of the bundle and the debug
 	// endpoint; nil when the subsystem is off.
 	var governor, recyclerDump func() any
-	if sh.gov != nil {
-		governor = func() any { return sh.gov.Snapshot() }
+	if sh.govs != nil {
+		governor = sh.governorSection
 	}
 	if rc != nil {
 		recyclerDump = func() any { return rc.Debug() }
@@ -807,15 +826,20 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 		}
 	case "\\slo":
 		sh.mgr.SLO().Report().Render(os.Stdout)
-		if sh.gov != nil {
-			snap := sh.gov.Snapshot()
-			fmt.Printf("governor: work=%d price=%d merges=%d ticks=%d last=%s\n",
-				snap.Work, snap.Price, snap.Merges, snap.Ticks, snap.LastReason)
-			if snap.Failures > 0 {
-				fmt.Printf("governor: %d failed merges, last: %s\n", snap.Failures, snap.LastError)
-			}
-		} else {
+		if sh.govs == nil {
 			fmt.Println("governor: off (run with -govern)")
+		}
+		for i, g := range sh.govs {
+			label := "governor"
+			if sh.sharded != nil {
+				label = fmt.Sprintf("governor shard %d", i)
+			}
+			snap := g.Snapshot()
+			fmt.Printf("%s: work=%d price=%d merges=%d ticks=%d last=%s\n",
+				label, snap.Work, snap.Price, snap.Merges, snap.Ticks, snap.LastReason)
+			if snap.Failures > 0 {
+				fmt.Printf("%s: %d failed merges, last: %s\n", label, snap.Failures, snap.LastError)
+			}
 		}
 	case "\\shapes":
 		profiles := sh.mgr.Shapes().Profiles()

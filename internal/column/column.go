@@ -86,6 +86,9 @@ func NewDelta(kind Kind) Appender {
 // operation and by bulk loads.
 type MainBuilder interface {
 	Append(v Value)
+	// Grow reserves room for n more values, so a caller that knows the row
+	// count appends without regrowing.
+	Grow(n int)
 	// Build freezes the accumulated values. The builder must not be used
 	// afterwards.
 	Build() Reader

@@ -11,7 +11,9 @@ import (
 // dictionary plus a compressed vector of value IDs (bit-packed or
 // run-length encoded, whichever is smaller). The dictionary's order is
 // cmp.Compare's total order, under which a float NaN sorts first and equals
-// every other NaN, so the builder's binary search and Lookup find it.
+// every other NaN, so Lookup's binary search finds it. The dictionary holds
+// exactly its d entries; the builder's n-long row arrays do not outlive
+// Build.
 type mainCol[T elem] struct {
 	dict []T
 	ids  idVector
@@ -24,36 +26,23 @@ type mainBuilder[T elem] struct {
 
 func (b *mainBuilder[T]) Append(v Value) { b.vals = append(b.vals, fromValue[T](v)) }
 
+func (b *mainBuilder[T]) Grow(n int) { b.vals = slices.Grow(b.vals, n) }
+
+// Build encodes the n accumulated rows over d distinct values in
+// O(n + d log d): a non-decreasing input (bulk-loaded keys, the tid columns
+// of an insertion-order merge) in linear passes, any other through a hash
+// of the distinct values. Of values that compare equal but differ in bits
+// (+0 and -0, NaNs), the first in row order is the one kept.
 func (b *mainBuilder[T]) Build() Reader {
-	// Sort a copy to derive the dictionary, keeping row order intact.
-	sorted := make([]T, len(b.vals))
-	copy(sorted, b.vals)
-	slices.SortFunc(sorted, cmp.Compare[T])
-	dict := sorted[:0]
-	for i, v := range sorted {
-		if i == 0 || cmp.Compare(v, dict[len(dict)-1]) != 0 {
-			dict = append(dict, v)
-		}
+	dict, rowIDs, ok := encodeSorted(b.vals)
+	if !ok {
+		dict, rowIDs = encodeHashed(b.vals)
 	}
+	b.vals = nil
 	maxID := uint64(0)
 	if len(dict) > 1 {
 		maxID = uint64(len(dict) - 1)
 	}
-	rowIDs := make([]uint32, len(b.vals))
-	for i, v := range b.vals {
-		// Binary search is exact: dict contains every distinct value.
-		lo, hi := 0, len(dict)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cmp.Less(dict[mid], v) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		rowIDs[i] = uint32(lo)
-	}
-	b.vals = nil
 	ids := buildIDVector(rowIDs, vec.BitsFor(maxID))
 	// Integer dictionaries get an extra compression step: the sorted
 	// entries are stored as bit-packed offsets from the smallest value.
@@ -65,6 +54,73 @@ func (b *mainBuilder[T]) Build() Reader {
 		return newIntMain(intDict, ids)
 	}
 	return &mainCol[T]{dict: dict, ids: ids, xlCache: newXLCache()}
+}
+
+// encodeSorted encodes a non-decreasing input without sorting or hashing:
+// one pass counts the distinct values, stopping at the first descent
+// (ok = false), and a second fills the d-entry dictionary and the row IDs.
+func encodeSorted[T elem](vals []T) (dict []T, ids []uint32, ok bool) {
+	d := min(len(vals), 1)
+	for i := 1; i < len(vals); i++ {
+		switch cmp.Compare(vals[i-1], vals[i]) {
+		case 1:
+			return nil, nil, false
+		case -1:
+			d++
+		}
+	}
+	dict = make([]T, 0, d)
+	ids = make([]uint32, len(vals))
+	for i, v := range vals {
+		if i == 0 || cmp.Compare(vals[i-1], v) != 0 {
+			dict = append(dict, v)
+		}
+		ids[i] = uint32(len(dict) - 1)
+	}
+	return dict, ids, true
+}
+
+// encodeHashed encodes rows in row order through a hash index of their
+// distinct values, sorts only those d values, and renumbers the row IDs
+// through the rank array. A Go map treats +0 and -0 as one key but never
+// finds a NaN key, so NaN keeps one ID apart, as in a delta column.
+func encodeHashed[T elem](vals []T) ([]T, []uint32) {
+	type entry struct {
+		v  T
+		id uint32 // first-occurrence ID, the index into rank
+	}
+	index := make(map[T]uint32)
+	var distinct []entry
+	nan := uint32(0) // 1 + the ID of NaN, 0 while none was seen
+	ids := make([]uint32, len(vals))
+	for i, v := range vals {
+		if v != v { // only a float NaN differs from itself
+			if nan == 0 {
+				distinct = append(distinct, entry{v, uint32(len(distinct))})
+				nan = uint32(len(distinct))
+			}
+			ids[i] = nan - 1
+			continue
+		}
+		id, ok := index[v]
+		if !ok {
+			id = uint32(len(distinct))
+			index[v] = id
+			distinct = append(distinct, entry{v, id})
+		}
+		ids[i] = id
+	}
+	slices.SortFunc(distinct, func(a, b entry) int { return cmp.Compare(a.v, b.v) })
+	dict := make([]T, len(distinct))
+	rank := make([]uint32, len(distinct))
+	for r, e := range distinct {
+		dict[r] = e.v
+		rank[e.id] = uint32(r)
+	}
+	for i, id := range ids {
+		ids[i] = rank[id]
+	}
+	return dict, ids
 }
 
 // intMain is the read-optimized int64 column: bit-packed value IDs over a

@@ -144,7 +144,7 @@ func (g *Governor) Stop() {
 // lock — delta stores are plain slices, so unlocked reads would race with
 // writers.
 type govSignals struct {
-	price       int64 // main + delta rows over every governed partition
+	price       int64 // main + delta (+ delta2) rows over every governed partition
 	deltasEmpty bool
 	mergeActive bool
 }
@@ -163,7 +163,12 @@ func (g *Governor) readSignals() govSignals {
 			s.mergeActive = true
 		}
 		for _, p := range t.Partitions() {
+			// Rows written while the partition merges online wait in
+			// Delta2, which becomes the delta at the swap.
 			n := p.Delta.Rows()
+			if p.Delta2 != nil {
+				n += p.Delta2.Rows()
+			}
 			s.price += int64(p.Main.Rows() + n)
 			if n > 0 {
 				s.deltasEmpty = false

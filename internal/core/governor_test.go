@@ -12,12 +12,17 @@ import (
 )
 
 // governedRows returns the merge price of the Header+Item group (main +
-// delta rows) and its delta rows alone.
+// delta rows, counting the rows written during an online merge) and its
+// delta rows alone.
 func governedRows(e *env) (price, delta int64) {
 	for _, name := range []string{"Header", "Item"} {
 		for _, p := range e.db.MustTable(name).Partitions() {
-			price += int64(p.Main.Rows() + p.Delta.Rows())
-			delta += int64(p.Delta.Rows())
+			n := int64(p.Delta.Rows())
+			if p.Delta2 != nil {
+				n += int64(p.Delta2.Rows())
+			}
+			price += int64(p.Main.Rows()) + n
+			delta += n
 		}
 	}
 	return price, delta
@@ -177,6 +182,43 @@ func TestGovernorCostRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	untilMerged()
+}
+
+// TestGovernorPriceAcrossOnlineMerge: the price counts the rows written
+// while a governed table merges online, so a tick right after the merge
+// finishes, with no write in between, sees the price the last tick saw.
+func TestGovernorPriceAcrossOnlineMerge(t *testing.T) {
+	e := newEnv(t, Config{Metrics: obs.NewRegistry()})
+	for i := 0; i < 4; i++ {
+		e.insertObject(t, 2013, 1, 2)
+	}
+	g := NewGovernor(e.mgr, GovernorConfig{Tables: []string{"Header", "Item"}})
+	om, err := e.db.StartOnlineMerge("Item", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		e.insertObject(t, 2014, 3, 4)
+	}
+	if merged, err := g.Tick(); merged || err != nil {
+		t.Fatalf("tick during a merge: merged=%v err=%v", merged, err)
+	}
+	during := g.Snapshot()
+	if price, _ := governedRows(e); during.LastReason != GovMergeActive || during.Price != price {
+		t.Fatalf("tick during a merge: %+v, want merge-active at price %d", during, price)
+	}
+	if err := om.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := om.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if merged, err := g.Tick(); merged || err != nil {
+		t.Fatalf("tick after the merge: merged=%v err=%v", merged, err)
+	}
+	if after := g.Snapshot(); after.Price != during.Price {
+		t.Fatalf("price %d during the merge, %d right after it with no write", during.Price, after.Price)
+	}
 }
 
 // TestGovernorMergeFailure: a failed merge is counted and reported, and it

@@ -85,23 +85,37 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 		create   []txn.TID
 		invalid  []txn.TID
 	}
-	newBucket := func() *bucket {
-		b := &bucket{builders: make([]column.MainBuilder, len(t.schema.Cols))}
+	dest := func(st *Store, row int) int {
+		if st.cols[t.routeCol].Int64(row) < newSplit {
+			return 0
+		}
+		return 1
+	}
+	var sizes [2]int
+	for _, p := range []*Partition{cold, hot} {
+		for row := 0; row < p.Main.Rows(); row++ {
+			sizes[dest(p.Main, row)]++
+		}
+	}
+	newBucket := func(rows int) *bucket {
+		b := &bucket{
+			builders: make([]column.MainBuilder, len(t.schema.Cols)),
+			create:   make([]txn.TID, 0, rows),
+			invalid:  make([]txn.TID, 0, rows),
+		}
 		for i, c := range t.schema.Cols {
 			b.builders[i] = column.NewMainBuilder(c.Kind)
+			b.builders[i].Grow(rows)
 		}
 		return b
 	}
-	buckets := [2]*bucket{newBucket(), newBucket()}
+	buckets := [2]*bucket{newBucket(sizes[0]), newBucket(sizes[1])}
 	var rowMaps [2][]RowRef // old (part,row) -> new (part,row)
 	for pi, p := range []*Partition{cold, hot} {
 		st := p.Main
 		rm := make([]RowRef, st.Rows())
 		for row := 0; row < st.Rows(); row++ {
-			d := 1
-			if st.cols[t.routeCol].Int64(row) < newSplit {
-				d = 0
-			}
+			d := dest(st, row)
 			bk := buckets[d]
 			for i := range bk.builders {
 				bk.builders[i].Append(st.cols[i].Value(row))

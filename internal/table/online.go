@@ -162,11 +162,15 @@ func (om *OnlineMerge) Build() error {
 func (t *Table) buildOnline(part int, snap txn.Snapshot, horizon txn.TID, keep bool) *mergedBuild {
 	p := t.parts[part]
 	b := &mergedBuild{}
+	// The frozen main and delta bound the new main's rows from above.
+	rows := p.Main.Rows() + p.Delta.Rows()
 	builders := make([]column.MainBuilder, len(t.schema.Cols))
 	for i, c := range t.schema.Cols {
 		builders[i] = column.NewMainBuilder(c.Kind)
+		builders[i].Grow(rows)
 	}
-	var create, invalid []txn.TID
+	create := make([]txn.TID, 0, rows)
+	invalid := make([]txn.TID, 0, rows)
 	appendFrom := func(st *Store, fromMain bool) []int {
 		rowMap := make([]int, st.Rows())
 		for row := 0; row < st.Rows(); row++ {

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 
 	"aggcache/internal/column"
@@ -334,6 +335,7 @@ func (t *Table) BulkLoadMain(part int, rows [][]column.Value, tids []txn.TID) er
 	builders := make([]column.MainBuilder, len(t.schema.Cols))
 	for i, c := range t.schema.Cols {
 		builders[i] = column.NewMainBuilder(c.Kind)
+		builders[i].Grow(len(rows))
 	}
 	for _, r := range rows {
 		if len(r) != len(t.schema.Cols) {
@@ -359,6 +361,9 @@ func (t *Table) BulkLoadMain(part int, rows [][]column.Value, tids []txn.TID) er
 		}
 	}
 	if t.pkIndex != nil {
+		idx := make(map[int64]RowRef, len(t.pkIndex)+len(rows))
+		maps.Copy(idx, t.pkIndex)
+		t.pkIndex = idx
 		pkc := t.schema.MustColIndex(t.schema.PK)
 		for row, r := range rows {
 			t.pkIndex[r[pkc].I] = RowRef{Part: part, InMain: true, Row: row}
