@@ -31,12 +31,13 @@ func (b *mainBuilder[T]) Grow(n int) { b.vals = slices.Grow(b.vals, n) }
 // Build encodes the n accumulated rows over d distinct values in
 // O(n + d log d): a non-decreasing input (bulk-loaded keys, the tid columns
 // of an insertion-order merge) in linear passes, any other through a hash
-// of the distinct values. Of values that compare equal but differ in bits
-// (+0 and -0, NaNs), the first in row order is the one kept.
+// of the distinct values presized to an estimate of d from a row sample.
+// Of values that compare equal but differ in bits (+0 and -0, NaNs), the
+// first in row order is the one kept.
 func (b *mainBuilder[T]) Build() Reader {
 	dict, rowIDs, ok := encodeSorted(b.vals)
 	if !ok {
-		dict, rowIDs = encodeHashed(b.vals)
+		dict, rowIDs = encodeHashed(b.vals, estimateDistinct(b.vals))
 	}
 	b.vals = nil
 	maxID := uint64(0)
@@ -80,17 +81,53 @@ func encodeSorted[T elem](vals []T) (dict []T, ids []uint32, ok bool) {
 	return dict, ids, true
 }
 
+// sampleRows is the size of the evenly spaced row sample estimateDistinct
+// counts.
+const sampleRows = 1024
+
+// estimateDistinct estimates the distinct count of vals from an evenly
+// spaced sample of at most sampleRows rows with the bias-corrected Chao1
+// estimator ds + f1(f1-1)/(2(f2+1)), where ds counts the sample's distinct
+// values and f1, f2 those seen once and twice; capped at len(vals). A
+// sample without repeats reads as unique, one of a few values each seen
+// often as exactly those.
+func estimateDistinct[T elem](vals []T) int {
+	n := len(vals)
+	sample := make([]T, min(n, sampleRows))
+	for i := range sample {
+		sample[i] = vals[i*n/len(sample)]
+	}
+	slices.SortFunc(sample, cmp.Compare[T])
+	ds, f1, f2 := 0, 0, 0
+	for i := 0; i < len(sample); {
+		j := i + 1
+		for j < len(sample) && cmp.Compare(sample[i], sample[j]) == 0 {
+			j++
+		}
+		ds++
+		switch j - i {
+		case 1:
+			f1++
+		case 2:
+			f2++
+		}
+		i = j
+	}
+	return min(n, ds+f1*(f1-1)/(2*(f2+1)))
+}
+
 // encodeHashed encodes rows in row order through a hash index of their
-// distinct values, sorts only those d values, and renumbers the row IDs
-// through the rank array. A Go map treats +0 and -0 as one key but never
-// finds a NaN key, so NaN keeps one ID apart, as in a delta column.
-func encodeHashed[T elem](vals []T) ([]T, []uint32) {
+// distinct values, presized for d of them, sorts only those values, and
+// renumbers the row IDs through the rank array. A Go map treats +0 and -0
+// as one key but never finds a NaN key, so NaN keeps one ID apart, as in a
+// delta column.
+func encodeHashed[T elem](vals []T, d int) ([]T, []uint32) {
 	type entry struct {
 		v  T
 		id uint32 // first-occurrence ID, the index into rank
 	}
-	index := make(map[T]uint32)
-	var distinct []entry
+	index := make(map[T]uint32, d)
+	distinct := make([]entry, 0, d)
 	nan := uint32(0) // 1 + the ID of NaN, 0 while none was seen
 	ids := make([]uint32, len(vals))
 	for i, v := range vals {
@@ -232,10 +269,22 @@ func (c *intMain) Float64Gather(rows []int32, dst []float64) {
 func (c *intMain) IDGather(rows []int32, dst []uint32) { idVectorGather(c.ids, rows, dst) }
 
 // Lookup implements Lookuper: a binary search of the packed offsets for
-// v's offset from the base. A value below the base wraps to an offset
-// beyond every entry, so it is not found.
+// v's offset from the base. Two cases take O(1): a value above the largest
+// entry, or below the base (which wraps to an offset beyond every entry),
+// is absent — the fresh-key case of an insert's primary-key check — and in
+// a dense dictionary, whose n sorted distinct offsets end at n-1 and so are
+// exactly 0..n-1, the offset is the ID.
 func (c *intMain) Lookup(v Value) (uint32, bool) {
+	if c.n == 0 {
+		return 0, false
+	}
 	off := uint64(fromValue[int64](v)) - uint64(c.base)
+	switch last := c.offs.Get(c.n - 1); {
+	case off > last:
+		return uint32(c.n), false
+	case last == uint64(c.n-1):
+		return uint32(off), true
+	}
 	lo, hi := 0, c.n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

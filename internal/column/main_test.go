@@ -151,6 +151,8 @@ func TestMainBuildMatchesReference(t *testing.T) {
 		for i := range unique {
 			unique[i] = genValue(kind, i)
 		}
+		rng.Shuffle(len(unique), func(i, j int) { unique[i], unique[j] = unique[j], unique[i] })
+		checkMain(t, kind, unique)
 		slices.SortStableFunc(unique, Compare)
 		checkMain(t, kind, unique)
 		for seed := 0; seed < 200; seed++ {
@@ -208,8 +210,9 @@ func FuzzMainBuild(f *testing.F) {
 var mainSink Reader
 
 // BenchmarkMainBuild times building a 200 000-row main column, appends
-// included, for sorted unique, unsorted low-cardinality and unsorted
-// unique int64 and string inputs.
+// included, for sorted unique, unsorted low-cardinality (64 values),
+// unsorted mid-cardinality (5 000 values) and unsorted unique int64 and
+// string inputs.
 func BenchmarkMainBuild(b *testing.B) {
 	const n = 200_000
 	for _, kind := range []Kind{Int64, String} {
@@ -220,7 +223,7 @@ func BenchmarkMainBuild(b *testing.B) {
 			return StrV(fmt.Sprintf("key-%09d", k))
 		}
 		rng := rand.New(rand.NewSource(1))
-		for _, shape := range []string{"sorted-unique", "unsorted-lowcard", "unsorted-unique"} {
+		for _, shape := range []string{"sorted-unique", "unsorted-lowcard", "unsorted-5k", "unsorted-unique"} {
 			vals := make([]Value, n)
 			perm := rng.Perm(n)
 			for i := range vals {
@@ -229,6 +232,8 @@ func BenchmarkMainBuild(b *testing.B) {
 					vals[i] = val(i)
 				case "unsorted-lowcard":
 					vals[i] = val(rng.Intn(64))
+				case "unsorted-5k":
+					vals[i] = val(rng.Intn(5000))
 				default:
 					vals[i] = val(perm[i])
 				}

@@ -8,7 +8,8 @@ import (
 )
 
 // lookupCases are dictionaries to look values up in, per kind: empty,
-// single-entry, and ones whose int64 values reach both ends of the range.
+// single-entry, dense (every value from the smallest to the largest), and
+// ones whose int64 values reach both ends of the range.
 var lookupCases = []struct {
 	name   string
 	kind   Kind
@@ -21,6 +22,7 @@ var lookupCases = []struct {
 		[]Value{IntV(math.MaxInt64), IntV(-3), IntV(math.MinInt64), IntV(0), IntV(-3), IntV(math.MaxInt64 - 1), IntV(1 << 40)},
 		[]Value{IntV(-2), IntV(1), IntV(math.MinInt64 + 1), IntV(1<<40 + 1), IntV(-1 << 40)}},
 	{"int/above-base", Int64, []Value{IntV(10), IntV(20), IntV(30)}, []Value{IntV(9), IntV(math.MinInt64), IntV(15), IntV(31)}},
+	{"int/dense", Int64, []Value{IntV(7), IntV(5), IntV(6), IntV(4), IntV(6)}, []Value{IntV(3), IntV(8), IntV(math.MinInt64), IntV(math.MaxInt64)}},
 	{"float/empty", Float64, nil, []Value{FloatV(0)}},
 	{"float", Float64, []Value{FloatV(2.5), FloatV(-1), FloatV(2.5), FloatV(1e300)}, []Value{FloatV(2.4), FloatV(math.Inf(1)), FloatV(math.NaN())}},
 	{"string/empty", String, nil, []Value{StrV("")}},

@@ -24,8 +24,8 @@ import (
 //	    side, all rows carried with their MVCC timestamps (aging never
 //	    drops versions), while queries keep reading the frozen layout.
 //	swap:    an O(delta2 + invLog) critical section installs the new
-//	    mains, promotes the delta2 stores, moves the boundary, and brings
-//	    the primary-key index forward.
+//	    mains (each built with its own primary-key index), promotes the
+//	    delta2 stores with theirs, and moves the boundary.
 func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 	// ---- prepare (writer lock, O(1)) ----
 	db.mu.Lock()
@@ -98,16 +98,11 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 		}
 	}
 	newBucket := func(rows int) *bucket {
-		b := &bucket{
-			builders: make([]column.MainBuilder, len(t.schema.Cols)),
+		return &bucket{
+			builders: newMainBuilders(&t.schema, rows),
 			create:   make([]txn.TID, 0, rows),
 			invalid:  make([]txn.TID, 0, rows),
 		}
-		for i, c := range t.schema.Cols {
-			b.builders[i] = column.NewMainBuilder(c.Kind)
-			b.builders[i].Grow(rows)
-		}
-		return b
 	}
 	buckets := [2]*bucket{newBucket(sizes[0]), newBucket(sizes[1])}
 	var rowMaps [2][]RowRef // old (part,row) -> new (part,row)
@@ -134,15 +129,7 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 	}
 	var newMains [2]*Store
 	for pi, bk := range buckets {
-		st := &Store{
-			main:    true,
-			cols:    make([]column.Reader, len(bk.builders)),
-			create:  bk.create,
-			invalid: bk.invalid,
-		}
-		for i, builder := range bk.builders {
-			st.cols[i] = builder.Build()
-		}
+		st := newMainStore(&t.schema, bk.builders, bk.create, bk.invalid)
 		st.baseVis = txn.VisibilityVector(bk.create, bk.invalid, txn.Snapshot{High: snap.High})
 		newMains[pi] = st
 	}
@@ -193,17 +180,6 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 			atomic.AddUint64(&t.parts[d.Part].Main.invalidations, 1)
 		}
 	}
-	// Bring the primary-key index forward: moved main rows translate via
-	// the row maps, delta2 rows keep their numbering in the promoted delta.
-	if t.pkIndex != nil {
-		for pk, ref := range t.pkIndex {
-			if ref.D2 {
-				t.pkIndex[pk] = RowRef{Part: ref.Part, InMain: false, Row: ref.Row}
-			} else if ref.InMain {
-				t.pkIndex[pk] = rowMaps[ref.Part][ref.Row]
-			}
-		}
-	}
 	cold.merge, hot.merge = nil, nil
 	db.mobs.onlineActive.Add(-1)
 	swapDur := time.Since(swapBegin)
@@ -218,38 +194,32 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 	return db.faults.At(FaultMergeAfterSwap)
 }
 
-// ageAbortLocked rolls an unfinished online aging back: delta2 rows are
-// re-routed by the old boundary into the (empty) frozen deltas and the
-// pending split is discarded.
+// ageAbortLocked rolls an unfinished online aging back: delta2 rows, keys
+// included, are re-routed by the old boundary into the (empty) frozen
+// deltas and the pending split is discarded.
 func (t *Table) ageAbortLocked(db *DB) {
 	t.pendingSplit = nil
-	remap := make(map[RowRef]RowRef)
 	for pi, p := range t.parts {
 		d2 := p.Delta2
 		if d2 == nil {
 			continue
 		}
-		for row := 0; row < d2.Rows(); row++ {
+		moved := make([]RowRef, d2.Rows())
+		for row := range moved {
 			vals := d2.Row(row)
 			dest, err := t.routeFor(vals)
 			if err != nil {
 				dest = pi // cannot happen: values were routable at insert
 			}
 			nr := t.parts[dest].Delta.appendRawRow(vals, d2.create[row], txn.LoadTID(&d2.invalid[row]))
-			remap[RowRef{Part: pi, D2: true, Row: row}] = RowRef{Part: dest, InMain: false, Row: nr}
+			moved[row] = RowRef{Part: dest, Row: nr}
+		}
+		for pk, row := range d2.keys {
+			to := moved[row]
+			t.parts[to.Part].Delta.carryKey(pk, to.Row)
 		}
 		p.Delta2 = nil
 		p.merge = nil
-	}
-	if t.pkIndex != nil && len(remap) > 0 {
-		for pk, ref := range t.pkIndex {
-			if !ref.D2 {
-				continue
-			}
-			if nref, ok := remap[RowRef{Part: ref.Part, D2: true, Row: ref.Row}]; ok {
-				t.pkIndex[pk] = nref
-			}
-		}
 	}
 	for _, h := range db.hooks {
 		h.AbortOnline(db, t, 0)

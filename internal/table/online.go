@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"aggcache/internal/column"
 	"aggcache/internal/txn"
 )
 
@@ -15,7 +14,7 @@ import (
 // dictionaries, and the delta is emptied (paper Sec. 2, [17]). Rebuilding
 // under the exclusive writer lock would stall every reader for the full
 // rebuild, so the merge is split into three phases and only an
-// O(delta2 + logs) critical section ever blocks traffic:
+// O(delta2 + invLog) critical section ever blocks traffic:
 //
 //	prepare (writer lock, O(1)):
 //	    The partition's main and delta are frozen as the merge input
@@ -33,14 +32,16 @@ import (
 //	    as live and pick up their final timestamp during the swap replay.
 //	    Registered MergeHooks then pre-compute their maintenance folds
 //	    under the shared reader lock.
-//	swap (writer lock, O(delta2 + invLog + pkLog)):
+//	swap (writer lock, O(delta2 + invLog)):
 //	    The new main is installed, delta2 becomes the delta, hooks capture
-//	    their new baselines, the invalidation log is replayed onto the new
-//	    main, and the primary-key index is brought forward.
+//	    their new baselines, and the invalidation log is replayed onto the
+//	    new main.
 //
-// Aborting before the swap folds delta2 back into the delta and leaves the
-// partition exactly re-mergeable; aborting after the swap is impossible —
-// the swap is the commit point.
+// Every store carries its own primary-key index (the new main's is built
+// with it, delta2's keys move with it), so the swap rewrites no index.
+// Aborting before the swap folds delta2, keys included, back into the delta
+// and leaves the partition exactly re-mergeable; aborting after the swap is
+// impossible — the swap is the commit point.
 
 // OnlineMerge is an in-flight delta merge on one partition. Obtain one with
 // DB.StartOnlineMerge, then call Build and Finish (or Abort). The wrappers
@@ -81,14 +82,10 @@ type MergeStats struct {
 type mergedBuild struct {
 	newMain *Store
 	// mainMap/deltaMap translate old main/delta row numbers to new-main
-	// rows (-1 for dropped rows); the swap replay and primary-key
-	// bring-forward use them.
+	// rows (-1 for dropped rows) for the swap's invalidation replay.
 	mainMap  []int
 	deltaMap []int
-	// newPK is the off-line-built primary-key index over the new main
-	// (single-partition tables only; nil otherwise).
-	newPK map[int64]RowRef
-	stats MergeStats
+	stats    MergeStats
 }
 
 // StartOnlineMerge freezes one partition and installs the write-coalescing
@@ -164,11 +161,7 @@ func (t *Table) buildOnline(part int, snap txn.Snapshot, horizon txn.TID, keep b
 	b := &mergedBuild{}
 	// The frozen main and delta bound the new main's rows from above.
 	rows := p.Main.Rows() + p.Delta.Rows()
-	builders := make([]column.MainBuilder, len(t.schema.Cols))
-	for i, c := range t.schema.Cols {
-		builders[i] = column.NewMainBuilder(c.Kind)
-		builders[i].Grow(rows)
-	}
+	builders := newMainBuilders(&t.schema, rows)
 	create := make([]txn.TID, 0, rows)
 	invalid := make([]txn.TID, 0, rows)
 	appendFrom := func(st *Store, fromMain bool) []int {
@@ -212,48 +205,11 @@ func (t *Table) buildOnline(part int, snap txn.Snapshot, horizon txn.TID, keep b
 	b.mainMap = appendFrom(p.Main, true)
 	b.deltaMap = appendFrom(p.Delta, false)
 
-	newMain := &Store{
-		main:    true,
-		cols:    make([]column.Reader, len(builders)),
-		create:  create,
-		invalid: invalid,
-	}
-	for i, bd := range builders {
-		newMain.cols[i] = bd.Build()
-	}
+	b.newMain = newMainStore(&t.schema, builders, create, invalid)
 	// Pre-render the S0 visibility vector so the swap critical section can
 	// hand cache-maintenance hooks their new baseline in O(1).
-	newMain.baseVis = txn.VisibilityVector(create, invalid, txn.Snapshot{High: snap.High})
-	b.newMain = newMain
-
-	if t.pkIndex != nil && len(t.parts) == 1 {
-		b.newPK = make(map[int64]RowRef, b.stats.FromMain+b.stats.FromDelta)
-		pkc := t.schema.MustColIndex(t.schema.PK)
-		for row := range create {
-			if invalid[row] != 0 {
-				continue
-			}
-			b.newPK[newMain.cols[pkc].Int64(row)] = RowRef{Part: part, InMain: true, Row: row}
-		}
-	}
+	b.newMain.baseVis = txn.VisibilityVector(create, invalid, txn.Snapshot{High: snap.High})
 	return b
-}
-
-// translate maps a primary-key log ref into post-swap coordinates.
-func (b *mergedBuild) translate(ref RowRef, part int) (RowRef, bool) {
-	if ref.D2 {
-		// Delta2 became the delta with identical row numbering.
-		return RowRef{Part: part, InMain: false, Row: ref.Row}, true
-	}
-	m := b.deltaMap
-	if ref.InMain {
-		m = b.mainMap
-	}
-	nr := m[ref.Row]
-	if nr < 0 {
-		return RowRef{}, false
-	}
-	return RowRef{Part: part, InMain: true, Row: nr}, true
 }
 
 // Finish runs the swap critical section and commits the merge. On an
@@ -279,7 +235,7 @@ func (om *OnlineMerge) Finish() (MergeStats, error) {
 
 // finishLocked is the swap critical section; the caller holds the writer
 // lock. The lock contract guarantees quiescence: every transaction has
-// resolved, so the invalidation and primary-key logs replay final values.
+// resolved, so the invalidation log replays final values.
 func (om *OnlineMerge) finishLocked() (MergeStats, error) {
 	db, t, p, part := om.db, om.t, om.p, om.part
 	if om.done || p.merge == nil {
@@ -317,37 +273,6 @@ func (om *OnlineMerge) finishLocked() (MergeStats, error) {
 		if nr := m[rec.row]; nr >= 0 {
 			txn.StoreTID(&p.Main.invalid[nr], fin)
 			atomic.AddUint64(&p.Main.invalidations, 1)
-		}
-	}
-	// Bring the primary-key index forward.
-	if t.pkIndex != nil {
-		if om.built.newPK != nil {
-			// Single-partition: replay logged mutations onto the
-			// off-line-built index — O(log), not O(rows).
-			for _, op := range p.merge.pkLog {
-				if op.del {
-					delete(om.built.newPK, op.pk)
-					continue
-				}
-				if ref, ok := om.built.translate(op.ref, part); ok {
-					om.built.newPK[op.pk] = ref
-				} else {
-					delete(om.built.newPK, op.pk)
-				}
-			}
-			t.pkIndex = om.built.newPK
-		} else {
-			// Partitioned table: rewrite this partition's entries in place.
-			for pk, ref := range t.pkIndex {
-				if ref.Part != part {
-					continue
-				}
-				if nref, ok := om.built.translate(ref, part); ok {
-					t.pkIndex[pk] = nref
-				} else {
-					delete(t.pkIndex, pk)
-				}
-			}
 		}
 	}
 	p.merge = nil
@@ -389,17 +314,12 @@ func (om *OnlineMerge) abortLocked() {
 		return
 	}
 	d2 := p.Delta2
-	remap := make([]RowRef, d2.Rows())
+	base := p.Delta.Rows()
 	for row := 0; row < d2.Rows(); row++ {
-		nr := p.Delta.appendRawRow(d2.Row(row), d2.create[row], txn.LoadTID(&d2.invalid[row]))
-		remap[row] = RowRef{Part: om.part, InMain: false, Row: nr}
+		p.Delta.appendRawRow(d2.Row(row), d2.create[row], txn.LoadTID(&d2.invalid[row]))
 	}
-	if t.pkIndex != nil && d2.Rows() > 0 {
-		for pk, ref := range t.pkIndex {
-			if ref.Part == om.part && ref.D2 {
-				t.pkIndex[pk] = remap[ref.Row]
-			}
-		}
+	for pk, row := range d2.keys {
+		p.Delta.carryKey(pk, base+int(row))
 	}
 	p.Delta2 = nil
 	p.merge = nil

@@ -73,6 +73,14 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
+// pkCol returns the index of the primary-key column, or -1 for none.
+func (s *Schema) pkCol() int {
+	if s.PK == "" {
+		return -1
+	}
+	return s.ColIndex(s.PK)
+}
+
 // MustColIndex is ColIndex that panics on unknown columns; used on paths
 // where the schema was validated up front.
 func (s *Schema) MustColIndex(name string) int {

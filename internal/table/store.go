@@ -30,6 +30,15 @@ type Store struct {
 	// the off-line builder so the swap critical section can hand it to
 	// cache-maintenance hooks without an O(rows) render.
 	baseVis *vec.BitSet
+	// The store's own primary-key index (see lookupPK); both are nil when
+	// the table has no primary key. keyRows, on a main store, maps each
+	// value ID of the key column to the row of the key's live version, or
+	// of its last version when none is live; it stays nil when every row
+	// holds its own ID, the sorted duplicate-free key of a bulk load or an
+	// insertion-order merge. keys, on a delta store, maps each key to the
+	// store's newest row holding it.
+	keyRows []int32
+	keys    map[int64]int32
 }
 
 func newDeltaStore(s *Schema) *Store {
@@ -39,15 +48,101 @@ func newDeltaStore(s *Schema) *Store {
 		st.apps[i] = a
 		st.cols[i] = a
 	}
+	if s.pkCol() >= 0 {
+		st.keys = make(map[int64]int32)
+	}
+	return st
+}
+
+// newMainBuilders returns one main-column builder per schema column, each
+// sized for rows values.
+func newMainBuilders(s *Schema, rows int) []column.MainBuilder {
+	builders := make([]column.MainBuilder, len(s.Cols))
+	for i, c := range s.Cols {
+		builders[i] = column.NewMainBuilder(c.Kind)
+		builders[i].Grow(rows)
+	}
+	return builders
+}
+
+// newMainStore encodes the builders' columns into a main store with the
+// given MVCC timestamps and indexes its primary key.
+func newMainStore(s *Schema, builders []column.MainBuilder, create, invalid []txn.TID) *Store {
+	st := &Store{main: true, cols: make([]column.Reader, len(builders)), create: create, invalid: invalid}
+	for i, b := range builders {
+		st.cols[i] = b.Build()
+	}
+	pkc := s.pkCol()
+	if pkc < 0 {
+		return st
+	}
+	c := st.cols[pkc]
+	identity := c.DictLen() == c.Len()
+	for row := 0; identity && row < c.Len(); row++ {
+		identity = c.ID(row) == uint32(row)
+	}
+	if identity {
+		return st
+	}
+	// A merge keeps insertion order, so a key's last row is its newest
+	// version; an aging build concatenates two mains, so the second pass
+	// lets the (at most one) live version win.
+	st.keyRows = make([]int32, c.DictLen())
+	for row := 0; row < c.Len(); row++ {
+		st.keyRows[c.ID(row)] = int32(row)
+	}
+	for row := 0; row < c.Len(); row++ {
+		if st.live(row) {
+			st.keyRows[c.ID(row)] = int32(row)
+		}
+	}
 	return st
 }
 
 func emptyMainStore(s *Schema) *Store {
-	st := &Store{main: true, cols: make([]column.Reader, len(s.Cols))}
-	for i, c := range s.Cols {
-		st.cols[i] = column.NewMainBuilder(c.Kind).Build()
+	return newMainStore(s, newMainBuilders(s, 0), nil, nil)
+}
+
+// live reports whether a row version is live by its own timestamps: not
+// aborted and not invalidated, committed or in flight. A table holds at
+// most one live version per primary key.
+func (st *Store) live(row int) bool {
+	return st.create[row] != txn.Aborted && txn.LoadTID(&st.invalid[row]) == 0
+}
+
+// lookupPK returns the store's row holding the live version of key, if
+// any. A main answers through the key column's sorted dictionary, a delta
+// through its keys map; a version deleted or updated away, committed or in
+// flight, stops answering by its timestamps alone.
+func (st *Store) lookupPK(pkc int, key int64) (int, bool) {
+	var row int
+	if st.main {
+		id, ok := st.cols[pkc].(column.Lookuper).Lookup(column.IntV(key))
+		if !ok {
+			return 0, false
+		}
+		row = int(id)
+		if st.keyRows != nil {
+			row = int(st.keyRows[id])
+		}
+	} else {
+		r, ok := st.keys[key]
+		if !ok {
+			return 0, false
+		}
+		row = int(r)
 	}
-	return st
+	return row, st.live(row)
+}
+
+// carryKey records row as key's row in a delta's index unless the index
+// already answers key with a live version; merge and aging aborts use it to
+// bring delta2 keys along.
+func (st *Store) carryKey(key int64, row int) {
+	if old, ok := st.keys[key]; ok && st.live(int(old)) {
+		return
+	}
+	st.keys[key] = int32(row)
 }
 
 // IsMain reports whether this is a read-optimized main store.
@@ -128,14 +223,16 @@ func (st *Store) Invalidations() uint64 { return atomic.LoadUint64(&st.invalidat
 // the swap critical section instead of rendering an O(rows) vector there.
 func (st *Store) MergeBaseVisibility() *vec.BitSet { return st.baseVis }
 
-// MemBytes estimates the store's heap footprint: column payloads plus the
-// two MVCC timestamp arrays.
+// MemBytes estimates the store's heap footprint: column payloads, the two
+// MVCC timestamp arrays and the primary-key index (a delta's map entry
+// counted at its 12 payload bytes).
 func (st *Store) MemBytes() uint64 {
 	var m uint64
 	for _, c := range st.cols {
 		m += c.MemBytes()
 	}
 	m += uint64(len(st.create)+len(st.invalid)) * 8
+	m += uint64(len(st.keyRows))*4 + uint64(len(st.keys))*12
 	return m
 }
 
@@ -166,9 +263,10 @@ type Partition struct {
 	Lo, Hi int64
 	// Merges counts completed delta-merge operations.
 	Merges uint64
-	// merge is the bookkeeping of the in-flight online merge: logs of the
-	// mutations that hit the frozen stores while the new main was being
-	// built off to the side, replayed during the swap critical section.
+	// merge is the bookkeeping of the in-flight online merge: the log of
+	// the invalidations that hit the frozen stores while the new main was
+	// being built off to the side, replayed during the swap critical
+	// section.
 	merge *mergeState
 }
 
@@ -179,22 +277,11 @@ type mergeState struct {
 	// live invalid[] slot in place; the log tells the swap which new-main
 	// rows need the final timestamp copied over).
 	invLog []invRec
-	// pkLog records primary-key index mutations in order, so the swap can
-	// replay them onto the off-line-built index of the new main. Only
-	// maintained for single-partition tables; partitioned tables fix the
-	// shared index in place at swap.
-	pkLog []pkOp
 }
 
 type invRec struct {
 	inMain bool
 	row    int
-}
-
-type pkOp struct {
-	del bool
-	pk  int64
-	ref RowRef
 }
 
 // MergeActive reports whether an online merge is running on this partition.

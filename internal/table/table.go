@@ -2,7 +2,6 @@ package table
 
 import (
 	"fmt"
-	"maps"
 	"sync/atomic"
 
 	"aggcache/internal/column"
@@ -26,8 +25,9 @@ type Table struct {
 	// routeCol is the column index partition routing is based on, -1 for
 	// single-partition tables.
 	routeCol int
-	// pkIndex maps primary-key values to the latest row version.
-	pkIndex map[int64]RowRef
+	// pk is the primary-key column index, -1 when the table has none. Each
+	// store indexes its own keys (see LookupPK).
+	pk int
 	// pendingSplit, when non-nil, is the hot/cold boundary an in-flight
 	// online aging is moving the table to; inserts route against it so
 	// delta2 rows land in their post-swap partition.
@@ -45,11 +45,8 @@ func New(schema Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{schema: schema, routeCol: -1}
+	t := &Table{schema: schema, routeCol: -1, pk: schema.pkCol()}
 	t.parts = []*Partition{{Name: "", Main: emptyMainStore(&t.schema), Delta: newDeltaStore(&t.schema)}}
-	if schema.PK != "" {
-		t.pkIndex = make(map[int64]RowRef)
-	}
 	return t, nil
 }
 
@@ -76,7 +73,7 @@ func NewPartitioned(schema Schema, routeCol string, ranges []RangePartition) (*T
 	if len(ranges) == 0 {
 		return nil, fmt.Errorf("table %s: no partition ranges", schema.Name)
 	}
-	t := &Table{schema: schema, routeCol: ci}
+	t := &Table{schema: schema, routeCol: ci, pk: schema.pkCol()}
 	for _, r := range ranges {
 		if r.Hi <= r.Lo {
 			return nil, fmt.Errorf("table %s: empty partition range %s [%d,%d)", schema.Name, r.Name, r.Lo, r.Hi)
@@ -85,9 +82,6 @@ func NewPartitioned(schema Schema, routeCol string, ranges []RangePartition) (*T
 			Name: r.Name, Lo: r.Lo, Hi: r.Hi,
 			Main: emptyMainStore(&t.schema), Delta: newDeltaStore(&t.schema),
 		})
-	}
-	if schema.PK != "" {
-		t.pkIndex = make(map[int64]RowRef)
 	}
 	return t, nil
 }
@@ -168,11 +162,9 @@ func (t *Table) Insert(tx *txn.Txn, vals []column.Value) (RowRef, error) {
 		return RowRef{}, err
 	}
 	var pk int64
-	var hadOld bool
-	var oldRef RowRef
-	if t.pkIndex != nil {
-		pk = vals[t.schema.MustColIndex(t.schema.PK)].I
-		if oldRef, hadOld = t.pkIndex[pk]; hadOld {
+	if t.pk >= 0 {
+		pk = vals[t.pk].I
+		if _, dup := t.LookupPK(pk); dup {
 			return RowRef{}, fmt.Errorf("table %s: duplicate primary key %d", t.schema.Name, pk)
 		}
 	}
@@ -184,49 +176,46 @@ func (t *Table) Insert(tx *txn.Txn, vals []column.Value) (RowRef, error) {
 	}
 	t.wrote(tx.ID())
 	row := st.appendRow(vals, tx.ID())
-	ref := RowRef{Part: pi, InMain: false, D2: d2, Row: row}
-	if t.pkIndex != nil {
-		t.pkSet(pk, ref)
+	prev, hadPrev := st.keys[pk]
+	if st.keys != nil {
+		st.keys[pk] = int32(row)
 	}
 	tx.OnAbort(func() {
 		st.create[row] = txn.Aborted
-		if t.pkIndex != nil {
-			if hadOld {
-				t.pkSet(pk, oldRef)
+		// Give the key back to the store's previous row of it, which an
+		// aborted update of that row made live again.
+		if cur, ok := st.keys[pk]; ok && cur == int32(row) {
+			if hadPrev {
+				st.keys[pk] = prev
 			} else {
-				t.pkDel(pk)
+				delete(st.keys, pk)
 			}
 		}
 	})
-	return ref, nil
+	return RowRef{Part: pi, InMain: false, D2: d2, Row: row}, nil
 }
 
-// pkSet updates the primary-key index, logging the mutation when an online
-// merge of a single-partition table needs to replay it at swap time.
-func (t *Table) pkSet(pk int64, ref RowRef) {
-	t.pkIndex[pk] = ref
-	if len(t.parts) == 1 && t.parts[0].merge != nil {
-		m := t.parts[0].merge
-		m.pkLog = append(m.pkLog, pkOp{pk: pk, ref: ref})
-	}
-}
-
-// pkDel removes a primary-key index entry; the counterpart of pkSet.
-func (t *Table) pkDel(pk int64) {
-	delete(t.pkIndex, pk)
-	if len(t.parts) == 1 && t.parts[0].merge != nil {
-		m := t.parts[0].merge
-		m.pkLog = append(m.pkLog, pkOp{del: true, pk: pk})
-	}
-}
-
-// LookupPK returns the latest row version for a primary key.
+// LookupPK returns the live row version of a primary key: the first
+// version live by its own timestamps, walking each partition's delta2,
+// delta and main (newest store first).
 func (t *Table) LookupPK(pk int64) (RowRef, bool) {
-	if t.pkIndex == nil {
+	if t.pk < 0 {
 		return RowRef{}, false
 	}
-	ref, ok := t.pkIndex[pk]
-	return ref, ok
+	for pi, p := range t.parts {
+		if p.Delta2 != nil {
+			if row, ok := p.Delta2.lookupPK(t.pk, pk); ok {
+				return RowRef{Part: pi, D2: true, Row: row}, true
+			}
+		}
+		if row, ok := p.Delta.lookupPK(t.pk, pk); ok {
+			return RowRef{Part: pi, Row: row}, true
+		}
+		if row, ok := p.Main.lookupPK(t.pk, pk); ok {
+			return RowRef{Part: pi, InMain: true, Row: row}, true
+		}
+	}
+	return RowRef{}, false
 }
 
 // Get reads one column of a row version.
@@ -252,10 +241,10 @@ func (t *Table) store(ref RowRef) *Store {
 // of the main-delta architecture: the old record — possibly in main — is
 // invalidated, the new one lands in the delta store.
 func (t *Table) Update(tx *txn.Txn, pk int64, set map[string]column.Value) error {
-	if t.pkIndex == nil {
+	if t.pk < 0 {
 		return fmt.Errorf("table %s: update requires a primary key", t.schema.Name)
 	}
-	ref, ok := t.pkIndex[pk]
+	ref, ok := t.LookupPK(pk)
 	if !ok {
 		return fmt.Errorf("table %s: update of missing primary key %d", t.schema.Name, pk)
 	}
@@ -274,30 +263,22 @@ func (t *Table) Update(tx *txn.Txn, pk int64, set map[string]column.Value) error
 	if err := t.invalidate(tx, ref); err != nil {
 		return err
 	}
-	// Reinsert the new version. Temporarily drop the index entry so Insert
-	// does not see a duplicate key; Insert re-registers it.
-	t.pkDel(pk)
-	if _, err := t.Insert(tx, vals); err != nil {
-		return err
-	}
-	return nil
+	// The invalidated version no longer answers pk, so the new one is not
+	// a duplicate.
+	_, err := t.Insert(tx, vals)
+	return err
 }
 
 // Delete invalidates the current version of pk.
 func (t *Table) Delete(tx *txn.Txn, pk int64) error {
-	if t.pkIndex == nil {
+	if t.pk < 0 {
 		return fmt.Errorf("table %s: delete requires a primary key", t.schema.Name)
 	}
-	ref, ok := t.pkIndex[pk]
+	ref, ok := t.LookupPK(pk)
 	if !ok {
 		return fmt.Errorf("table %s: delete of missing primary key %d", t.schema.Name, pk)
 	}
-	if err := t.invalidate(tx, ref); err != nil {
-		return err
-	}
-	t.pkDel(pk)
-	tx.OnAbort(func() { t.pkSet(pk, ref) })
-	return nil
+	return t.invalidate(tx, ref)
 }
 
 // invalidate stamps the row's invalidating transaction. Writes go through
@@ -332,11 +313,7 @@ func (t *Table) BulkLoadMain(part int, rows [][]column.Value, tids []txn.TID) er
 	if p.Delta.Rows() != 0 || p.Main.Rows() != 0 {
 		return fmt.Errorf("table %s: bulk load into non-empty partition %q", t.schema.Name, p.Name)
 	}
-	builders := make([]column.MainBuilder, len(t.schema.Cols))
-	for i, c := range t.schema.Cols {
-		builders[i] = column.NewMainBuilder(c.Kind)
-		builders[i].Grow(len(rows))
-	}
+	builders := newMainBuilders(&t.schema, len(rows))
 	for _, r := range rows {
 		if len(r) != len(t.schema.Cols) {
 			return fmt.Errorf("table %s: bulk row with %d values for %d columns", t.schema.Name, len(r), len(t.schema.Cols))
@@ -345,28 +322,10 @@ func (t *Table) BulkLoadMain(part int, rows [][]column.Value, tids []txn.TID) er
 			builders[i].Append(v)
 		}
 	}
-	st := &Store{
-		main:    true,
-		cols:    make([]column.Reader, len(builders)),
-		create:  append([]txn.TID(nil), tids...),
-		invalid: make([]txn.TID, len(tids)),
-	}
-	for i, b := range builders {
-		st.cols[i] = b.Build()
-	}
-	p.Main = st
+	p.Main = newMainStore(&t.schema, builders, append([]txn.TID(nil), tids...), make([]txn.TID, len(tids)))
 	for _, id := range tids {
 		if id != txn.Aborted {
 			t.wrote(id)
-		}
-	}
-	if t.pkIndex != nil {
-		idx := make(map[int64]RowRef, len(t.pkIndex)+len(rows))
-		maps.Copy(idx, t.pkIndex)
-		t.pkIndex = idx
-		pkc := t.schema.MustColIndex(t.schema.PK)
-		for row, r := range rows {
-			t.pkIndex[r[pkc].I] = RowRef{Part: part, InMain: true, Row: row}
 		}
 	}
 	return nil

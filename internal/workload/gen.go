@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"aggcache/internal/column"
 	"aggcache/internal/expr"
@@ -25,16 +26,46 @@ type erpGen struct {
 	// the generator can fill Item's tidCategory column (all language
 	// variants of a category are inserted in one transaction and share it).
 	catTID map[int64]txn.TID
+	// The bounded string domains, rendered once and indexed by the random
+	// draw that picks a value, so generating a row formats no string.
+	users, materials, plants, costCenters, accounts []string
 }
 
 func newERPGen(cfg ERPConfig) *erpGen {
 	return &erpGen{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		nextHeader: 1,
-		nextItem:   1,
-		catTID:     make(map[int64]txn.TID),
+		cfg:         cfg,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		nextHeader:  1,
+		nextItem:    1,
+		catTID:      make(map[int64]txn.TID),
+		users:       numbered("user-", 3, 500),
+		materials:   numbered("MAT-", 5, 5000),
+		plants:      numbered("P", 2, 20),
+		costCenters: numbered("CC-", 4, 300),
+		accounts:    numbered("ACC-", 5, 1000),
 	}
+}
+
+// numbered renders prefix followed by 0..n-1 zero-padded to width digits.
+func numbered(prefix string, width, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = padded(prefix, int64(i), width)
+	}
+	return out
+}
+
+// padded renders prefix followed by v zero-padded to width digits, as
+// fmt.Sprintf(prefix+"%0<width>d", v) does for v >= 0.
+func padded(prefix string, v int64, width int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], v, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // erpSchemas returns the three ERP table schemas. The payload columns
@@ -101,8 +132,8 @@ func (g *erpGen) headerRow(hid int64, year int, tid txn.TID) []column.Value {
 		column.IntV(hid),
 		column.IntV(int64(year)),
 		column.StrV(regions[int(hid)%len(regions)]),
-		column.StrV(fmt.Sprintf("DOC-%09d", hid)),
-		column.StrV(fmt.Sprintf("user-%03d", g.rng.Intn(500))),
+		column.StrV(padded("DOC-", hid, 9)),
+		column.StrV(g.users[g.rng.Intn(500)]),
 		column.StrV(companyCodes[int(hid)%len(companyCodes)]),
 		column.IntV(int64(tid)),
 	}
@@ -118,10 +149,10 @@ func (g *erpGen) itemRow(hid int64, tidItem, tidHeader txn.TID) []column.Value {
 		column.IntV(catID),
 		column.FloatV(float64(1 + g.rng.Intn(1000))),
 		column.IntV(1 + g.rng.Int63n(50)),
-		column.StrV(fmt.Sprintf("MAT-%05d", g.rng.Intn(5000))),
-		column.StrV(fmt.Sprintf("P%02d", g.rng.Intn(20))),
-		column.StrV(fmt.Sprintf("CC-%04d", g.rng.Intn(300))),
-		column.StrV(fmt.Sprintf("ACC-%05d", g.rng.Intn(1000))),
+		column.StrV(g.materials[g.rng.Intn(5000)]),
+		column.StrV(g.plants[g.rng.Intn(20)]),
+		column.StrV(g.costCenters[g.rng.Intn(300)]),
+		column.StrV(g.accounts[g.rng.Intn(1000)]),
 		column.StrV(units[g.rng.Intn(len(units))]),
 		column.IntV(int64(tidItem)),
 		column.IntV(int64(tidHeader)),
