@@ -8,7 +8,8 @@ import (
 
 // TestHitAllocsIndependentOfGroups guards the cache-hit path: with an empty
 // delta, serving a hit allocates the same at 20 and at 2 000 cached groups
-// — the entry's clone copies arrays, it allocates nothing per group.
+// — the served clone shares the cached arrays, it allocates nothing per
+// group.
 func TestHitAllocsIndependentOfGroups(t *testing.T) {
 	q := &query.Query{
 		Tables:  []string{"Item"},

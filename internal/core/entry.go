@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"aggcache/internal/query"
+	"aggcache/internal/table"
 	"aggcache/internal/txn"
 	"aggcache/internal/vec"
 )
@@ -94,6 +95,11 @@ type Entry struct {
 	memo      *query.AggTable
 	memoHigh  txn.TID
 	memoStrat Strategy
+	// tables holds the handles of Query.Tables, in order, resolved once by
+	// buildEntry so the per-read checks (memoFresh, entryMergeActive) look
+	// nothing up by name. A database never drops a table, so the handles
+	// stay valid for the entry's life.
+	tables []*table.Table
 	// Metrics are the entry's profit metrics.
 	Metrics Metrics
 }

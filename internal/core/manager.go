@@ -292,8 +292,8 @@ func (m *Manager) Execute(q *query.Query, strat Strategy) (*query.AggTable, Exec
 func (m *Manager) serve(q *query.Query, strat Strategy, traced bool) (res *query.AggTable, info ExecInfo, sp *obs.Span, err error) {
 	m.db.RLock()
 	defer m.db.RUnlock()
-	snap, unpin := m.db.Txns().PinRead()
-	defer unpin()
+	snap := m.db.Txns().Acquire()
+	defer m.db.Txns().Release(snap)
 	m.obs.inflight.Add(1)
 	defer m.obs.inflight.Add(-1)
 	if traced || m.rec.Enabled() {
@@ -414,7 +414,7 @@ func (m *Manager) execute(q *query.Query, snap txn.Snapshot, strat Strategy, sp 
 	info := ExecInfo{Strategy: strat}
 	e, work, err := m.prepare(q, snap, strat, &info, sp, useMemo)
 	if err == nil && e != nil { // a nil entry: uncached or bypassed, work is already the answer
-		err = m.compensateAndAccount(e, q, snap, strat, work, &info, sp)
+		err = m.compensateAndAccount(e, q, snap, strat, work, &info, sp, start)
 	}
 	info.Total = time.Since(start)
 	if err != nil {
@@ -563,8 +563,8 @@ func (m *Manager) executeAll(q *query.Query, snap txn.Snapshot, info *ExecInfo, 
 // frozen at the merge baseline. Callers hold m.mu and the database lock
 // (either side).
 func (m *Manager) entryMergeActive(e *Entry) bool {
-	for _, name := range e.Query.Tables {
-		if m.db.MergeActive(name) {
+	for _, t := range e.tables {
+		if t.MergeActive() {
 			return true
 		}
 	}
@@ -573,8 +573,9 @@ func (m *Manager) entryMergeActive(e *Entry) bool {
 
 // compensateAndAccount runs delta compensation into out, updates the
 // entry's usage metrics and keeps out as the entry's result memo. A memo hit
-// arrives already complete: it is only accounted.
-func (m *Manager) compensateAndAccount(e *Entry, q *query.Query, snap txn.Snapshot, strat Strategy, out *query.AggTable, info *ExecInfo, sp *obs.Span) error {
+// arrives already complete: it is only accounted. start is when the
+// execution began; it stamps the entry's LastAccess.
+func (m *Manager) compensateAndAccount(e *Entry, q *query.Query, snap txn.Snapshot, strat Strategy, out *query.AggTable, info *ExecInfo, sp *obs.Span, start time.Time) error {
 	if !info.MemoHit {
 		dcStart := time.Now()
 		before := info.Stats.TuplesJoined
@@ -596,7 +597,7 @@ func (m *Manager) compensateAndAccount(e *Entry, q *query.Query, snap txn.Snapsh
 	if info.CacheHit || info.Rebuilt {
 		e.Metrics.Hits++
 	}
-	e.Metrics.LastAccess = time.Now()
+	e.Metrics.LastAccess = start
 	if !info.MemoHit {
 		m.storeMemo(e, snap, strat, out)
 	}
@@ -749,6 +750,10 @@ func (m *Manager) buildEntry(q *query.Query, key string, snap txn.Snapshot, stra
 		Query:   q,
 		MainVis: make(map[query.StoreRef]*vec.BitSet),
 		MainInv: make(map[query.StoreRef]uint64),
+		tables:  make([]*table.Table, len(q.Tables)),
+	}
+	for i, name := range q.Tables {
+		e.tables[i] = m.db.MustTable(name)
 	}
 	if err := m.rebuildEntry(e, snap, strat, st, sp); err != nil {
 		return nil, err
@@ -777,10 +782,9 @@ func (m *Manager) rebuildEntry(e *Entry, snap txn.Snapshot, strat Strategy, st *
 		delete(e.MainVis, ref)
 		delete(e.MainInv, ref)
 	}
-	for _, name := range e.Query.Tables {
-		t := m.db.MustTable(name)
+	for _, t := range e.tables {
 		for pi := range t.Partitions() {
-			ref := query.StoreRef{Table: name, Part: pi, Main: true}
+			ref := query.StoreRef{Table: t.Name(), Part: pi, Main: true}
 			store := ref.Resolve(m.db)
 			e.MainVis[ref] = store.Visibility(snap)
 			e.MainInv[ref] = store.Invalidations()

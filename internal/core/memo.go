@@ -20,13 +20,14 @@ import (
 // that is no longer resident. ExplainAnalyze never serves it (see
 // Manager.ExplainAnalyze).
 
-// memoFresh reports whether a result of q computed at read watermark high is
-// still exact for every later read snapshot: no table of q is merging and
-// none was written by a transaction above high. Callers hold the database
-// lock (either side).
-func (m *Manager) memoFresh(q *query.Query, high txn.TID) bool {
-	for _, name := range q.Tables {
-		if m.db.MergeActive(name) || m.db.MustTable(name).LastWrite() > high {
+// memoFresh reports whether a result of the entry's query computed at read
+// watermark high is still exact for every later read snapshot: no table of
+// the query is merging and none was written by a transaction above high. It
+// walks the table handles the entry resolved once (Entry.tables). Callers
+// hold the database lock (either side).
+func memoFresh(e *Entry, high txn.TID) bool {
+	for _, t := range e.tables {
+		if t.MergeActive() || t.LastWrite() > high {
 			return false
 		}
 	}
@@ -39,18 +40,18 @@ func (m *Manager) memoFresh(q *query.Query, high txn.TID) bool {
 // Callers hold m.mu.
 func (m *Manager) memoServable(e *Entry, snap txn.Snapshot, strat Strategy) bool {
 	return e.memo != nil && snap.Self == 0 && snap.High >= e.memoHigh &&
-		e.memoStrat == strat && m.memoFresh(e.Query, e.memoHigh)
+		e.memoStrat == strat && memoFresh(e, e.memoHigh)
 }
 
 // storeMemo keeps a clone of res, the answer just computed for a resident
 // entry at snap under strat, as the entry's memo — unless the snapshot sees
 // its own writes, lies below the current memo's watermark (memoHigh never
 // moves backwards), or a table of the query is merging or was written above
-// it, which would make the memo unservable from the start. Callers hold
-// m.mu.
+// it, which would make the memo unservable from the start. The clone shares
+// res's arrays copy-on-write, so storing copies nothing. Callers hold m.mu.
 func (m *Manager) storeMemo(e *Entry, snap txn.Snapshot, strat Strategy, res *query.AggTable) {
 	if snap.Self != 0 || snap.High < e.memoHigh || m.entries[e.Key] != e ||
-		!m.memoFresh(e.Query, snap.High) {
+		!memoFresh(e, snap.High) {
 		return
 	}
 	e.memo, e.memoHigh, e.memoStrat = res.Clone(), snap.High, strat

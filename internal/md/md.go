@@ -13,6 +13,7 @@ package md
 
 import (
 	"fmt"
+	"slices"
 
 	"aggcache/internal/column"
 	"aggcache/internal/expr"
@@ -67,33 +68,59 @@ func (m MD) validate(db *table.DB) error {
 	return nil
 }
 
+// bound is an MD compiled against its database once, at Registry.Add: the
+// table handles and column positions the per-insert and per-combo checks
+// use, so neither looks a table up by name nor scans a schema for a
+// column. A database never drops a table, so the handles stay valid.
+type bound struct {
+	MD
+	parent, child *table.Table
+	fkIdx, ctIdx  int // ChildFK, ChildTID in the child schema
+	ptIdx         int // ParentTID in the parent schema
+}
+
+// bind resolves m against db; m must be valid there.
+func (m MD) bind(db *table.DB) bound {
+	p, c := db.MustTable(m.Parent), db.MustTable(m.Child)
+	return bound{MD: m, parent: p, child: c,
+		fkIdx: c.Schema().MustColIndex(m.ChildFK), ctIdx: c.Schema().MustColIndex(m.ChildTID),
+		ptIdx: p.Schema().MustColIndex(m.ParentTID)}
+}
+
 // Registry holds the matching dependencies declared for a database.
 type Registry struct {
 	db  *table.DB
-	mds []MD
+	mds []bound
 }
 
 // NewRegistry returns an empty registry bound to a database.
 func NewRegistry(db *table.DB) *Registry { return &Registry{db: db} }
 
-// Add validates and registers an MD.
+// Add validates an MD and registers it compiled against the registry's
+// database.
 func (r *Registry) Add(m MD) error {
 	if err := m.validate(r.db); err != nil {
 		return err
 	}
-	r.mds = append(r.mds, m)
+	r.mds = append(r.mds, m.bind(r.db))
 	return nil
 }
 
 // All lists the registered MDs.
-func (r *Registry) All() []MD { return append([]MD(nil), r.mds...) }
+func (r *Registry) All() []MD {
+	out := make([]MD, len(r.mds))
+	for i, b := range r.mds {
+		out[i] = b.MD
+	}
+	return out
+}
 
 // ForPair returns the MDs connecting two tables, in either role order.
 func (r *Registry) ForPair(a, b string) []MD {
 	var out []MD
 	for _, m := range r.mds {
 		if (m.Parent == a && m.Child == b) || (m.Parent == b && m.Child == a) {
-			out = append(out, m)
+			out = append(out, m.MD)
 		}
 	}
 	return out
@@ -105,20 +132,16 @@ func (r *Registry) ForPair(a, b string) []MD {
 // column in vals. This is the insert-time overhead measured in paper
 // Sec. 6.3. vals is ordered per the child schema and modified in place.
 func (r *Registry) FillChildTIDs(childTable string, vals []column.Value) error {
-	cs := r.db.MustTable(childTable).Schema()
-	for _, m := range r.mds {
+	for i := range r.mds {
+		m := &r.mds[i]
 		if m.Child != childTable {
 			continue
 		}
-		fkIdx := cs.MustColIndex(m.ChildFK)
-		ctIdx := cs.MustColIndex(m.ChildTID)
-		parent := r.db.MustTable(m.Parent)
-		ref, ok := parent.LookupPK(vals[fkIdx].I)
+		ref, ok := m.parent.LookupPK(vals[m.fkIdx].I)
 		if !ok {
-			return fmt.Errorf("md: %s: no matching %s tuple for %s=%v", m, m.Parent, m.ChildFK, vals[fkIdx])
+			return fmt.Errorf("md: %s: no matching %s tuple for %s=%v", m.MD, m.Parent, m.ChildFK, vals[m.fkIdx])
 		}
-		ptIdx := parent.Schema().MustColIndex(m.ParentTID)
-		vals[ctIdx] = parent.Get(ref, ptIdx)
+		vals[m.ctIdx] = m.parent.Get(ref, m.ptIdx)
 	}
 	return nil
 }
@@ -135,14 +158,16 @@ func tidRange(st *table.Store, tidIdx int) (lo, hi int64, ok bool) {
 
 // PairPruned evaluates the Eq. 5 prefilter for one MD and one pair of
 // physical stores: the subjoin is provably empty when either store is
-// empty or the tid ranges do not overlap.
+// empty or the tid ranges do not overlap. The registry's own checks use
+// the MD compiled at Add; this form resolves it against db per call.
 func (m MD) PairPruned(db *table.DB, parentRef, childRef query.StoreRef) bool {
-	ps := parentRef.Resolve(db)
-	cs := childRef.Resolve(db)
-	pIdx := db.MustTable(m.Parent).Schema().MustColIndex(m.ParentTID)
-	cIdx := db.MustTable(m.Child).Schema().MustColIndex(m.ChildTID)
-	pl, ph, pok := tidRange(ps, pIdx)
-	cl, ch, cok := tidRange(cs, cIdx)
+	b := m.bind(db)
+	return b.pairPruned(parentRef, childRef)
+}
+
+func (m *bound) pairPruned(parentRef, childRef query.StoreRef) bool {
+	pl, ph, pok := tidRange(parentRef.ResolveIn(m.parent), m.ptIdx)
+	cl, ch, cok := tidRange(childRef.ResolveIn(m.child), m.ctIdx)
 	if !pok || !cok {
 		return true
 	}
@@ -154,14 +179,10 @@ func (m MD) PairPruned(db *table.DB, parentRef, childRef query.StoreRef) bool {
 // between the stores the combo assigns to them. Pruning is always correct
 // when the registered MDs hold (paper Sec. 5.1).
 func (r *Registry) ComboPruned(q *query.Query, combo query.Combo) bool {
-	pos := tablePositions(q)
-	for _, m := range r.mds {
-		pi, pok := pos[m.Parent]
-		ci, cok := pos[m.Child]
-		if !pok || !cok {
-			continue
-		}
-		if m.PairPruned(r.db, combo[pi], combo[ci]) {
+	for i := range r.mds {
+		m := &r.mds[i]
+		pi, ci := slices.Index(q.Tables, m.Parent), slices.Index(q.Tables, m.Child)
+		if pi >= 0 && ci >= 0 && m.pairPruned(combo[pi], combo[ci]) {
 			return true
 		}
 	}
@@ -175,7 +196,6 @@ func (r *Registry) ComboPruned(q *query.Query, combo query.Combo) bool {
 // query's own filters before the subjoin executes. The bool reports whether
 // any filter was derived.
 func (r *Registry) PushdownFilters(q *query.Query, combo query.Combo) (map[string]expr.Pred, bool) {
-	pos := tablePositions(q)
 	var out map[string]expr.Pred
 	add := func(tname string, p expr.Pred) {
 		if out == nil {
@@ -183,10 +203,10 @@ func (r *Registry) PushdownFilters(q *query.Query, combo query.Combo) (map[strin
 		}
 		out[tname] = expr.NewAnd(out[tname], p)
 	}
-	for _, m := range r.mds {
-		pi, pok := pos[m.Parent]
-		ci, cok := pos[m.Child]
-		if !pok || !cok {
+	for i := range r.mds {
+		m := &r.mds[i]
+		pi, ci := slices.Index(q.Tables, m.Parent), slices.Index(q.Tables, m.Child)
+		if pi < 0 || ci < 0 {
 			continue
 		}
 		pRef, cRef := combo[pi], combo[ci]
@@ -195,13 +215,10 @@ func (r *Registry) PushdownFilters(q *query.Query, combo query.Combo) (map[strin
 		if pRef.Main == cRef.Main {
 			continue
 		}
-		ps, cs := pRef.Resolve(r.db), cRef.Resolve(r.db)
-		pIdx := r.db.MustTable(m.Parent).Schema().MustColIndex(m.ParentTID)
-		cIdx := r.db.MustTable(m.Child).Schema().MustColIndex(m.ChildTID)
-		if pl, ph, ok := tidRange(ps, pIdx); ok {
+		if pl, ph, ok := tidRange(pRef.ResolveIn(m.parent), m.ptIdx); ok {
 			add(m.Child, rangePred(m.ChildTID, pl, ph))
 		}
-		if cl, ch, ok := tidRange(cs, cIdx); ok {
+		if cl, ch, ok := tidRange(cRef.ResolveIn(m.child), m.ctIdx); ok {
 			add(m.Parent, rangePred(m.ParentTID, cl, ch))
 		}
 	}
@@ -213,12 +230,4 @@ func rangePred(col string, lo, hi int64) expr.Pred {
 		expr.Cmp{Col: col, Op: expr.Ge, Val: column.IntV(lo)},
 		expr.Cmp{Col: col, Op: expr.Le, Val: column.IntV(hi)},
 	)
-}
-
-func tablePositions(q *query.Query) map[string]int {
-	pos := make(map[string]int, len(q.Tables))
-	for i, t := range q.Tables {
-		pos[t] = i
-	}
-	return pos
 }

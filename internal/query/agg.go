@@ -29,11 +29,15 @@ import (
 // match is verified against the slot's stored keys. Inserting a group
 // appends to the arrays; no read rebuilds the index.
 //
-// Copy-on-write: Clone copies counts, sums and exts and shares keys and the
-// index. Clone marks both tables shared, and a shared table copies keys and
-// index before it next writes them — inserting a group or being reset — so a
-// cache entry mutated under the manager's lock never writes storage that a
-// clone being compensated outside the lock still reads, nor the reverse.
+// Copy-on-write: Clone copies nothing. It shares all five arrays — keys,
+// counts, sums, exts and the index — and marks both tables twice: shared
+// (keys and index) and sharedVals (counts, sums, exts). A shared table
+// copies keys and index before it next writes them — inserting a group or
+// being reset — and every writer of counts, sums or exts calls ownVals
+// first, which copies those three once. So a cache entry mutated under the
+// manager's lock never writes storage that a clone being compensated
+// outside the lock still reads, nor the reverse, and a clone allocates only
+// its header, whatever the group count.
 //
 // Removal tombstones: a group ApplySigned empties keeps its slot, keys and
 // index cell, with counts[s] == tombstone. Tombstoned slots are skipped by
@@ -53,9 +57,11 @@ type AggTable struct {
 	index  slotIndex      // shared copy-on-write
 
 	// shared is set by Clone on both tables while keys and index may be
-	// read by another table. It is atomic so concurrent clones of one
-	// table (each only reading it otherwise) do not race on the flag.
-	shared atomic.Bool
+	// read by another table, sharedVals while counts, sums and exts may be.
+	// They are atomic so concurrent clones of one table (each only reading
+	// it otherwise) do not race on the flags.
+	shared     atomic.Bool
+	sharedVals atomic.Bool
 }
 
 // slotIndex is the open-addressed key index: a power-of-two number of
@@ -76,10 +82,11 @@ func NewAggTable(specs []AggSpec) *AggTable {
 }
 
 // reset empties the table for specs. Its arrays are kept for reuse — the
-// executor's pooled job partials — unless keys and index are shared with a
-// clone; then they are dropped instead. An index far larger than the last
-// use needed is dropped as well, so clearing it costs at most a constant
-// per group of that use.
+// executor's pooled job partials — unless they are shared with a clone;
+// then they are left to the clone, keys and index dropped and the value
+// arrays replaced by fresh ones of the same capacity, so the refill does
+// not regrow them. An index far larger than the last use needed is dropped
+// as well, so clearing it costs at most a constant per group of that use.
 func (a *AggTable) reset(specs []AggSpec) {
 	a.specs = specs
 	a.hasExt = false
@@ -88,6 +95,12 @@ func (a *AggTable) reset(specs []AggSpec) {
 	}
 	used := a.n
 	a.width, a.n, a.live = 0, 0, 0
+	if a.sharedVals.Load() {
+		a.counts = make([]int64, 0, cap(a.counts))
+		a.sums = make([]float64, 0, cap(a.sums))
+		a.exts = make([]column.Value, 0, cap(a.exts))
+		a.sharedVals.Store(false)
+	}
 	a.counts, a.sums, a.exts = a.counts[:0], a.sums[:0], a.exts[:0]
 	if a.shared.Load() || len(a.index.slots) > 8*max(used, 8) {
 		a.keys, a.index = nil, slotIndex{}
@@ -179,6 +192,23 @@ func (a *AggTable) slotExts(s int) []column.Value {
 
 func (a *AggTable) isLive(s int) bool { return a.counts[s] != tombstone }
 
+// ownVals gives the table its own counts, sums and exts before a write when
+// a clone may still read them: it copies the three once and clears
+// sharedVals. Every writer of those arrays calls it first.
+func (a *AggTable) ownVals() {
+	if a.sharedVals.Load() {
+		a.copyVals()
+	}
+}
+
+// copyVals is ownVals' copy, kept out of line so ownVals inlines.
+//
+//go:noinline
+func (a *AggTable) copyVals() {
+	a.counts, a.sums, a.exts = slices.Clone(a.counts), slices.Clone(a.sums), slices.Clone(a.exts)
+	a.sharedVals.Store(false)
+}
+
 // lookup returns the slot holding keys, live or tombstoned, or -1 together
 // with the empty index cell where keys would go (-1 with no index).
 func (a *AggTable) lookup(keys []column.Value, h uint64) (slot, cell int) {
@@ -215,6 +245,7 @@ func (a *AggTable) slotFor(keys []column.Value) int {
 	case s < 0:
 		return a.insert(keys, h, cell)
 	case !a.isLive(s):
+		a.ownVals()
 		a.counts[s] = 0
 		clear(a.slotSums(s))
 		clear(a.slotExts(s))
@@ -287,6 +318,7 @@ func extend[T any](s []T, k int) []T {
 // Add folds one source row into the table. vals holds one input value per
 // spec (ignored for COUNT).
 func (a *AggTable) Add(keys, vals []column.Value) {
+	a.ownVals()
 	s := a.slotFor(keys)
 	a.counts[s]++
 	first := a.counts[s] == 1
@@ -354,11 +386,12 @@ func (a *AggTable) ApplySigned(delta *AggTable) {
 }
 
 // compact drops the tombstoned slots, keeping live slots in order, and
-// rebuilds the index. Counts, sums and extremes are never shared and move
-// in place; keys and index go to fresh arrays when shared, so a clone
-// still reading them is untouched. Each compaction follows at least as
-// many removals as it has slots, so its cost is constant per removal.
+// rebuilds the index. Counts, sums and extremes move in place once owned;
+// keys and index go to fresh arrays when shared, so a clone still reading
+// them is untouched. Each compaction follows at least as many removals as
+// it has slots, so its cost is constant per removal.
 func (a *AggTable) compact() {
+	a.ownVals()
 	keys := a.keys[:0]
 	if a.shared.Load() {
 		keys = make([]column.Value, 0, a.live*a.width)
@@ -405,6 +438,7 @@ func (a *AggTable) compact() {
 // fold only with sign +1 and non-nil exts, since they cannot be subtracted;
 // anything else panics.
 func (a *AggTable) fold(keys []column.Value, sign, count int64, sums []float64, exts []column.Value) int {
+	a.ownVals()
 	s := a.slotFor(keys)
 	first := a.counts[s] == 0
 	a.counts[s] += sign * count
@@ -436,12 +470,14 @@ func allZero(fs []float64) bool {
 }
 
 // Clone returns an independent copy of the table; the cache hands clones
-// out so compensation never mutates the cached value. It copies the count,
-// accumulator and extreme arrays and shares keys and index copy-on-write,
-// so it allocates the same few arrays whatever the group count and hashes
-// nothing.
+// out so compensation never mutates the cached value. It shares all five
+// arrays copy-on-write, each capped at its length so an append on either
+// side never writes the other's storage: it allocates only the new table's
+// header, whatever the group count, and copies and hashes nothing. The
+// first write on either side pays the copy (ownVals, insert).
 func (a *AggTable) Clone() *AggTable {
 	a.shared.Store(true)
+	a.sharedVals.Store(true)
 	c := &AggTable{
 		specs:  a.specs,
 		hasExt: a.hasExt,
@@ -449,12 +485,13 @@ func (a *AggTable) Clone() *AggTable {
 		n:      a.n,
 		live:   a.live,
 		keys:   a.keys[:len(a.keys):len(a.keys)],
-		counts: slices.Clone(a.counts),
-		sums:   slices.Clone(a.sums),
-		exts:   slices.Clone(a.exts),
+		counts: a.counts[:len(a.counts):len(a.counts)],
+		sums:   a.sums[:len(a.sums):len(a.sums)],
+		exts:   a.exts[:len(a.exts):len(a.exts)],
 		index:  a.index,
 	}
 	c.shared.Store(true)
+	c.sharedVals.Store(true)
 	return c
 }
 
@@ -566,6 +603,7 @@ func (a *AggTable) Perturb(seed int64) string {
 		seed = -seed
 	}
 	s := int(slots[seed%int64(len(slots))])
+	a.ownVals()
 	// Bumping COUNT(*) always surfaces in finalized rows (Row.Count and
 	// AVG), regardless of the spec mix; a Sum/Avg accumulator is bumped too
 	// when one exists so SUM outputs shift as well.

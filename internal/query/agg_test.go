@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -455,12 +456,14 @@ func removeGroups(a *AggTable, lo, hi int64) {
 }
 
 // TestCloneIsolation: after a clone, mutating either side — a new group,
-// a removal, a revival, a compaction, an accumulator — leaves the other side unchanged;
-// so do mutations of a clone of a clone. The concurrent half runs clones
-// being compensated on their own goroutines while the original takes
-// merge-time folds, removals, revivals and a compaction: the manager's pattern, where
-// entries mutate under its lock and earlier clones are compensated outside
-// it (run it under -race).
+// a removal, a revival, a compaction, an accumulator, a merge, a
+// fault-injection Perturb — leaves the other side unchanged; so do
+// mutations of a clone of a clone. A clone's arrays end at their length, so
+// no append on one side can write into storage the other still reads.
+// The concurrent half runs clones being compensated on their own
+// goroutines while the original takes merge-time folds, removals, revivals
+// and a compaction: the manager's pattern, where entries mutate under its
+// lock and earlier clones are compensated outside it (run it under -race).
 func TestCloneIsolation(t *testing.T) {
 	v := []column.Value{column.FloatV(9.5), {}, column.FloatV(9.5)}
 	key := func(g int64) []column.Value { return []column.Value{column.IntV(g), column.StrV("k")} }
@@ -478,6 +481,11 @@ func TestCloneIsolation(t *testing.T) {
 		{"removal", func(a *AggTable) { removeGroups(a, 4, 5) }},
 		{"revival", func(a *AggTable) { removeGroups(a, 5, 6); a.Add(key(5), v) }},
 		{"compaction", func(a *AggTable) { removeGroups(a, 0, 30); a.Add(key(2), v) }},
+		// compact on its own, without a fold before it to own the arrays:
+		// the fixture's tombstone makes every later slot move down.
+		{"bare compaction", func(a *AggTable) { a.compact() }},
+		{"perturb", func(a *AggTable) { a.Perturb(3) }},
+		{"merge", func(a *AggTable) { a.Merge(cloneFixture(10)) }},
 	}
 	for _, m := range mutations {
 		for _, side := range []string{"original", "clone", "clone of clone"} {
@@ -485,6 +493,12 @@ func TestCloneIsolation(t *testing.T) {
 			removeGroups(orig, 7, 8) // a tombstone to carry across the clone
 			c := orig.Clone()
 			cc := c.Clone()
+			for _, x := range []*AggTable{c, cc} {
+				if cap(x.keys) != len(x.keys) || cap(x.counts) != len(x.counts) ||
+					cap(x.sums) != len(x.sums) || cap(x.exts) != len(x.exts) {
+					t.Fatal("a clone's arrays run past their length into shared storage")
+				}
+			}
 			target, others := orig, []*AggTable{c, cc}
 			switch side {
 			case "clone":
@@ -543,8 +557,9 @@ func TestCloneIsolation(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCloneAllocs: cloning allocates the same few arrays at 20 and at 2 000
-// groups, with and without MIN/MAX extremes.
+// TestCloneAllocs: cloning allocates exactly one object — the new table's
+// header, the same bytes — at 20 and at 2 000 groups, with and without
+// MIN/MAX extremes: all five arrays are shared copy-on-write.
 func TestCloneAllocs(t *testing.T) {
 	withExt := func(a *AggTable) *AggTable {
 		sp := append(slices.Clone(a.specs), AggSpec{Func: Max, Col: ColRef{Table: "I", Col: "Price"}})
@@ -555,19 +570,38 @@ func TestCloneAllocs(t *testing.T) {
 		return b
 	}
 	for _, ext := range []bool{false, true} {
-		var allocs [2]float64
+		var allocs, bytes [2]float64
 		for i, groups := range []int{20, 2000} {
 			a := cloneFixture(groups)
 			if ext {
 				a = withExt(a)
 			}
-			allocs[i] = testing.AllocsPerRun(50, func() { _ = a.Clone() })
+			allocs[i] = testing.AllocsPerRun(50, func() { cloneSink = a.Clone() })
+			bytes[i] = bytesPerRun(50, func() { cloneSink = a.Clone() })
 		}
-		if allocs[0] != allocs[1] || allocs[0] > 4 {
-			t.Fatalf("extremes %v: Clone allocations %v at 20 groups, %v at 2000", ext, allocs[0], allocs[1])
+		if allocs != [2]float64{1, 1} || bytes[0] != bytes[1] {
+			t.Fatalf("extremes %v: Clone allocations %v, bytes %v at 20 and 2000 groups; want 1 and equal bytes",
+				ext, allocs, bytes)
 		}
 	}
 }
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// one call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// cloneSink keeps TestCloneAllocs' clones on the heap, as the cache's are.
+var cloneSink *AggTable
 
 // TestResetLeavesClonesIntact: the executor resets its pooled job partials
 // for reuse; a clone taken of a partial (the recycler keeps one) must keep

@@ -36,8 +36,12 @@ func (r StoreRef) String() string {
 }
 
 // Resolve returns the referenced physical store.
-func (r StoreRef) Resolve(db *table.DB) *table.Store {
-	p := db.MustTable(r.Table).Partition(r.Part)
+func (r StoreRef) Resolve(db *table.DB) *table.Store { return r.ResolveIn(db.MustTable(r.Table)) }
+
+// ResolveIn returns the referenced physical store of t, the handle of the
+// table r names — for callers that resolved the table once.
+func (r StoreRef) ResolveIn(t *table.Table) *table.Store {
+	p := t.Partition(r.Part)
 	if r.Main {
 		return p.Main
 	}

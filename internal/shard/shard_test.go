@@ -117,6 +117,50 @@ func TestShardTransparency(t *testing.T) {
 	checkAll("merged")
 }
 
+// TestShardServedResultMutation: the gathered table a scatter-gather read
+// returns is the caller's to mutate, and so is every per-shard table the
+// fold reads — each may share its arrays with its shard's result memo. A
+// mutated answer never reaches a memo: the repeat read is served from every
+// dispatched shard's memo and is byte-identical to the unsharded oracle.
+func TestShardServedResultMutation(t *testing.T) {
+	t.Parallel()
+	cfg := testCfg(11)
+	oracle, err := workload.BuildERP(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	om := core.NewManager(oracle.DB, oracle.Reg, core.Config{Workers: 1, Metrics: obs.NewRegistry()})
+	_, s := buildSharded(t, cfg, 4, 1)
+	q := oracle.ProfitQuery(cfg.BaseYear+1, cfg.Languages[0])
+	res, _, err := om.Execute(q, core.Uncached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(res)
+	for read := range 4 {
+		got, info, err := s.Execute(q, core.CachedFullPruning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := render(got); g != want {
+			t.Fatalf("read %d after mutating served tables:\n got: %s\nwant: %s", read, g, want)
+		}
+		for i, pi := range info.PerShard {
+			if read > 0 && info.Reasons[i] == shard.PruneNone && !pi.MemoHit {
+				t.Fatalf("read %d: shard %d not served from its memo: %+v", read, i, pi)
+			}
+		}
+		got.Perturb(int64(read))
+		for i := range s.NumShards() {
+			r, _, err := s.Manager(i).Execute(q, core.CachedFullPruning)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Perturb(int64(read + i))
+		}
+	}
+}
+
 // TestShardWorkerFoldIdentity pins the shard-order fold invariant directly:
 // the same cluster observed through 1-worker and 4-worker manager planes
 // returns byte-identical rows and execution statistics.

@@ -126,19 +126,10 @@ func (db *DB) register(t *Table) error {
 }
 
 // MergeActive reports whether any partition of the named table has an
-// online merge in flight. Callers may hold either side of the database
-// lock; merge state only changes under the writer lock.
+// online merge in flight (Table.MergeActive); false for an unknown table.
 func (db *DB) MergeActive(tableName string) bool {
 	t := db.tables[tableName]
-	if t == nil {
-		return false
-	}
-	for _, p := range t.parts {
-		if p.merge != nil {
-			return true
-		}
-	}
-	return false
+	return t != nil && t.MergeActive()
 }
 
 // Table returns a table by name, or nil.

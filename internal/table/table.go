@@ -98,6 +98,18 @@ func (t *Table) Partitions() []*Partition { return t.parts }
 // Partition returns partition i.
 func (t *Table) Partition(i int) *Partition { return t.parts[i] }
 
+// MergeActive reports whether any partition of the table has an online
+// merge in flight. Callers may hold either side of the database lock;
+// merge state only changes under the writer lock.
+func (t *Table) MergeActive() bool {
+	for _, p := range t.parts {
+		if p.merge != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // LastWrite returns the highest transaction ID that appended, invalidated
 // or bulk-loaded a row of the table. A read snapshot's visible rows can
 // change only through a transaction with a higher ID, so a result computed

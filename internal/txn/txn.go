@@ -96,28 +96,37 @@ func (m *Manager) ReadSnapshot() Snapshot {
 	return Snapshot{High: m.watermark}
 }
 
-// PinRead returns a read snapshot at the current watermark and registers it
-// as active until the returned release function is called. While a snapshot
-// is pinned, delta merges will not reclaim row versions it can still see
-// (see OldestPinned), so a reader may keep using the snapshot across an
-// online merge swap. The release function is idempotent and safe to call
-// from any goroutine.
-func (m *Manager) PinRead() (Snapshot, func()) {
+// Acquire returns a read snapshot at the current watermark and pins it
+// until Release(snapshot) is called: while a snapshot is pinned, delta
+// merges will not reclaim row versions it can still see (see
+// OldestPinned), so a reader may keep using the snapshot across an online
+// merge swap. Each Acquire must be matched by exactly one Release. The pair
+// allocates nothing; it is the per-query pin of the serving path.
+func (m *Manager) Acquire() Snapshot {
 	m.mu.Lock()
 	high := m.watermark
 	m.pins[high]++
 	m.mu.Unlock()
-	var once sync.Once
-	release := func() {
-		once.Do(func() {
-			m.mu.Lock()
-			if m.pins[high]--; m.pins[high] <= 0 {
-				delete(m.pins, high)
-			}
-			m.mu.Unlock()
-		})
+	return Snapshot{High: high}
+}
+
+// Release drops one pin at s.High, taken by Acquire (or Pin). It may run on
+// any goroutine.
+func (m *Manager) Release(s Snapshot) {
+	m.mu.Lock()
+	if m.pins[s.High]--; m.pins[s.High] <= 0 {
+		delete(m.pins, s.High)
 	}
-	return Snapshot{High: high}, release
+	m.mu.Unlock()
+}
+
+// PinRead is Acquire with its Release wrapped in a function: the release
+// function is idempotent and safe to call from any goroutine, at the price
+// of a closure per call.
+func (m *Manager) PinRead() (Snapshot, func()) {
+	s := m.Acquire()
+	var once sync.Once
+	return s, func() { once.Do(func() { m.Release(s) }) }
 }
 
 // Pin registers an additional pin at s.High and returns its release
@@ -131,19 +140,10 @@ func (m *Manager) PinRead() (Snapshot, func()) {
 // reclaimed.
 func (m *Manager) Pin(s Snapshot) func() {
 	m.mu.Lock()
-	high := s.High
-	m.pins[high]++
+	m.pins[s.High]++
 	m.mu.Unlock()
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			m.mu.Lock()
-			if m.pins[high]--; m.pins[high] <= 0 {
-				delete(m.pins, high)
-			}
-			m.mu.Unlock()
-		})
-	}
+	return func() { once.Do(func() { m.Release(s) }) }
 }
 
 // OldestPinned returns the reclamation horizon: the lowest watermark any

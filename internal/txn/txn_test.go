@@ -171,3 +171,38 @@ func TestNestedPinHandOff(t *testing.T) {
 		t.Fatalf("OldestPinned = %d after nested release, want watermark %d", got, wm)
 	}
 }
+
+// TestAcquireRelease: an Acquire holds the reclamation horizon at its
+// watermark until its one Release, two Acquires at one watermark count
+// separately, the pair allocates nothing, and PinRead's release (a wrapped
+// Release) stays idempotent.
+func TestAcquireRelease(t *testing.T) {
+	m := NewManager()
+	m.Begin().Commit()
+	a := m.Acquire()
+	b := m.Acquire()
+	m.Begin().Commit()
+	m.Release(a)
+	if got := m.OldestPinned(); got != b.High {
+		t.Fatalf("OldestPinned = %d with one of two pins released, want %d", got, b.High)
+	}
+	m.Release(b)
+	if got, wm := m.OldestPinned(), m.Watermark(); got != wm {
+		t.Fatalf("OldestPinned = %d after both releases, want watermark %d", got, wm)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Release(m.Acquire()) }); n != 0 {
+		t.Fatalf("Acquire+Release allocates %v times, want 0", n)
+	}
+	_, release := m.PinRead()
+	held := m.Acquire() // the same watermark as the PinRead
+	release()
+	release() // idempotent: must not drop the other pin at that watermark
+	m.Begin().Commit()
+	if got := m.OldestPinned(); got != held.High {
+		t.Fatalf("OldestPinned = %d after a double PinRead release, want %d still held", got, held.High)
+	}
+	m.Release(held)
+	if got, wm := m.OldestPinned(), m.Watermark(); got != wm {
+		t.Fatalf("OldestPinned = %d after every release, want watermark %d", got, wm)
+	}
+}
