@@ -167,8 +167,18 @@ type intMain struct {
 	offs *vec.Packed
 	ids  idVector
 	n    int // dictionary cardinality
+	// fences holds every fenceStep-th offset of a sparse dictionary, so
+	// Lookup narrows its search to one block without a packed read, and
+	// slope is (n-1)/span, its interpolation guess of an offset's ID; nil
+	// and 0 for a dense dictionary, which needs no search, and for one of
+	// at most fenceStep entries.
+	fences []uint64
+	slope  float64
 	xlCache
 }
+
+// fenceStep is the dictionary block a sparse int64 main's fence covers.
+const fenceStep = 64
 
 func newIntMain(dict []int64, ids idVector) *intMain {
 	c := &intMain{ids: ids, n: len(dict), xlCache: newXLCache()}
@@ -180,6 +190,13 @@ func newIntMain(dict []int64, ids idVector) *intMain {
 	c.offs = vec.NewPacked(vec.BitsFor(span), len(dict))
 	for i, v := range dict {
 		c.offs.Set(i, uint64(v)-uint64(c.base))
+	}
+	if span != uint64(len(dict)-1) && len(dict) > fenceStep {
+		c.slope = float64(len(dict)-1) / float64(span)
+		c.fences = make([]uint64, 0, (len(dict)+fenceStep-1)/fenceStep)
+		for i := 0; i < len(dict); i += fenceStep {
+			c.fences = append(c.fences, uint64(dict[i])-uint64(c.base))
+		}
 	}
 	return c
 }
@@ -273,7 +290,8 @@ func (c *intMain) IDGather(rows []int32, dst []uint32) { idVectorGather(c.ids, r
 // entry, or below the base (which wraps to an offset beyond every entry),
 // is absent — the fresh-key case of an insert's primary-key check — and in
 // a dense dictionary, whose n sorted distinct offsets end at n-1 and so are
-// exactly 0..n-1, the offset is the ID.
+// exactly 0..n-1, the offset is the ID. A sparse dictionary of more than
+// fenceStep entries first probes its interpolation guess.
 func (c *intMain) Lookup(v Value) (uint32, bool) {
 	if c.n == 0 {
 		return 0, false
@@ -285,7 +303,35 @@ func (c *intMain) Lookup(v Value) (uint32, bool) {
 	case last == uint64(c.n-1):
 		return uint32(off), true
 	}
+	if c.fences != nil {
+		// Keys spread evenly sit where interpolating over the whole
+		// dictionary puts them: one probe usually hits.
+		g := min(max(int(float64(int64(off))*c.slope), 0), c.n-1)
+		if c.offs.Get(g) == off {
+			return uint32(g), true
+		}
+	}
+	return c.search(off)
+}
+
+// search finds off among a sparse dictionary's offsets by a binary search
+// of the packed offsets, narrowed by the fences, when present, to one
+// fenceStep-entry block. Kept out of Lookup so its O(1) cases stay lean.
+func (c *intMain) search(off uint64) (uint32, bool) {
 	lo, hi := 0, c.n
+	if f := c.fences; f != nil {
+		// The last block whose first entry is at most off (the first
+		// block's is 0) holds off if any block does.
+		b := 0
+		for n := len(f); n > 1; {
+			half := n >> 1
+			if f[b+half] <= off {
+				b += half
+			}
+			n -= half
+		}
+		lo, hi = b*fenceStep, min(b*fenceStep+fenceStep, c.n)
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if c.offs.Get(mid) < off {
@@ -316,7 +362,7 @@ func (c *intMain) MinMax() (Value, Value, bool) {
 
 // MemBytes implements Reader.
 func (c *intMain) MemBytes() uint64 {
-	m := c.ids.MemBytes() + 8
+	m := c.ids.MemBytes() + 8 + uint64(len(c.fences))*8
 	if c.offs != nil {
 		m += c.offs.MemBytes()
 	}

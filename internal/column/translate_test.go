@@ -56,6 +56,47 @@ func TestDictionaryLookup(t *testing.T) {
 	}
 }
 
+// A sparse int64 main of more than fenceStep entries carries fences, a
+// dense one none, and on each — dense, sparse and evenly spread, sparse and
+// skewed — Lookup finds every entry under its ID and answers an absent
+// value inside the dictionary's range with its insertion position.
+func TestSparseLookupFences(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		at   func(i int64) int64
+	}{
+		{"dense", func(i int64) int64 { return i - 500 }},
+		{"even", func(i int64) int64 { return 3*i - 500 }},
+		{"skewed", func(i int64) int64 { return i*i - 500 }},
+	} {
+		const n = 1000
+		dict := make([]int64, n)
+		mb := NewMainBuilder(Int64)
+		for i := range dict {
+			dict[i] = c.at(int64(i))
+		}
+		for i := n - 1; i >= 0; i-- {
+			mb.Append(IntV(dict[i]))
+		}
+		col := mb.Build().(*intMain)
+		if fenced := col.fences != nil; fenced != (c.name != "dense") {
+			t.Fatalf("%s: fences %v", c.name, fenced)
+		}
+		probe := func(v int64) {
+			want, found := slices.BinarySearch(dict, v)
+			got, ok := col.Lookup(IntV(v))
+			if ok != found || int(got) != want && v >= dict[0] && v <= dict[n-1] {
+				t.Fatalf("%s: Lookup(%d) = %d, %v; want %d, %v", c.name, v, got, ok, want, found)
+			}
+		}
+		for _, v := range dict {
+			probe(v - 1)
+			probe(v)
+			probe(v + 1)
+		}
+	}
+}
+
 // A cached translation is complete for both dictionaries as they stand,
 // also after the probe's and the build's delta dictionaries have grown, and
 // the cache keeps at most xlCacheSize partners, keyed by their numbers.

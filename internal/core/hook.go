@@ -7,6 +7,7 @@ import (
 	"aggcache/internal/query"
 	"aggcache/internal/table"
 	"aggcache/internal/txn"
+	"aggcache/internal/vec"
 )
 
 // mergeHook keeps cache entries consistent across delta-merge operations:
@@ -85,10 +86,11 @@ func (h *mergeHook) FoldOnline(db *table.DB, tbl *table.Table, part int, snap tx
 }
 
 // SwapOnline applies the staged folds inside the swap critical section: the
-// new main is already installed but its invalidation log not yet replayed,
-// so its pre-rendered base visibility is exactly the merge baseline S0 the
-// entries were settled to. Entries built during the merge describe the old
-// store layout and are marked stale instead.
+// new main is already installed but the invalidations since S0 not yet
+// replayed onto it, so its visibility at S0, rendered here in
+// O(rows/64 + log), is exactly the merge baseline the entries were settled
+// to. Entries built during the merge describe the old store layout and are
+// marked stale instead.
 func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap txn.Snapshot) {
 	m := h.m
 	// The swap replaces the partition's stores (delta folds into a new
@@ -106,7 +108,9 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 	delete(m.pendingFolds, fk)
 	delete(m.foldedActive, name)
 	ref := query.StoreRef{Table: name, Part: part, Main: true}
-	base := ref.Resolve(db).MergeBaseVisibility()
+	// The S0 baseline, rendered once an entry needs it: the first entry
+	// takes the render, the others a copy made before anyone changes it.
+	var base *vec.BitSet
 	for _, key := range m.sortedEntryKeys() {
 		e := m.entries[key]
 		if !queryReferences(e.Query, name) {
@@ -135,7 +139,12 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 			continue
 		}
 		e.Value.Merge(fold)
-		e.MainVis[ref] = base.Clone()
+		if base == nil {
+			base = ref.Resolve(db).Visibility(txn.Snapshot{High: snap.High})
+			e.MainVis[ref] = base
+		} else {
+			e.MainVis[ref] = base.Clone()
+		}
 		e.MainInv[ref] = 0
 		m.folded(e, name, snap, pf.tuples[key])
 	}

@@ -9,6 +9,7 @@ import (
 	"aggcache/internal/query"
 	"aggcache/internal/table"
 	"aggcache/internal/txn"
+	"aggcache/internal/vec"
 )
 
 // MaintenanceMode selects a classical materialized-view maintenance
@@ -209,12 +210,14 @@ func (v *MaterializedView) ReadRows() ([]query.Row, error) {
 	est := len(v.keyIndex)
 	keySlab := make([]column.Value, 0, est*nKeys)
 	aggSlab := make([]column.Value, 0, est*nAggs)
+	var vis vec.BitSet
+	var rows []int32
 	for _, p := range v.tbl.Partitions() {
 		for _, st := range p.Stores() {
-			for row := 0; row < st.Rows(); row++ {
-				if !snap.Sees(st.CreateTID(row), st.InvalidTID(row)) {
-					continue
-				}
+			st.VisibilityInto(snap, &vis)
+			rows = vis.AppendSetBits(rows[:0])
+			for _, r := range rows {
+				row := int(r)
 				if len(keySlab)+nKeys > cap(keySlab) {
 					keySlab = make([]column.Value, 0, (est+1)*nKeys)
 					aggSlab = make([]column.Value, 0, (est+1)*nAggs)
@@ -264,12 +267,14 @@ func (v *MaterializedView) Read() (*query.AggTable, error) {
 	nAggs := len(v.q.Aggs)
 	keys := make([]column.Value, nKeys)
 	accs := make([]float64, nAggs)
+	var vis vec.BitSet
+	var rows []int32
 	for _, p := range v.tbl.Partitions() {
 		for _, st := range p.Stores() {
-			for row := 0; row < st.Rows(); row++ {
-				if !snap.Sees(st.CreateTID(row), st.InvalidTID(row)) {
-					continue
-				}
+			st.VisibilityInto(snap, &vis)
+			rows = vis.AppendSetBits(rows[:0])
+			for _, r := range rows {
+				row := int(r)
 				for i := 0; i < nKeys; i++ {
 					keys[i] = st.Col(1 + i).Value(row)
 				}

@@ -83,10 +83,10 @@ func NewAggTable(specs []AggSpec) *AggTable {
 
 // reset empties the table for specs. Its arrays are kept for reuse — the
 // executor's pooled job partials — unless they are shared with a clone;
-// then they are left to the clone, keys and index dropped and the value
-// arrays replaced by fresh ones of the same capacity, so the refill does
-// not regrow them. An index far larger than the last use needed is dropped
-// as well, so clearing it costs at most a constant per group of that use.
+// then they are left to the clone and replaced by fresh ones of the same
+// capacity, so the refill does not regrow them. An index far larger than
+// the last use needed is dropped instead, keys with it, so clearing it
+// costs at most a constant per group of that use.
 func (a *AggTable) reset(specs []AggSpec) {
 	a.specs = specs
 	a.hasExt = false
@@ -102,13 +102,18 @@ func (a *AggTable) reset(specs []AggSpec) {
 		a.sharedVals.Store(false)
 	}
 	a.counts, a.sums, a.exts = a.counts[:0], a.sums[:0], a.exts[:0]
-	if a.shared.Load() || len(a.index.slots) > 8*max(used, 8) {
+	switch {
+	case len(a.index.slots) > 8*max(used, 8):
 		a.keys, a.index = nil, slotIndex{}
-		a.shared.Store(false)
-		return
+	case a.shared.Load():
+		a.keys = make([]column.Value, 0, cap(a.keys))
+		size := len(a.index.slots)
+		a.index = slotIndex{hashes: make([]uint64, size), slots: make([]int32, size)}
+	default:
+		a.keys = a.keys[:0]
+		clear(a.index.slots)
 	}
-	a.keys = a.keys[:0]
-	clear(a.index.slots)
+	a.shared.Store(false)
 }
 
 // Specs returns the aggregate output specifications.

@@ -620,6 +620,30 @@ func TestResetLeavesClonesIntact(t *testing.T) {
 	}
 }
 
+// TestResetSharedKeepsCapacity: resetting a table that shares its arrays
+// with a clone gives it fresh keys and index of the old size, so a refill
+// of as many groups regrows neither.
+func TestResetSharedKeepsCapacity(t *testing.T) {
+	a := cloneFixture(40)
+	keys, cells := cap(a.keys), len(a.index.slots)
+	c := a.Clone()
+	a.reset(specs())
+	if cap(a.keys) != keys || len(a.index.slots) != cells || a.shared.Load() {
+		t.Fatalf("after reset: keys cap %d, %d index cells, shared %v; want %d, %d, false",
+			cap(a.keys), len(a.index.slots), a.shared.Load(), keys, cells)
+	}
+	for g := 0; g < 40; g++ {
+		v := column.FloatV(float64(g))
+		a.Add([]column.Value{column.IntV(int64(1000 + g)), column.StrV("x")}, []column.Value{v, {}, v})
+	}
+	if cap(a.keys) != keys || len(a.index.slots) != cells {
+		t.Fatalf("refill regrew: keys cap %d -> %d, index cells %d -> %d", keys, cap(a.keys), cells, len(a.index.slots))
+	}
+	if c.Groups() != 40 {
+		t.Fatalf("clone has %d groups, want 40", c.Groups())
+	}
+}
+
 // TestChurnStaysBounded: a table that keeps losing its groups to
 // ApplySigned and gaining new keys — a long-lived cache entry grouping by a
 // high-cardinality id under deletes — stays proportional to its live

@@ -3,7 +3,6 @@ package table
 import (
 	"fmt"
 	"log/slog"
-	"sync/atomic"
 	"time"
 
 	"aggcache/internal/column"
@@ -21,11 +20,13 @@ import (
 //	    start routing against the NEW boundary so coalesced rows land in
 //	    their post-swap partition.
 //	build:   both mains are re-bucketed by the new boundary off to the
-//	    side, all rows carried with their MVCC timestamps (aging never
-//	    drops versions), while queries keep reading the frozen layout.
-//	swap:    an O(delta2 + invLog) critical section installs the new
-//	    mains (each built with its own primary-key index), promotes the
-//	    delta2 stores with theirs, and moves the boundary.
+//	    side, all rows carried with their creating transactions and their
+//	    invalidations up to the aging snapshot (aging never drops
+//	    versions), while queries keep reading the frozen layout. The new
+//	    mains settle at the oldest pinned snapshot.
+//	swap:    an O(invalidations since prepare) critical section installs
+//	    the new mains (each built with its own primary-key index), promotes
+//	    the delta2 stores with theirs, and moves the boundary.
 func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 	// ---- prepare (writer lock, O(1)) ----
 	db.mu.Lock()
@@ -52,9 +53,10 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 		return fmt.Errorf("table %s: aging cannot move the boundary backwards (%d < %d)", tableName, newSplit, cold.Hi)
 	}
 	snap := db.txns.ReadSnapshot()
+	horizon := db.txns.OldestPinned()
 	for _, p := range []*Partition{cold, hot} {
 		p.Delta2 = newDeltaStore(&t.schema)
-		p.merge = &mergeState{}
+		p.merge = &mergeState{mainLog: p.Main.mv.log.len()}
 	}
 	split := newSplit
 	t.pendingSplit = &split
@@ -82,8 +84,7 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 	// ---- build (no lock): re-bucket both frozen mains by the new split ----
 	type bucket struct {
 		builders []column.MainBuilder
-		create   []txn.TID
-		invalid  []txn.TID
+		versions mainVersions
 	}
 	dest := func(st *Store, row int) int {
 		if st.cols[t.routeCol].Int64(row) < newSplit {
@@ -97,41 +98,29 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 			sizes[dest(p.Main, row)]++
 		}
 	}
-	newBucket := func(rows int) *bucket {
-		return &bucket{
-			builders: newMainBuilders(&t.schema, rows),
-			create:   make([]txn.TID, 0, rows),
-			invalid:  make([]txn.TID, 0, rows),
-		}
+	buckets := [2]*bucket{}
+	for d := range buckets {
+		buckets[d] = &bucket{builders: newMainBuilders(&t.schema, sizes[d]), versions: mainVersions{settled: horizon}}
 	}
-	buckets := [2]*bucket{newBucket(sizes[0]), newBucket(sizes[1])}
 	var rowMaps [2][]RowRef // old (part,row) -> new (part,row)
 	for pi, p := range []*Partition{cold, hot} {
 		st := p.Main
+		tids := st.mv.frozenTIDs(p.merge.mainLog, snap.High)
 		rm := make([]RowRef, st.Rows())
-		for row := 0; row < st.Rows(); row++ {
+		for row := range rm {
 			d := dest(st, row)
 			bk := buckets[d]
 			for i := range bk.builders {
 				bk.builders[i].Append(st.cols[i].Value(row))
 			}
-			inv := txn.LoadTID(&st.invalid[row])
-			if inv > snap.High {
-				// Invalidated during the aging: carry as live; the swap
-				// replay applies the final timestamp.
-				inv = 0
-			}
-			rm[row] = RowRef{Part: d, InMain: true, Row: len(bk.create)}
-			bk.create = append(bk.create, st.create[row])
-			bk.invalid = append(bk.invalid, inv)
+			rm[row] = RowRef{Part: d, InMain: true, Row: bk.versions.rows}
+			bk.versions.add(tids(row))
 		}
 		rowMaps[pi] = rm
 	}
 	var newMains [2]*Store
 	for pi, bk := range buckets {
-		st := newMainStore(&t.schema, bk.builders, bk.create, bk.invalid)
-		st.baseVis = txn.VisibilityVector(bk.create, bk.invalid, txn.Snapshot{High: snap.High})
-		newMains[pi] = st
+		newMains[pi] = newMainStore(&t.schema, bk.builders, &bk.versions)
 	}
 	// Let cache-maintenance hooks settle their baselines to the aging
 	// snapshot under the shared reader lock (the fold itself is empty:
@@ -165,20 +154,13 @@ func (db *DB) AgeOnline(tableName string, newSplit int64) error {
 		h.SwapOnline(db, t, 0, snap)
 		h.SwapOnline(db, t, 1, snap)
 	}
-	// Replay invalidations that hit the frozen mains during the build.
+	// Replay invalidations that hit the frozen mains during the build (the
+	// deltas were frozen empty).
 	for pi, p := range []*Partition{cold, hot} {
-		for _, rec := range p.merge.invLog {
-			if !rec.inMain {
-				continue // deltas were frozen empty; nothing to replay
-			}
-			fin := txn.LoadTID(&oldMains[pi].invalid[rec.row])
-			if fin == 0 {
-				continue
-			}
-			d := rowMaps[pi][rec.row]
-			txn.StoreTID(&t.parts[d.Part].Main.invalid[d.Row], fin)
-			atomic.AddUint64(&t.parts[d.Part].Main.invalidations, 1)
-		}
+		oldMains[pi].mv.replay(p.merge.mainLog, func(row int) (*Store, int) {
+			d := rowMaps[pi][row]
+			return t.parts[d.Part].Main, d.Row
+		})
 	}
 	cold.merge, hot.merge = nil, nil
 	db.mobs.onlineActive.Add(-1)

@@ -120,6 +120,7 @@ func (db *DB) register(t *Table) error {
 		return fmt.Errorf("table %s already exists", t.Name())
 	}
 	t.faults = db.faults
+	t.txns = db.txns
 	db.tables[t.Name()] = t
 	db.order = append(db.order, t.Name())
 	return nil

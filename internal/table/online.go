@@ -3,7 +3,6 @@ package table
 import (
 	"fmt"
 	"log/slog"
-	"sync/atomic"
 	"time"
 
 	"aggcache/internal/txn"
@@ -14,28 +13,32 @@ import (
 // dictionaries, and the delta is emptied (paper Sec. 2, [17]). Rebuilding
 // under the exclusive writer lock would stall every reader for the full
 // rebuild, so the merge is split into three phases and only an
-// O(delta2 + invLog) critical section ever blocks traffic:
+// O(invalidations since S0) critical section ever blocks traffic:
 //
 //	prepare (writer lock, O(1)):
 //	    The partition's main and delta are frozen as the merge input
 //	    snapshot S0 (the lock contract guarantees no transaction is open,
 //	    so S0 covers every row in them) and an empty delta2 store is
 //	    installed. From here on writers append to delta2, invalidate
-//	    frozen rows in place through atomic TID stores (logged in invLog),
-//	    and queries read main + delta + delta2.
+//	    frozen main rows through the main's own invalidation log (whose
+//	    length at S0 the merge records) and frozen delta rows in place
+//	    through atomic TID stores (listed for the swap), and queries read
+//	    main + delta + delta2.
 //	build (no lock):
 //	    The new main is encoded off to the side from the frozen stores.
 //	    Rows invalidated at or below the reclamation horizon — the oldest
 //	    pinned read snapshot — are dropped; rows invalidated above it are
-//	    retained with their timestamps so pinned readers straddling the
-//	    swap keep a consistent view; rows invalidated after S0 are carried
-//	    as live and pick up their final timestamp during the swap replay.
+//	    retained, their invalidations the new main's first log entries, so
+//	    pinned readers straddling the swap keep a consistent view; rows
+//	    invalidated after S0 are carried as live and pick up their final
+//	    timestamp during the swap replay. The new main settles at the
+//	    horizon; rows created above it are its exceptions.
 //	    Registered MergeHooks then pre-compute their maintenance folds
 //	    under the shared reader lock.
-//	swap (writer lock, O(delta2 + invLog)):
+//	swap (writer lock, O(invalidations since S0)):
 //	    The new main is installed, delta2 becomes the delta, hooks capture
-//	    their new baselines, and the invalidation log is replayed onto the
-//	    new main.
+//	    their new baselines, and the invalidations since S0 are replayed
+//	    onto the new main.
 //
 // Every store carries its own primary-key index (the new main's is built
 // with it, delta2's keys move with it), so the swap rewrites no index.
@@ -116,7 +119,7 @@ func (db *DB) startOnlineMergeLocked(tableName string, part int, keepInvalidated
 		begin: time.Now(),
 	}
 	p.Delta2 = newDeltaStore(&t.schema)
-	p.merge = &mergeState{}
+	p.merge = &mergeState{mainLog: p.Main.mv.log.len()}
 	db.mobs.onlineActive.Add(1)
 	if db.ev.Enabled() {
 		db.ev.Emit("table.merge_online_start",
@@ -153,29 +156,32 @@ func (om *OnlineMerge) Build() error {
 // buildOnline encodes the new main store from the frozen main and delta.
 // It runs without the database lock: the frozen stores receive no appends
 // (writers have been redirected to delta2) and their create timestamps are
-// settled, so only invalid[] slots can change underneath — those are read
-// atomically, and any value observed above S0 is normalized to "live here,
-// final timestamp applied at swap" via the invalidation log replay.
+// settled, so only invalidations can change underneath. The main's are
+// read from its log up to the merge snapshot's position, the delta's
+// invalid[] slots atomically with any value above S0 normalized to "live
+// here, final timestamp applied at swap" via the swap replay.
+//
+// The new main settles at the reclamation horizon: rows created above it
+// become exceptions, retained invalidations its first log entries.
 func (t *Table) buildOnline(part int, snap txn.Snapshot, horizon txn.TID, keep bool) *mergedBuild {
 	p := t.parts[part]
 	b := &mergedBuild{}
 	// The frozen main and delta bound the new main's rows from above.
 	rows := p.Main.Rows() + p.Delta.Rows()
 	builders := newMainBuilders(&t.schema, rows)
-	create := make([]txn.TID, 0, rows)
-	invalid := make([]txn.TID, 0, rows)
-	appendFrom := func(st *Store, fromMain bool) []int {
+	v := &mainVersions{settled: horizon}
+	appendFrom := func(st *Store, tids func(row int) (create, inv txn.TID), fromMain bool) []int {
 		rowMap := make([]int, st.Rows())
-		for row := 0; row < st.Rows(); row++ {
+		for row := range rowMap {
 			rowMap[row] = -1
-			if st.create[row] == txn.Aborted {
+			create, inv := tids(row)
+			if create == txn.Aborted {
 				b.stats.Dropped++
 				continue
 			}
-			inv := txn.LoadTID(&st.invalid[row])
 			if inv > snap.High {
 				// Invalidated during the merge: carry as live; the swap
-				// replay copies the final timestamp (or leaves 0 if the
+				// replay copies the final timestamp (or none if the
 				// invalidating transaction aborts).
 				inv = 0
 			}
@@ -191,9 +197,8 @@ func (t *Table) buildOnline(part int, snap txn.Snapshot, horizon txn.TID, keep b
 			for i := range builders {
 				builders[i].Append(st.cols[i].Value(row))
 			}
-			rowMap[row] = len(create)
-			create = append(create, st.create[row])
-			invalid = append(invalid, inv)
+			rowMap[row] = v.rows
+			v.add(create, inv)
 			if fromMain {
 				b.stats.FromMain++
 			} else {
@@ -202,13 +207,11 @@ func (t *Table) buildOnline(part int, snap txn.Snapshot, horizon txn.TID, keep b
 		}
 		return rowMap
 	}
-	b.mainMap = appendFrom(p.Main, true)
-	b.deltaMap = appendFrom(p.Delta, false)
-
-	b.newMain = newMainStore(&t.schema, builders, create, invalid)
-	// Pre-render the S0 visibility vector so the swap critical section can
-	// hand cache-maintenance hooks their new baseline in O(1).
-	b.newMain.baseVis = txn.VisibilityVector(create, invalid, txn.Snapshot{High: snap.High})
+	b.mainMap = appendFrom(p.Main, p.Main.mv.frozenTIDs(p.merge.mainLog, snap.High), true)
+	b.deltaMap = appendFrom(p.Delta, func(row int) (txn.TID, txn.TID) {
+		return p.Delta.create[row], txn.LoadTID(&p.Delta.invalid[row])
+	}, false)
+	b.newMain = newMainStore(&t.schema, builders, v)
 	return b
 }
 
@@ -253,26 +256,29 @@ func (om *OnlineMerge) finishLocked() (MergeStats, error) {
 	p.Delta2 = nil
 	p.Merges++
 	// Hooks capture the pre-replay baseline: the new main's invalidation
-	// counter is still 0 and its rows match baseVis at S0.
+	// counter is still 0 and its visibility at S0 is the merge baseline.
 	for _, h := range db.hooks {
 		h.SwapOnline(db, t, part, om.snap)
 	}
-	// Replay invalidations that hit the frozen stores during the build:
-	// copy each row's final timestamp into the new main and tick the dirty
-	// counter so cache compensation notices.
-	for _, rec := range p.merge.invLog {
-		src := oldDelta
-		m := om.built.deltaMap
-		if rec.inMain {
-			src, m = oldMain, om.built.mainMap
+	// Replay invalidations that hit the frozen stores during the build —
+	// the frozen main's log past its S0 position and the listed delta rows
+	// — onto the new main.
+	mainMap, deltaMap := om.built.mainMap, om.built.deltaMap
+	oldMain.mv.replay(p.merge.mainLog, func(row int) (*Store, int) {
+		if nr := mainMap[row]; nr >= 0 {
+			return p.Main, nr
 		}
-		fin := txn.LoadTID(&src.invalid[rec.row])
+		return nil, 0
+	})
+	for _, row := range p.merge.deltaInv {
+		fin := txn.LoadTID(&oldDelta.invalid[row])
 		if fin == 0 {
 			continue // invalidating transaction aborted
 		}
-		if nr := m[rec.row]; nr >= 0 {
-			txn.StoreTID(&p.Main.invalid[nr], fin)
-			atomic.AddUint64(&p.Main.invalidations, 1)
+		// A row listed twice (an aborted invalidation, then a committed
+		// one) is replayed once.
+		if nr := deltaMap[row]; nr >= 0 && !p.Main.mv.isDead(nr) {
+			p.Main.replayInvalidation(nr, fin)
 		}
 	}
 	p.merge = nil

@@ -9,14 +9,21 @@ import (
 )
 
 // Store is one physical row container: either the frozen main store of a
-// partition or its append-only delta store. Every row carries MVCC
-// timestamps (creating and invalidating transaction).
+// partition or its append-only delta store. A delta store carries each
+// row's MVCC timestamps (creating and invalidating transaction). A main
+// store carries none: it holds a settled TID, a sparse list of exception
+// rows, an invalidation log and a bitset of rows that are not live (mainMVCC,
+// mvcc.go), and renders a snapshot's visibility from them in
+// O(rows/64 + log + exceptions).
 type Store struct {
-	main    bool
-	cols    []column.Reader
-	apps    []column.Appender // non-nil only for delta stores
+	cols []column.Reader
+	apps []column.Appender // non-nil only for delta stores
+	// create and invalid are a delta store's per-row timestamps.
 	create  []txn.TID
 	invalid []txn.TID
+	// rows and mv describe a main store; mv is nil on a delta.
+	rows int
+	mv   *mainMVCC
 	// invalidations counts invalidation events on this store. The
 	// aggregate cache compares it against the value captured at entry
 	// creation to skip visibility-vector recomputation when no row could
@@ -25,11 +32,6 @@ type Store struct {
 	// merge bumps it during the swap replay while unlocked observers may
 	// poll it.
 	invalidations uint64
-	// baseVis is set only on main stores produced by an online merge: the
-	// visibility vector of the new main at the merge snapshot, computed by
-	// the off-line builder so the swap critical section can hand it to
-	// cache-maintenance hooks without an O(rows) render.
-	baseVis *vec.BitSet
 	// The store's own primary-key index (see lookupPK); both are nil when
 	// the table has no primary key. keyRows, on a main store, maps each
 	// value ID of the key column to the row of the key's live version, or
@@ -66,9 +68,9 @@ func newMainBuilders(s *Schema, rows int) []column.MainBuilder {
 }
 
 // newMainStore encodes the builders' columns into a main store with the
-// given MVCC timestamps and indexes its primary key.
-func newMainStore(s *Schema, builders []column.MainBuilder, create, invalid []txn.TID) *Store {
-	st := &Store{main: true, cols: make([]column.Reader, len(builders)), create: create, invalid: invalid}
+// collected row versions and indexes its primary key.
+func newMainStore(s *Schema, builders []column.MainBuilder, v *mainVersions) *Store {
+	st := &Store{cols: make([]column.Reader, len(builders)), rows: v.rows, mv: newMainMVCC(v)}
 	for i, b := range builders {
 		st.cols[i] = b.Build()
 	}
@@ -100,14 +102,40 @@ func newMainStore(s *Schema, builders []column.MainBuilder, create, invalid []tx
 }
 
 func emptyMainStore(s *Schema) *Store {
-	return newMainStore(s, newMainBuilders(s, 0), nil, nil)
+	return newMainStore(s, newMainBuilders(s, 0), &mainVersions{})
 }
 
 // live reports whether a row version is live by its own timestamps: not
 // aborted and not invalidated, committed or in flight. A table holds at
 // most one live version per primary key.
 func (st *Store) live(row int) bool {
+	if st.mv != nil {
+		return !st.mv.isDead(row)
+	}
 	return st.create[row] != txn.Aborted && txn.LoadTID(&st.invalid[row]) == 0
+}
+
+// invalidateRow stamps the row's invalidating transaction and returns the
+// action that takes it back when the transaction aborts. Writes are atomic
+// because an online merge builder may be reading the frozen store without
+// the database lock.
+func (st *Store) invalidateRow(row int, id txn.TID) (undo func()) {
+	if st.mv != nil {
+		i := st.mv.invalidate(row, id)
+		undo = func() { st.mv.undo(i) }
+	} else {
+		txn.StoreTID(&st.invalid[row], id)
+		undo = func() { txn.StoreTID(&st.invalid[row], 0) }
+	}
+	atomic.AddUint64(&st.invalidations, 1)
+	return undo
+}
+
+// replayInvalidation logs a settled invalidation onto a main a swap just
+// installed and ticks its dirty counter, so cache compensation notices.
+func (st *Store) replayInvalidation(row int, id txn.TID) {
+	st.mv.invalidate(row, id)
+	atomic.AddUint64(&st.invalidations, 1)
 }
 
 // lookupPK returns the store's row holding the live version of key, if
@@ -116,7 +144,7 @@ func (st *Store) live(row int) bool {
 // flight, stops answering by its timestamps alone.
 func (st *Store) lookupPK(pkc int, key int64) (int, bool) {
 	var row int
-	if st.main {
+	if st.mv != nil {
 		id, ok := st.cols[pkc].(column.Lookuper).Lookup(column.IntV(key))
 		if !ok {
 			return 0, false
@@ -146,38 +174,67 @@ func (st *Store) carryKey(key int64, row int) {
 }
 
 // IsMain reports whether this is a read-optimized main store.
-func (st *Store) IsMain() bool { return st.main }
+func (st *Store) IsMain() bool { return st.mv != nil }
 
 // Rows reports the physical row count (including invalidated rows).
-func (st *Store) Rows() int { return len(st.create) }
+func (st *Store) Rows() int {
+	if st.mv != nil {
+		return st.rows
+	}
+	return len(st.create)
+}
 
 // Col returns the i-th column.
 func (st *Store) Col(i int) column.Reader { return st.cols[i] }
 
-// CreateTID returns the creating transaction of a row.
-func (st *Store) CreateTID(row int) txn.TID { return st.create[row] }
+// CreateTID returns the creating transaction of a row. On a main store it
+// is the row's exception TID, else the store's settled TID: exact for every
+// snapshot admissible to the store.
+func (st *Store) CreateTID(row int) txn.TID {
+	if st.mv != nil {
+		return st.mv.createTID(row)
+	}
+	return st.create[row]
+}
 
-// InvalidTID returns the invalidating transaction of a row, 0 if live.
-func (st *Store) InvalidTID(row int) txn.TID { return st.invalid[row] }
+// InvalidTID returns the invalidating transaction of a row, 0 if live. On
+// a main store it searches the invalidation log, so it costs O(log) for an
+// invalidated row.
+func (st *Store) InvalidTID(row int) txn.TID {
+	if st.mv != nil {
+		return st.mv.invalidTID(row)
+	}
+	return txn.LoadTID(&st.invalid[row])
+}
 
 // Visibility renders the consistent-view bit vector of the store for a
 // snapshot.
 func (st *Store) Visibility(snap txn.Snapshot) *vec.BitSet {
-	return txn.VisibilityVector(st.create, st.invalid, snap)
+	bs := &vec.BitSet{}
+	st.VisibilityInto(snap, bs)
+	return bs
 }
 
 // VisibilityInto renders the consistent-view bit vector into a caller-owned
 // scratch bitset, resized to the store's row count — the allocation-free
-// variant the vectorized scan kernels use.
+// variant the vectorized scan kernels use. A delta renders row by row from
+// its timestamps, a main from its invalidation log and exceptions.
 func (st *Store) VisibilityInto(snap txn.Snapshot, bs *vec.BitSet) {
+	if st.mv != nil {
+		st.mv.render(st.rows, snap, bs)
+		return
+	}
 	txn.VisibilityInto(st.create, st.invalid, snap, bs)
 }
 
 // LiveRows counts rows visible to the snapshot.
 func (st *Store) LiveRows(snap txn.Snapshot) int {
+	if st.mv != nil {
+		return st.Visibility(snap).Count()
+	}
 	n := 0
 	for i := range st.create {
-		if snap.Sees(st.create[i], st.invalid[i]) {
+		if snap.Sees(st.create[i], txn.LoadTID(&st.invalid[i])) {
 			n++
 		}
 	}
@@ -186,7 +243,7 @@ func (st *Store) LiveRows(snap txn.Snapshot) int {
 
 // appendRow adds a row; delta stores only.
 func (st *Store) appendRow(vals []column.Value, tid txn.TID) int {
-	if st.main {
+	if st.mv != nil {
 		panic("table: append to main store")
 	}
 	for i, a := range st.apps {
@@ -201,7 +258,7 @@ func (st *Store) appendRow(vals []column.Value, tid txn.TID) int {
 // The online merge uses it to fold delta2 rows back into the delta when a
 // merge is aborted, preserving the rows' original visibility.
 func (st *Store) appendRawRow(vals []column.Value, create, invalid txn.TID) int {
-	if st.main {
+	if st.mv != nil {
 		panic("table: append to main store")
 	}
 	for i, a := range st.apps {
@@ -217,14 +274,9 @@ func (st *Store) appendRawRow(vals []column.Value, create, invalid txn.TID) int 
 // tick), so an unchanged counter guarantees no new invalidation.
 func (st *Store) Invalidations() uint64 { return atomic.LoadUint64(&st.invalidations) }
 
-// MergeBaseVisibility returns the visibility vector of this main store at
-// the snapshot of the online merge that produced it, or nil for stores that
-// were not built by an online merge. Cache-maintenance hooks clone it during
-// the swap critical section instead of rendering an O(rows) vector there.
-func (st *Store) MergeBaseVisibility() *vec.BitSet { return st.baseVis }
-
-// MemBytes estimates the store's heap footprint: column payloads, the two
-// MVCC timestamp arrays and the primary-key index (a delta's map entry
+// MemBytes estimates the store's heap footprint: column payloads, the MVCC
+// metadata (a delta's two timestamp arrays; a main's invalidation log,
+// bitset and exceptions) and the primary-key index (a delta's map entry
 // counted at its 12 payload bytes).
 func (st *Store) MemBytes() uint64 {
 	var m uint64
@@ -232,6 +284,9 @@ func (st *Store) MemBytes() uint64 {
 		m += c.MemBytes()
 	}
 	m += uint64(len(st.create)+len(st.invalid)) * 8
+	if st.mv != nil {
+		m += st.mv.memBytes()
+	}
 	m += uint64(len(st.keyRows))*4 + uint64(len(st.keys))*12
 	return m
 }
@@ -273,15 +328,14 @@ type Partition struct {
 // mergeState tracks mutations against a partition whose stores are frozen
 // by an in-flight online merge.
 type mergeState struct {
-	// invLog records invalidations of frozen-store rows (writers update the
-	// live invalid[] slot in place; the log tells the swap which new-main
-	// rows need the final timestamp copied over).
-	invLog []invRec
-}
-
-type invRec struct {
-	inMain bool
-	row    int
+	// mainLog is the frozen main's invalidation-log length at the merge
+	// snapshot: the build reads the entries before it, the swap replays
+	// the ones after it onto the new main.
+	mainLog int
+	// deltaInv lists frozen-delta rows invalidated during the build
+	// (writers stamp the delta's invalid[] slot in place); the swap copies
+	// their final timestamps into the new main.
+	deltaInv []int
 }
 
 // MergeActive reports whether an online merge is running on this partition.

@@ -35,6 +35,9 @@ type Table struct {
 	// faults is the database's fault-injection hook set (nil in
 	// production); Insert consults the WriterAppend point.
 	faults *Faults
+	// txns is the database's transaction manager; BulkLoadMain reads its
+	// watermark and oldest pin.
+	txns *txn.Manager
 	// lastWrite is the highest transaction ID that appended, invalidated
 	// or bulk-loaded a row (see LastWrite).
 	lastWrite atomic.Uint64
@@ -293,23 +296,21 @@ func (t *Table) Delete(tx *txn.Txn, pk int64) error {
 	return t.invalidate(tx, ref)
 }
 
-// invalidate stamps the row's invalidating transaction. Writes go through
-// txn.StoreTID because an online merge builder may be scanning the frozen
-// store's MVCC arrays without the database lock; when the target row
-// belongs to a frozen store of a merge-active partition the mutation is
-// also logged so the swap can copy the final timestamp into the new main.
+// invalidate stamps the row's invalidating transaction: a delta's invalid
+// slot, or a main's invalidation log and bitset (Store.invalidateRow).
+// When the row belongs to the frozen delta of a merge-active partition it
+// is also listed, so the swap can copy the final timestamp into the new
+// main; a frozen main's own log serves the swap for main rows.
 func (t *Table) invalidate(tx *txn.Txn, ref RowRef) error {
 	st := t.store(ref)
-	if txn.LoadTID(&st.invalid[ref.Row]) != 0 {
+	if !st.live(ref.Row) {
 		return fmt.Errorf("table %s: row already invalidated", t.schema.Name)
 	}
 	t.wrote(tx.ID())
-	txn.StoreTID(&st.invalid[ref.Row], tx.ID())
-	atomic.AddUint64(&st.invalidations, 1)
-	if p := t.parts[ref.Part]; p.merge != nil && !ref.D2 {
-		p.merge.invLog = append(p.merge.invLog, invRec{inMain: ref.InMain, row: ref.Row})
+	tx.OnAbort(st.invalidateRow(ref.Row, tx.ID()))
+	if p := t.parts[ref.Part]; p.merge != nil && !ref.InMain && !ref.D2 {
+		p.merge.deltaInv = append(p.merge.deltaInv, ref.Row)
 	}
-	tx.OnAbort(func() { txn.StoreTID(&st.invalid[ref.Row], 0) })
 	return nil
 }
 
@@ -317,6 +318,15 @@ func (t *Table) invalidate(tx *txn.Txn, ref RowRef) error {
 // given creating transaction IDs, replacing its current main. It is the
 // fast path data generators use to stand up large mains without paying the
 // insert-then-merge cost. The partition's delta must be empty.
+//
+// TIDs above the watermark load before they commit: the caller advances
+// the watermark past all of them at once (txn.Manager.AdvanceTo), as the
+// generators do. The new main settles at the largest TID when no snapshot,
+// pinned or current, can see one loaded row but not another: every TID is
+// above the watermark, or every TID is at or below the oldest pinned
+// snapshot. Otherwise it settles at the oldest pin and lists the rows
+// above it as exceptions. Rows of an aborted TID are always exceptions. No
+// reader's visibility changes either way.
 func (t *Table) BulkLoadMain(part int, rows [][]column.Value, tids []txn.TID) error {
 	if len(rows) != len(tids) {
 		return fmt.Errorf("table %s: %d rows but %d tids", t.schema.Name, len(rows), len(tids))
@@ -334,12 +344,25 @@ func (t *Table) BulkLoadMain(part int, rows [][]column.Value, tids []txn.TID) er
 			builders[i].Append(v)
 		}
 	}
-	p.Main = newMainStore(&t.schema, builders, append([]txn.TID(nil), tids...), make([]txn.TID, len(tids)))
+	lo, hi := txn.Aborted, txn.TID(0)
 	for _, id := range tids {
 		if id != txn.Aborted {
+			lo, hi = min(lo, id), max(hi, id)
 			t.wrote(id)
 		}
 	}
+	var watermark, pinned txn.TID
+	if t.txns != nil {
+		watermark, pinned = t.txns.Watermark(), t.txns.OldestPinned()
+	}
+	v := &mainVersions{settled: hi}
+	if lo <= watermark && hi > pinned {
+		v.settled = pinned
+	}
+	for _, id := range tids {
+		v.add(id, 0)
+	}
+	p.Main = newMainStore(&t.schema, builders, v)
 	return nil
 }
 

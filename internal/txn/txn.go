@@ -35,13 +35,15 @@ type Snapshot struct {
 
 // Sees reports whether a row with the given MVCC timestamps is visible.
 func (s Snapshot) Sees(create, invalid TID) bool {
-	if !s.seesTID(create) {
+	if !s.SeesTID(create) {
 		return false
 	}
-	return invalid == 0 || !s.seesTID(invalid)
+	return invalid == 0 || !s.SeesTID(invalid)
 }
 
-func (s Snapshot) seesTID(t TID) bool {
+// SeesTID reports whether the snapshot sees the writes of transaction t:
+// committed at or below High, or its own.
+func (s Snapshot) SeesTID(t TID) bool {
 	if t == Aborted {
 		return false
 	}
