@@ -33,9 +33,6 @@ type CacheAuditReport struct {
 //   - byte accounting: Manager.bytes == Σ Entry.Metrics.SizeBytes
 //   - watermark monotonicity: no entry's SnapHigh exceeds the commit
 //     watermark (an entry "from the future" would compensate backwards)
-//   - invalidation-counter consistency: a store's invalidation counter
-//     never runs behind the baseline an entry captured (counters only
-//     grow; a regression means the entry tracks a replaced store)
 //   - ghost-list sanity: population within capacity, every ghost key
 //     reachable through the FIFO, cursor within bounds
 //
@@ -62,14 +59,6 @@ func (m *Manager) AuditCache() CacheAuditReport {
 		if e.SnapHigh > wm {
 			rep.Violations = append(rep.Violations, fmt.Sprintf(
 				"entry %s: SnapHigh %d ahead of watermark %d", key, e.SnapHigh, wm))
-		}
-		for _, ref := range e.mainRefs() {
-			inv := ref.Resolve(m.db).Invalidations()
-			if inv < e.MainInv[ref] {
-				rep.Violations = append(rep.Violations, fmt.Sprintf(
-					"entry %s: store %s invalidation counter %d behind entry baseline %d",
-					key, ref, inv, e.MainInv[ref]))
-			}
 		}
 	}
 	if rep.SummedBytes != m.bytes {

@@ -6,7 +6,6 @@ import (
 	"aggcache/internal/query"
 	"aggcache/internal/table"
 	"aggcache/internal/txn"
-	"aggcache/internal/vec"
 )
 
 // Metrics are the per-entry profit metrics of paper Fig. 2. They feed the
@@ -48,18 +47,25 @@ func (m *Metrics) Profit() float64 {
 
 // Entry is one aggregate cache entry (paper Fig. 2): the cache key (the
 // query fingerprint), the cached value computed on main stores only, the
-// visibility vectors of those stores at computation time, and the profit
-// metrics.
+// commit watermark it was computed at, and the profit metrics. Fig. 2 also
+// keeps each main store's visibility bit vector and a dirty counter; here
+// the watermark stands for both. A main store's visibility at a plain
+// snapshot depends only on the store and the snapshot, so main compensation
+// asks the store for the rows that vanished between the entry's watermark
+// and the read's (table.Store.VanishedSince) and re-renders a vector at the
+// watermark only where a join term needs one.
 //
 // Locking invariant: every mutable field of an admitted Entry — Value,
-// SnapHigh, MainVis, MainInv, Stale, the result memo, and all of Metrics
-// (Hits, LastAccess, DirtyCounter, ...) — is guarded by the owning
-// Manager's mu. The manager mutates them only with mu held (prepare,
-// compensateAndAccount, mainCompensate, and the merge hook all lock it). Callers that obtained
-// the pointer via Manager.Entry may read these fields only while execution
-// is quiescent (no concurrent Execute/merge); concurrent introspection must
-// go through Manager.EntryMetrics or Manager.EntriesByProfit, which copy
-// under the lock. TestEntryMetricsRace audits this under -race.
+// SnapHigh, Stale, the result memo, and all of Metrics (Hits, LastAccess,
+// DirtyCounter, ...) — is guarded by the owning Manager's mu. The manager
+// mutates them only with mu held (prepare, compensateAndAccount,
+// mainCompensate, and the merge hook all lock it), and they change Value
+// and SnapHigh together: the value is always the aggregate of the main rows
+// a plain snapshot at SnapHigh sees. Callers that obtained the pointer via
+// Manager.Entry may read these fields only while execution is quiescent (no
+// concurrent Execute/merge); concurrent introspection must go through
+// Manager.EntryMetrics or Manager.EntriesByProfit, which copy under the
+// lock. TestEntryMetricsRace audits this under -race.
 type Entry struct {
 	// Key is the canonical query fingerprint.
 	Key string
@@ -68,23 +74,16 @@ type Entry struct {
 	// Value is the aggregate computed over the all-main subjoins. It is
 	// never handed out directly; Execute clones it before compensation.
 	Value *query.AggTable
-	// SnapHigh is the commit watermark the value was computed at.
+	// SnapHigh is the commit watermark the value was computed at, the
+	// baseline main compensation starts from.
 	SnapHigh txn.TID
-	// MainVis captures, per main store, the visibility bit vector at
-	// computation time; main compensation diffs it against the current
-	// vector to find invalidated rows.
-	MainVis map[query.StoreRef]*vec.BitSet
-	// MainInv captures each main store's invalidation counter alongside
-	// MainVis; an unchanged counter lets main compensation skip the
-	// bit-vector comparison entirely (the Fig. 2 dirty check).
-	MainInv map[query.StoreRef]uint64
 	// Stale marks a join entry whose main stores saw invalidations that
 	// cannot be compensated incrementally; it is rebuilt on next access.
 	Stale bool
 	// mergedDirty marks an entry that was built or rebuilt while an online
-	// merge was running on one of its tables: its value and visibility
-	// vectors describe the pre-swap store layout, so the merge swap marks
-	// it stale instead of applying the staged maintenance fold.
+	// merge was running on one of its tables: its value describes the
+	// pre-swap store layout, so the merge swap marks it stale instead of
+	// applying the staged maintenance fold.
 	mergedDirty bool
 	// memo is the last fully compensated answer served from this entry,
 	// computed at read watermark memoHigh under strategy memoStrat; nil when
@@ -102,14 +101,4 @@ type Entry struct {
 	tables []*table.Table
 	// Metrics are the entry's profit metrics.
 	Metrics Metrics
-}
-
-// mainRefs lists the all-main store references of the entry's query, i.e.
-// the stores whose visibility the entry tracks.
-func (e *Entry) mainRefs() []query.StoreRef {
-	refs := make([]query.StoreRef, 0, len(e.MainVis))
-	for r := range e.MainVis {
-		refs = append(refs, r)
-	}
-	return refs
 }

@@ -7,7 +7,6 @@ import (
 	"aggcache/internal/query"
 	"aggcache/internal/table"
 	"aggcache/internal/txn"
-	"aggcache/internal/vec"
 )
 
 // mergeHook keeps cache entries consistent across delta-merge operations:
@@ -17,8 +16,8 @@ import (
 // pre-computes the delta fold into a staged table while queries keep running
 // (the entry is frozen at S0 from prepare to swap — query-time compensation
 // turns transient, see Manager.prepare); SwapOnline applies the staged folds
-// and installs the new main's baseline inside the swap critical section;
-// AbortOnline discards the staging.
+// inside the swap critical section, leaving each entry at watermark S0 over
+// the new main; AbortOnline discards the staging.
 type mergeHook struct {
 	m *Manager
 }
@@ -85,11 +84,11 @@ func (h *mergeHook) FoldOnline(db *table.DB, tbl *table.Table, part int, snap tx
 	m.mu.Unlock()
 }
 
-// SwapOnline applies the staged folds inside the swap critical section: the
-// new main is already installed but the invalidations since S0 not yet
-// replayed onto it, so its visibility at S0, rendered here in
-// O(rows/64 + log), is exactly the merge baseline the entries were settled
-// to. Entries built during the merge describe the old store layout and are
+// SwapOnline applies the staged folds inside the swap critical section and
+// leaves each entry at watermark S0: the settled value plus the fold
+// aggregates exactly the new main's rows visible at S0, so the watermark
+// alone is the entry's new baseline and nothing is rendered here.
+// Entries built during the merge describe the old store layout and are
 // marked stale instead.
 func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap txn.Snapshot) {
 	m := h.m
@@ -107,10 +106,6 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 	pf := m.pendingFolds[fk]
 	delete(m.pendingFolds, fk)
 	delete(m.foldedActive, name)
-	ref := query.StoreRef{Table: name, Part: part, Main: true}
-	// The S0 baseline, rendered once an entry needs it: the first entry
-	// takes the render, the others a copy made before anyone changes it.
-	var base *vec.BitSet
 	for _, key := range m.sortedEntryKeys() {
 		e := m.entries[key]
 		if !queryReferences(e.Query, name) {
@@ -139,13 +134,6 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 			continue
 		}
 		e.Value.Merge(fold)
-		if base == nil {
-			base = ref.Resolve(db).Visibility(txn.Snapshot{High: snap.High})
-			e.MainVis[ref] = base
-		} else {
-			e.MainVis[ref] = base.Clone()
-		}
-		e.MainInv[ref] = 0
 		m.folded(e, name, snap, pf.tuples[key])
 	}
 	m.syncGauges()

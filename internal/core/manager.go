@@ -95,8 +95,9 @@ type ExecInfo struct {
 	Admitted bool
 	// Rebuilt is true when a stale join entry was recomputed.
 	Rebuilt bool
-	// Bypassed is true when the query's snapshot predates the entry and
-	// the cache could not be used.
+	// Bypassed is true when the cache could not be used: the query's
+	// snapshot predates the entry, or it sees its own writes and the entry
+	// is missing or stale (an own-writes read never builds one).
 	Bypassed bool
 	// MainCompensated counts main-store rows subtracted by main
 	// compensation.
@@ -429,9 +430,10 @@ func (m *Manager) execute(q *query.Query, snap txn.Snapshot, strat Strategy, sp 
 // caller to apply delta compensation to — or, with useMemo and a servable
 // result memo, a clone of the memo, which is already the answer. The clone is taken under the cache
 // lock: during an online merge the maintenance fold settles entry values
-// concurrently with readers. For the Uncached strategy and for snapshots
-// predating the entry it executes the query directly and returns the final
-// result with a nil entry instead.
+// concurrently with readers. For the Uncached strategy, for snapshots
+// predating the entry and for own-writes snapshots without a fresh entry it
+// executes the query directly and returns the final result with a nil entry
+// instead.
 func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, info *ExecInfo, sp *obs.Span, useMemo bool) (*Entry, *query.AggTable, error) {
 	if strat == Uncached {
 		if err := q.Validate(m.db); err != nil {
@@ -447,13 +449,20 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 	e, hit := m.entries[key]
 	lookup := sp.Child("cache-lookup")
 
-	// A snapshot older than the entry cannot be compensated forward;
-	// fall back to uncached execution (rare: long-running read-only
-	// transactions).
-	if hit && snap.High < e.SnapHigh {
-		info.Bypassed = true
+	// A snapshot older than the entry cannot be compensated forward (rare:
+	// long-running read-only transactions). A snapshot that sees its own
+	// writes sees rows of a transaction that may still abort: it may
+	// compensate a served clone (below) but never builds, rebuilds or
+	// changes an entry. Both fall back to uncached execution.
+	if hit && snap.High < e.SnapHigh || snap.Self != 0 && (!hit || e.Stale) {
 		lookup.Attr("verdict", "bypass")
 		lookup.End()
+		if !hit {
+			if err := q.Validate(m.db); err != nil {
+				return nil, nil, err
+			}
+		}
+		info.Bypassed = true
 		return m.executeAll(q, snap, info, sp)
 	}
 
@@ -512,12 +521,13 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 		lookup.Attr("verdict", "hit")
 		lookup.End()
 		// Main compensation: subtract rows invalidated since the entry's
-		// visibility snapshot via negative-delta subjoins. While an online merge is running on one of the
-		// entry's tables, the entry is frozen at the merge baseline — the
-		// staged maintenance fold depends on it — so compensation applies
+		// watermark via negative-delta subjoins. While an online merge is
+		// running on one of the entry's tables, the entry is frozen at the
+		// merge baseline — the staged maintenance fold depends on it — and
+		// an own-writes read must not change it, so compensation applies
 		// transiently to the served clone instead of the entry.
 		mode := compPersist
-		if m.entryMergeActive(e) {
+		if snap.Self != 0 || m.entryMergeActive(e) {
 			mode = compTransient
 			work = e.Value.Clone()
 		}
@@ -531,6 +541,11 @@ func (m *Manager) prepare(q *query.Query, snap txn.Snapshot, strat Strategy, inf
 		info.MainCompensated = n
 		if e.Stale {
 			work = nil
+			if snap.Self != 0 {
+				info.CacheHit = false
+				info.Bypassed = true
+				return m.executeAll(q, snap, info, sp)
+			}
 			rs := sp.Child("rebuild-entry")
 			rs.Attr("cause", "uncompensatable main invalidations")
 			err := m.rebuildEntry(e, snap, strat, &info.Stats, rs)
@@ -742,16 +757,9 @@ func comboHasEmptyStore(db *table.DB, combo query.Combo) bool {
 	return false
 }
 
-// buildEntry computes a fresh entry over the all-main subjoins and captures
-// the visibility vectors of every main store involved.
+// buildEntry computes a fresh entry over the all-main subjoins.
 func (m *Manager) buildEntry(q *query.Query, key string, snap txn.Snapshot, strat Strategy, st *query.Stats, sp *obs.Span) (*Entry, error) {
-	e := &Entry{
-		Key:     key,
-		Query:   q,
-		MainVis: make(map[query.StoreRef]*vec.BitSet),
-		MainInv: make(map[query.StoreRef]uint64),
-		tables:  make([]*table.Table, len(q.Tables)),
-	}
+	e := &Entry{Key: key, Query: q, tables: make([]*table.Table, len(q.Tables))}
 	for i, name := range q.Tables {
 		e.tables[i] = m.db.MustTable(name)
 	}
@@ -778,18 +786,6 @@ func (m *Manager) rebuildEntry(e *Entry, snap txn.Snapshot, strat Strategy, st *
 	// pre-swap store layout; the swap marks it stale instead of applying
 	// the staged maintenance fold (see mergeHook.SwapOnline).
 	e.mergedDirty = m.entryMergeActive(e)
-	for ref := range e.MainVis {
-		delete(e.MainVis, ref)
-		delete(e.MainInv, ref)
-	}
-	for _, t := range e.tables {
-		for pi := range t.Partitions() {
-			ref := query.StoreRef{Table: t.Name(), Part: pi, Main: true}
-			store := ref.Resolve(m.db)
-			e.MainVis[ref] = store.Visibility(snap)
-			e.MainInv[ref] = store.Invalidations()
-		}
-	}
 	e.Metrics.MainExecTime = time.Since(begin)
 	e.Metrics.MainRows = st.TuplesJoined - tuplesBefore
 	m.resize(e)
@@ -862,29 +858,17 @@ func (m *Manager) markStale(e *Entry, cause string) {
 	m.decide(m.entryDecision(obs.DecisionInvalidate, e, cause, 0))
 }
 
-// storeDiff describes the invalidations detected in one tracked main
-// store: its current visibility vector and the rows that disappeared since
-// the entry's snapshot.
-type storeDiff struct {
-	ref  query.StoreRef
-	cur  *vec.BitSet
-	diff *vec.BitSet
-	n    int
-}
-
 // compMode selects how main compensation treats the entry.
 type compMode int
 
 const (
 	// compPersist mutates the entry: the value is compensated in place and
-	// the visibility baselines advance to snap, which must be the current
-	// read watermark (the normal query path).
+	// its watermark advances to snap, a plain read snapshot (the normal
+	// query path).
 	compPersist compMode = iota
-	// compSettle is compPersist for a snapshot that may be older than the
-	// present — the merge fold settling an entry to the merge
-	// baseline S0. MainInv is left untouched: the invalidation counters may
-	// already include post-S0 invalidations that a vector at S0 cannot
-	// reflect, and recording them would let the dirty check skip real work.
+	// compSettle is compPersist for the merge fold settling an entry to the
+	// merge baseline S0: it pins the watermark at S0 even when no row
+	// vanished, since the staged fold and the swap are keyed to it.
 	compSettle
 	// compTransient leaves the entry untouched — it is frozen at the merge
 	// baseline while an online merge is in flight — and applies the
@@ -903,12 +887,14 @@ func (c compMode) String() string {
 	return "persist"
 }
 
-// mainCompensate applies the bit-vector-comparison main compensation of
-// paper Sec. 2.2: rows of the tracked main stores that were visible at
-// entry time but are invalidated now are removed from the cached value by
-// negative-delta subjoins over the invalidated rows (see
-// joinMainCompensate); for a single-table entry that is one restricted scan.
-// With Config.DisableJoinCompensation, join entries are marked stale for
+// mainCompensate applies the main compensation of paper Sec. 2.2: rows of
+// the entry's main stores that a plain snapshot at the entry's watermark
+// sees and snap does not are removed from the cached value by
+// negative-delta subjoins over them (see joinMainCompensate); for a
+// single-table entry that is one restricted scan. Each store names those
+// rows from its invalidation log (table.Store.VanishedSince), where Fig. 2
+// diffs a stored visibility vector against the current one. With
+// Config.DisableJoinCompensation, join entries are marked stale for
 // rebuild instead, as is any entry whose compensation fails. target is the
 // table compensated in compTransient mode and ignored otherwise. It returns
 // the number of invalidated rows found.
@@ -916,35 +902,21 @@ func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, t
 	if mode != compTransient {
 		target = e.Value
 	}
-	var diffs []storeDiff
+	base := txn.Snapshot{High: e.SnapHigh}
+	var vanished map[query.StoreRef]*vec.BitSet
 	total := 0
-	for _, ref := range e.mainRefs() {
-		store := ref.Resolve(m.db)
-		// Dirty check: an unchanged invalidation counter means no row can
-		// have disappeared; skip the O(rows) vector comparison. (MainInv
-		// only ever holds counter values whose invalidations are already
-		// excluded from MainVis, so equality is a safe skip in every mode.)
-		inv := store.Invalidations()
-		if inv == e.MainInv[ref] {
-			continue
-		}
-		cur := store.Visibility(snap)
-		// The counter also counts invalidations by transactions snap cannot
-		// see yet; recording it then would hide them from every later read.
-		// The table's LastWrite, read after the counter, tells: at or below
-		// snap.High, every counted invalidation is resolved and in cur.
-		if mode == compPersist && m.db.MustTable(ref.Table).LastWrite() <= snap.High {
-			e.MainInv[ref] = inv
-		}
-		diff := e.MainVis[ref].AndNot(cur)
-		if n := diff.Count(); n > 0 {
-			diffs = append(diffs, storeDiff{ref: ref, cur: cur, diff: diff, n: n})
-			total += n
+	for _, t := range e.tables {
+		for pi, p := range t.Partitions() {
+			if rows, n := p.Main.VanishedSince(base, snap); n > 0 {
+				if vanished == nil {
+					vanished = map[query.StoreRef]*vec.BitSet{}
+				}
+				vanished[query.StoreRef{Table: t.Name(), Part: pi, Main: true}] = rows
+				total += n
+			}
 		}
 	}
 	if total == 0 {
-		// Settling to the merge baseline pins SnapHigh at S0 even when no
-		// row disappeared: the staged fold and the swap are keyed to it.
 		if mode == compSettle {
 			e.SnapHigh = snap.High
 		}
@@ -954,7 +926,7 @@ func (m *Manager) mainCompensate(e *Entry, snap txn.Snapshot, st *query.Stats, t
 		m.markStale(e, "join compensation disabled")
 		return total
 	}
-	if err := m.joinMainCompensate(e, diffs, st, target, mode != compTransient); err != nil {
+	if err := m.joinMainCompensate(e, vanished, st, target); err != nil {
 		// Fall back to a rebuild rather than serving a wrong result.
 		m.markStale(e, "join compensation failed: "+err.Error())
 		return total

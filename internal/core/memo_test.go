@@ -8,6 +8,7 @@ import (
 	"aggcache/internal/column"
 	"aggcache/internal/obs"
 	"aggcache/internal/query"
+	"aggcache/internal/txn"
 )
 
 // rendered is the byte-level rendering of a served table in slot order — what
@@ -288,6 +289,65 @@ func TestMemoOwnWritesSnapshot(t *testing.T) {
 		t.Fatal("plain read served while the own-writes transaction is open")
 	}
 	tx.Commit()
+	assertMatchesUncached(t, e, q, CachedFullPruning)
+}
+
+// ownWritesDelete opens a transaction that deletes main Item row 1, the
+// Food item of 2013 priced 10, and checks an own-writes read of q under
+// CachedFullPruning against the uncached answer at the same snapshot.
+func ownWritesDelete(t *testing.T, e *env, q *query.Query) (*txn.Txn, ExecInfo) {
+	t.Helper()
+	tx := e.db.Txns().Begin()
+	if err := e.db.MustTable("Item").Delete(tx, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := e.mgr.ExecuteAt(q, tx.Snapshot(), Uncached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, info, err := e.mgr.ExecuteAt(q, tx.Snapshot(), CachedFullPruning)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Equal(got) {
+		t.Fatalf("own-writes read:\n got %+v\nwant %+v", got.Rows(), want.Rows())
+	}
+	return tx, info
+}
+
+// TestOwnWritesHitLeavesEntry: a hit under an own-writes snapshot that
+// deleted a main row compensates the served answer only. The shared entry
+// keeps the row, for plain reads while the writer is open and after it
+// aborts.
+func TestOwnWritesHitLeavesEntry(t *testing.T) {
+	e := memoEnv(t, Config{})
+	q := joinQuery()
+	assertMatchesUncached(t, e, q, CachedFullPruning)
+	tx, info := ownWritesDelete(t, e, q)
+	if !info.CacheHit || info.MainCompensated != 1 {
+		t.Fatalf("own-writes read: %+v, want a hit compensating one row", info)
+	}
+	assertMatchesUncached(t, e, q, CachedFullPruning)
+	tx.Abort()
+	assertMatchesUncached(t, e, q, CachedFullPruning)
+	assertMatchesUncached(t, e, q, CachedFullPruning)
+}
+
+// TestOwnWritesMissAdmitsNothing: a miss under an own-writes snapshot that
+// deleted a main row is answered without building an entry, so the first
+// plain read builds one from committed rows only.
+func TestOwnWritesMissAdmitsNothing(t *testing.T) {
+	e := memoEnv(t, Config{})
+	q := joinQuery()
+	tx, info := ownWritesDelete(t, e, q)
+	if info.Admitted || !info.Bypassed || e.mgr.Len() != 0 {
+		t.Fatalf("own-writes miss: %+v with %d entries, want a bypass admitting nothing", info, e.mgr.Len())
+	}
+	if info := assertMatchesUncached(t, e, q, CachedFullPruning); !info.Admitted {
+		t.Fatalf("plain read: %+v, want an admission", info)
+	}
+	tx.Abort()
+	assertMatchesUncached(t, e, q, CachedFullPruning)
 	assertMatchesUncached(t, e, q, CachedFullPruning)
 }
 

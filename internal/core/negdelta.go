@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aggcache/internal/query"
+	"aggcache/internal/txn"
 	"aggcache/internal/vec"
 )
 
@@ -13,27 +14,26 @@ import (
 // degenerate case: one term of sign −1, a scan restricted to the
 // invalidated rows.
 //
-// Writing each table's old visible set as Old_t and its invalidated set as
-// R_t, the new all-main join expands by inclusion-exclusion:
+// Writing each table's old visible set — its main rows a plain snapshot at
+// the entry's watermark sees — as Old_t and its invalidated set as R_t (per
+// main store, in vanished), the new all-main join expands by
+// inclusion-exclusion:
 //
 //	⋈_t (Old_t − R_t) = Σ_{S ⊆ T} (−1)^{|S|} ⋈_{t∈S} R_t ⋈_{t∉S} Old_t
 //
 // The S = ∅ term is the cached value, so the compensation applies every
 // other term: subtract for odd |S|, add back for even |S|. Terms involving
 // a table with no invalidations vanish, so the subset enumeration runs only
-// over the tables that actually saw diffs — typically one.
+// over the tables that actually saw diffs — typically one. Old_t is
+// rendered from the store when a term first needs it, so a single-table
+// entry renders nothing.
 //
 // target receives the signed compensation (the entry value itself, or a
-// served clone while the entry is frozen during an online merge); persist
-// additionally advances the entry's visibility baselines and must be false
-// when target is not e.Value.
-func (m *Manager) joinMainCompensate(e *Entry, diffs []storeDiff, st *query.Stats, target *query.AggTable, persist bool) error {
-	// Group the per-store diffs by table.
-	diffByRef := make(map[query.StoreRef]*storeDiff, len(diffs))
+// served clone while the entry must not change).
+func (m *Manager) joinMainCompensate(e *Entry, vanished map[query.StoreRef]*vec.BitSet, st *query.Stats, target *query.AggTable) error {
 	tableHasDiff := map[string]bool{}
-	for i := range diffs {
-		diffByRef[diffs[i].ref] = &diffs[i]
-		tableHasDiff[diffs[i].ref.Table] = true
+	for ref := range vanished {
+		tableHasDiff[ref.Table] = true
 	}
 	var diffTables []string
 	for _, t := range e.Query.Tables {
@@ -46,6 +46,8 @@ func (m *Manager) joinMainCompensate(e *Entry, diffs []storeDiff, st *query.Stat
 	}
 	combos := mainCombos(m.db, e.Query)
 	snap := m.db.Txns().ReadSnapshot() // unused by fully restricted scans
+	base := txn.Snapshot{High: e.SnapHigh}
+	old := map[query.StoreRef]*vec.BitSet{}
 
 	// Accumulate all inclusion-exclusion terms into one signed scratch
 	// table first: intermediate states are not proper multisets, so no
@@ -71,12 +73,14 @@ func (m *Manager) joinMainCompensate(e *Entry, diffs []storeDiff, st *query.Stat
 			skip := false
 			for i, ref := range combo {
 				var set *vec.BitSet
-				if inS[ref.Table] {
-					if d := diffByRef[ref]; d != nil {
-						set = d.diff
-					}
-				} else {
-					set = e.MainVis[ref]
+				switch {
+				case inS[ref.Table]:
+					set = vanished[ref]
+				case old[ref] != nil:
+					set = old[ref]
+				default:
+					set = ref.Resolve(m.db).Visibility(base)
+					old[ref] = set
 				}
 				if set == nil || set.Count() == 0 {
 					skip = true
@@ -99,10 +103,5 @@ func (m *Manager) joinMainCompensate(e *Entry, diffs []storeDiff, st *query.Stat
 		scratch.MergeSigned(term, sign)
 	}
 	target.ApplySigned(scratch)
-	if persist {
-		for _, d := range diffs {
-			e.MainVis[d.ref] = d.cur
-		}
-	}
 	return nil
 }

@@ -71,12 +71,20 @@ const (
 	// Generate never emits it, so seeded check sequences stay as they
 	// were; the repeat tests turn checks into repeats (checksToRepeats).
 	OpRepeat
+	// OpOwnWrites reads a query at the snapshot of a writer that updated
+	// or deleted one item and is still open, then commits or aborts the
+	// writer and checks a plain read (see Runner.ownWrites): an own-writes
+	// read must not leave the writer's rows in the cache. Generate never
+	// emits it; TestDifferentialOwnWrites turns checks into it
+	// (checksToOwnWrites). The shard runner ignores it.
+	OpOwnWrites
 	numOpKinds
 )
 
 var opKindNames = [numOpKinds]string{"insert", "update", "delete",
 	"merge-online", "begin-merge", "finish-merge",
-	"abort-merge", "crash-merge", "age", "check", "corrupt", "repeat"}
+	"abort-merge", "crash-merge", "age", "check", "corrupt", "repeat",
+	"own-writes"}
 
 // String names the op for failure reports.
 func (k OpKind) String() string {
@@ -193,6 +201,9 @@ func checksToRepeats(ops []Op) []Op {
 type object struct {
 	hid   int64
 	items []int64
+	// gone lists items deleted on their own (OpOwnWrites); nextItemID
+	// still counts them.
+	gone  []int64
 	alive bool
 }
 
@@ -526,6 +537,9 @@ func (r *Runner) apply(op Op) error {
 	case OpRepeat:
 		return r.repeat(op)
 
+	case OpOwnWrites:
+		return r.ownWrites(op)
+
 	case OpCorrupt:
 		// Fault injection: perturb the same entry (chosen by seed over
 		// sorted keys) in every manager. The corruption is silent — only a
@@ -596,15 +610,16 @@ func (r *Runner) parts(name string) int {
 
 // nextItemID mirrors the workload generator's item id counter.
 func (r *Runner) nextItemID() int64 {
-	var max int64
-	for i := range r.objs {
-		for _, id := range r.objs[i].items {
-			if id > max {
-				max = id
-			}
+	var top int64
+	for _, o := range r.objs {
+		for _, id := range o.items {
+			top = max(top, id)
+		}
+		for _, id := range o.gone {
+			top = max(top, id)
 		}
 	}
-	return max + 1
+	return top + 1
 }
 
 // reprice updates one item's price in its own transaction.
@@ -656,6 +671,12 @@ func (r *Runner) oracleRows(q *query.Query) (string, error) {
 // are compared within a mode — recycled executions legitimately scan fewer
 // rows. It returns every manager's ExecInfo.
 func (r *Runner) serve(q *query.Query, strat core.Strategy, want string) ([]core.ExecInfo, error) {
+	return r.serveAt(q, strat, want, nil)
+}
+
+// serveAt is serve at an explicit snapshot (Manager.ExecuteAt) when snap is
+// not nil.
+func (r *Runner) serveAt(q *query.Query, strat core.Strategy, want string, snap *txn.Snapshot) ([]core.ExecInfo, error) {
 	modes := []struct {
 		name   string
 		m1, m4 *core.Manager
@@ -670,7 +691,14 @@ func (r *Runner) serve(q *query.Query, strat core.Strategy, want string) ([]core
 	for _, mode := range modes {
 		var ref query.Stats
 		for wi, m := range []*core.Manager{mode.m1, mode.m4} {
-			res, info, err := m.Execute(q, strat)
+			var res *query.AggTable
+			var info core.ExecInfo
+			var err error
+			if snap != nil {
+				res, info, err = m.ExecuteAt(q, *snap, strat)
+			} else {
+				res, info, err = m.Execute(q, strat)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("%s %v workers=%d: %w", mode.name, strat, 1+3*wi, err)
 			}

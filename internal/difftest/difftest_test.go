@@ -20,9 +20,16 @@ func seedCount(def int) int {
 }
 
 // reportFailure shrinks the failing sequence, prints the seed and the
-// minimal program, and persists it as an artifact when
+// minimal program, and persists it as an artifact (seed-<seed>.txt) when
 // AGGCACHE_DIFFTEST_ARTIFACTS names a directory.
 func reportFailure(t *testing.T, cfg Config, seed int64, ops []Op, err error) {
+	t.Helper()
+	reportFailureAs(t, "seed", cfg, seed, ops, err)
+}
+
+// reportFailureAs is reportFailure with the artifact named
+// <prefix>-<seed>.txt.
+func reportFailureAs(t *testing.T, prefix string, cfg Config, seed int64, ops []Op, err error) {
 	t.Helper()
 	min := Shrink(cfg, seed, ops)
 	_, minErr := RunSeed(cfg, seed, min)
@@ -30,7 +37,7 @@ func reportFailure(t *testing.T, cfg Config, seed int64, ops []Op, err error) {
 		err, minErr, Format(seed, min))
 	if dir := os.Getenv("AGGCACHE_DIFFTEST_ARTIFACTS"); dir != "" {
 		if mkErr := os.MkdirAll(dir, 0o755); mkErr == nil {
-			path := filepath.Join(dir, fmt.Sprintf("seed-%d.txt", seed))
+			path := filepath.Join(dir, fmt.Sprintf("%s-%d.txt", prefix, seed))
 			_ = os.WriteFile(path, []byte(report), 0o644)
 			report += "\nartifact: " + path
 		}
@@ -131,6 +138,27 @@ func TestDifferentialRepeat(t *testing.T) {
 		if n == 0 && seeds >= 16 {
 			t.Errorf("no repeat ran the %s case across %d seeds", repeatCase(c), seeds)
 		}
+	}
+}
+
+// TestDifferentialOwnWrites: seeded sequences in which every second check
+// becomes an own-writes op — a read through every strategy at the snapshot
+// of an open writer that updated or deleted an item, then a commit or an
+// abort and a plain check. The cache must serve the writer its own rows
+// and keep them from every other reader, before and after the abort. A
+// failing seed's program lands in AGGCACHE_DIFFTEST_ARTIFACTS as
+// ownwrites-seed-<seed>.txt.
+func TestDifferentialOwnWrites(t *testing.T) {
+	seeds := seedCount(6)
+	for s := 0; s < seeds; s++ {
+		seed := int64(6000 + s)
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			cfg := Config{ERP: SmallERP(seed), Ops: 60, Recycle: true}
+			ops := checksToOwnWrites(Generate(seed, cfg.Ops))
+			if _, err := RunSeed(cfg, seed, ops); err != nil {
+				reportFailureAs(t, "ownwrites-seed", cfg, seed, ops, err)
+			}
+		})
 	}
 }
 

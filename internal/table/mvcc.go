@@ -69,10 +69,13 @@ const (
 	logChunks = 27 // logChunk0 * (2^27 - 1) entries exceed any row count
 )
 
-// invLog is a main store's append-only invalidation log.
+// invLog is a main store's append-only invalidation log. top holds each
+// chunk's highest entry TID, so a scan for the entries above a watermark
+// skips the chunks below it.
 type invLog struct {
 	n      atomic.Int64
 	chunks [logChunks][]logEntry
+	top    [logChunks]atomic.Uint64
 }
 
 // logSlot locates entry i: its chunk and the offset inside it.
@@ -100,15 +103,19 @@ func (l *invLog) append(row int, tid txn.TID) int {
 	e := &l.chunks[k][off]
 	e.row = int32(row)
 	e.tid.Store(uint64(tid))
+	if uint64(tid) > l.top[k].Load() {
+		l.top[k].Store(uint64(tid))
+	}
 	l.n.Store(int64(i + 1))
 	return i
 }
 
-// each calls fn with the log's first n entries, one chunk at a time.
-func (l *invLog) each(n int, fn func(es []logEntry)) {
+// each calls fn with the log's first n entries, one chunk at a time, and
+// the chunk's index.
+func (l *invLog) each(n int, fn func(k int, es []logEntry)) {
 	for k, lo := 0, 0; lo < n; k++ {
 		c := l.chunks[k]
-		fn(c[:min(len(c), n-lo)])
+		fn(k, c[:min(len(c), n-lo)])
 		lo += len(c)
 	}
 }
@@ -231,13 +238,46 @@ func (m *mainMVCC) render(rows int, snap txn.Snapshot, bs *vec.BitSet) {
 			bs.Clear(int(e.row))
 		}
 	}
-	m.log.each(m.log.len(), func(es []logEntry) {
+	m.log.each(m.log.len(), func(_ int, es []logEntry) {
 		for i := range es {
 			if tid := txn.TID(es[i].tid.Load()); tid != 0 && snap.SeesTID(tid) {
 				bs.Clear(int(es[i].row))
 			}
 		}
 	})
+}
+
+// vanished returns the rows snapshot old sees and cur does not, and their
+// count; nil and 0 when there are none. old must see no own writes and be
+// no newer than cur, so cur sees every creation old sees: a row vanished
+// exactly when old sees it created and its live log entry (a row has at
+// most one) is one cur sees and old does not. One pass over the log,
+// skipping the chunks whose TIDs old all sees: an empty log, or one with
+// nothing logged above old, costs O(1) per chunk and allocates nothing.
+func (m *mainMVCC) vanished(rows int, old, cur txn.Snapshot) (*vec.BitSet, int) {
+	var bs *vec.BitSet
+	n := 0
+	m.log.each(m.log.len(), func(k int, es []logEntry) {
+		if txn.TID(m.log.top[k].Load()) <= old.High {
+			return
+		}
+		for i := range es {
+			tid := txn.TID(es[i].tid.Load())
+			if tid == 0 || old.SeesTID(tid) || !cur.SeesTID(tid) {
+				continue
+			}
+			row := int(es[i].row)
+			if !old.SeesTID(m.createTID(row)) {
+				continue
+			}
+			if bs == nil {
+				bs = vec.NewBitSet(rows)
+			}
+			bs.Set(row)
+			n++
+		}
+	})
+	return bs, n
 }
 
 // frozenTIDs returns a reader of a frozen main's per-row timestamps as of a
@@ -248,7 +288,7 @@ func (m *mainMVCC) render(rows int, snap txn.Snapshot, bs *vec.BitSet) {
 // it without any lock.
 func (m *mainMVCC) frozenTIDs(logLen int, high txn.TID) func(row int) (create, inv txn.TID) {
 	var invs []rowTID
-	m.log.each(logLen, func(es []logEntry) {
+	m.log.each(logLen, func(_ int, es []logEntry) {
 		for i := range es {
 			if tid := txn.TID(es[i].tid.Load()); tid != 0 && tid <= high {
 				invs = append(invs, rowTID{es[i].row, tid})

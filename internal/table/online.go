@@ -36,8 +36,8 @@ import (
 //	    Registered MergeHooks then pre-compute their maintenance folds
 //	    under the shared reader lock.
 //	swap (writer lock, O(invalidations since S0)):
-//	    The new main is installed, delta2 becomes the delta, hooks capture
-//	    their new baselines, and the invalidations since S0 are replayed
+//	    The new main is installed, delta2 becomes the delta, hooks apply
+//	    their staged folds, and the invalidations since S0 are replayed
 //	    onto the new main.
 //
 // Every store carries its own primary-key index (the new main's is built
@@ -255,8 +255,9 @@ func (om *OnlineMerge) finishLocked() (MergeStats, error) {
 	p.Delta = d2
 	p.Delta2 = nil
 	p.Merges++
-	// Hooks capture the pre-replay baseline: the new main's invalidation
-	// counter is still 0 and its visibility at S0 is the merge baseline.
+	// Hooks apply their staged folds. The replay below logs only
+	// invalidations above S0, so it leaves the new main's visibility at S0
+	// as it is.
 	for _, h := range db.hooks {
 		h.SwapOnline(db, t, part, om.snap)
 	}

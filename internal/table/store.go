@@ -24,13 +24,10 @@ type Store struct {
 	// rows and mv describe a main store; mv is nil on a delta.
 	rows int
 	mv   *mainMVCC
-	// invalidations counts invalidation events on this store. The
-	// aggregate cache compares it against the value captured at entry
-	// creation to skip visibility-vector recomputation when no row could
-	// have been invalidated — the cheap dirty check behind the paper's
-	// per-entry dirty counter (Fig. 2). Accessed atomically: the online
-	// merge bumps it during the swap replay while unlocked observers may
-	// poll it.
+	// invalidations counts invalidation events on this store; the
+	// recycler's guards compare it against the value captured with a
+	// cached intermediate. Accessed atomically: the online merge bumps it
+	// during the swap replay while unlocked observers may poll it.
 	invalidations uint64
 	// The store's own primary-key index (see lookupPK); both are nil when
 	// the table has no primary key. keyRows, on a main store, maps each
@@ -132,7 +129,7 @@ func (st *Store) invalidateRow(row int, id txn.TID) (undo func()) {
 }
 
 // replayInvalidation logs a settled invalidation onto a main a swap just
-// installed and ticks its dirty counter, so cache compensation notices.
+// installed and ticks its invalidation counter.
 func (st *Store) replayInvalidation(row int, id txn.TID) {
 	st.mv.invalidate(row, id)
 	atomic.AddUint64(&st.invalidations, 1)
@@ -225,6 +222,16 @@ func (st *Store) VisibilityInto(snap txn.Snapshot, bs *vec.BitSet) {
 		return
 	}
 	txn.VisibilityInto(st.create, st.invalid, snap, bs)
+}
+
+// VanishedSince returns the rows of a main store that snapshot old sees
+// and cur does not, and their count; nil and 0 when none vanished. old must
+// see no own writes (Self == 0) and be no newer than cur (old.High <=
+// cur.High). It reads the invalidation log alone — equal to
+// Visibility(old).AndNot(Visibility(cur)) without rendering either — and
+// allocates only when a row vanished. Main stores only.
+func (st *Store) VanishedSince(old, cur txn.Snapshot) (*vec.BitSet, int) {
+	return st.mv.vanished(st.rows, old, cur)
 }
 
 // LiveRows counts rows visible to the snapshot.

@@ -73,7 +73,9 @@ func (h *visHarness) liveVersion(tbl int, key int64) (int64, bool) {
 
 // check compares every store of every table with the model: for each
 // snapshot, VisibilityInto row by row and LiveRows, and which versions the
-// table shows; per row, InvalidTID; per key, LookupPK.
+// table shows; per row, InvalidTID; per key, LookupPK. On a main store,
+// VanishedSince must name the rows of Visibility(old).AndNot(Visibility(cur))
+// for every ordered pair of the snapshots that it admits.
 func (h *visHarness) check(what string, extra ...txn.Snapshot) {
 	h.t.Helper()
 	snaps := append(append([]txn.Snapshot{h.db.Txns().ReadSnapshot()}, h.pins...), extra...)
@@ -118,6 +120,9 @@ func (h *visHarness) check(what string, extra ...txn.Snapshot) {
 						h.t.Fatalf("%s: %s part %d store %d: LiveRows %d, want %d", what, tbl.Name(), pi, si, got, n)
 					}
 				}
+				if st.IsMain() {
+					h.checkVanished(fmt.Sprintf("%s: %s part %d store %d", what, tbl.Name(), pi, si), st, snaps)
+				}
 			}
 		}
 		for i, snap := range snaps {
@@ -132,6 +137,26 @@ func (h *visHarness) check(what string, extra ...txn.Snapshot) {
 			ref, ok := tbl.LookupPK(k)
 			if ok != live || ok && tbl.Get(ref, 2).I != want {
 				h.t.Fatalf("%s: %s: LookupPK(%d) = %v, %v, model version %d live %v", what, tbl.Name(), k, ref, ok, want, live)
+			}
+		}
+	}
+}
+
+// checkVanished compares a main's VanishedSince with the difference of two
+// renders for every ordered pair (old, cur) of snaps with old.Self == 0 and
+// old.High <= cur.High.
+func (h *visHarness) checkVanished(where string, st *Store, snaps []txn.Snapshot) {
+	h.t.Helper()
+	for _, old := range snaps {
+		for _, cur := range snaps {
+			if old.Self != 0 || old.High > cur.High {
+				continue
+			}
+			want := st.Visibility(old).AndNot(st.Visibility(cur))
+			got, n := st.VanishedSince(old, cur)
+			if n != want.Count() || n == 0 && got != nil || n > 0 && !got.Equal(want) {
+				h.t.Fatalf("%s: VanishedSince(%+v, %+v) = %v (%d rows), want %v",
+					where, old, cur, got, n, want)
 			}
 		}
 	}
