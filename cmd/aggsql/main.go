@@ -8,8 +8,9 @@
 //
 //	aggsql                       # ERP dataset, interactive shell
 //	aggsql -dataset ch           # CH-benCHmark dataset
-//	aggsql -shards 4             # ERP range-sharded by header id; SELECTs
-//	                             # scatter-gather with cross-shard pruning
+//	aggsql -shards 4             # ERP range-sharded by header id into 4
+//	                             # shards (default 1); SELECTs scatter-gather
+//	                             # with cross-shard pruning
 //	aggsql -c "SELECT ..."       # one statement, then exit
 //
 // Shell commands:
@@ -17,24 +18,23 @@
 //	\tables              list tables with row counts
 //	\strategy <name>     uncached | none | empty | full (default full)
 //	\insert <n>          insert n business objects / orders into the deltas
-//	\merge               synchronized delta merge of the transactional tables
-//	                     (per-shard and concurrent with -shards)
-//	\shards              cluster layout (-shards): per-shard key ranges,
-//	                     watermarks, store/cache sizes, and the scatter/prune
-//	                     counters
-//	\cache               show aggregate cache entries sorted by profit
-//	\recycler            show the second-level recycler cache (-recycle):
-//	                     subjoin partials with hit/top-up tallies and cached
-//	                     join build tables
+//	\merge               synchronized delta merge of the transactional tables,
+//	                     every shard concurrently
+//	\shards              cluster layout: per-shard key ranges, watermarks,
+//	                     store/cache sizes, and the scatter/prune counters
+//	\cache               show each shard's aggregate cache entries sorted by
+//	                     profit
+//	\recycler            show each shard's second-level recycler cache
+//	                     (-recycle): subjoin partials with hit/top-up tallies
+//	                     and cached join build tables
 //	\advisor             replay the decision ledger through the shadow-cache
 //	                     simulator and print the what-if report (capacity and
 //	                     admission-threshold sweeps, eviction policies, tenant
 //	                     budget splits)
 //	\stats               dump the observability registry (counters, latencies)
 //	\slo                 windowed SLO report (error-budget burn over the short
-//	                     and long windows) plus, with -govern, the
-//	                     governor's work against its merge price (one
-//	                     line per shard with -shards)
+//	                     and long windows) plus, with -govern, each shard
+//	                     governor's work against its merge price
 //	\shapes              per-query-shape profiles: rolling p50/p99, hit rate,
 //	                     compensation cost, delta rows scanned
 //	\traces              list flight-recorded query traces (newest first)
@@ -42,18 +42,24 @@
 //	\traces export <id> <file>
 //	                     write the trace as Chrome trace-event JSON — open
 //	                     the file in ui.perfetto.dev or chrome://tracing
-//	\audit               run the cache/recycler invariant auditor once and
-//	                     print its report
+//	\audit               run the cache/recycler invariant auditor over every
+//	                     shard once and print its report
 //	\bundle [file]       write the one-shot diagnostics bundle (metrics,
 //	                     series, traces, ledger, advisor, SLO, shapes,
 //	                     governor, recycler, audit, verifier) as JSON
 //	\help                this text
 //	\quit                exit
 //
+// The loaded dataset is always a cluster: -shards 1 (the default) is a
+// one-shard cluster, and every statement and command runs the same code at
+// every shard count. Results are identical at every count.
+//
 // Prefix any SELECT with EXPLAIN ANALYZE to execute it with tracing and
-// print the span tree: cache-lookup verdict, main/delta compensation, one
-// line per subjoin combination with its prune/pushdown verdict, and the
-// critical-path / parallel-efficiency decomposition of the execution.
+// print the span tree: the scatter span with each shard's dispatch or prune
+// verdict and, under it, each dispatched shard's execution — cache-lookup
+// verdict, main/delta compensation, one line per subjoin combination with
+// its prune/pushdown verdict — then the critical-path /
+// parallel-efficiency decomposition.
 //
 // The shell runs with the query flight recorder on by default (-traces 64
 // retained traces, -slow marking traces at or above the threshold as slow so
@@ -65,33 +71,33 @@
 // -min-profit bound the cache so eviction and admission decisions actually
 // happen.
 //
-// With -recycle the manager runs a second-level recycler cache: subjoin
-// intermediates admitted during delta compensation are reused across
-// queries (exact hits and watermark top-ups), and build-side join hash
-// tables are shared. \recycler and /debug/recycler show its contents;
-// EXPLAIN ANALYZE shows the per-subjoin recycler verdicts.
+// With -recycle every shard manager runs its own second-level recycler
+// cache: subjoin intermediates admitted during delta compensation are
+// reused across queries (exact hits and watermark top-ups), and build-side
+// join hash tables are shared. \recycler and /debug/recycler show their
+// contents; EXPLAIN ANALYZE shows the per-subjoin recycler verdicts.
 //
 // With -debug <addr> the shell serves the observability debug endpoint:
-// /metrics (registry snapshot as JSON), /debug/cache (cache configuration,
-// eviction reasons, and entry metrics sorted by profit), /debug/recycler
-// (the recycler cache snapshot), /debug/advisor (the shadow-cache what-if
-// report), /debug/slo (the windowed SLO report and governor snapshot, a
-// list of per-shard snapshots with -shards),
-// /debug/shapes (the per-query-shape profiles), and — with -shards —
-// /debug/shards (the cluster layout snapshot).
+// /metrics (registry snapshot as JSON), /debug/cache (each shard's cache
+// configuration, eviction reasons, and entry metrics sorted by profit),
+// /debug/recycler (each shard's recycler snapshot), /debug/advisor (the
+// shadow-cache what-if report), /debug/slo (the windowed SLO report and
+// one governor snapshot per shard), /debug/shapes (the per-query-shape
+// profiles), and /debug/shards (the cluster layout snapshot).
 //
-// With -govern the maintenance governor runs in the background: it merges
-// the transactional tables online once the delta tuples their compensation
-// has joined since the last merge reach the rows a merge would rewrite
-// (\merge stays available for manual merges).
+// With -govern one maintenance governor per shard runs in the background:
+// it merges its shard's transactional tables online once the delta tuples
+// their compensation has joined since the last merge reach the rows a merge
+// would rewrite (\merge stays available for manual merges).
 //
-// With -verify-sample <rate> the online shadow verifier re-executes that
-// fraction of queries in the background against the uncached oracle under
-// the same pinned snapshot, diffing rows and statistics; divergences bump
+// With -verify-sample <rate> one online shadow verifier per shard re-executes
+// that fraction of the shard's executions in the background against its
+// uncached oracle under the same pinned snapshot, diffing rows and
+// statistics; divergences bump
 // verify.divergences, land in the decision ledger as verify-mismatch, and
 // persist a replayable reproducer artifact. With -audit <interval> the
-// invariant auditor checks cache/recycler bookkeeping on that cadence; the
-// latest report serves at /debug/audit and via \audit.
+// invariant auditor checks every shard's cache/recycler bookkeeping on that
+// cadence; the latest report serves at /debug/audit and via \audit.
 package main
 
 import (
@@ -107,6 +113,7 @@ import (
 
 	"aggcache/internal/advisor"
 	"aggcache/internal/core"
+	"aggcache/internal/md"
 	"aggcache/internal/obs"
 	"aggcache/internal/query"
 	"aggcache/internal/recycler"
@@ -117,86 +124,45 @@ import (
 	"aggcache/internal/workload"
 )
 
-// shell bundles the loaded dataset with the cache manager and session
+// shell bundles the loaded cluster with its cache managers and the session
 // state.
 type shell struct {
-	db       *table.DB
-	mgr      *core.Manager
+	s *shard.Sharded
+	// db is shard 0's database, the schema statements parse against (every
+	// shard holds the same tables).
+	db *table.DB
+	// cfg is the template every shard manager was built from; its registry,
+	// recorder, ledger, SLO tracker and shape profiles are shared by all
+	// shards.
+	cfg      core.Config
+	out      io.Writer
 	strategy core.Strategy
-	// sharded is the scatter-gather plane when -shards > 1; SELECTs route
-	// through it instead of mgr (which then points at shard 0's manager,
-	// backing the single-manager debug surfaces). serp routes inserts to
-	// the owning shard.
-	sharded *shard.Sharded
-	serp    *workload.ShardedERP
-	// saud replaces aud in sharded mode: every shard audited independently
-	// plus cross-pass watermark monotonicity.
-	saud *verify.ShardAuditor
-	// insert grows the transactional deltas by n business objects.
-	insert func(n int) error
+	// owner names the shard the next inserted object routes to; insertOne
+	// writes that object.
+	owner     func() int
+	insertOne func() error
 	// mergeTables are the related transactional tables merged together.
 	mergeTables []string
-	// rec is the query flight recorder behind \traces; nil when disabled.
-	rec *obs.Recorder
-	// led is the cache decision ledger behind \advisor; nil when disabled.
-	led *obs.Ledger
-	// govs are the maintenance governors, one per shard in a sharded
-	// shell; nil unless -govern.
-	govs []*core.Governor
-	// aud is the invariant auditor behind \audit and /debug/audit.
-	aud *verify.Auditor
+	// aud is the invariant auditor over every shard, behind \audit and
+	// /debug/audit; vers are the shadow verifiers, one per shard (none
+	// without -verify-sample).
+	aud     *verify.Auditor
+	vers    []*verify.Verifier
+	sampler *obs.Sampler
 	// bundle assembles the one-shot diagnostics bundle behind \bundle and
 	// /debug/bundle.
 	bundle func() *verify.Bundle
 }
 
-// governorSection is the governor payload of /debug/slo and the bundle:
-// the governor's snapshot, or in a sharded shell one snapshot per shard in
-// shard order.
-func (sh *shell) governorSection() any {
-	if sh.sharded == nil {
-		return sh.govs[0].Snapshot()
-	}
-	snaps := make([]core.GovernorSnapshot, len(sh.govs))
-	for i, g := range sh.govs {
-		snaps[i] = g.Snapshot()
-	}
-	return snaps
-}
-
-// insertSharded inserts n business objects, each under its owning shard's
-// writer lock (monotonic header ids route new objects to the last shard).
-func (sh *shell) insertSharded(n int) error {
-	for i := 0; i < n; i++ {
-		owner := sh.serp.Cluster.Shard(sh.serp.Cluster.ShardFor(sh.serp.NextHeaderID()))
-		owner.DB.Lock()
-		err := sh.serp.InsertBusinessObject(sh.serp.Cfg.ItemsPerHeader)
-		owner.DB.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// auditReport returns the latest invariant report from whichever auditor
-// this shell runs (per-shard cluster passes in sharded mode).
-func (sh *shell) auditReport() any {
-	if sh.saud != nil {
-		return sh.saud.Last()
-	}
-	return sh.aud.Last()
-}
-
-// advisorReport replays the shell's ledger through the shadow-cache
-// simulator at the manager's live configuration.
-func (sh *shell) advisorReport() *advisor.Report {
-	dbg := sh.mgr.CacheDebug()
-	return advisor.Analyze(sh.led.Snapshot(), advisor.Options{
-		CapacityBytes: dbg.CapacityBytes,
-		MinProfit:     dbg.MinProfit,
-		Metrics:       sh.mgr.Metrics(),
-	})
+// options are the shell's background services, set from the command line.
+type options struct {
+	govern     bool
+	verifyRate float64
+	verifySeed uint64
+	auditEvery time.Duration
+	sample     time.Duration
+	meta       map[string]string
+	events     *obs.LineTail
 }
 
 func main() {
@@ -220,12 +186,12 @@ func main() {
 		verifyRate = flag.Float64("verify-sample", 0, "fraction of queries shadow-verified in the background against the uncached oracle (0 disables); divergences are counted, ledgered, and persisted as reproducer artifacts")
 		verifySeed = flag.Uint64("verify-seed", 0, "seed perturbing the deterministic shadow-verification sampler")
 		auditEvery = flag.Duration("audit", 0, "run the cache/recycler invariant auditor on this cadence (0 runs it only on demand: \\audit, /debug/audit, \\bundle)")
-		nshards    = flag.Int("shards", 1, "range-shard the erp dataset by header id into this many shards; >1 runs every SELECT through the scatter-gather executor with cross-shard pruning (\\shards, /debug/shards); results are identical at every count")
+		nshards    = flag.Int("shards", 1, "range-shard the erp dataset by header id into this many shards; every SELECT runs through the scatter-gather executor with cross-shard pruning (\\shards, /debug/shards); results are identical at every count")
 	)
 	flag.Parse()
 
 	// Install the event log before loading the dataset, so the database and
-	// the cache manager pick it up through obs.Events(). The log tees
+	// the cache managers pick it up through obs.Events(). The log tees
 	// through an in-memory tail so the diagnostics bundle can snapshot the
 	// last events without re-reading the file.
 	eventTail := obs.NewLineTail(obs.DefaultTailLines)
@@ -253,6 +219,8 @@ func main() {
 		led = obs.NewLedger(*ledger)
 	}
 
+	// The recycler is a template: every shard manager gets its own built
+	// from its settings.
 	var rc *recycler.Cache
 	if *recycle {
 		rc = recycler.New(recycler.Config{
@@ -275,141 +243,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "aggsql: %v\n", err)
 		os.Exit(1)
 	}
-
-	// The invariant auditor backs \audit, /debug/audit, and the bundle's
-	// audit section; -audit runs it on that interval (otherwise it runs on
-	// demand). A sharded shell audits every shard independently instead.
-	if sh.sharded != nil {
-		sh.saud = verify.NewShardAuditor(sh.sharded, verify.AuditorConfig{})
-	} else {
-		sh.aud = verify.NewAuditor(sh.mgr, verify.AuditorConfig{})
-	}
-	switch {
-	case *auditEvery > 0 && sh.sharded != nil:
-		sh.saud.Start(*auditEvery)
-		defer sh.saud.Stop()
-	case *auditEvery > 0:
-		sh.aud.Start(*auditEvery)
-		defer sh.aud.Stop()
-	}
-
-	// With -govern the governor merges the transactional tables once the
-	// delta compensation they caused has cost what a merge costs. A sharded
-	// shell runs one governor per shard — each weighs its own shard's work
-	// and merges it online with no cross-shard pause.
-	switch {
-	case *govern && sh.sharded != nil:
-		sh.sharded.Govern(core.GovernorConfig{Tables: sh.mergeTables})
-		sh.sharded.StartGovernors()
-		defer sh.sharded.StopGovernors()
-		sh.govs = sh.sharded.Governors()
-	case *govern:
-		g := core.NewGovernor(sh.mgr, core.GovernorConfig{Tables: sh.mergeTables})
-		g.Start()
-		defer g.Stop()
-		sh.govs = []*core.Governor{g}
-	}
-
-	// The online shadow verifier re-executes a deterministic sample of
-	// queries against the uncached oracle in the background; detach the
-	// hook before draining so in-flight captures still verify. A sharded
-	// shell attaches one verifier per shard manager — a per-shard
-	// divergence is exactly a cluster divergence (the gather fold is
-	// additive), caught without re-running the whole scatter.
-	var verifier *verify.Verifier
-	if *verifyRate > 0 {
-		vcfg := verify.Config{
-			SampleRate: *verifyRate,
-			Seed:       *verifySeed,
-			Recorder:   rec,
-		}
-		if sh.sharded != nil {
-			vs := verify.AttachPerShard(sh.sharded, vcfg)
-			defer func() {
-				for _, m := range sh.sharded.Managers() {
-					m.SetShadow(nil)
-				}
-				verify.StopAll(vs)
-			}()
-		} else {
-			verifier = verify.Attach(sh.mgr, vcfg)
-			defer func() {
-				sh.mgr.SetShadow(nil)
-				verifier.Stop()
-			}()
-		}
-	}
-
-	// The background sampler always runs: it owns window rotation, so the
-	// SLO error budgets and per-shape quantiles advance once a second, and
-	// its series back /debug/series and the bundle.
-	sampler := obs.NewSampler(sh.mgr.Metrics(), obs.SamplerConfig{Interval: *sample, Rotate: sh.mgr.RotateWindows})
-	sampler.Start()
-	defer sampler.Stop()
-	// The governor and recycler sections of the bundle and the debug
-	// endpoint; nil when the subsystem is off.
-	var governor, recyclerDump func() any
-	if sh.govs != nil {
-		governor = sh.governorSection
-	}
-	if rc != nil {
-		recyclerDump = func() any { return rc.Debug() }
-	}
-	sh.bundle = func() *verify.Bundle {
-		var advisorThunk func() any
-		if led != nil {
-			advisorThunk = func() any { return sh.advisorReport() }
-		}
-		return verify.Collect(verify.BundleSources{
-			Meta:     map[string]string{"binary": "aggsql", "dataset": *dataset},
-			Registry: sh.mgr.Metrics(),
-			Sampler:  sampler,
-			Events:   eventTail,
-			Recorder: rec,
-			Ledger:   led,
-			Advisor:  advisorThunk,
-			Shapes:   sh.mgr.Shapes(),
-			SLO:      sh.mgr.SLO(),
-			Governor: governor,
-			Recycler: recyclerDump,
-			Cache:    func() any { return sh.mgr.CacheDebug() },
-			Auditor:  sh.aud,
-			Verifier: verifier,
-		})
-	}
+	defer sh.start(options{
+		govern:     *govern,
+		verifyRate: *verifyRate,
+		verifySeed: *verifySeed,
+		auditEvery: *auditEvery,
+		sample:     *sample,
+		meta:       map[string]string{"binary": "aggsql", "dataset": *dataset},
+		events:     eventTail,
+	})()
 
 	if *debugAddr != "" {
-		var advisorSource func() (any, string)
-		if led != nil {
-			advisorSource = func() (any, string) {
-				rep := sh.advisorReport()
-				var sb strings.Builder
-				rep.Render(&sb)
-				return rep, sb.String()
-			}
-		}
-		var shardsDump func() any
-		if sh.sharded != nil {
-			shardsDump = func() any { return sh.sharded.Snapshot() }
-		}
-		addr, err := obs.ServeDebug(*debugAddr, sh.mgr.Metrics(), obs.DebugOptions{
-			CacheDump: func() any { return sh.mgr.CacheDebug() },
-			Sampler:   sampler,
-			Recorder:  rec,
-			Advisor:   advisorSource,
-			SLO:       sh.mgr.SLO(),
-			Shapes:    sh.mgr.Shapes(),
-			Governor:  governor,
-			Recycler:  recyclerDump,
-			Audit:     func() any { return sh.auditReport() },
-			Shards:    shardsDump,
-			Bundle:    func() any { return sh.bundle() },
-		})
+		addr, err := obs.ServeDebug(*debugAddr, sh.cfg.Metrics, sh.debugOptions())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "aggsql: debug endpoint: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("debug endpoint on http://%s/ (index), /metrics, /debug/cache, /debug/series, /debug/traces, /debug/advisor, /debug/slo, /debug/shapes, /debug/audit, /debug/bundle\n", addr)
+		fmt.Printf("debug endpoint on http://%s/ (index), /metrics, /debug/cache, /debug/series, /debug/traces, /debug/advisor, /debug/slo, /debug/shapes, /debug/audit, /debug/shards, /debug/bundle\n", addr)
 	}
 
 	if *stmt != "" {
@@ -453,76 +303,257 @@ func main() {
 	}
 }
 
-func load(dataset string, shards int, mgrCfg core.Config) (*shell, error) {
-	if shards > 1 && dataset != "erp" {
-		return nil, fmt.Errorf("-shards applies to the erp dataset only")
-	}
+// load builds the named dataset as a cluster of the given shard count.
+func load(dataset string, shards int, cfg core.Config) (*shell, error) {
 	switch dataset {
 	case "erp":
-		cfg := workload.DefaultERPConfig()
-		cfg.Headers = 20000
-		if shards > 1 {
-			// Sharded shell: the same dataset range-partitioned by header id,
-			// one cache manager per shard, SELECTs scatter-gathered. Every
-			// shard's manager shares one registry (cluster totals) — the
-			// shard.* dispatch metrics land there too.
-			if mgrCfg.Metrics == nil {
-				mgrCfg.Metrics = obs.Default()
-			}
-			serp, err := workload.BuildShardedERP(cfg, shards)
-			if err != nil {
-				return nil, err
-			}
-			s := shard.New(serp.Cluster, shard.Config{Manager: mgrCfg, Metrics: mgrCfg.Metrics})
-			sh := &shell{
-				db:          serp.Cluster.Shard(0).DB,
-				mgr:         s.Manager(0),
-				sharded:     s,
-				serp:        serp,
-				strategy:    core.CachedFullPruning,
-				mergeTables: []string{workload.THeader, workload.TItem},
-				rec:         mgrCfg.Recorder,
-				led:         mgrCfg.Ledger,
-			}
-			sh.insert = sh.insertSharded
-			return sh, nil
-		}
-		erp, err := workload.BuildERP(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &shell{
-			db:          erp.DB,
-			mgr:         core.NewManager(erp.DB, erp.Reg, mgrCfg),
-			strategy:    core.CachedFullPruning,
-			insert:      erp.InsertBusinessObjects,
-			mergeTables: []string{workload.THeader, workload.TItem},
-			rec:         mgrCfg.Recorder,
-			led:         mgrCfg.Ledger,
-		}, nil
+		ecfg := workload.DefaultERPConfig()
+		ecfg.Headers = 20000
+		return loadERP(ecfg, shards, cfg)
 	case "ch":
-		ch, err := workload.BuildCH(workload.DefaultCHConfig())
-		if err != nil {
-			return nil, err
+		if shards > 1 {
+			return nil, fmt.Errorf("-shards applies to the erp dataset only")
 		}
-		return &shell{
-			db:       ch.DB,
-			mgr:      core.NewManager(ch.DB, ch.Reg, mgrCfg),
-			strategy: core.CachedFullPruning,
-			rec:      mgrCfg.Recorder,
-			led:      mgrCfg.Ledger,
-			insert: func(n int) error {
-				for i := 0; i < n; i++ {
-					if err := ch.InsertOrder(); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-			mergeTables: []string{workload.TOrders, workload.TNewOrder, workload.TOrderline},
-		}, nil
+		return loadCH(workload.DefaultCHConfig(), cfg)
 	}
 	return nil, fmt.Errorf("unknown dataset %q (erp or ch)", dataset)
+}
+
+// loadERP builds the ERP dataset range-partitioned by header id; new
+// objects take monotonic header ids and so land on the last shard.
+func loadERP(ecfg workload.ERPConfig, shards int, cfg core.Config) (*shell, error) {
+	serp, err := workload.BuildShardedERP(ecfg, shards)
+	if err != nil {
+		return nil, err
+	}
+	sh := newShell(serp.Cluster, cfg, workload.THeader, workload.TItem)
+	sh.owner = func() int { return serp.Cluster.ShardFor(serp.NextHeaderID()) }
+	sh.insertOne = func() error { return serp.InsertBusinessObject(serp.Cfg.ItemsPerHeader) }
+	return sh, nil
+}
+
+// loadCH builds the CH-benCHmark dataset as a one-shard cluster.
+func loadCH(ccfg workload.CHConfig, cfg core.Config) (*shell, error) {
+	ch, err := workload.BuildCH(ccfg)
+	if err != nil {
+		return nil, err
+	}
+	router, err := shard.NewRouter(nil)
+	if err != nil {
+		return nil, err
+	}
+	c, err := shard.NewCluster(router, func(int) (*table.DB, *md.Registry, error) { return ch.DB, ch.Reg, nil })
+	if err != nil {
+		return nil, err
+	}
+	sh := newShell(c, cfg, workload.TOrders, workload.TNewOrder, workload.TOrderline)
+	sh.owner = func() int { return 0 }
+	sh.insertOne = ch.InsertOrder
+	return sh, nil
+}
+
+// newShell puts one cache manager per shard over the cluster. The shard
+// managers and the scatter-gather executor share one registry, so the
+// metrics are cluster totals.
+func newShell(c *shard.Cluster, cfg core.Config, mergeTables ...string) *shell {
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.Default()
+	}
+	return &shell{
+		s:           shard.New(c, shard.Config{Manager: cfg, Metrics: cfg.Metrics}),
+		db:          c.Shard(0).DB,
+		cfg:         cfg,
+		out:         os.Stdout,
+		strategy:    core.CachedFullPruning,
+		mergeTables: mergeTables,
+	}
+}
+
+// start runs the background services — the auditor, the governors, the
+// shadow verifiers and the sampler — and wires the diagnostics bundle. The
+// returned func stops them in reverse order.
+func (sh *shell) start(o options) (stop func()) {
+	var stops []func()
+	// The invariant auditor backs \audit, /debug/audit, and the bundle's
+	// audit section; -audit runs it on that interval (otherwise it runs on
+	// demand).
+	sh.aud = verify.NewAuditor(sh.s.Managers(), verify.AuditorConfig{})
+	if o.auditEvery > 0 {
+		sh.aud.Start(o.auditEvery)
+		stops = append(stops, sh.aud.Stop)
+	}
+	// With -govern each shard's governor merges that shard's transactional
+	// tables once the delta compensation they caused has cost what a merge
+	// costs — online, with no cross-shard pause.
+	if o.govern {
+		sh.s.Govern(core.GovernorConfig{Tables: sh.mergeTables})
+		sh.s.StartGovernors()
+		stops = append(stops, sh.s.StopGovernors)
+	}
+	// The shadow verifiers re-execute a deterministic sample of each
+	// shard's executions against that shard's uncached oracle in the
+	// background: the gather fold is additive, so a shard divergence is
+	// exactly a cluster divergence. Detach the hooks before draining so
+	// in-flight captures still verify.
+	if o.verifyRate > 0 {
+		vcfg := verify.Config{SampleRate: o.verifyRate, Seed: o.verifySeed, Recorder: sh.cfg.Recorder}
+		for _, m := range sh.s.Managers() {
+			sh.vers = append(sh.vers, verify.Attach(m, vcfg))
+		}
+		stops = append(stops, func() {
+			for _, m := range sh.s.Managers() {
+				m.SetShadow(nil)
+			}
+			for _, v := range sh.vers {
+				v.Stop()
+			}
+		})
+	}
+	// The background sampler always runs: it owns window rotation, so the
+	// SLO error budgets and per-shape quantiles advance once a second, and
+	// its series back /debug/series and the bundle.
+	sh.sampler = obs.NewSampler(sh.cfg.Metrics, obs.SamplerConfig{Interval: o.sample, Rotate: func() {
+		sh.cfg.SLO.Rotate()
+		sh.cfg.Shapes.Rotate()
+	}})
+	sh.sampler.Start()
+	stops = append(stops, sh.sampler.Stop)
+
+	sh.bundle = func() *verify.Bundle {
+		return verify.Collect(verify.BundleSources{
+			Meta:      o.meta,
+			Registry:  sh.cfg.Metrics,
+			Sampler:   sh.sampler,
+			Events:    o.events,
+			Recorder:  sh.cfg.Recorder,
+			Ledger:    sh.cfg.Ledger,
+			Advisor:   sh.advisorDump(),
+			Shapes:    sh.cfg.Shapes,
+			SLO:       sh.cfg.SLO,
+			Governor:  sh.governorDump(),
+			Recycler:  sh.recyclerDump(),
+			Cache:     sh.cacheDump,
+			Auditor:   sh.aud,
+			Verifiers: sh.vers,
+		})
+	}
+	return func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
+	}
+}
+
+// debugOptions wires the debug endpoint to the shell's surfaces.
+func (sh *shell) debugOptions() obs.DebugOptions {
+	var advisorSource func() (any, string)
+	if sh.cfg.Ledger != nil {
+		advisorSource = func() (any, string) {
+			rep := sh.advisorReport()
+			var sb strings.Builder
+			rep.Render(&sb)
+			return rep, sb.String()
+		}
+	}
+	return obs.DebugOptions{
+		CacheDump: sh.cacheDump,
+		Sampler:   sh.sampler,
+		Recorder:  sh.cfg.Recorder,
+		Advisor:   advisorSource,
+		SLO:       sh.cfg.SLO,
+		Shapes:    sh.cfg.Shapes,
+		Governor:  sh.governorDump(),
+		Recycler:  sh.recyclerDump(),
+		Audit:     func() any { return sh.aud.Last() },
+		Shards:    func() any { return sh.s.Snapshot() },
+		Bundle:    func() any { return sh.bundle() },
+	}
+}
+
+// caches lists each shard's cache configuration and entries, in shard
+// order: the payload of \cache, /debug/cache and the bundle.
+func (sh *shell) caches() []core.CacheDebug {
+	dbgs := make([]core.CacheDebug, sh.s.NumShards())
+	for i, m := range sh.s.Managers() {
+		dbgs[i] = m.CacheDebug()
+	}
+	return dbgs
+}
+
+func (sh *shell) cacheDump() any { return sh.caches() }
+
+// recyclers lists each shard's recycler snapshot, in shard order: the
+// payload of \recycler, /debug/recycler and the bundle; nil without
+// -recycle.
+func (sh *shell) recyclers() []recycler.Debug {
+	if sh.cfg.Recycler == nil {
+		return nil
+	}
+	dbgs := make([]recycler.Debug, sh.s.NumShards())
+	for i, m := range sh.s.Managers() {
+		dbgs[i] = m.Recycler().Debug()
+	}
+	return dbgs
+}
+
+// recyclerDump is the recycler thunk of /debug/recycler and the bundle;
+// nil without -recycle, which makes the endpoint a 404.
+func (sh *shell) recyclerDump() func() any {
+	if sh.cfg.Recycler == nil {
+		return nil
+	}
+	return func() any { return sh.recyclers() }
+}
+
+// governorDump is the governor payload of /debug/slo and the bundle: one
+// snapshot per shard, in shard order; nil without -govern.
+func (sh *shell) governorDump() func() any {
+	govs := sh.s.Governors()
+	if len(govs) == 0 {
+		return nil
+	}
+	return func() any {
+		snaps := make([]core.GovernorSnapshot, len(govs))
+		for i, g := range govs {
+			snaps[i] = g.Snapshot()
+		}
+		return snaps
+	}
+}
+
+// advisorDump is the bundle's advisor section; nil without a ledger.
+func (sh *shell) advisorDump() func() any {
+	if sh.cfg.Ledger == nil {
+		return nil
+	}
+	return func() any { return sh.advisorReport() }
+}
+
+// advisorReport replays the shell's ledger, which every shard records
+// into, through the shadow-cache simulator. Each shard's cache holds the
+// template's capacity, so the replay runs at their sum.
+func (sh *shell) advisorReport() *advisor.Report {
+	return advisor.Analyze(sh.cfg.Ledger.Snapshot(), advisor.Options{
+		CapacityBytes: sh.cfg.CapacityBytes * uint64(sh.s.NumShards()),
+		MinProfit:     sh.cfg.MinProfit,
+		Metrics:       sh.cfg.Metrics,
+	})
+}
+
+// insert writes n objects, each under its owning shard's writer lock: the
+// background shadow verifier scans under the read lock, so delta appends
+// must exclude it.
+func (sh *shell) insert(n int) error {
+	for i := 0; i < n; i++ {
+		db := sh.s.Cluster().Shard(sh.owner()).DB
+		db.Lock()
+		err := sh.insertOne()
+		db.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (sh *shell) runStatement(stmt string) error {
@@ -535,33 +566,33 @@ func (sh *shell) runStatement(stmt string) error {
 	if err != nil {
 		return err
 	}
-	if sh.sharded != nil {
-		start := time.Now()
-		res, info, err := sh.sharded.Execute(st.Query, sh.strategy)
-		if err != nil {
-			return err
-		}
-		elapsed := time.Since(start)
-		printResult(st, res)
-		fmt.Printf("-- %d group(s) in %s [%s: scattered %d/%d shards (pruned %d: empty %d, md %d, scan %d), delta on %d shard(s), cache hits %d, subjoins %d/%d]\n",
-			res.Groups(), elapsed.Round(10*time.Microsecond), info.Strategy,
-			info.Scattered, sh.sharded.NumShards(), info.Pruned,
-			info.PrunedEmpty, info.PrunedMD, info.PrunedScan,
-			info.DeltaShards, info.CacheHits, info.Stats.Executed, info.Stats.Subjoins)
-		return nil
-	}
 	start := time.Now()
-	res, info, err := sh.mgr.Execute(st.Query, sh.strategy)
+	res, info, err := sh.s.Execute(st.Query, sh.strategy)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	printResult(st, res)
-	fmt.Printf("-- %d group(s) in %s [%s: hit=%v memo=%v subjoins %d/%d, md-pruned %d, empty-pruned %d, pushdowns %d]\n",
-		res.Groups(), elapsed.Round(10*time.Microsecond), info.Strategy, info.CacheHit, info.MemoHit,
-		info.Stats.Executed, info.Stats.Subjoins, info.Stats.PrunedMD,
-		info.Stats.PrunedEmpty, info.Stats.Pushdowns)
+	sh.printResult(st, res)
+	sh.printSummary(res, elapsed, info)
 	return nil
+}
+
+// printSummary prints a statement's closing line: the dispatch split, the
+// cache verdicts, and the shard-order fold of the subjoin statistics.
+func (sh *shell) printSummary(res *query.AggTable, elapsed time.Duration, info shard.ExecInfo) {
+	memo := 0
+	for _, pi := range info.PerShard {
+		if pi.MemoHit {
+			memo++
+		}
+	}
+	fmt.Fprintf(sh.out, "-- %d group(s) in %s [%s: scattered %d/%d shards (pruned %d: empty %d, md %d, scan %d), delta on %d shard(s), cache hits %d, memo hits %d, subjoins %d/%d, md-pruned %d, scan-pruned %d, empty-pruned %d, pushdowns %d, rows scanned %d]\n",
+		res.Groups(), elapsed.Round(10*time.Microsecond), info.Strategy,
+		info.Scattered, sh.s.NumShards(), info.Pruned,
+		info.PrunedEmpty, info.PrunedMD, info.PrunedScan,
+		info.DeltaShards, info.CacheHits, memo, info.Stats.Executed, info.Stats.Subjoins,
+		info.Stats.PrunedMD, info.Stats.PrunedScan, info.Stats.PrunedEmpty,
+		info.Stats.Pushdowns, info.Stats.RowsScanned)
 }
 
 // stripExplainAnalyze detects a leading EXPLAIN ANALYZE (case-insensitive)
@@ -582,49 +613,33 @@ func (sh *shell) runExplainAnalyze(stmt string) error {
 	if err != nil {
 		return err
 	}
-	if sh.sharded != nil {
-		// Sharded explain: the scatter span carries the dispatch/prune
-		// verdict per shard; per-shard execution detail stays in each
-		// shard's own trace recorder.
-		sp := obs.StartSpan("scatter " + st.Query.Fingerprint())
-		res, info, err := sh.sharded.ExecuteSpan(st.Query, sh.strategy, sp)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		sp.Render(os.Stdout)
-		fmt.Printf("-- %d group(s) in %s [%s: scattered %d/%d shards (pruned %d: empty %d, md %d, scan %d), delta on %d shard(s), cache hits %d, subjoins %d/%d, rows scanned %d]\n",
-			res.Groups(), info.Total.Round(10*time.Microsecond), info.Strategy,
-			info.Scattered, sh.sharded.NumShards(), info.Pruned,
-			info.PrunedEmpty, info.PrunedMD, info.PrunedScan,
-			info.DeltaShards, info.CacheHits, info.Stats.Executed, info.Stats.Subjoins,
-			info.Stats.RowsScanned)
-		return nil
-	}
-	res, info, sp, err := sh.mgr.ExplainAnalyze(st.Query, sh.strategy)
+	// The scatter span carries the dispatch/prune verdict per shard; each
+	// dispatched shard's execution tree hangs under it.
+	sp := obs.StartSpan("scatter " + st.Query.Fingerprint())
+	res, info, err := sh.s.ExecuteSpan(st.Query, sh.strategy, sp)
+	sp.End()
 	if err != nil {
 		return err
 	}
-	sp.Render(os.Stdout)
-	obs.Analyze(sp).Render(os.Stdout)
+	sp.Render(sh.out)
+	obs.Analyze(sp).Render(sh.out)
 	shape := st.Query.Shape()
-	if prof, ok := sh.mgr.Shapes().Profile(shape); ok {
-		fmt.Printf("-- shape: %s\n-- shape history: %d queries, hit rate %.0f%%, rolling p50=%dus p99=%dus\n",
+	if prof, ok := sh.cfg.Shapes.Profile(shape); ok {
+		fmt.Fprintf(sh.out, "-- shape: %s\n-- shape history: %d queries, hit rate %.0f%%, rolling p50=%dus p99=%dus\n",
 			shape, prof.Queries, prof.HitRate*100, prof.Window.P50US, prof.Window.P99US)
 	} else {
-		fmt.Printf("-- shape: %s (no profile yet)\n", shape)
+		fmt.Fprintf(sh.out, "-- shape: %s (no profile yet)\n", shape)
 	}
-	if info.Regret > 0 {
-		fmt.Printf("-- regret: this miss was a ledger-predicted hit at capacity %.1fx\n", info.Regret)
+	for i, pi := range info.PerShard {
+		if pi.Regret > 0 {
+			fmt.Fprintf(sh.out, "-- regret: shard %d's miss was a ledger-predicted hit at capacity %.1fx\n", i, pi.Regret)
+		}
 	}
-	fmt.Printf("-- %d group(s) in %s [%s: hit=%v memo=%v subjoins %d/%d, md-pruned %d, scan-pruned %d, empty-pruned %d, pushdowns %d, rows scanned %d]\n",
-		res.Groups(), info.Total.Round(10*time.Microsecond), info.Strategy, info.CacheHit, info.MemoHit,
-		info.Stats.Executed, info.Stats.Subjoins, info.Stats.PrunedMD, info.Stats.PrunedScan,
-		info.Stats.PrunedEmpty, info.Stats.Pushdowns, info.Stats.RowsScanned)
+	sh.printSummary(res, info.Total, info)
 	return nil
 }
 
-func printResult(st *sql.Statement, res *query.AggTable) {
+func (sh *shell) printResult(st *sql.Statement, res *query.AggTable) {
 	rows := st.Rows(res)
 	cells := make([][]string, 0, len(rows)+1)
 	cells = append(cells, st.Columns)
@@ -648,9 +663,9 @@ func printResult(st *sql.Statement, res *query.AggTable) {
 		for i, c := range row {
 			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
 		}
-		fmt.Println(strings.Join(parts, "  "))
+		fmt.Fprintln(sh.out, strings.Join(parts, "  "))
 		if ri == 0 {
-			fmt.Println(strings.Repeat("-", len(strings.Join(parts, "  "))))
+			fmt.Fprintln(sh.out, strings.Repeat("-", len(strings.Join(parts, "  "))))
 		}
 	}
 }
@@ -662,40 +677,27 @@ func (sh *shell) runCommand(cmd string) bool {
 	case "\\quit", "\\q":
 		return true
 	case "\\help":
-		fmt.Println(`\tables  \strategy <uncached|none|empty|full>  \insert <n>  \merge  \shards  \cache  \recycler  \advisor  \stats  \slo  \shapes  \audit  \bundle  \quit
-\shards                     cluster layout and scatter/prune counters (-shards <n>)
-\slo                        windowed SLO report and governor snapshot (-govern)
+		fmt.Fprintln(sh.out, `\tables  \strategy <uncached|none|empty|full>  \insert <n>  \merge  \shards  \cache  \recycler  \advisor  \stats  \slo  \shapes  \audit  \bundle  \quit
+\shards                     cluster layout and scatter/prune counters (one shard unless -shards <n>)
+\slo                        windowed SLO report and per-shard governor snapshots (-govern)
 \shapes                     per-query-shape profiles (rolling p50/p99, hit rate)
-\audit                      run the cache/recycler invariant auditor once
+\audit                      run the cache/recycler invariant auditor over every shard once
 \bundle [file]              write the one-shot diagnostics bundle as JSON
 \traces                     list flight-recorded query traces (newest first)
 \traces <id>                print one trace's span tree and critical path
 \traces export <id> <file>  write the trace as Chrome trace-event JSON (ui.perfetto.dev)
 EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 	case "\\tables":
-		if sh.sharded != nil {
-			for _, ss := range sh.sharded.Snapshot().PerShard {
-				fmt.Printf("shard %d [%d, %d):\n", ss.Index, ss.RangeLo, ss.RangeHi)
-				for _, ts := range ss.Tables {
-					fmt.Printf("  %-18s main=%8d  delta=%6d  partitions=%d\n",
-						ts.Name, ts.MainRows, ts.DeltaRows, ts.Partitions)
-				}
+		for _, ss := range sh.s.Snapshot().PerShard {
+			fmt.Fprintf(sh.out, "shard %d [%d, %d):\n", ss.Index, ss.RangeLo, ss.RangeHi)
+			for _, ts := range ss.Tables {
+				fmt.Fprintf(sh.out, "  %-18s main=%8d  delta=%6d  partitions=%d\n",
+					ts.Name, ts.MainRows, ts.DeltaRows, ts.Partitions)
 			}
-			break
-		}
-		for _, name := range sh.db.TableNames() {
-			t := sh.db.MustTable(name)
-			main, delta := 0, 0
-			for _, p := range t.Partitions() {
-				main += p.Main.Rows()
-				delta += p.Delta.Rows()
-			}
-			fmt.Printf("  %-18s main=%8d  delta=%6d  partitions=%d\n",
-				name, main, delta, len(t.Partitions()))
 		}
 	case "\\strategy":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\strategy <uncached|none|empty|full>")
+			fmt.Fprintln(sh.out, "usage: \\strategy <uncached|none|empty|full>")
 			break
 		}
 		switch fields[1] {
@@ -708,10 +710,10 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 		case "full":
 			sh.strategy = core.CachedFullPruning
 		default:
-			fmt.Printf("unknown strategy %q\n", fields[1])
+			fmt.Fprintf(sh.out, "unknown strategy %q\n", fields[1])
 			return false
 		}
-		fmt.Printf("strategy = %s\n", sh.strategy)
+		fmt.Fprintf(sh.out, "strategy = %s\n", sh.strategy)
 	case "\\insert":
 		n := 100
 		if len(fields) == 2 {
@@ -720,44 +722,24 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 			}
 		}
 		start := time.Now()
-		// Writes run under the database writer lock: the background
-		// shadow verifier scans under the read lock, so delta
-		// appends must exclude it. Sharded inserts take each owning
-		// shard's lock inside insertSharded instead.
-		var err error
-		if sh.sharded != nil {
-			err = sh.insert(n)
-		} else {
-			sh.db.Lock()
-			err = sh.insert(n)
-			sh.db.Unlock()
-		}
-		if err != nil {
-			fmt.Printf("error: %v\n", err)
+		if err := sh.insert(n); err != nil {
+			fmt.Fprintf(sh.out, "error: %v\n", err)
 			break
 		}
-		fmt.Printf("inserted %d business objects in %s\n", n, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(sh.out, "inserted %d business objects in %s\n", n, time.Since(start).Round(time.Millisecond))
 	case "\\merge":
+		// Every shard merges concurrently, with no cross-shard pause.
 		start := time.Now()
-		merge, kind := sh.db.MergeTablesOnline, "merged"
-		if sh.sharded != nil {
-			// Sharded merges run per shard, all shards concurrently, with no
-			// cross-shard pause.
-			merge, kind = sh.serp.Cluster.MergeTablesOnlineConcurrent, "merged (all shards, concurrent)"
-		}
-		if err := merge(false, sh.mergeTables...); err != nil {
-			fmt.Printf("error: %v\n", err)
+		if err := sh.s.Cluster().MergeTablesOnlineConcurrent(false, sh.mergeTables...); err != nil {
+			fmt.Fprintf(sh.out, "error: %v\n", err)
 			break
 		}
-		fmt.Printf("%s %s in %s\n", kind, strings.Join(sh.mergeTables, ", "), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(sh.out, "merged %s on %d shard(s) in %s\n", strings.Join(sh.mergeTables, ", "),
+			sh.s.NumShards(), time.Since(start).Round(time.Millisecond))
 	case "\\shards":
-		if sh.sharded == nil {
-			fmt.Println("not sharded (run with -shards <n>)")
-			break
-		}
-		snap := sh.sharded.Snapshot()
-		fmt.Printf("shards=%d boundaries=%v\n", snap.Shards, snap.Boundaries)
-		fmt.Printf("queries=%d scattered=%d pruned=%d (empty=%d md=%d scan=%d) delta-single=%d/%d\n",
+		snap := sh.s.Snapshot()
+		fmt.Fprintf(sh.out, "shards=%d boundaries=%v\n", snap.Shards, snap.Boundaries)
+		fmt.Fprintf(sh.out, "queries=%d scattered=%d pruned=%d (empty=%d md=%d scan=%d) delta-single=%d/%d\n",
 			snap.Queries, snap.Scattered, snap.Pruned,
 			snap.PrunedEmpty, snap.PrunedMD, snap.PrunedScan,
 			snap.DeltaSingle, snap.Queries)
@@ -767,133 +749,116 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 				main += ts.MainRows
 				delta += ts.DeltaRows
 			}
-			fmt.Printf("  shard %d [%d, %d): watermark=%d main=%d delta=%d cache entries=%d bytes=%d\n",
+			fmt.Fprintf(sh.out, "  shard %d [%d, %d): watermark=%d main=%d delta=%d cache entries=%d bytes=%d\n",
 				ss.Index, ss.RangeLo, ss.RangeHi, ss.Watermark, main, delta,
 				ss.CacheEntries, ss.CacheBytes)
 		}
 	case "\\cache":
-		dbg := sh.mgr.CacheDebug()
-		fmt.Printf("entries=%d totalBytes=%d capacity=%d minProfit=%g\n",
-			dbg.Entries, dbg.Bytes, dbg.CapacityBytes, dbg.MinProfit)
-		if dbg.Evictions > 0 {
-			fmt.Printf("evictions=%d (capacity=%d stale=%d min-profit=%d) regretGhosts=%d\n",
-				dbg.Evictions, dbg.EvictionsByReason[core.EvictCapacity],
-				dbg.EvictionsByReason[core.EvictStale], dbg.EvictionsByReason[core.EvictMinProfit],
-				dbg.RegretGhosts)
-		}
-		for _, e := range dbg.ByProfit {
-			staleMark := ""
-			if e.Stale {
-				staleMark = " STALE"
+		for i, dbg := range sh.caches() {
+			fmt.Fprintf(sh.out, "shard %d: entries=%d totalBytes=%d capacity=%d minProfit=%g\n",
+				i, dbg.Entries, dbg.Bytes, dbg.CapacityBytes, dbg.MinProfit)
+			if dbg.Evictions > 0 {
+				fmt.Fprintf(sh.out, "  evictions=%d (capacity=%d stale=%d min-profit=%d) regretGhosts=%d\n",
+					dbg.Evictions, dbg.EvictionsByReason[core.EvictCapacity],
+					dbg.EvictionsByReason[core.EvictStale], dbg.EvictionsByReason[core.EvictMinProfit],
+					dbg.RegretGhosts)
 			}
-			fmt.Printf("  profit=%10.3f hits=%-5d size=%-8d dirty=%-4d rebuilds=%d maint=%d%s\n    %s\n",
-				e.Profit, e.Hits, e.SizeBytes, e.DirtyCounter, e.Rebuilds, e.Maintenances, staleMark, e.Key)
+			for _, e := range dbg.ByProfit {
+				staleMark := ""
+				if e.Stale {
+					staleMark = " STALE"
+				}
+				fmt.Fprintf(sh.out, "  profit=%10.3f hits=%-5d size=%-8d dirty=%-4d rebuilds=%d maint=%d%s\n    %s\n",
+					e.Profit, e.Hits, e.SizeBytes, e.DirtyCounter, e.Rebuilds, e.Maintenances, staleMark, e.Key)
+			}
 		}
 	case "\\recycler":
-		rc := sh.mgr.Recycler()
-		if rc == nil {
-			fmt.Println("recycler disabled (run with -recycle)")
+		dbgs := sh.recyclers()
+		if dbgs == nil {
+			fmt.Fprintln(sh.out, "recycler disabled (run with -recycle)")
 			break
 		}
-		dbg := rc.Debug()
-		fmt.Printf("partials=%d bytes=%d capacity=%d  hits=%d misses=%d topups=%d bypasses=%d evictions=%d invalidations=%d\n",
-			dbg.Entries, dbg.Bytes, dbg.CapacityBytes,
-			dbg.Hits, dbg.Misses, dbg.Topups, dbg.Bypasses, dbg.Evictions, dbg.Invalidations)
-		fmt.Printf("builds=%d bytes=%d capacity=%d  hits=%d misses=%d evictions=%d\n",
-			dbg.BuildEntries, dbg.BuildBytes, dbg.BuildCapacityBytes,
-			dbg.BuildHits, dbg.BuildMisses, dbg.BuildEvictions)
-		for _, e := range dbg.Partials {
-			fmt.Printf("  profit=%10.3f hits=%-5d topups=%-4d groups=%-6d cost-rows=%-8d wm=%-6d size=%d\n    %s\n",
-				e.Profit, e.Hits, e.Topups, e.Groups, e.CostRows, e.SnapHigh, e.Bytes, e.Key)
-		}
-		for _, b := range dbg.Builds {
-			fmt.Printf("  build rows=%-8d hits=%-5d size=%-8d %s\n", b.Rows, b.Hits, b.Bytes, b.Key)
+		for i, dbg := range dbgs {
+			fmt.Fprintf(sh.out, "shard %d: partials=%d bytes=%d capacity=%d  hits=%d misses=%d topups=%d bypasses=%d evictions=%d invalidations=%d\n",
+				i, dbg.Entries, dbg.Bytes, dbg.CapacityBytes,
+				dbg.Hits, dbg.Misses, dbg.Topups, dbg.Bypasses, dbg.Evictions, dbg.Invalidations)
+			fmt.Fprintf(sh.out, "  builds=%d bytes=%d capacity=%d  hits=%d misses=%d evictions=%d\n",
+				dbg.BuildEntries, dbg.BuildBytes, dbg.BuildCapacityBytes,
+				dbg.BuildHits, dbg.BuildMisses, dbg.BuildEvictions)
+			for _, e := range dbg.Partials {
+				fmt.Fprintf(sh.out, "  profit=%10.3f hits=%-5d topups=%-4d groups=%-6d cost-rows=%-8d wm=%-6d size=%d\n    %s\n",
+					e.Profit, e.Hits, e.Topups, e.Groups, e.CostRows, e.SnapHigh, e.Bytes, e.Key)
+			}
+			for _, b := range dbg.Builds {
+				fmt.Fprintf(sh.out, "  build rows=%-8d hits=%-5d size=%-8d %s\n", b.Rows, b.Hits, b.Bytes, b.Key)
+			}
 		}
 	case "\\stats":
 		// Sorted-name iteration keeps the dump deterministic for goldens
 		// and diffs.
-		snap := sh.mgr.Metrics().Snapshot()
+		snap := sh.cfg.Metrics.Snapshot()
 		for _, name := range snap.CounterNames() {
-			fmt.Printf("  %-28s %d\n", name, snap.Counters[name])
+			fmt.Fprintf(sh.out, "  %-28s %d\n", name, snap.Counters[name])
 		}
 		for _, name := range snap.GaugeNames() {
-			fmt.Printf("  %-28s %d\n", name, snap.Gauges[name])
+			fmt.Fprintf(sh.out, "  %-28s %d\n", name, snap.Gauges[name])
 		}
 		for _, name := range snap.HistogramNames() {
 			h := snap.Histograms[name]
-			fmt.Printf("  %-28s count=%d mean=%.0fus p50=%dus p99=%dus\n",
+			fmt.Fprintf(sh.out, "  %-28s count=%d mean=%.0fus p50=%dus p99=%dus\n",
 				name, h.Count, h.MeanUS, h.P50US, h.P99US)
 		}
 	case "\\slo":
-		sh.mgr.SLO().Report().Render(os.Stdout)
-		if sh.govs == nil {
-			fmt.Println("governor: off (run with -govern)")
+		sh.cfg.SLO.Report().Render(sh.out)
+		govs := sh.s.Governors()
+		if len(govs) == 0 {
+			fmt.Fprintln(sh.out, "governor: off (run with -govern)")
 		}
-		for i, g := range sh.govs {
-			label := "governor"
-			if sh.sharded != nil {
-				label = fmt.Sprintf("governor shard %d", i)
-			}
+		for i, g := range govs {
 			snap := g.Snapshot()
-			fmt.Printf("%s: work=%d price=%d merges=%d ticks=%d last=%s\n",
-				label, snap.Work, snap.Price, snap.Merges, snap.Ticks, snap.LastReason)
+			fmt.Fprintf(sh.out, "governor shard %d: work=%d price=%d merges=%d ticks=%d last=%s\n",
+				i, snap.Work, snap.Price, snap.Merges, snap.Ticks, snap.LastReason)
 			if snap.Failures > 0 {
-				fmt.Printf("%s: %d failed merges, last: %s\n", label, snap.Failures, snap.LastError)
+				fmt.Fprintf(sh.out, "governor shard %d: %d failed merges, last: %s\n", i, snap.Failures, snap.LastError)
 			}
 		}
 	case "\\shapes":
-		profiles := sh.mgr.Shapes().Profiles()
+		profiles := sh.cfg.Shapes.Profiles()
 		if len(profiles) == 0 {
-			fmt.Println("no shape profiles yet — run a query first")
+			fmt.Fprintln(sh.out, "no shape profiles yet — run a query first")
 			break
 		}
-		fmt.Printf("  %7s  %6s  %9s  %9s  %9s  %10s  %s\n",
+		fmt.Fprintf(sh.out, "  %7s  %6s  %9s  %9s  %9s  %10s  %s\n",
 			"queries", "hit%", "p50us", "p99us", "comp-us", "delta-rows", "shape")
 		for _, p := range profiles {
-			fmt.Printf("  %7d  %5.1f%%  %9d  %9d  %9.0f  %10.0f  %s\n",
+			fmt.Fprintf(sh.out, "  %7d  %5.1f%%  %9d  %9d  %9.0f  %10.0f  %s\n",
 				p.Queries, p.HitRate*100, p.Window.P50US, p.Window.P99US,
 				p.MeanCompUS, p.MeanDeltaRows, p.Shape)
 		}
 	case "\\advisor":
-		if !sh.led.Enabled() {
-			fmt.Println("decision ledger disabled (run with -ledger <n>)")
+		if !sh.cfg.Ledger.Enabled() {
+			fmt.Fprintln(sh.out, "decision ledger disabled (run with -ledger <n>)")
 			break
 		}
-		sh.advisorReport().Render(os.Stdout)
+		sh.advisorReport().Render(sh.out)
 	case "\\audit":
-		if sh.saud != nil {
-			rep := sh.saud.RunOnce()
-			status := "OK"
-			if !rep.OK {
-				status = fmt.Sprintf("%d VIOLATION(S)", len(rep.Violations))
-			}
-			fmt.Printf("cluster audit pass %d: %s\n", rep.Passes, status)
-			for i, sr := range rep.PerShard {
-				fmt.Printf("  shard %d: watermark=%d entries=%d bytes=%d (summed %d) ghosts=%d\n",
-					i, rep.Watermarks[i], sr.Cache.Entries, sr.Cache.AccountedBytes,
-					sr.Cache.SummedBytes, sr.Cache.Ghosts)
-			}
-			for _, v := range rep.Violations {
-				fmt.Printf("  VIOLATION: %s\n", v)
-			}
-			break
-		}
 		rep := sh.aud.RunOnce()
 		status := "OK"
 		if !rep.OK {
 			status = fmt.Sprintf("%d VIOLATION(S)", len(rep.Violations))
 		}
-		fmt.Printf("audit pass %d: %s\n", rep.Passes, status)
-		fmt.Printf("  cache:    entries=%d bytes=%d (summed %d) watermark=%d ghosts=%d\n",
-			rep.Cache.Entries, rep.Cache.AccountedBytes, rep.Cache.SummedBytes,
-			rep.Cache.Watermark, rep.Cache.Ghosts)
-		if rep.Recycler != nil {
-			fmt.Printf("  recycler: partials=%d bytes=%d (summed %d) builds=%d stale-guards=%d\n",
-				rep.Recycler.Entries, rep.Recycler.AccountedBytes, rep.Recycler.SummedBytes,
-				rep.Recycler.BuildEntries, rep.Recycler.StaleGuards)
+		fmt.Fprintf(sh.out, "audit pass %d: %s\n", rep.Passes, status)
+		for i, sa := range rep.Shards {
+			fmt.Fprintf(sh.out, "  shard %d: watermark=%d entries=%d bytes=%d (summed %d) ghosts=%d\n",
+				i, sa.Cache.Watermark, sa.Cache.Entries, sa.Cache.AccountedBytes,
+				sa.Cache.SummedBytes, sa.Cache.Ghosts)
+			if r := sa.Recycler; r != nil {
+				fmt.Fprintf(sh.out, "    recycler: partials=%d bytes=%d (summed %d) builds=%d stale-guards=%d\n",
+					r.Entries, r.AccountedBytes, r.SummedBytes, r.BuildEntries, r.StaleGuards)
+			}
 		}
 		for _, v := range rep.Violations {
-			fmt.Printf("  VIOLATION: %s\n", v)
+			fmt.Fprintf(sh.out, "  VIOLATION: %s\n", v)
 		}
 	case "\\bundle":
 		path := "aggcache-bundle.json"
@@ -902,19 +867,19 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 		}
 		body, err := json.MarshalIndent(sh.bundle(), "", "  ")
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(sh.out, "error: %v\n", err)
 			break
 		}
 		if err := os.WriteFile(path, body, 0o644); err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(sh.out, "error: %v\n", err)
 			break
 		}
-		fmt.Printf("wrote diagnostics bundle (schema v%d, %d bytes) to %s\n",
+		fmt.Fprintf(sh.out, "wrote diagnostics bundle (schema v%d, %d bytes) to %s\n",
 			verify.BundleSchemaVersion, len(body), path)
 	case "\\traces":
 		sh.runTraces(fields[1:])
 	default:
-		fmt.Printf("unknown command %s (\\help)\n", fields[0])
+		fmt.Fprintf(sh.out, "unknown command %s (\\help)\n", fields[0])
 	}
 	return false
 }
@@ -922,68 +887,68 @@ EXPLAIN ANALYZE <select>;   trace one execution and print the span tree`)
 // runTraces implements \traces: list retained traces, print one, or export
 // one as a Chrome trace-event file.
 func (sh *shell) runTraces(args []string) {
-	if !sh.rec.Enabled() {
-		fmt.Println("flight recorder disabled (run with -traces <n>)")
+	if !sh.cfg.Recorder.Enabled() {
+		fmt.Fprintln(sh.out, "flight recorder disabled (run with -traces <n>)")
 		return
 	}
 	switch {
 	case len(args) == 0:
-		list := sh.rec.List()
+		list := sh.cfg.Recorder.List()
 		if len(list) == 0 {
-			fmt.Println("no traces recorded yet — run a query first")
+			fmt.Fprintln(sh.out, "no traces recorded yet — run a query first")
 			return
 		}
-		fmt.Printf("  %4s  %-10s  %6s  %s\n", "id", "duration", "spans", "query")
+		fmt.Fprintf(sh.out, "  %4s  %-10s  %6s  %s\n", "id", "duration", "spans", "query")
 		for _, s := range list {
 			slowMark := ""
 			if s.Slow {
 				slowMark = "  SLOW"
 			}
-			fmt.Printf("  %4d  %-10s  %6d  %s%s\n",
+			fmt.Fprintf(sh.out, "  %4d  %-10s  %6d  %s%s\n",
 				s.ID, time.Duration(s.DurNS).Round(10*time.Microsecond), s.Spans, s.Name, slowMark)
 		}
 	case args[0] == "export":
 		if len(args) != 3 {
-			fmt.Println("usage: \\traces export <id> <file>")
+			fmt.Fprintln(sh.out, "usage: \\traces export <id> <file>")
 			return
 		}
 		id, err := strconv.ParseInt(args[1], 10, 64)
 		if err != nil {
-			fmt.Printf("bad trace id %q\n", args[1])
+			fmt.Fprintf(sh.out, "bad trace id %q\n", args[1])
 			return
 		}
-		tr, ok := sh.rec.Get(id)
+		tr, ok := sh.cfg.Recorder.Get(id)
 		if !ok {
-			fmt.Printf("trace %d not retained (\\traces lists the live ids)\n", id)
+			fmt.Fprintf(sh.out, "trace %d not retained (\\traces lists the live ids)\n", id)
 			return
 		}
 		f, err := os.Create(args[2])
 		if err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(sh.out, "error: %v\n", err)
 			return
 		}
 		if err := tr.WriteTraceEvents(f); err != nil {
 			f.Close()
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(sh.out, "error: %v\n", err)
 			return
 		}
 		if err := f.Close(); err != nil {
-			fmt.Printf("error: %v\n", err)
+			fmt.Fprintf(sh.out, "error: %v\n", err)
 			return
 		}
-		fmt.Printf("wrote %s — open it in ui.perfetto.dev or chrome://tracing\n", args[2])
+		fmt.Fprintf(sh.out, "wrote %s — open it in ui.perfetto.dev or chrome://tracing\n", args[2])
 	default:
 		id, err := strconv.ParseInt(args[0], 10, 64)
 		if err != nil {
-			fmt.Printf("usage: \\traces [<id> | export <id> <file>]\n")
+			fmt.Fprintf(sh.out, "usage: \\traces [<id> | export <id> <file>]\n")
 			return
 		}
-		tr, ok := sh.rec.Get(id)
+		tr, ok := sh.cfg.Recorder.Get(id)
 		if !ok {
-			fmt.Printf("trace %d not retained (\\traces lists the live ids)\n", id)
+			fmt.Fprintf(sh.out, "trace %d not retained (\\traces lists the live ids)\n", id)
 			return
 		}
-		tr.Root.Render(os.Stdout)
-		obs.Analyze(tr.Root).Render(os.Stdout)
+		tr.Root.Render(sh.out)
+		obs.Analyze(tr.Root).Render(sh.out)
 	}
 }

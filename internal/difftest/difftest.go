@@ -207,6 +207,54 @@ type object struct {
 	alive bool
 }
 
+// objects is a run's view of the business objects it has written, in
+// creation order.
+type objects []object
+
+// bulkObjects reconstructs the bulk-loaded objects: header ids and item ids
+// are assigned sequentially by the loader, identically on every database.
+func bulkObjects(cfg workload.ERPConfig) objects {
+	var objs objects
+	item := int64(1)
+	for h := int64(1); h <= int64(cfg.Headers); h++ {
+		o := object{hid: h, alive: true}
+		for j := 0; j < cfg.ItemsPerHeader; j++ {
+			o.items = append(o.items, item)
+			item++
+		}
+		objs = append(objs, o)
+	}
+	return objs
+}
+
+// pickAlive resolves a raw random value to a live object index, or -1.
+func (objs objects) pickAlive(raw int64) int {
+	var live []int
+	for i := range objs {
+		if objs[i].alive {
+			live = append(live, i)
+		}
+	}
+	if len(live) == 0 {
+		return -1
+	}
+	return live[raw%int64(len(live))]
+}
+
+// nextItemID mirrors the workload generator's item id counter.
+func (objs objects) nextItemID() int64 {
+	var top int64
+	for _, o := range objs {
+		for _, id := range o.items {
+			top = max(top, id)
+		}
+		for _, id := range o.gone {
+			top = max(top, id)
+		}
+	}
+	return top + 1
+}
+
 type stagedKey struct {
 	table string
 	part  int
@@ -222,7 +270,7 @@ type Runner struct {
 	// recycler caches and ledgers.
 	mr1, mr4     *core.Manager
 	ledR1, ledR4 *obs.Ledger
-	objs         []object
+	objs         objects
 	staged       map[stagedKey]*table.OnlineMerge
 	// gov ticks once per op when cfg.Govern is set; its decisions are a
 	// pure function of the op sequence.
@@ -283,32 +331,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Govern {
 		r.gov = core.NewGovernor(r.m1, core.GovernorConfig{Tables: []string{workload.THeader, workload.TItem}})
 	}
-	// Reconstruct the bulk-loaded objects: header ids and item ids are
-	// assigned sequentially by the loader.
-	item := int64(1)
-	for h := int64(1); h <= int64(cfg.ERP.Headers); h++ {
-		o := object{hid: h, alive: true}
-		for j := 0; j < cfg.ERP.ItemsPerHeader; j++ {
-			o.items = append(o.items, item)
-			item++
-		}
-		r.objs = append(r.objs, o)
-	}
+	r.objs = bulkObjects(cfg.ERP)
 	return r, nil
-}
-
-// pickAlive resolves a raw random value to a live object index, or -1.
-func (r *Runner) pickAlive(raw int64) int {
-	var live []int
-	for i := range r.objs {
-		if r.objs[i].alive {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
-		return -1
-	}
-	return live[raw%int64(len(live))]
 }
 
 func (r *Runner) mergeActive() bool {
@@ -412,18 +436,18 @@ func (r *Runner) apply(op Op) error {
 		r.objs[idx].alive = true
 
 	case OpUpdate:
-		idx := r.pickAlive(op.A)
+		idx := r.objs.pickAlive(op.A)
 		if idx < 0 {
 			return nil
 		}
 		o := r.objs[idx]
 		itemID := o.items[op.B%int64(len(o.items))]
 		price := float64(1 + op.C%1000) // integer-valued: exact arithmetic
-		return r.reprice(itemID, price)
+		return reprice(db, itemID, price)
 
 	case OpDelete:
-		if idx := r.pickAlive(op.A); idx >= 0 {
-			return r.deleteObject(idx)
+		if idx := r.objs.pickAlive(op.A); idx >= 0 {
+			return deleteObject(db, &r.objs[idx])
 		}
 
 	case OpMergeOnline:
@@ -557,7 +581,7 @@ func (r *Runner) apply(op Op) error {
 // tx, left open, and records it — not alive until the caller commits.
 func (r *Runner) insertIn(tx *txn.Txn, items int) (int, error) {
 	o := object{hid: r.erp.NextHeaderID()}
-	start := r.nextItemID()
+	start := r.objs.nextItemID()
 	if err := r.erp.InsertBusinessObjectIn(tx, items); err != nil {
 		return -1, err
 	}
@@ -568,11 +592,10 @@ func (r *Runner) insertIn(tx *txn.Txn, items int) (int, error) {
 	return len(r.objs) - 1, nil
 }
 
-// deleteObject deletes a live business object: header and items in one
-// transaction, preserving the matching dependency.
-func (r *Runner) deleteObject(idx int) error {
-	db := r.erp.DB
-	o := &r.objs[idx]
+// deleteObject deletes a live business object from db — header and items
+// in one transaction, preserving the matching dependency — and marks it
+// dead.
+func deleteObject(db *table.DB, o *object) error {
 	tx := db.Txns().Begin()
 	for _, itemID := range o.items {
 		if err := db.MustTable(workload.TItem).Delete(tx, itemID); err != nil {
@@ -608,23 +631,8 @@ func (r *Runner) parts(name string) int {
 	return len(r.erp.DB.MustTable(name).Partitions())
 }
 
-// nextItemID mirrors the workload generator's item id counter.
-func (r *Runner) nextItemID() int64 {
-	var top int64
-	for _, o := range r.objs {
-		for _, id := range o.items {
-			top = max(top, id)
-		}
-		for _, id := range o.gone {
-			top = max(top, id)
-		}
-	}
-	return top + 1
-}
-
-// reprice updates one item's price in its own transaction.
-func (r *Runner) reprice(itemID int64, price float64) error {
-	db := r.erp.DB
+// reprice updates one item's price in its own transaction on db.
+func reprice(db *table.DB, itemID int64, price float64) error {
 	tx := db.Txns().Begin()
 	if err := db.MustTable(workload.TItem).Update(tx, itemID,
 		map[string]column.Value{"Price": column.FloatV(price)}); err != nil {
@@ -761,10 +769,15 @@ func RunSeed(cfg Config, seed int64, ops []Op) ([]string, error) {
 // repeatedly tries deleting chunks of halving size and keeps every
 // deletion under which the failure (any failure) reproduces.
 func Shrink(cfg Config, seed int64, ops []Op) []Op {
-	fails := func(candidate []Op) bool {
+	return shrink(ops, func(candidate []Op) bool {
 		_, err := RunSeed(cfg, seed, candidate)
 		return err != nil
-	}
+	})
+}
+
+// shrink is the greedy chunk-removal loop behind Shrink and the shard
+// harness's failure report; fails runs one candidate sequence.
+func shrink(ops []Op, fails func([]Op) bool) []Op {
 	if !fails(ops) {
 		return ops
 	}

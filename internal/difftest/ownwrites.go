@@ -18,7 +18,7 @@ import (
 // rows in it.
 func (r *Runner) ownWrites(op Op) error {
 	db := r.erp.DB
-	idx := r.pickAlive(op.A >> 8)
+	idx := r.objs.pickAlive(op.A >> 8)
 	if idx < 0 {
 		return r.check(op)
 	}

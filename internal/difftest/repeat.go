@@ -80,13 +80,13 @@ func (r *Runner) repeat(op Op) error {
 		}
 	case repeatUpdateMain:
 		if item, ok := r.pickLoadedItem(op.C); ok {
-			if err := r.reprice(item, float64(1+op.C%1000)); err != nil {
+			if err := reprice(db, item, float64(1+op.C%1000)); err != nil {
 				return err
 			}
 		}
 	case repeatDeleteMain:
 		if idx := r.pickLoadedObject(op.C); idx >= 0 {
-			if err := r.deleteObject(idx); err != nil {
+			if err := deleteObject(db, &r.objs[idx]); err != nil {
 				return err
 			}
 		}
@@ -154,14 +154,5 @@ func (r *Runner) pickLoadedItem(raw int64) (int64, bool) {
 // pickLoadedObject resolves a raw random value to a live bulk-loaded object
 // (see pickLoadedItem), or -1.
 func (r *Runner) pickLoadedObject(raw int64) int {
-	var live []int
-	for i, o := range r.objs[:r.cfg.ERP.Headers] {
-		if o.alive {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
-		return -1
-	}
-	return live[raw%int64(len(live))]
+	return r.objs[:r.cfg.ERP.Headers].pickAlive(raw)
 }

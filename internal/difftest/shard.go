@@ -3,12 +3,10 @@ package difftest
 import (
 	"fmt"
 
-	"aggcache/internal/column"
 	"aggcache/internal/core"
 	"aggcache/internal/obs"
 	"aggcache/internal/query"
 	"aggcache/internal/shard"
-	"aggcache/internal/table"
 	"aggcache/internal/workload"
 )
 
@@ -48,7 +46,7 @@ type ShardRunner struct {
 	oracle  *workload.ERP
 	om      *core.Manager
 	views   []*shardView
-	objs    []object
+	objs    objects
 	cfg     ShardConfig
 	Outputs []string
 }
@@ -84,32 +82,8 @@ func NewShardRunner(cfg ShardConfig) (*ShardRunner, error) {
 		}
 		r.views = append(r.views, &shardView{shards: n, erp: serp, s1: mk(1), s4: mk(4)})
 	}
-	// Reconstruct the bulk-loaded objects (ids are assigned sequentially by
-	// the loader, identically on every database).
-	item := int64(1)
-	for h := int64(1); h <= int64(cfg.ERP.Headers); h++ {
-		o := object{hid: h, alive: true}
-		for j := 0; j < cfg.ERP.ItemsPerHeader; j++ {
-			o.items = append(o.items, item)
-			item++
-		}
-		r.objs = append(r.objs, o)
-	}
+	r.objs = bulkObjects(cfg.ERP)
 	return r, nil
-}
-
-// pickAlive resolves a raw random value to a live object index, or -1.
-func (r *ShardRunner) pickAlive(raw int64) int {
-	var live []int
-	for i := range r.objs {
-		if r.objs[i].alive {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
-		return -1
-	}
-	return live[raw%int64(len(live))]
 }
 
 // Run executes the sequence, then sweeps every query shape and compares the
@@ -145,7 +119,7 @@ func (r *ShardRunner) apply(op Op) error {
 	case OpInsert:
 		items := int(op.A%3) + 1
 		hid := r.oracle.NextHeaderID()
-		start := r.nextItemID()
+		start := r.objs.nextItemID()
 		if err := r.oracle.InsertBusinessObject(items); err != nil {
 			return err
 		}
@@ -161,46 +135,45 @@ func (r *ShardRunner) apply(op Op) error {
 		r.objs = append(r.objs, o)
 
 	case OpUpdate:
-		idx := r.pickAlive(op.A)
+		idx := r.objs.pickAlive(op.A)
 		if idx < 0 {
 			return nil
 		}
 		o := r.objs[idx]
 		itemID := o.items[op.B%int64(len(o.items))]
 		price := float64(1 + op.C%1000) // integer-valued: exact arithmetic
-		if err := repriceOn(r.oracle.DB, itemID, price); err != nil {
+		if err := reprice(r.oracle.DB, itemID, price); err != nil {
 			return err
 		}
 		for _, v := range r.views {
 			sh := v.erp.Cluster.Shard(v.erp.Cluster.ShardFor(o.hid))
-			if err := repriceOn(sh.DB, itemID, price); err != nil {
+			if err := reprice(sh.DB, itemID, price); err != nil {
 				return fmt.Errorf("shards=%d: %w", v.shards, err)
 			}
 		}
 
 	case OpDelete:
-		idx := r.pickAlive(op.A)
+		idx := r.objs.pickAlive(op.A)
 		if idx < 0 {
 			return nil
 		}
 		o := &r.objs[idx]
-		if err := deleteObjectOn(r.oracle.DB, o); err != nil {
+		if err := deleteObject(r.oracle.DB, o); err != nil {
 			return err
 		}
 		for _, v := range r.views {
 			sh := v.erp.Cluster.Shard(v.erp.Cluster.ShardFor(o.hid))
-			if err := deleteObjectOn(sh.DB, o); err != nil {
+			if err := deleteObject(sh.DB, o); err != nil {
 				return fmt.Errorf("shards=%d: %w", v.shards, err)
 			}
 		}
-		o.alive = false
 
 	case OpMergeOnline:
 		if err := r.oracle.DB.MergeTablesOnline(false, workload.THeader, workload.TItem); err != nil {
 			return err
 		}
 		for _, v := range r.views {
-			if err := v.erp.Cluster.MergeTablesOnline(false, workload.THeader, workload.TItem); err != nil {
+			if err := v.erp.Cluster.MergeTablesOnlineConcurrent(false, workload.THeader, workload.TItem); err != nil {
 				return fmt.Errorf("shards=%d: %w", v.shards, err)
 			}
 		}
@@ -235,19 +208,6 @@ func (r *ShardRunner) apply(op Op) error {
 		}
 	}
 	return nil
-}
-
-// nextItemID mirrors the workload generator's item id counter.
-func (r *ShardRunner) nextItemID() int64 {
-	var max int64
-	for i := range r.objs {
-		for _, id := range r.objs[i].items {
-			if id > max {
-				max = id
-			}
-		}
-	}
-	return max + 1
 }
 
 // check runs one query shape through every strategy, shard count, and
@@ -327,36 +287,6 @@ func (r *ShardRunner) pickQuery(op Op) *query.Query {
 	}
 }
 
-// repriceOn updates one item's price in its own transaction on db.
-func repriceOn(db *table.DB, itemID int64, price float64) error {
-	tx := db.Txns().Begin()
-	if err := db.MustTable(workload.TItem).Update(tx, itemID,
-		map[string]column.Value{"Price": column.FloatV(price)}); err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.Commit()
-	return nil
-}
-
-// deleteObjectOn deletes a business object (items then header) in one
-// transaction on db.
-func deleteObjectOn(db *table.DB, o *object) error {
-	tx := db.Txns().Begin()
-	for _, itemID := range o.items {
-		if err := db.MustTable(workload.TItem).Delete(tx, itemID); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	if err := db.MustTable(workload.THeader).Delete(tx, o.hid); err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.Commit()
-	return nil
-}
-
 // RunShardSeed builds a fresh shard runner and executes the seed's
 // generated sequence (or the provided ops).
 func RunShardSeed(cfg ShardConfig, seed int64, ops []Op) ([]string, error) {
@@ -366,28 +296,4 @@ func RunShardSeed(cfg ShardConfig, seed int64, ops []Op) ([]string, error) {
 	}
 	err = r.Run(ops)
 	return r.Outputs, err
-}
-
-// ShrinkShard minimizes a failing shard-mode sequence by greedy chunk
-// removal, exactly as Shrink does for the base harness.
-func ShrinkShard(cfg ShardConfig, seed int64, ops []Op) []Op {
-	fails := func(candidate []Op) bool {
-		_, err := RunShardSeed(cfg, seed, candidate)
-		return err != nil
-	}
-	if !fails(ops) {
-		return ops
-	}
-	cur := append([]Op(nil), ops...)
-	for chunk := len(cur) / 2; chunk >= 1; chunk /= 2 {
-		for start := 0; start+chunk <= len(cur); {
-			cand := append(append([]Op(nil), cur[:start]...), cur[start+chunk:]...)
-			if fails(cand) {
-				cur = cand // keep the deletion; retry the same offset
-			} else {
-				start += chunk
-			}
-		}
-	}
-	return cur
 }

@@ -12,7 +12,10 @@ import (
 // AGGCACHE_DIFFTEST_ARTIFACTS names a directory.
 func reportShardFailure(t *testing.T, cfg ShardConfig, seed int64, ops []Op, err error) {
 	t.Helper()
-	min := ShrinkShard(cfg, seed, ops)
+	min := shrink(ops, func(candidate []Op) bool {
+		_, err := RunShardSeed(cfg, seed, candidate)
+		return err != nil
+	})
 	_, minErr := RunShardSeed(cfg, seed, min)
 	report := fmt.Sprintf("shard difftest failure (reproduce with seed below)\nerror: %v\nminimized error: %v\n%s",
 		err, minErr, Format(seed, min))

@@ -119,6 +119,10 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Config returns the settings the cache was built with — the template a
+// sharded deployment builds each shard's own recycler from.
+func (c *Cache) Config() Config { return c.cfg }
+
 // guard pins one physical store of the entry's combo: the pointer (swaps,
 // merges, and aging replace stores) and the invalidation counter at
 // admission (any invalidation registered since may remove visibility).

@@ -77,8 +77,11 @@ func (s *Sharded) Execute(q *query.Query, strat core.Strategy) (*query.AggTable,
 	return s.ExecuteSpan(q, strat, nil)
 }
 
-// ExecuteSpan is Execute with an optional parent span; per-shard dispatch
-// and prune verdicts are recorded as span attributes and children.
+// ExecuteSpan is Execute with an optional parent span. With a span, the
+// per-shard dispatch and prune verdicts are recorded as its attributes, and
+// every dispatched shard runs through Manager.ExplainAnalyze, whose root
+// span (cache-lookup verdict, compensation, one span per subjoin) is
+// appended to the parent's children in shard order.
 func (s *Sharded) ExecuteSpan(q *query.Query, strat core.Strategy, sp *obs.Span) (*query.AggTable, ExecInfo, error) {
 	start := time.Now()
 	// Warm the memoized fingerprint and shape before the query is shared
@@ -123,12 +126,19 @@ func (s *Sharded) ExecuteSpan(q *query.Query, strat core.Strategy, sp *obs.Span)
 	// worker pool.
 	results := make([]*query.AggTable, len(s.mgrs))
 	errs := make([]error, len(s.mgrs))
+	var spans []*obs.Span
+	if sp != nil {
+		spans = make([]*obs.Span, len(s.mgrs))
+	}
 	done := make(chan struct{}, len(dispatch))
 	for _, i := range dispatch {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
-			res, einfo, err := s.mgrs[i].Execute(q, strat)
-			results[i], info.PerShard[i], errs[i] = res, einfo, err
+			if spans != nil {
+				results[i], info.PerShard[i], spans[i], errs[i] = s.mgrs[i].ExplainAnalyze(q, strat)
+				return
+			}
+			results[i], info.PerShard[i], errs[i] = s.mgrs[i].Execute(q, strat)
 		}(i)
 	}
 	for range dispatch {
@@ -170,6 +180,9 @@ func (s *Sharded) ExecuteSpan(q *query.Query, strat core.Strategy, sp *obs.Span)
 			if reason != PruneNone {
 				sp.Attr(fmt.Sprintf("shard.%d", i), "pruned:"+reason.String())
 			}
+		}
+		for _, i := range dispatch {
+			sp.Children = append(sp.Children, spans[i])
 		}
 	}
 	return out, info, nil

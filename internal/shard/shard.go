@@ -144,36 +144,13 @@ func (c *Cluster) Shards() []*Shard { return append([]*Shard(nil), c.shards...) 
 // ShardFor routes a key to its owning shard index.
 func (c *Cluster) ShardFor(key int64) int { return c.router.Route(key) }
 
-// FindPK locates the shard holding a live row of the named table by
-// primary key, probing shards in index order — the lookup path for writes
-// keyed by a column other than the routing key (e.g. repricing an item by
-// item id when items are co-located with their header).
-func (c *Cluster) FindPK(tableName string, pk int64) (int, bool) {
-	for i, sh := range c.shards {
-		if _, ok := sh.DB.MustTable(tableName).LookupPK(pk); ok {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// MergeTablesOnline runs the synchronized merge of the named tables on every
-// shard, in shard order — the deterministic reorganization used by the
-// differential harness. Queries keep scattering while each shard merges;
-// only that shard's swap critical section excludes them.
-func (c *Cluster) MergeTablesOnline(keepInvalidated bool, tableNames ...string) error {
-	for _, sh := range c.shards {
-		if err := sh.DB.MergeTablesOnline(keepInvalidated, tableNames...); err != nil {
-			return fmt.Errorf("shard %d: %w", sh.Index, err)
-		}
-	}
-	return nil
-}
-
-// MergeTablesOnlineConcurrent fans the merges across the shards
-// concurrently — one goroutine per shard, no cross-shard coordination, no
-// global pause. Shards are independent databases, so the merges share no
-// locks; the first error (if any) is reported.
+// MergeTablesOnlineConcurrent runs the synchronized merge of the named
+// tables on every shard concurrently — one goroutine per shard, no
+// cross-shard coordination, no global pause. Shards are independent
+// databases, so the merges share no locks or ledgers and each shard ends in
+// the same state whatever order they finish in; queries keep scattering
+// while a shard merges, only its swap critical section excludes them. The
+// first error (in shard order) is reported.
 func (c *Cluster) MergeTablesOnlineConcurrent(keepInvalidated bool, tableNames ...string) error {
 	errs := make([]error, len(c.shards))
 	done := make(chan int, len(c.shards))
@@ -194,8 +171,7 @@ func (c *Cluster) MergeTablesOnlineConcurrent(keepInvalidated bool, tableNames .
 	return nil
 }
 
-// Watermarks reports each shard's commit watermark in shard order — the
-// per-shard monotonicity the sharded invariant auditor checks.
+// Watermarks reports each shard's commit watermark in shard order.
 func (c *Cluster) Watermarks() []txn.TID {
 	wms := make([]txn.TID, len(c.shards))
 	for i, sh := range c.shards {

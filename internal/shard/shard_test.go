@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"aggcache/internal/core"
@@ -232,6 +233,44 @@ func TestShardScanPruning(t *testing.T) {
 	// The pruned shards' managers never saw the query.
 	if info.Scattered+info.Pruned != s.NumShards() {
 		t.Fatalf("scattered %d + pruned %d != shards %d", info.Scattered, info.Pruned, s.NumShards())
+	}
+}
+
+// TestShardExecuteSpanTree checks the traced scatter: each dispatched
+// shard's ExplainAnalyze root hangs under the scatter span in shard order,
+// pruned shards add none, and the folded rows equal the untraced ones.
+func TestShardExecuteSpanTree(t *testing.T) {
+	t.Parallel()
+	cfg := testCfg(3)
+	serp, s := buildSharded(t, cfg, 4, 2)
+	if err := serp.InsertBusinessObjects(5); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*query.Query{
+		serp.ProfitQuery(cfg.BaseYear, cfg.Languages[0]), // first year: high shards pruned
+		serp.YearRangeQuery(cfg.BaseYear, cfg.BaseYear+cfg.Years-1),
+	} {
+		want, _, err := s.Execute(q, core.CachedFullPruning)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := obs.StartSpan("scatter")
+		got, info, err := s.ExecuteSpan(q, core.CachedFullPruning, sp)
+		sp.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(got) != render(want) {
+			t.Fatalf("traced scatter diverged from untraced:\n got %s\nwant %s", render(got), render(want))
+		}
+		if len(sp.Children) != info.Scattered {
+			t.Fatalf("%d shard spans for %d dispatched shards", len(sp.Children), info.Scattered)
+		}
+		for _, c := range sp.Children {
+			if !strings.HasPrefix(c.Name, "execute ") || len(c.Children) == 0 {
+				t.Fatalf("shard span %q has %d children; want a shard execution tree", c.Name, len(c.Children))
+			}
+		}
 	}
 }
 

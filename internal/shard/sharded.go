@@ -6,6 +6,7 @@ import (
 
 	"aggcache/internal/core"
 	"aggcache/internal/obs"
+	"aggcache/internal/recycler"
 )
 
 // Config parameterizes the manager plane of a sharded deployment.
@@ -14,7 +15,10 @@ type Config struct {
 	// admission threshold, and feature toggles apply to every shard's
 	// manager. When Manager.Metrics is nil each shard gets a private
 	// registry so per-shard counters stay a pure function of that shard's
-	// traffic; when set, all shards share it.
+	// traffic; when set, all shards share it. When Manager.Recycler is set,
+	// each shard gets its own recycler built from its settings: recycler
+	// keys carry no shard identity, so one shared recycler would hand each
+	// shard the other shards' partials.
 	Manager core.Config
 	// Metrics receives the scatter-gather metrics (shard.*); nil uses the
 	// process-default registry.
@@ -77,13 +81,16 @@ func newShardObs(reg *obs.Registry, shards int) *shardObs {
 }
 
 // New builds the manager plane: one core.Manager per shard from the
-// template config.
+// template config, each with its own recycler when the template has one.
 func New(c *Cluster, cfg Config) *Sharded {
 	s := &Sharded{cluster: c, obs: newShardObs(cfg.Metrics, c.NumShards())}
 	for _, sh := range c.Shards() {
 		mcfg := cfg.Manager
 		if mcfg.Metrics == nil {
 			mcfg.Metrics = obs.NewRegistry()
+		}
+		if rc := cfg.Manager.Recycler; rc != nil {
+			mcfg.Recycler = recycler.New(rc.Config())
 		}
 		if cfg.Ledgers {
 			led := obs.NewLedger(0)

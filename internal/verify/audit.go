@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -22,49 +23,66 @@ type AuditorConfig struct {
 	Metrics *obs.Registry
 }
 
-// AuditReport is one combined invariant pass over the aggregate cache and
-// (when configured) the recycler — the /debug/audit payload.
+// ShardAudit is one manager's slice of an audit pass: its aggregate-cache
+// report and, when the manager runs one, its recycler's.
+type ShardAudit struct {
+	Cache    core.CacheAuditReport `json:"cache"`
+	Recycler *recycler.AuditReport `json:"recycler"`
+}
+
+// AuditReport is one invariant pass over every audited manager — the
+// /debug/audit payload.
 type AuditReport struct {
 	UnixMS int64 `json:"unix_ms"`
 	// Passes counts completed audit passes including this one.
 	Passes int64 `json:"passes"`
-	// OK is true when no layer reported a violation.
-	OK       bool                  `json:"ok"`
-	Cache    core.CacheAuditReport `json:"cache"`
-	Recycler *recycler.AuditReport `json:"recycler"`
-	// Violations merges both layers' findings (cache first).
+	// OK is true when no manager reported a violation.
+	OK bool `json:"ok"`
+	// Shards holds each manager's reports in the auditor's order (shard
+	// order in a cluster).
+	Shards []ShardAudit `json:"shards"`
+	// Violations merges every manager's findings (cache first), each
+	// prefixed "shard N:", plus any watermark that moved backwards since
+	// the previous pass.
 	Violations []string `json:"violations"`
 }
 
-// Auditor runs background invariant passes over a manager's cache and
-// recycler bookkeeping, exporting audit.* metrics and retaining the latest
-// report for the debug surface and diagnostics bundle.
+// Auditor runs background invariant passes over the cache and recycler
+// bookkeeping of a list of managers — one per shard of a cluster — each
+// checked against its own database's watermark. Across passes it also
+// asserts that no manager's watermark moves backwards (shards advance
+// independently; none may regress). It exports audit.* metrics, summed
+// over the managers, and retains the latest report for the debug surface
+// and diagnostics bundle.
 type Auditor struct {
-	m *core.Manager
+	ms []*core.Manager
 
 	passes      *obs.Counter // audit.passes — completed invariant passes
 	violations  *obs.Gauge   // audit.violations — findings in the latest pass
-	cacheDrift  *obs.Gauge   // audit.cache_bytes_drift — |accounted − summed| cache bytes
+	cacheDrift  *obs.Gauge   // audit.cache_bytes_drift — Σ |accounted − summed| cache bytes
 	staleGuards *obs.Gauge   // audit.recycler_stale_guards — recycler entries pending lazy invalidation
 
-	mu   sync.Mutex
-	last *AuditReport
-	stop chan struct{}
-	done chan struct{}
+	// mu serializes passes (so the watermark comparison sees them in
+	// order) and guards the retained state.
+	mu      sync.Mutex
+	lastWMs []uint64
+	last    *AuditReport
+	stop    chan struct{}
+	done    chan struct{}
 	// tickSrc, when set by a test, replaces the loop's ticker with a
 	// channel the test drives, so it can count passes exactly.
 	tickSrc <-chan time.Time
 }
 
-// NewAuditor builds an auditor over the manager. It does not start a loop;
-// call Start for a periodic cadence or RunOnce on demand.
-func NewAuditor(m *core.Manager, cfg AuditorConfig) *Auditor {
+// NewAuditor builds an auditor over the managers (at least one). It does
+// not start a loop; call Start for a periodic cadence or RunOnce on demand.
+func NewAuditor(ms []*core.Manager, cfg AuditorConfig) *Auditor {
 	reg := cfg.Metrics
 	if reg == nil {
-		reg = m.Metrics()
+		reg = ms[0].Metrics()
 	}
 	return &Auditor{
-		m:           m,
+		ms:          ms,
 		passes:      reg.Counter("audit.passes"),
 		violations:  reg.Gauge("audit.violations"),
 		cacheDrift:  reg.Gauge("audit.cache_bytes_drift"),
@@ -72,35 +90,52 @@ func NewAuditor(m *core.Manager, cfg AuditorConfig) *Auditor {
 	}
 }
 
-// RunOnce executes one invariant pass and publishes its metrics. It is
-// safe from any goroutine (the underlying audits take the Execute-path
-// lock order) — the Start loop, on-demand callers, and tests all call it
-// directly.
+// RunOnce executes one invariant pass over every manager, in order, then
+// compares each watermark with the previous pass's, and publishes the
+// metrics. It is safe from any goroutine (the underlying audits take the
+// Execute-path lock order) — the Start loop, on-demand callers, and tests
+// all call it directly.
 func (a *Auditor) RunOnce() AuditReport {
-	rep := AuditReport{
-		Cache:      a.m.AuditCache(),
-		Recycler:   a.m.AuditRecycler(),
-		Violations: []string{},
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	rep := AuditReport{UnixMS: time.Now().UnixMilli(), Violations: []string{}}
+	var drift, stale int64
+	for i, m := range a.ms {
+		sa := ShardAudit{Cache: m.AuditCache(), Recycler: m.AuditRecycler()}
+		found := sa.Cache.Violations
+		if sa.Recycler != nil {
+			found = append(found[:len(found):len(found)], sa.Recycler.Violations...)
+			stale += int64(sa.Recycler.StaleGuards)
+		}
+		for _, v := range found {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("shard %d: %s", i, v))
+		}
+		drift += abs(int64(sa.Cache.AccountedBytes) - int64(sa.Cache.SummedBytes))
+		if wm := sa.Cache.Watermark; i < len(a.lastWMs) && wm < a.lastWMs[i] {
+			rep.Violations = append(rep.Violations, fmt.Sprintf(
+				"shard %d: watermark moved backwards across passes: %d -> %d", i, a.lastWMs[i], wm))
+		}
+		rep.Shards = append(rep.Shards, sa)
 	}
-	rep.UnixMS = rep.Cache.UnixMS
-	rep.Violations = append(rep.Violations, rep.Cache.Violations...)
-	if rep.Recycler != nil {
-		rep.Violations = append(rep.Violations, rep.Recycler.Violations...)
-		a.staleGuards.Set(int64(rep.Recycler.StaleGuards))
+	a.lastWMs = a.lastWMs[:0]
+	for _, sa := range rep.Shards {
+		a.lastWMs = append(a.lastWMs, sa.Cache.Watermark)
 	}
 	rep.OK = len(rep.Violations) == 0
-	drift := int64(rep.Cache.AccountedBytes) - int64(rep.Cache.SummedBytes)
-	if drift < 0 {
-		drift = -drift
-	}
 	a.passes.Inc()
 	a.violations.Set(int64(len(rep.Violations)))
 	a.cacheDrift.Set(drift)
+	a.staleGuards.Set(stale)
 	rep.Passes = a.passes.Value()
-	a.mu.Lock()
 	a.last = &rep
-	a.mu.Unlock()
 	return rep
+}
+
+func abs(n int64) int64 {
+	if n < 0 {
+		return -n
+	}
+	return n
 }
 
 // Last returns the most recent report, running a pass first if none has

@@ -31,19 +31,23 @@ func TestAuditorCleanPass(t *testing.T) {
 		}
 	}
 
-	a := verify.NewAuditor(m, verify.AuditorConfig{Metrics: reg})
+	a := verify.NewAuditor([]*core.Manager{m}, verify.AuditorConfig{Metrics: reg})
 	rep := a.RunOnce()
 	if !rep.OK {
 		t.Fatalf("audit found violations on a healthy cache: %v", rep.Violations)
 	}
-	if rep.Cache.Entries == 0 {
+	if len(rep.Shards) != 1 {
+		t.Fatalf("audit reported %d managers, want 1", len(rep.Shards))
+	}
+	sa := rep.Shards[0]
+	if sa.Cache.Entries == 0 {
 		t.Fatal("audit saw an empty cache — test did not exercise entries")
 	}
-	if rep.Cache.AccountedBytes != rep.Cache.SummedBytes {
+	if sa.Cache.AccountedBytes != sa.Cache.SummedBytes {
 		t.Fatalf("byte accounting drift not flagged: %d vs %d",
-			rep.Cache.AccountedBytes, rep.Cache.SummedBytes)
+			sa.Cache.AccountedBytes, sa.Cache.SummedBytes)
 	}
-	if rep.Recycler == nil {
+	if sa.Recycler == nil {
 		t.Fatal("recycler configured but its audit section is missing")
 	}
 	if rep.Passes != 1 {
@@ -70,7 +74,7 @@ func TestAuditorLastRunsWhenEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := core.NewManager(erp.DB, erp.Reg, core.Config{Metrics: obs.NewRegistry()})
-	a := verify.NewAuditor(m, verify.AuditorConfig{})
+	a := verify.NewAuditor([]*core.Manager{m}, verify.AuditorConfig{})
 	if rep := a.Last(); rep.Passes != 1 || !rep.OK {
 		t.Fatalf("Last on fresh auditor: passes=%d ok=%v", rep.Passes, rep.OK)
 	}
@@ -85,7 +89,7 @@ func TestAuditorLoop(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	m := core.NewManager(erp.DB, erp.Reg, core.Config{Metrics: reg})
-	a := verify.NewAuditor(m, verify.AuditorConfig{Metrics: reg})
+	a := verify.NewAuditor([]*core.Manager{m}, verify.AuditorConfig{Metrics: reg})
 	ticks := make(chan time.Time)
 	verify.SetAuditTicks(a, ticks)
 	a.Start(time.Hour)

@@ -7,9 +7,12 @@ import (
 )
 
 // BundleSchemaVersion stamps every diagnostics bundle; bump it whenever a
-// top-level bundle field is added, removed, or renamed so postmortem
-// tooling can dispatch on shape.
-const BundleSchemaVersion = 1
+// top-level bundle field is added, removed, renamed, or changes shape so
+// postmortem tooling can dispatch on shape.
+//
+// Version 2: the audit section lists one report per shard (ShardAudit) and
+// the verify section one status per shard.
+const BundleSchemaVersion = 2
 
 // DefaultBundleTraces and DefaultBundleLedgerTail bound the trace and
 // ledger sections when BundleSources leaves the limits zero.
@@ -50,9 +53,10 @@ type BundleSources struct {
 	Shapes *obs.Shapes
 	SLO    *obs.SLO
 	// Auditor contributes its latest invariant report (running one pass
-	// if none has completed); Verifier contributes its status.
-	Auditor  *Auditor
-	Verifier *Verifier
+	// if none has completed); Verifiers contribute their statuses, one per
+	// shard in shard order.
+	Auditor   *Auditor
+	Verifiers []*Verifier
 }
 
 // Bundle is the one-shot diagnostics archive: a single versioned JSON
@@ -76,7 +80,7 @@ type Bundle struct {
 	Recycler      any                     `json:"recycler"`
 	Cache         any                     `json:"cache"`
 	Audit         *AuditReport            `json:"audit"`
-	Verify        *Status                 `json:"verify"`
+	Verify        []Status                `json:"verify"`
 }
 
 // Collect assembles a diagnostics bundle from whatever sources are wired.
@@ -154,9 +158,8 @@ func Collect(src BundleSources) *Bundle {
 		rep := src.Auditor.Last()
 		b.Audit = &rep
 	}
-	if src.Verifier != nil {
-		st := src.Verifier.Status()
-		b.Verify = &st
+	for _, v := range src.Verifiers {
+		b.Verify = append(b.Verify, v.Status())
 	}
 	return b
 }

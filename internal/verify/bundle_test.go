@@ -35,7 +35,15 @@ var goldenBundleKeys = []string{
 	"verify",
 }
 
-func bundleKeys(t *testing.T, b *verify.Bundle) []string {
+// goldenAuditKeys pins the audit section: since schema version 2 it holds
+// one cache/recycler report per shard.
+var (
+	goldenAuditKeys      = []string{"ok", "passes", "shards", "unix_ms", "violations"}
+	goldenShardAuditKeys = []string{"cache", "recycler"}
+)
+
+// bundleKeys lists the top-level JSON keys of a bundle or bundle section.
+func bundleKeys(t *testing.T, b any) []string {
 	t.Helper()
 	body, err := json.Marshal(b)
 	if err != nil {
@@ -76,24 +84,24 @@ func TestBundleGoldenSchema(t *testing.T) {
 	}
 	tail := obs.NewLineTail(8)
 	obs.NewEventLog(tail).Emit("bundle-test")
-	a := verify.NewAuditor(m, verify.AuditorConfig{Metrics: reg})
+	a := verify.NewAuditor([]*core.Manager{m}, verify.AuditorConfig{Metrics: reg})
 	v := verify.New(m, verify.Config{SampleRate: 0.5})
 	defer v.Stop()
 
 	b := verify.Collect(verify.BundleSources{
-		Meta:     map[string]string{"binary": "bundle_test"},
-		Registry: reg,
-		Events:   tail,
-		Recorder: rec,
-		Ledger:   led,
-		Advisor:  func() any { return map[string]int{"entries": 1} },
-		Shapes:   m.Shapes(),
-		SLO:      m.SLO(),
-		Governor: func() any { return nil },
-		Recycler: func() any { return m.AuditRecycler() },
-		Cache:    func() any { return m.AuditCache() },
-		Auditor:  a,
-		Verifier: v,
+		Meta:      map[string]string{"binary": "bundle_test"},
+		Registry:  reg,
+		Events:    tail,
+		Recorder:  rec,
+		Ledger:    led,
+		Advisor:   func() any { return map[string]int{"entries": 1} },
+		Shapes:    m.Shapes(),
+		SLO:       m.SLO(),
+		Governor:  func() any { return nil },
+		Recycler:  func() any { return m.AuditRecycler() },
+		Cache:     func() any { return m.AuditCache() },
+		Auditor:   a,
+		Verifiers: []*verify.Verifier{v},
 	})
 	if b.SchemaVersion != verify.BundleSchemaVersion {
 		t.Fatalf("schema_version = %d, want %d", b.SchemaVersion, verify.BundleSchemaVersion)
@@ -101,10 +109,16 @@ func TestBundleGoldenSchema(t *testing.T) {
 	if got := bundleKeys(t, b); !reflect.DeepEqual(got, goldenBundleKeys) {
 		t.Fatalf("bundle top-level keys drifted:\n got: %v\nwant: %v", got, goldenBundleKeys)
 	}
-	if b.Audit == nil || !b.Audit.OK {
+	if b.Audit == nil || !b.Audit.OK || len(b.Audit.Shards) != 1 {
 		t.Fatalf("bundle audit section missing or failing: %+v", b.Audit)
 	}
-	if b.Verify == nil || b.Verify.SampleRate != 0.5 {
+	if got := bundleKeys(t, b.Audit); !reflect.DeepEqual(got, goldenAuditKeys) {
+		t.Fatalf("audit section keys drifted:\n got: %v\nwant: %v", got, goldenAuditKeys)
+	}
+	if got := bundleKeys(t, b.Audit.Shards[0]); !reflect.DeepEqual(got, goldenShardAuditKeys) {
+		t.Fatalf("per-shard audit keys drifted:\n got: %v\nwant: %v", got, goldenShardAuditKeys)
+	}
+	if len(b.Verify) != 1 || b.Verify[0].SampleRate != 0.5 {
 		t.Fatalf("bundle verify section wrong: %+v", b.Verify)
 	}
 	if len(b.LedgerTail) == 0 || b.LedgerCanon == "" {

@@ -14,24 +14,27 @@ import (
 	"aggcache/internal/workload"
 )
 
+// buildShardedFixture builds a cluster whose shard managers share one
+// registry, as the shell's do: registry metrics are cluster totals.
 func buildShardedFixture(t *testing.T, seed int64, shards int) (*workload.ShardedERP, *shard.Sharded) {
 	t.Helper()
 	serp, err := workload.BuildShardedERP(difftest.SmallERP(seed), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	s := shard.New(serp.Cluster, shard.Config{
-		Manager: core.Config{Workers: 2},
-		Metrics: obs.NewRegistry(),
+		Manager: core.Config{Workers: 2, Metrics: reg},
+		Metrics: reg,
 	})
 	return serp, s
 }
 
-// TestShardAuditorCleanPasses runs cluster-wide invariant passes over a
-// healthy 2-shard deployment: every shard audited independently, watermarks
-// captured per shard, and a second pass after writes sees only forward
-// watermark motion.
-func TestShardAuditorCleanPasses(t *testing.T) {
+// TestAuditorShardsCleanPasses runs invariant passes over every shard
+// manager of a healthy 2-shard deployment: every shard audited
+// independently, watermarks captured per shard, and a second pass after
+// writes sees only forward watermark motion.
+func TestAuditorShardsCleanPasses(t *testing.T) {
 	serp, s := buildShardedFixture(t, 21, 2)
 	q := serp.ItemRevenueQuery()
 	for i := 0; i < 3; i++ {
@@ -40,21 +43,23 @@ func TestShardAuditorCleanPasses(t *testing.T) {
 		}
 	}
 
-	a := verify.NewShardAuditor(s, verify.AuditorConfig{})
+	a := verify.NewAuditor(s.Managers(), verify.AuditorConfig{})
 	rep := a.RunOnce()
 	if !rep.OK {
 		t.Fatalf("clean cluster failed audit: %v", rep.Violations)
 	}
-	if len(rep.PerShard) != 2 {
-		t.Fatalf("PerShard reports = %d, want 2", len(rep.PerShard))
+	if len(rep.Shards) != 2 {
+		t.Fatalf("per-shard reports = %d, want 2", len(rep.Shards))
 	}
-	for i, sr := range rep.PerShard {
-		if !sr.OK {
-			t.Fatalf("shard %d audit not OK: %v", i, sr.Violations)
+	wms := func(rep verify.AuditReport) []uint64 {
+		var out []uint64
+		for _, sa := range rep.Shards {
+			out = append(out, sa.Cache.Watermark)
 		}
+		return out
 	}
-	if len(rep.Watermarks) != 2 {
-		t.Fatalf("Watermarks = %v, want 2 entries", rep.Watermarks)
+	if got, want := wms(rep), s.Cluster().Watermarks(); got[0] != uint64(want[0]) || got[1] != uint64(want[1]) {
+		t.Fatalf("audited watermarks %v, cluster watermarks %v", got, want)
 	}
 
 	// Writes advance the last shard's watermark (monotonic header IDs route
@@ -69,24 +74,23 @@ func TestShardAuditorCleanPasses(t *testing.T) {
 	if !rep2.OK {
 		t.Fatalf("cluster failed audit after writes: %v", rep2.Violations)
 	}
-	for i := range rep2.Watermarks {
-		if rep2.Watermarks[i] < rep.Watermarks[i] {
-			t.Fatalf("shard %d watermark regressed across passes: %d -> %d",
-				i, rep.Watermarks[i], rep2.Watermarks[i])
+	before, after := wms(rep), wms(rep2)
+	for i := range after {
+		if after[i] < before[i] {
+			t.Fatalf("shard %d watermark regressed across passes: %d -> %d", i, before[i], after[i])
 		}
 	}
-	if rep2.Watermarks[1] <= rep.Watermarks[1] {
-		t.Fatalf("last shard watermark did not advance after inserts: %v -> %v",
-			rep.Watermarks, rep2.Watermarks)
+	if after[1] <= before[1] {
+		t.Fatalf("last shard watermark did not advance after inserts: %v -> %v", before, after)
 	}
 	if rep2.Passes != 2 {
 		t.Fatalf("Passes = %d, want 2", rep2.Passes)
 	}
-	if got := s.Metrics().Counter("shard_audit.passes").Value(); got != 2 {
-		t.Fatalf("shard_audit.passes = %d, want 2", got)
+	if got := s.Metrics().Counter("audit.passes").Value(); got != 2 {
+		t.Fatalf("audit.passes = %d, want 2", got)
 	}
-	if got := s.Metrics().Gauge("shard_audit.violations").Value(); got != 0 {
-		t.Fatalf("shard_audit.violations = %d, want 0", got)
+	if got := s.Metrics().Gauge("audit.violations").Value(); got != 0 {
+		t.Fatalf("audit.violations = %d, want 0", got)
 	}
 	if last := a.Last(); last.Passes != rep2.Passes {
 		t.Fatalf("Last() returned pass %d, want %d", last.Passes, rep2.Passes)
@@ -110,13 +114,13 @@ func TestPerShardVerifyDivergenceReproducer(t *testing.T) {
 		{Kind: difftest.OpCheck, A: 3, B: 1},
 	}
 	dir := t.TempDir()
-	vs := verify.AttachPerShard(s, verify.Config{
-		SampleRate:  1,
-		ArtifactDir: dir,
-		Reproducer:  func() (int64, string) { return seed, difftest.Format(seed, ops) },
-	})
-	if len(vs) != 2 {
-		t.Fatalf("AttachPerShard returned %d verifiers, want 2", len(vs))
+	var vs []*verify.Verifier
+	for _, m := range s.Managers() {
+		vs = append(vs, verify.Attach(m, verify.Config{
+			SampleRate:  1,
+			ArtifactDir: dir,
+			Reproducer:  func() (int64, string) { return seed, difftest.Format(seed, ops) },
+		}))
 	}
 
 	// Warm every shard's cache through the scatter plane, then corrupt only
@@ -131,17 +135,23 @@ func TestPerShardVerifyDivergenceReproducer(t *testing.T) {
 	if _, _, err := s.Execute(q, core.CachedFullPruning); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < s.NumShards(); i++ {
-		s.Manager(i).SetShadow(nil)
+	for i, m := range s.Managers() {
+		m.SetShadow(nil)
+		vs[i].Stop()
 	}
-	verify.StopAll(vs)
 
-	if st := vs[0].Status(); st.Divergences == 0 {
+	// The verifiers share the managers' registry, which sums them; each
+	// Status counts its own shard only.
+	st0 := vs[0].Status()
+	if st0.Divergences == 0 {
 		t.Fatal("corrupted shard 0 partial not caught by its shadow verifier")
 	}
-	if st := vs[1].Status(); st.Divergences != 0 {
-		t.Fatalf("healthy shard 1 reported %d divergences: %+v",
-			st.Divergences, st.LastDivergence)
+	if st := vs[1].Status(); st.Divergences != 0 || st.Checks == 0 {
+		t.Fatalf("healthy shard 1 reported %d divergences in %d checks: %+v",
+			st.Divergences, st.Checks, st.LastDivergence)
+	}
+	if got := s.Metrics().Counter("verify.divergences").Value(); got != st0.Divergences {
+		t.Fatalf("registry verify.divergences = %d, want shard 0's %d", got, st0.Divergences)
 	}
 
 	// The artifact must replay through both harnesses: the corruption is a

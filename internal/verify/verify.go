@@ -132,10 +132,10 @@ type Verifier struct {
 	threshold uint64
 	seq       atomic.Uint64
 
-	checks      *obs.Counter // verify.checks — shadow re-executions completed
-	divergences *obs.Counter // verify.divergences — confirmed mismatches
-	dropped     *obs.Counter // verify.dropped — captures shed (queue full / stopped)
-	pending     *obs.Gauge   // verify.pending — captures awaiting re-execution
+	checks      tally // verify.checks — shadow re-executions completed
+	divergences tally // verify.divergences — confirmed mismatches
+	dropped     tally // verify.dropped — captures shed (queue full / stopped)
+	pending     tally // verify.pending (a gauge) — captures awaiting re-execution
 
 	mu     sync.Mutex
 	tasks  chan task
@@ -165,16 +165,31 @@ func New(m *core.Manager, cfg Config) *Verifier {
 		m:           m,
 		cfg:         cfg,
 		threshold:   sampleThreshold(cfg.SampleRate),
-		checks:      reg.Counter("verify.checks"),
-		divergences: reg.Counter("verify.divergences"),
-		dropped:     reg.Counter("verify.dropped"),
-		pending:     reg.Gauge("verify.pending"),
+		checks:      tally{reg: reg.Counter("verify.checks")},
+		divergences: tally{reg: reg.Counter("verify.divergences")},
+		dropped:     tally{reg: reg.Counter("verify.dropped")},
+		pending:     tally{reg: reg.Gauge("verify.pending")},
 		tasks:       make(chan task, cfg.Queue),
 		done:        make(chan struct{}),
 	}
 	go v.run()
 	return v
 }
+
+// tally is one of a verifier's counts: its own value, which Status reports,
+// and the registry metric it also feeds — verifiers sharing a registry (one
+// per shard of a cluster) sum there.
+type tally struct {
+	own atomic.Int64
+	reg interface{ Add(int64) }
+}
+
+func (t *tally) Add(n int64) {
+	t.own.Add(n)
+	t.reg.Add(n)
+}
+
+func (t *tally) Value() int64 { return t.own.Load() }
 
 // Attach builds a verifier and installs it as the manager's shadow hook.
 func Attach(m *core.Manager, cfg Config) *Verifier {
@@ -240,7 +255,7 @@ func (v *Verifier) Capture(q *query.Query, strat core.Strategy, snap txn.Snapsho
 	if v.closed {
 		v.mu.Unlock()
 		release()
-		v.dropped.Inc()
+		v.dropped.Add(1)
 		return
 	}
 	select {
@@ -250,7 +265,7 @@ func (v *Verifier) Capture(q *query.Query, strat core.Strategy, snap txn.Snapsho
 	default:
 		v.mu.Unlock()
 		release()
-		v.dropped.Inc()
+		v.dropped.Add(1)
 	}
 }
 
@@ -342,7 +357,7 @@ func (v *Verifier) process(t task) {
 			}
 		}
 	}
-	v.checks.Inc()
+	v.checks.Add(1)
 	if reason == "" {
 		if sp != nil {
 			sp.Attr("verdict", "match")
@@ -358,7 +373,7 @@ func (v *Verifier) process(t task) {
 // decision, full trace, persisted reproducer artifact, and the last-seen
 // slot the bundle snapshots.
 func (v *Verifier) diverged(t task, reason, got, want string, sp *obs.Span) {
-	v.divergences.Inc()
+	v.divergences.Add(1)
 	d := &Divergence{
 		UnixMS:       time.Now().UnixMilli(),
 		Reason:       reason,

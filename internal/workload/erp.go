@@ -10,7 +10,6 @@ import (
 
 	"aggcache/internal/column"
 	"aggcache/internal/md"
-	"aggcache/internal/query"
 	"aggcache/internal/table"
 	"aggcache/internal/txn"
 )
@@ -76,6 +75,7 @@ func normalizeERPConfig(cfg ERPConfig) (ERPConfig, error) {
 // ERP is a generated ERP database: schema, matching dependencies, loaded
 // main stores, and an insert stream for growing the deltas.
 type ERP struct {
+	erpQueries
 	DB  *table.DB
 	Reg *md.Registry
 	Cfg ERPConfig
@@ -152,7 +152,7 @@ func BuildERP(cfg ERPConfig) (*ERP, error) {
 	if err := e.gen.loadDimensionInto(e.DB); err != nil {
 		return nil, err
 	}
-	if err := e.bulkLoadObjects(cfg.Headers); err != nil {
+	if err := e.gen.bulkLoadObjects(cfg.Headers, []*table.DB{e.DB}, nil); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -161,47 +161,68 @@ func BuildERP(cfg ERPConfig) (*ERP, error) {
 // bulkLoadObjects loads n business objects straight into the main stores
 // with synthetic, strictly increasing header TIDs — the state after a long
 // history of inserts followed by delta merges. Objects are ordered by
-// fiscal year (oldest first), so TIDs correlate with time. With hot/cold
-// partitioning the cold share lands in the cold partition by TID routing.
-func (e *ERP) bulkLoadObjects(n int) error {
+// fiscal year (oldest first), so TIDs correlate with time. route maps an
+// object's header id to the index of the database in dbs that owns it (nil
+// routes every object to dbs[0]); rows are generated in the same order
+// (same rng consumption) whatever the routing. With hot/cold partitioning
+// the cold share lands in the cold partition by TID routing. Every
+// database's watermark advances to the same value, as if each had observed
+// the full global insert history: per-database TIDs stay strictly
+// increasing, which is all visibility and pruning require.
+func (g *erpGen) bulkLoadObjects(n int, dbs []*table.DB, route func(hid int64) int) error {
 	if n == 0 {
 		return nil
 	}
-	base := e.DB.Txns().Watermark()
-	hdrRowsByPart := map[int][][]column.Value{}
-	hdrTIDsByPart := map[int][]txn.TID{}
-	itemRowsByPart := map[int][][]column.Value{}
-	itemTIDsByPart := map[int][]txn.TID{}
-	hdrTable := e.DB.MustTable(THeader)
-
+	// One batch per (database, partition) and table; Header and Item share
+	// the partitioning on the header tid.
+	type batch struct {
+		rows [][]column.Value
+		tids []txn.TID
+	}
+	hdrTables := make([]*table.Table, len(dbs))
+	hdr, items := make([][]batch, len(dbs)), make([][]batch, len(dbs))
+	for d, db := range dbs {
+		hdrTables[d] = db.MustTable(THeader)
+		parts := len(hdrTables[d].Partitions())
+		hdr[d], items[d] = make([]batch, parts), make([]batch, parts)
+	}
+	base := dbs[0].Txns().Watermark()
 	for k := 0; k < n; k++ {
 		tid := base + txn.TID(k) + 1
-		year := e.Cfg.BaseYear + k*e.Cfg.Years/n
-		hid := e.gen.nextHeader
-		e.gen.nextHeader++
-		hrow := e.gen.headerRow(hid, year, tid)
-		part := partitionFor(hdrTable, hrow)
-		hdrRowsByPart[part] = append(hdrRowsByPart[part], hrow)
-		hdrTIDsByPart[part] = append(hdrTIDsByPart[part], tid)
-		for j := 0; j < e.Cfg.ItemsPerHeader; j++ {
+		year := g.cfg.BaseYear + k*g.cfg.Years/n
+		hid := g.nextHeader
+		g.nextHeader++
+		d := 0
+		if route != nil {
+			d = route(hid)
+		}
+		hrow := g.headerRow(hid, year, tid)
+		part := partitionFor(hdrTables[d], hrow)
+		hb, ib := &hdr[d][part], &items[d][part]
+		hb.rows = append(hb.rows, hrow)
+		hb.tids = append(hb.tids, tid)
+		for j := 0; j < g.cfg.ItemsPerHeader; j++ {
 			// TidItem and TidHeader are both the object's insertion TID.
-			irow := e.gen.itemRow(hid, tid, tid)
-			itemRowsByPart[part] = append(itemRowsByPart[part], irow)
-			itemTIDsByPart[part] = append(itemTIDsByPart[part], tid)
+			ib.rows = append(ib.rows, g.itemRow(hid, tid, tid))
+			ib.tids = append(ib.tids, tid)
 		}
 	}
-	for part, rows := range hdrRowsByPart {
-		if err := hdrTable.BulkLoadMain(part, rows, hdrTIDsByPart[part]); err != nil {
-			return err
+	for d, db := range dbs {
+		for _, load := range []struct {
+			table   string
+			batches []batch
+		}{{THeader, hdr[d]}, {TItem, items[d]}} {
+			for part, b := range load.batches {
+				if len(b.rows) == 0 {
+					continue
+				}
+				if err := db.MustTable(load.table).BulkLoadMain(part, b.rows, b.tids); err != nil {
+					return err
+				}
+			}
 		}
+		db.Txns().AdvanceTo(base + txn.TID(n))
 	}
-	itemTable := e.DB.MustTable(TItem)
-	for part, rows := range itemRowsByPart {
-		if err := itemTable.BulkLoadMain(part, rows, itemTIDsByPart[part]); err != nil {
-			return err
-		}
-	}
-	e.DB.Txns().AdvanceTo(base + txn.TID(n))
 	return nil
 }
 
@@ -231,13 +252,7 @@ func partitionFor(t *table.Table, vals []column.Value) int {
 // a single transaction, enforcing the matching dependency (the child tid is
 // looked up from the header) — the insert pattern of Sec. 3.2.
 func (e *ERP) InsertBusinessObject(items int) error {
-	tx := e.DB.Txns().Begin()
-	if err := e.InsertBusinessObjectIn(tx, items); err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.Commit()
-	return nil
+	return e.gen.commitObject(e.DB, e.Reg, items)
 }
 
 // InsertBusinessObjectIn writes one business object — a header and the
@@ -245,20 +260,38 @@ func (e *ERP) InsertBusinessObject(items int) error {
 // caller can read while the write is in flight and then commit or abort it.
 // The object's ids are consumed either way.
 func (e *ERP) InsertBusinessObjectIn(tx *txn.Txn, items int) error {
-	hid := e.gen.nextHeader
-	e.gen.nextHeader++
-	year := e.Cfg.BaseYear + e.Cfg.Years - 1 // new objects belong to the current year
-	hvals := e.gen.headerRow(hid, year, tx.ID())
-	if _, err := e.DB.MustTable(THeader).Insert(tx, hvals); err != nil {
+	return e.gen.insertObject(e.DB, e.Reg, tx, items)
+}
+
+// commitObject writes the next business object into db in a transaction of
+// its own.
+func (g *erpGen) commitObject(db *table.DB, reg *md.Registry, items int) error {
+	tx := db.Txns().Begin()
+	if err := g.insertObject(db, reg, tx, items); err != nil {
+		tx.Abort()
+		return err
+	}
+	tx.Commit()
+	return nil
+}
+
+// insertObject writes the next business object — a header and the given
+// number of items, MD-enforced against reg — into db inside tx, leaving tx
+// open. The object's ids are consumed either way.
+func (g *erpGen) insertObject(db *table.DB, reg *md.Registry, tx *txn.Txn, items int) error {
+	hid := g.nextHeader
+	g.nextHeader++
+	year := g.cfg.BaseYear + g.cfg.Years - 1 // new objects belong to the current year
+	if _, err := db.MustTable(THeader).Insert(tx, g.headerRow(hid, year, tx.ID())); err != nil {
 		return err
 	}
 	for j := 0; j < items; j++ {
 		// TidHeader is left zero for the MD enforcement to fill.
-		ivals := e.gen.itemRow(hid, tx.ID(), 0)
-		if err := e.Reg.FillChildTIDs(TItem, ivals); err != nil {
+		ivals := g.itemRow(hid, tx.ID(), 0)
+		if err := reg.FillChildTIDs(TItem, ivals); err != nil {
 			return err
 		}
-		if _, err := e.DB.MustTable(TItem).Insert(tx, ivals); err != nil {
+		if _, err := db.MustTable(TItem).Insert(tx, ivals); err != nil {
 			return err
 		}
 	}
@@ -274,31 +307,6 @@ func (e *ERP) InsertBusinessObjects(n int) error {
 		}
 	}
 	return nil
-}
-
-// ProfitQuery is the paper's Listing 1: profit per product category for one
-// fiscal year, in one language.
-func (e *ERP) ProfitQuery(year int, language string) *query.Query {
-	return erpProfitQuery(year, language)
-}
-
-// YearRangeQuery aggregates items whose headers fall in [loYear, hiYear] —
-// the selectivity knob of the hot/cold experiment (Fig. 11).
-func (e *ERP) YearRangeQuery(loYear, hiYear int) *query.Query {
-	return erpYearRangeQuery(loYear, hiYear)
-}
-
-// HeaderCountQuery is a single-table aggregate over Header — the shape used
-// by the maintenance-strategy experiment (Sec. 6.1).
-func (e *ERP) HeaderCountQuery() *query.Query {
-	return erpHeaderCountQuery()
-}
-
-// ItemRevenueQuery is a single-table aggregate over Item grouped by
-// category: the per-aggregate shape maintained by the materialized-view
-// baselines in the Fig. 6 experiment.
-func (e *ERP) ItemRevenueQuery() *query.Query {
-	return erpItemRevenueQuery()
 }
 
 // NewItemRow builds one item row with zeroed TidItem and TidHeader for

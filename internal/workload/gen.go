@@ -192,9 +192,13 @@ func (g *erpGen) loadDimensionInto(db *table.DB) error {
 	return db.MergeTablesOnline(false, TCategory)
 }
 
-// erpProfitQuery is the paper's Listing 1: profit per product category for
-// one fiscal year, in one language.
-func erpProfitQuery(year int, language string) *query.Query {
+// erpQueries are the query shapes of the ERP workload, the same at every
+// shard count; ERP and ShardedERP both embed them.
+type erpQueries struct{}
+
+// ProfitQuery is the paper's Listing 1: profit per product category for one
+// fiscal year, in one language.
+func (erpQueries) ProfitQuery(year int, language string) *query.Query {
 	return &query.Query{
 		Tables: []string{THeader, TItem, TCategory},
 		Joins: []query.JoinEdge{
@@ -212,8 +216,9 @@ func erpProfitQuery(year int, language string) *query.Query {
 	}
 }
 
-// erpYearRangeQuery aggregates items whose headers fall in [loYear, hiYear].
-func erpYearRangeQuery(loYear, hiYear int) *query.Query {
+// YearRangeQuery aggregates items whose headers fall in [loYear, hiYear] —
+// the selectivity knob of the hot/cold experiment (Fig. 11).
+func (erpQueries) YearRangeQuery(loYear, hiYear int) *query.Query {
 	return &query.Query{
 		Tables: []string{THeader, TItem},
 		Joins: []query.JoinEdge{
@@ -233,8 +238,9 @@ func erpYearRangeQuery(loYear, hiYear int) *query.Query {
 	}
 }
 
-// erpHeaderCountQuery is a single-table aggregate over Header.
-func erpHeaderCountQuery() *query.Query {
+// HeaderCountQuery is a single-table aggregate over Header — the shape used
+// by the maintenance-strategy experiment (Sec. 6.1).
+func (erpQueries) HeaderCountQuery() *query.Query {
 	return &query.Query{
 		Tables:  []string{THeader},
 		GroupBy: []query.ColRef{{Table: THeader, Col: "FiscalYear"}},
@@ -244,9 +250,10 @@ func erpHeaderCountQuery() *query.Query {
 	}
 }
 
-// erpItemRevenueQuery is a single-table aggregate over Item grouped by
-// category.
-func erpItemRevenueQuery() *query.Query {
+// ItemRevenueQuery is a single-table aggregate over Item grouped by
+// category: the per-aggregate shape maintained by the materialized-view
+// baselines in the Fig. 6 experiment.
+func (erpQueries) ItemRevenueQuery() *query.Query {
 	return &query.Query{
 		Tables:  []string{TItem},
 		GroupBy: []query.ColRef{{Table: TItem, Col: "CategoryID"}},
