@@ -132,8 +132,8 @@ type shell struct {
 	// shard holds the same tables).
 	db *table.DB
 	// cfg is the template every shard manager was built from; its registry,
-	// recorder, ledger, SLO tracker and shape profiles are shared by all
-	// shards.
+	// recorder and ledger are shared by all shards, and its SLO tracker and
+	// shape profiles are the cluster's, recording each query once.
 	cfg      core.Config
 	out      io.Writer
 	strategy core.Strategy

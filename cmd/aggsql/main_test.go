@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -223,6 +224,39 @@ func TestShellExplainAnalyzeOneShard(t *testing.T) {
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("EXPLAIN ANALYZE output lacks %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestShellObserversCountQueries checks that the SLO tracker and the shape
+// profiles count queries, not shard executions: three runs of a SELECT that
+// every shard serves read three in \slo and \shapes at one and at four
+// shards, and the repeats are hits only because every shard's execution was
+// a memo hit.
+func TestShellObserversCountQueries(t *testing.T) {
+	long := regexp.MustCompile(`long window\s+\(\d+ slots\):\s+(\d+) queries`)
+	for _, shards := range []int{1, 4} {
+		cfg := testConfig()
+		sh, err := loadERP(smallERP(), shards, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := startShell(t, sh, options{})
+		for i := 0; i < 3; i++ {
+			if got := run(t, sh, out, erpStatements[3]); !strings.Contains(got, fmt.Sprintf("scattered %d/%d", shards, shards)) {
+				t.Fatalf("shards=%d: the SELECT did not reach every shard:\n%s", shards, got)
+			}
+		}
+		m := long.FindStringSubmatch(command(t, sh, out, "\\slo"))
+		if m == nil || m[1] != "3" {
+			t.Fatalf("shards=%d: \\slo long window = %v, want 3 queries", shards, m)
+		}
+		shapes := strings.Split(strings.TrimSpace(command(t, sh, out, "\\shapes")), "\n")
+		if len(shapes) != 2 || strings.Fields(shapes[1])[0] != "3" {
+			t.Fatalf("shards=%d: \\shapes printed %q, want one shape with 3 queries", shards, shapes)
+		}
+		if p := cfg.Shapes.Profiles()[0]; p.Hits != 2 || p.MemoHits != 2 {
+			t.Fatalf("shards=%d: shape profile %+v, want 2 hits, both memo hits", shards, p)
 		}
 	}
 }

@@ -2,9 +2,10 @@
 // aggregate cache: seeded generators produce mixed workloads of inserts,
 // updates, deletes, atomic and staged delta merges, fault-injected
 // crashes, and data aging over the ERP schema, and every embedded query
-// check asserts that all cached execution strategies — at one and at four
-// executor workers, with and without the cross-query recycler cache —
-// return results byte-identical to the uncached oracle.
+// check asserts that all cached execution strategies — on clusters of one,
+// two and eight shards, at one and at four executor workers, with and
+// without the cross-query recycler cache — return results byte-identical to
+// the uncached oracle.
 //
 // Failures reproduce from their seed alone. The harness shrinks a failing
 // operation sequence by greedy chunk removal before reporting, and can
@@ -24,6 +25,7 @@ import (
 	"aggcache/internal/obs"
 	"aggcache/internal/query"
 	"aggcache/internal/recycler"
+	"aggcache/internal/shard"
 	"aggcache/internal/table"
 	"aggcache/internal/txn"
 	"aggcache/internal/workload"
@@ -76,7 +78,7 @@ const (
 	// writer and checks a plain read (see Runner.ownWrites): an own-writes
 	// read must not leave the writer's rows in the cache. Generate never
 	// emits it; TestDifferentialOwnWrites turns checks into it
-	// (checksToOwnWrites). The shard runner ignores it.
+	// (checksToOwnWrites).
 	OpOwnWrites
 	numOpKinds
 )
@@ -114,23 +116,24 @@ type Config struct {
 	// paired run with and without merges must produce byte-identical
 	// check outputs (merges are pure reorganizations).
 	DisableMerges bool
-	// Govern attaches a maintenance governor to the single-worker manager:
-	// one deterministic Tick after every applied op (no background
-	// goroutine). The governor is then the only group merger — the group
+	// Govern attaches a maintenance governor to every shard of each
+	// cluster's single-worker plain manager plane: one deterministic tick
+	// per shard after every applied op (no background goroutine). The
+	// governors are then the only group mergers — the group
 	// branch of OpMergeOnline is a no-op — because a generated group merge
 	// every few ops would reset its baseline long before compensation paid
 	// for one. Single-table, staged and crash-injected merges stay live, so
 	// ticks still meet an open staged merge and the aftermath of a crash.
-	// Governor-initiated merges are physical reorganizations of the shared
+	// Governor-initiated merges are physical reorganizations of the shard's
 	// database, so the worker-count ledger identity must survive them.
 	Govern bool
-	// Recycle adds a second pair of managers (one and four workers), each
-	// with its own recycler cache and decision ledger. Every check also runs
-	// through them: results must stay byte-identical to the oracle, Stats
-	// must match across worker counts, and the recycled pair's canonical
-	// ledgers — which now include recycle-hit/topup/admit/evict decisions —
-	// must be byte-identical too, across merges, aborted merges, crashes,
-	// and aging.
+	// Recycle adds a second arm to every cluster: manager planes at one and
+	// four workers whose shard managers each have their own recycler cache
+	// and decision ledger. Every check also runs through them: results must
+	// stay byte-identical to the oracle, Stats must match across worker
+	// counts, and the recycled ledgers — which also hold
+	// recycle-hit/topup/admit/evict decisions — must be byte-identical too,
+	// across merges, aborted merges, crashes, and aging.
 	Recycle bool
 }
 
@@ -260,83 +263,125 @@ type stagedKey struct {
 	part  int
 }
 
-// Runner executes an operation sequence against one ERP database observed
-// by two cache managers (one single-worker, one four-worker).
+// shardCounts are the cluster sizes of every run: one shard (an unsharded
+// database, and the oracle's), an even split, and more shards than the
+// small schema comfortably fills, so some shards stay near-empty and the
+// whole-shard prune paths run.
+var shardCounts = [...]int{1, 2, 8}
+
+// workers are the executor worker counts of each arm's two manager planes.
+var workers = [2]int{1, 4}
+
+// txTables are the transactional tables: merged as a group, aged together.
+var txTables = []string{workload.THeader, workload.TItem}
+
+// arm is one cache configuration over a cluster, at each worker count. Its
+// planes share all state that may legally influence results (none) and
+// stats (the configuration), so their Stats and canonical ledgers must
+// match.
+type arm struct {
+	name string
+	s    [len(workers)]*shard.Sharded
+}
+
+// cluster is one database of a run: the ERP workload over a shard cluster,
+// observed by its arms.
+type cluster struct {
+	*workload.ShardedERP
+	arms []arm
+}
+
+// owner is the database of the shard holding the object with header id hid.
+func (c *cluster) owner(hid int64) *table.DB {
+	return c.Cluster.Shard(c.Cluster.ShardFor(hid)).DB
+}
+
+// corrupt perturbs the seed-chosen cached partial in every shard manager of
+// every arm: silent until a check compares with the oracle.
+func (c *cluster) corrupt(seed int64) {
+	for _, a := range c.arms {
+		for _, s := range a.s {
+			for _, m := range s.Managers() {
+				m.CorruptEntryForVerify(seed)
+			}
+		}
+	}
+}
+
+// Runner executes an operation sequence against one cluster per entry of
+// shardCounts. All clusters are built from the same config and seed and
+// consume the deterministic row generator in lockstep, so they hold the
+// same logical rows; every check asserts each arm of each cluster returns
+// rows byte-identical to the uncached oracle.
 type Runner struct {
-	erp        *workload.ERP
-	m1, m4     *core.Manager
-	led1, led4 *obs.Ledger
-	// Recycled pair (nil unless cfg.Recycle): same shared database, own
-	// recycler caches and ledgers.
-	mr1, mr4     *core.Manager
-	ledR1, ledR4 *obs.Ledger
-	objs         objects
-	staged       map[stagedKey]*table.OnlineMerge
-	// gov ticks once per op when cfg.Govern is set; its decisions are a
-	// pure function of the op sequence.
-	gov *core.Governor
+	clusters []*cluster
+	objs     objects
+	// staged holds the open staged merges, one per shard of every cluster.
+	staged map[stagedKey][]*table.OnlineMerge
 	// Outputs collects the rendered result of every query check (and of
 	// both reads of a repeat), in order — the unit of cross-run comparison.
 	Outputs []string
 	cfg     Config
-	checks  int
-	// repeats counts the executed repeat ops per in-between case.
-	repeats [numRepeatCases]int
+	// repeats counts per cluster the repeat ops whose second read it served,
+	// per in-between case.
+	repeats [len(shardCounts)][numRepeatCases]int
 }
 
-// NewRunner builds the database and managers for one run.
+// NewRunner builds the clusters and their manager planes for one run.
 func NewRunner(cfg Config) (*Runner, error) {
-	erp, err := workload.BuildERP(cfg.ERP)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := erp.DB.Create(table.Schema{
-		Name: sideTable,
-		Cols: []table.ColumnDef{{Name: "NoteID", Kind: column.Int64}},
-	}); err != nil {
-		return nil, err
-	}
-	// Unlimited capacity and zero admission threshold keep the entry
-	// population a pure function of the op sequence. Each manager records
-	// into its own decision ledger; Run asserts the two streams are
-	// byte-identical in canonical form — cache decisions, like results,
-	// must not depend on the worker count.
-	led1, led4 := obs.NewLedger(0), obs.NewLedger(0)
-	mk := func(workers int, led *obs.Ledger, rc *recycler.Cache) *core.Manager {
-		return core.NewManager(erp.DB, erp.Reg, core.Config{
-			Workers:  workers,
-			Metrics:  obs.NewRegistry(),
-			Ledger:   led,
-			Recycler: rc,
-		})
-	}
 	r := &Runner{
-		erp:    erp,
-		m1:     mk(1, led1, nil),
-		m4:     mk(4, led4, nil),
-		led1:   led1,
-		led4:   led4,
-		staged: make(map[stagedKey]*table.OnlineMerge),
+		objs:   bulkObjects(cfg.ERP),
+		staged: make(map[stagedKey][]*table.OnlineMerge),
 		cfg:    cfg,
 	}
-	if cfg.Recycle {
-		// Each recycled manager gets a private cache so the pair's recycler
-		// states evolve as identical pure functions of the op sequence —
-		// unlimited capacity for the same reason the aggregate cache runs
-		// unlimited here.
-		r.ledR1, r.ledR4 = obs.NewLedger(0), obs.NewLedger(0)
-		r.mr1 = mk(1, r.ledR1, recycler.New(recycler.Config{Metrics: obs.NewRegistry()}))
-		r.mr4 = mk(4, r.ledR4, recycler.New(recycler.Config{Metrics: obs.NewRegistry()}))
+	for _, n := range shardCounts {
+		serp, err := workload.BuildShardedERP(cfg.ERP, n)
+		if err != nil {
+			return nil, err
+		}
+		for _, sh := range serp.Cluster.Shards() {
+			if _, err := sh.DB.Create(table.Schema{
+				Name: sideTable,
+				Cols: []table.ColumnDef{{Name: "NoteID", Kind: column.Int64}},
+			}); err != nil {
+				return nil, err
+			}
+		}
+		// Unlimited capacity and zero admission threshold keep the entry
+		// population a pure function of the op sequence. Every shard
+		// manager records into its own decision ledger; Run asserts an
+		// arm's streams are byte-identical in canonical form — cache
+		// decisions, like results, must not depend on the worker count. A
+		// recycler template gives every shard manager a private, unlimited
+		// recycler for the same reason.
+		plane := func(w int, rc *recycler.Cache) *shard.Sharded {
+			return shard.New(serp.Cluster, shard.Config{
+				Manager: core.Config{Workers: w, Recycler: rc},
+				Metrics: obs.NewRegistry(),
+				Ledgers: true,
+			})
+		}
+		c := &cluster{ShardedERP: serp}
+		rcs := []*recycler.Cache{nil}
+		if cfg.Recycle {
+			rcs = append(rcs, recycler.New(recycler.Config{Metrics: obs.NewRegistry()}))
+		}
+		for _, rc := range rcs {
+			a := arm{name: "plain"}
+			if rc != nil {
+				a.name = "recycled"
+			}
+			for wi, w := range workers {
+				a.s[wi] = plane(w, rc)
+			}
+			c.arms = append(c.arms, a)
+		}
+		if cfg.Govern {
+			c.arms[0].s[0].Govern(core.GovernorConfig{Tables: txTables})
+		}
+		r.clusters = append(r.clusters, c)
 	}
-	if cfg.Govern {
-		r.gov = core.NewGovernor(r.m1, core.GovernorConfig{Tables: []string{workload.THeader, workload.TItem}})
-	}
-	r.objs = bulkObjects(cfg.ERP)
 	return r, nil
-}
-
-func (r *Runner) mergeActive() bool {
-	return r.erp.DB.MergeActive(workload.THeader) || r.erp.DB.MergeActive(workload.TItem)
 }
 
 // Run executes the sequence; any correctness violation is returned as an
@@ -346,20 +391,18 @@ func (r *Runner) Run(ops []Op) error {
 		if err := r.apply(op); err != nil {
 			return fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
 		}
-		if r.gov != nil {
-			// One synchronous tick per op: governor merges land at op
-			// boundaries, never concurrent with a check.
-			if _, err := r.gov.Tick(); err != nil {
-				return fmt.Errorf("op %d governor tick: %w", i, err)
+		// One synchronous tick per governed shard per op: governor merges
+		// land at op boundaries, never concurrent with a check.
+		for _, c := range r.clusters {
+			if _, err := c.arms[0].s[0].TickAll(); err != nil {
+				return fmt.Errorf("op %d governor tick, shards=%d: %w", i, c.Cluster.NumShards(), err)
 			}
 		}
 	}
 	// Close any merge the sequence left open, then do a final sweep of
 	// every query shape so each run ends fully checked.
 	for _, k := range r.stagedKeys() {
-		om := r.staged[k]
-		delete(r.staged, k)
-		if _, err := om.Finish(); err != nil {
+		if err := r.closeStaged(k, false); err != nil {
 			return fmt.Errorf("final staged finish: %w", err)
 		}
 	}
@@ -373,32 +416,28 @@ func (r *Runner) Run(ops []Op) error {
 
 // compareLedgers asserts the worker-count independence of the decision
 // stream: the same op sequence must leave byte-identical canonical ledgers
-// in the one- and four-worker managers, and replaying both through the
+// in an arm's planes, and replaying each shard's ledger through the
 // shadow-cache advisor under the deterministic rows cost model must produce
 // byte-identical reports.
 func (r *Runner) compareLedgers() error {
-	c1 := obs.CanonLedger(r.led1.Snapshot())
-	c4 := obs.CanonLedger(r.led4.Snapshot())
-	if c1 != c4 {
-		return fmt.Errorf("decision ledgers diverged across worker counts:%s",
-			firstDiffLine(c1, c4))
-	}
 	opts := advisor.Options{Cost: advisor.CostRows, Metrics: obs.NewRegistry()}
-	a1 := advisor.Analyze(r.led1.Snapshot(), opts).CanonString()
-	a4 := advisor.Analyze(r.led4.Snapshot(), opts).CanonString()
-	if a1 != a4 {
-		return fmt.Errorf("advisor reports diverged across worker counts:%s",
-			firstDiffLine(a1, a4))
+	advice := func(s *shard.Sharded) string {
+		var b strings.Builder
+		for _, m := range s.Managers() {
+			b.WriteString(advisor.Analyze(m.Ledger().Snapshot(), opts).CanonString())
+		}
+		return b.String()
 	}
-	if r.ledR1 != nil {
-		// The recycled pair's ledgers carry recycle-hit/topup/admit/evict
-		// decisions on top of the cache stream; they too must be a pure
-		// function of the op sequence, not the worker count.
-		cr1 := obs.CanonLedger(r.ledR1.Snapshot())
-		cr4 := obs.CanonLedger(r.ledR4.Snapshot())
-		if cr1 != cr4 {
-			return fmt.Errorf("recycled decision ledgers diverged across worker counts:%s",
-				firstDiffLine(cr1, cr4))
+	for _, c := range r.clusters {
+		for _, a := range c.arms {
+			if l1, l4 := a.s[0].CanonLedgers(), a.s[1].CanonLedgers(); l1 != l4 {
+				return fmt.Errorf("shards=%d %s: decision ledgers diverged across worker counts:%s",
+					c.Cluster.NumShards(), a.name, firstDiffLine(l1, l4))
+			}
+			if a1, a4 := advice(a.s[0]), advice(a.s[1]); a1 != a4 {
+				return fmt.Errorf("shards=%d %s: advisor reports diverged across worker counts:%s",
+					c.Cluster.NumShards(), a.name, firstDiffLine(a1, a4))
+			}
 		}
 	}
 	return nil
@@ -422,93 +461,86 @@ func firstDiffLine(a, b string) string {
 	return "\n (lengths differ only)"
 }
 
+// tableOf picks a transactional table by a raw random value's parity.
+func tableOf(raw int64) string {
+	if raw%2 == 0 {
+		return workload.TItem
+	}
+	return workload.THeader
+}
+
+// apply replays one operation on every cluster: writes on the shard owning
+// the object, group merges on every shard concurrently, every other merge
+// and aging shard by shard.
 func (r *Runner) apply(op Op) error {
-	db := r.erp.DB
 	switch op.Kind {
 	case OpInsert:
-		tx := db.Txns().Begin()
-		idx, err := r.insertIn(tx, int(op.A%3)+1)
+		w, idx, err := r.insertIn(int(op.A%3) + 1)
 		if err != nil {
-			tx.Abort()
 			return err
 		}
-		tx.Commit()
+		w.commit()
 		r.objs[idx].alive = true
 
 	case OpUpdate:
-		idx := r.objs.pickAlive(op.A)
-		if idx < 0 {
-			return nil
+		if idx := r.objs.pickAlive(op.A); idx >= 0 {
+			o := r.objs[idx]
+			return r.reprice(o.hid, o.items[op.B%int64(len(o.items))], op.C)
 		}
-		o := r.objs[idx]
-		itemID := o.items[op.B%int64(len(o.items))]
-		price := float64(1 + op.C%1000) // integer-valued: exact arithmetic
-		return reprice(db, itemID, price)
 
 	case OpDelete:
 		if idx := r.objs.pickAlive(op.A); idx >= 0 {
-			return deleteObject(db, &r.objs[idx])
+			return r.deleteObject(&r.objs[idx])
 		}
 
 	case OpMergeOnline:
-		if r.cfg.DisableMerges || r.mergeActive() {
+		if r.cfg.DisableMerges || r.mergeActive(txTables...) {
 			return nil
 		}
 		if op.A%2 == 0 {
-			if r.gov != nil {
-				return nil // the governor owns group merges
+			if r.cfg.Govern {
+				return nil // the governors own group merges
 			}
-			return db.MergeTablesOnline(false, workload.THeader, workload.TItem)
+			for _, c := range r.clusters {
+				if err := c.Cluster.MergeTablesOnlineConcurrent(false, txTables...); err != nil {
+					return fmt.Errorf("shards=%d: %w", c.Cluster.NumShards(), err)
+				}
+			}
+			return nil
 		}
-		name := workload.THeader
-		if op.B%2 == 0 {
-			name = workload.TItem
-		}
+		name := tableOf(op.B)
 		part := int(op.C) % r.parts(name)
-		_, err := db.MergeOnline(name, part, false)
-		return err
+		return r.eachDB(func(db *table.DB) error {
+			_, err := db.MergeOnline(name, part, false)
+			return err
+		})
 
 	case OpBeginMerge:
-		if r.cfg.DisableMerges {
+		name := tableOf(op.A)
+		if r.cfg.DisableMerges || r.mergeActive(name) {
 			return nil
 		}
-		name := workload.THeader
-		if op.A%2 == 0 {
-			name = workload.TItem
-		}
-		if db.MergeActive(name) {
+		k := stagedKey{name, int(op.B) % r.parts(name)}
+		return r.eachDB(func(db *table.DB) error {
+			om, err := db.StartOnlineMerge(name, k.part, false)
+			if err != nil {
+				return err
+			}
+			if err := om.Build(); err != nil {
+				om.Abort()
+				return err
+			}
+			r.staged[k] = append(r.staged[k], om)
 			return nil
-		}
-		part := int(op.B) % r.parts(name)
-		om, err := db.StartOnlineMerge(name, part, false)
-		if err != nil {
-			return err
-		}
-		if err := om.Build(); err != nil {
-			om.Abort()
-			return err
-		}
-		r.staged[stagedKey{name, part}] = om
+		})
 
-	case OpFinishMerge:
+	case OpFinishMerge, OpAbortMerge:
 		if keys := r.stagedKeys(); len(keys) > 0 {
-			k := keys[op.A%int64(len(keys))]
-			om := r.staged[k]
-			delete(r.staged, k)
-			_, err := om.Finish()
-			return err
-		}
-
-	case OpAbortMerge:
-		if keys := r.stagedKeys(); len(keys) > 0 {
-			k := keys[op.A%int64(len(keys))]
-			om := r.staged[k]
-			delete(r.staged, k)
-			om.Abort()
+			return r.closeStaged(keys[op.A%int64(len(keys))], op.Kind == OpAbortMerge)
 		}
 
 	case OpCrashMerge:
-		if r.cfg.DisableMerges || r.mergeActive() {
+		if r.cfg.DisableMerges || r.mergeActive(txTables...) {
 			return nil
 		}
 		points := []table.FaultPoint{
@@ -516,44 +548,47 @@ func (r *Runner) apply(op Op) error {
 			table.FaultMergeBeforeSwap, table.FaultMergeAfterSwap,
 		}
 		point := points[op.B%int64(len(points))]
-		f := table.NewFaults(op.A)
-		f.Set(point, table.FaultSpec{Prob: 1, Crash: true})
-		db.SetFaults(f)
-		name := workload.THeader
-		if op.C%2 == 0 {
-			name = workload.TItem
-		}
-		_, err := db.MergeOnline(name, int(op.C)%r.parts(name), false)
-		db.SetFaults(nil)
-		if !errors.Is(err, table.ErrInjected) {
-			return fmt.Errorf("crash injection at %v: got %v, want ErrInjected", point, err)
-		}
+		name := tableOf(op.C)
+		return r.eachDB(func(db *table.DB) error {
+			f := table.NewFaults(op.A)
+			f.Set(point, table.FaultSpec{Prob: 1, Crash: true})
+			db.SetFaults(f)
+			_, err := db.MergeOnline(name, int(op.C)%r.parts(name), false)
+			db.SetFaults(nil)
+			if !errors.Is(err, table.ErrInjected) {
+				return fmt.Errorf("crash injection at %v: got %v, want ErrInjected", point, err)
+			}
+			return nil
+		})
 
 	case OpAge:
-		if r.cfg.DisableMerges || r.cfg.ERP.ColdShare <= 0 || r.mergeActive() {
+		if r.cfg.DisableMerges || r.cfg.ERP.ColdShare <= 0 || r.mergeActive(txTables...) {
 			return nil
 		}
-		// Aging requires empty deltas in every partition; merge them all
-		// first, then move both tables' boundaries together to keep
-		// objects co-partitioned.
-		for _, name := range []string{workload.THeader, workload.TItem} {
-			for part := 0; part < r.parts(name); part++ {
-				if _, err := db.MergeOnline(name, part, false); err != nil {
+		// Aging requires empty deltas in every partition: each shard merges
+		// them all first, then moves both tables' boundaries together, to
+		// keep objects co-partitioned, to a split below its own watermark.
+		return r.eachDB(func(db *table.DB) error {
+			for _, name := range txTables {
+				for part := 0; part < r.parts(name); part++ {
+					if _, err := db.MergeOnline(name, part, false); err != nil {
+						return err
+					}
+				}
+			}
+			cold := db.MustTable(workload.THeader).Partitions()[0]
+			wm := int64(db.Txns().Watermark())
+			if wm <= cold.Hi {
+				return nil
+			}
+			split := cold.Hi + 1 + op.A%(wm-cold.Hi)
+			for _, name := range txTables {
+				if err := db.AgeOnline(name, split); err != nil {
 					return err
 				}
 			}
-		}
-		cold := db.MustTable(workload.THeader).Partitions()[0]
-		wm := int64(db.Txns().Watermark())
-		if wm <= cold.Hi {
 			return nil
-		}
-		split := cold.Hi + 1 + op.A%(wm-cold.Hi)
-		for _, name := range []string{workload.THeader, workload.TItem} {
-			if err := db.AgeOnline(name, split); err != nil {
-				return err
-			}
-		}
+		})
 
 	case OpCheck:
 		return r.check(op)
@@ -565,51 +600,131 @@ func (r *Runner) apply(op Op) error {
 		return r.ownWrites(op)
 
 	case OpCorrupt:
-		// Fault injection: perturb the same entry (chosen by seed over
-		// sorted keys) in every manager. The corruption is silent — only a
-		// later check's oracle comparison can catch it.
-		for _, m := range []*core.Manager{r.m1, r.m4, r.mr1, r.mr4} {
-			if m != nil {
-				m.CorruptEntryForVerify(op.A)
+		for _, c := range r.clusters {
+			c.corrupt(op.A)
+		}
+	}
+	return nil
+}
+
+// eachDB runs f on every shard database of every cluster, in order, and
+// stops at the first error.
+func (r *Runner) eachDB(f func(db *table.DB) error) error {
+	for _, c := range r.clusters {
+		for _, sh := range c.Cluster.Shards() {
+			if err := f(sh.DB); err != nil {
+				return fmt.Errorf("shards=%d shard %d: %w", c.Cluster.NumShards(), sh.Index, err)
 			}
 		}
 	}
 	return nil
 }
 
-// insertIn writes one business object with the given number of items inside
-// tx, left open, and records it — not alive until the caller commits.
-func (r *Runner) insertIn(tx *txn.Txn, items int) (int, error) {
-	o := object{hid: r.erp.NextHeaderID()}
+// mergeActive reports whether an online merge of a named table is open on
+// any shard.
+func (r *Runner) mergeActive(names ...string) bool {
+	for _, c := range r.clusters {
+		for _, sh := range c.Cluster.Shards() {
+			for _, name := range names {
+				if sh.DB.MergeActive(name) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// writer is one logical write transaction: an open txn per cluster, each on
+// the shard that owns the written object. Its txns commit or abort
+// together, so every cluster holds the same logical rows.
+type writer []*txn.Txn
+
+func (w writer) commit() {
+	for _, tx := range w {
+		tx.Commit()
+	}
+}
+
+func (w writer) abort() {
+	for _, tx := range w {
+		tx.Abort()
+	}
+}
+
+// begin opens a writer for the object with header id hid and runs f in each
+// cluster's txn, on the owning shard's database db. If f fails anywhere it
+// aborts the writer.
+func (r *Runner) begin(hid int64, f func(c *cluster, db *table.DB, tx *txn.Txn) error) (writer, error) {
+	w := make(writer, 0, len(r.clusters))
+	for _, c := range r.clusters {
+		db := c.owner(hid)
+		w = append(w, db.Txns().Begin())
+		if err := f(c, db, w[len(w)-1]); err != nil {
+			w.abort()
+			return nil, fmt.Errorf("shards=%d: %w", c.Cluster.NumShards(), err)
+		}
+	}
+	return w, nil
+}
+
+// write is begin followed by a commit.
+func (r *Runner) write(hid int64, f func(c *cluster, db *table.DB, tx *txn.Txn) error) error {
+	w, err := r.begin(hid, f)
+	if err == nil {
+		w.commit()
+	}
+	return err
+}
+
+// insertIn writes the next business object with the given number of items
+// in a writer left open, and records it — not alive until the caller
+// commits.
+func (r *Runner) insertIn(items int) (writer, int, error) {
+	o := object{hid: r.clusters[0].NextHeaderID()}
 	start := r.objs.nextItemID()
-	if err := r.erp.InsertBusinessObjectIn(tx, items); err != nil {
-		return -1, err
+	w, err := r.begin(o.hid, func(c *cluster, _ *table.DB, tx *txn.Txn) error {
+		return c.InsertBusinessObjectIn(tx, items)
+	})
+	if err != nil {
+		return nil, -1, err
 	}
 	for j := 0; j < items; j++ {
 		o.items = append(o.items, start+int64(j))
 	}
 	r.objs = append(r.objs, o)
-	return len(r.objs) - 1, nil
+	return w, len(r.objs) - 1, nil
 }
 
-// deleteObject deletes a live business object from db — header and items
-// in one transaction, preserving the matching dependency — and marks it
-// dead.
-func deleteObject(db *table.DB, o *object) error {
-	tx := db.Txns().Begin()
-	for _, itemID := range o.items {
-		if err := db.MustTable(workload.TItem).Delete(tx, itemID); err != nil {
-			tx.Abort()
-			return err
+// price is the Price assignment of an update: integer-valued, so the
+// arithmetic stays exact.
+func price(raw int64) map[string]column.Value {
+	return map[string]column.Value{"Price": column.FloatV(float64(1 + raw%1000))}
+}
+
+// reprice updates one item of the object with header id hid in its own
+// writer.
+func (r *Runner) reprice(hid, itemID, raw int64) error {
+	return r.write(hid, func(_ *cluster, db *table.DB, tx *txn.Txn) error {
+		return db.MustTable(workload.TItem).Update(tx, itemID, price(raw))
+	})
+}
+
+// deleteObject deletes a live business object — header and items in one
+// writer, preserving the matching dependency — and marks it dead.
+func (r *Runner) deleteObject(o *object) error {
+	err := r.write(o.hid, func(_ *cluster, db *table.DB, tx *txn.Txn) error {
+		for _, itemID := range o.items {
+			if err := db.MustTable(workload.TItem).Delete(tx, itemID); err != nil {
+				return err
+			}
 		}
+		return db.MustTable(workload.THeader).Delete(tx, o.hid)
+	})
+	if err == nil {
+		o.alive = false
 	}
-	if err := db.MustTable(workload.THeader).Delete(tx, o.hid); err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.Commit()
-	o.alive = false
-	return nil
+	return err
 }
 
 // stagedKeys lists open staged merges in a deterministic order.
@@ -627,43 +742,52 @@ func (r *Runner) stagedKeys() []stagedKey {
 	return keys
 }
 
-func (r *Runner) parts(name string) int {
-	return len(r.erp.DB.MustTable(name).Partitions())
-}
-
-// reprice updates one item's price in its own transaction on db.
-func reprice(db *table.DB, itemID int64, price float64) error {
-	tx := db.Txns().Begin()
-	if err := db.MustTable(workload.TItem).Update(tx, itemID,
-		map[string]column.Value{"Price": column.FloatV(price)}); err != nil {
-		tx.Abort()
-		return err
-	}
-	tx.Commit()
-	return nil
-}
-
-// check runs one query shape through every strategy at both worker counts
-// and compares everything against the single-worker uncached oracle.
-func (r *Runner) check(op Op) error {
-	q := r.pickQuery(op)
-	want, err := r.oracleRows(q)
-	if err != nil {
-		return err
-	}
-	r.checks++
-	for _, strat := range core.Strategies() {
-		if _, err := r.serve(q, strat, want); err != nil {
+// closeStaged swaps the staged merge k on every shard, or rolls it back.
+func (r *Runner) closeStaged(k stagedKey, abort bool) error {
+	oms := r.staged[k]
+	delete(r.staged, k)
+	for _, om := range oms {
+		if abort {
+			om.Abort()
+		} else if _, err := om.Finish(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// oracleRows renders q's uncached answer at the current snapshot and records it
-// in Outputs.
-func (r *Runner) oracleRows(q *query.Query) (string, error) {
-	res, _, err := r.m1.Execute(q, core.Uncached)
+func (r *Runner) parts(name string) int {
+	return len(r.clusters[0].Cluster.Shard(0).DB.MustTable(name).Partitions())
+}
+
+// check runs one query shape through every strategy on every arm and
+// compares everything against the uncached oracle.
+func (r *Runner) check(op Op) error {
+	q := r.pickQuery(op)
+	want, err := r.oracleRows(q, nil)
+	if err != nil {
+		return err
+	}
+	for _, strat := range core.Strategies() {
+		if _, err := r.serve(q, strat, want, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// oracleRows renders q's uncached answer on the one-shard cluster — at snap
+// when it is not nil, else at the current snapshot — and records it in
+// Outputs.
+func (r *Runner) oracleRows(q *query.Query, snap *txn.Snapshot) (string, error) {
+	m := r.clusters[0].arms[0].s[0].Manager(0)
+	var res *query.AggTable
+	var err error
+	if snap != nil {
+		res, _, err = m.ExecuteAt(q, *snap, core.Uncached)
+	} else {
+		res, _, err = m.Execute(q, core.Uncached)
+	}
 	if err != nil {
 		return "", err
 	}
@@ -672,82 +796,76 @@ func (r *Runner) oracleRows(q *query.Query) (string, error) {
 	return want, nil
 }
 
-// serve runs q under strat on every manager and compares each result with
-// the oracle's rendering want. Each mode is a worker-count pair sharing all
-// state that may legally influence results (none) and stats (its cache and
-// recycler): plain managers always, the recycled pair when enabled. Stats
-// are compared within a mode — recycled executions legitimately scan fewer
-// rows. It returns every manager's ExecInfo.
-func (r *Runner) serve(q *query.Query, strat core.Strategy, want string) ([]core.ExecInfo, error) {
-	return r.serveAt(q, strat, want, nil)
-}
-
-// serveAt is serve at an explicit snapshot (Manager.ExecuteAt) when snap is
-// not nil.
-func (r *Runner) serveAt(q *query.Query, strat core.Strategy, want string, snap *txn.Snapshot) ([]core.ExecInfo, error) {
-	modes := []struct {
-		name   string
-		m1, m4 *core.Manager
-	}{{"plain", r.m1, r.m4}}
-	if r.mr1 != nil {
-		modes = append(modes, struct {
-			name   string
-			m1, m4 *core.Manager
-		}{"recycled", r.mr1, r.mr4})
+// serve runs q under strat on every arm of every cluster and compares each
+// result with the oracle's rendering want. At snap, when it is not nil, only
+// the one-shard cluster serves, through its shard-0 managers: a scatter has
+// no snapshot vector. Stats are compared within an arm: recycled executions
+// legitimately scan fewer rows, and prune and subjoin tallies legitimately
+// differ across shard counts. It returns every execution's ExecInfo, per
+// cluster.
+func (r *Runner) serve(q *query.Query, strat core.Strategy, want string, snap *txn.Snapshot) ([][]shard.ExecInfo, error) {
+	clusters := r.clusters
+	if snap != nil {
+		clusters = clusters[:1]
 	}
-	var infos []core.ExecInfo
-	for _, mode := range modes {
-		var ref query.Stats
-		for wi, m := range []*core.Manager{mode.m1, mode.m4} {
-			var res *query.AggTable
-			var info core.ExecInfo
-			var err error
-			if snap != nil {
-				res, info, err = m.ExecuteAt(q, *snap, strat)
-			} else {
-				res, info, err = m.Execute(q, strat)
+	infos := make([][]shard.ExecInfo, len(clusters))
+	for ci, c := range clusters {
+		for _, a := range c.arms {
+			var ref query.Stats
+			for wi, s := range a.s {
+				res, info, err := execute(s, q, strat, snap)
+				where := fmt.Sprintf("shards=%d %s %v workers=%d", c.Cluster.NumShards(), a.name, strat, workers[wi])
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", where, err)
+				}
+				if got := renderRows(res); got != want {
+					return nil, fmt.Errorf("%s diverged from oracle\n got: %s\nwant: %s", where, got, want)
+				}
+				// The executor guarantees worker-count-independent results;
+				// the deterministic subjoin counters must agree too.
+				if wi == 0 {
+					ref = info.Stats
+				} else if info.Stats != ref {
+					return nil, fmt.Errorf("%s: stats diverged across worker counts:\n w1: %+v\n w4: %+v", where, ref, info.Stats)
+				}
+				infos[ci] = append(infos[ci], info)
 			}
-			if err != nil {
-				return nil, fmt.Errorf("%s %v workers=%d: %w", mode.name, strat, 1+3*wi, err)
-			}
-			if got := renderRows(res); got != want {
-				return nil, fmt.Errorf("%s %v workers=%d diverged from oracle\n got: %s\nwant: %s",
-					mode.name, strat, 1+3*wi, got, want)
-			}
-			// The executor guarantees worker-count-independent results;
-			// the deterministic subjoin counters must agree too.
-			st := canonStats(info.Stats)
-			if wi == 0 {
-				ref = st
-			} else if st != ref {
-				return nil, fmt.Errorf("%s %v stats diverged across worker counts:\n w1: %+v\n w4: %+v",
-					mode.name, strat, ref, st)
-			}
-			infos = append(infos, info)
 		}
 	}
 	return infos, nil
 }
 
-// canonStats keeps the counters that are deterministic across worker
-// counts (drops none today — all Stats fields are counts, not timings).
-func canonStats(st query.Stats) query.Stats { return st }
+// execute runs q under strat on s: scattered, or at snap on the shard-0
+// manager, its ExecInfo then that of a one-shard scatter.
+func execute(s *shard.Sharded, q *query.Query, strat core.Strategy, snap *txn.Snapshot) (*query.AggTable, shard.ExecInfo, error) {
+	if snap == nil {
+		return s.Execute(q, strat)
+	}
+	res, info, err := s.Manager(0).ExecuteAt(q, *snap, strat)
+	return res, shard.ExecInfo{
+		Strategy:  strat,
+		Scattered: 1,
+		Reasons:   []shard.PruneReason{shard.PruneNone},
+		PerShard:  []core.ExecInfo{info},
+		Stats:     info.Stats,
+	}, err
+}
 
 func (r *Runner) pickQuery(op Op) *query.Query {
-	cfg := r.cfg.ERP
+	cfg, erp := r.cfg.ERP, r.clusters[0]
 	switch op.A % 4 {
 	case 0:
 		year := cfg.BaseYear + int(op.B)%cfg.Years
 		lang := cfg.Languages[op.C%int64(len(cfg.Languages))]
-		return r.erp.ProfitQuery(year, lang)
+		return erp.ProfitQuery(year, lang)
 	case 1:
 		lo := cfg.BaseYear + int(op.B)%cfg.Years
 		hi := lo + int(op.C)%(cfg.Years-(lo-cfg.BaseYear))
-		return r.erp.YearRangeQuery(lo, hi)
+		return erp.YearRangeQuery(lo, hi)
 	case 2:
-		return r.erp.HeaderCountQuery()
+		return erp.HeaderCountQuery()
 	default:
-		return r.erp.ItemRevenueQuery()
+		return erp.ItemRevenueQuery()
 	}
 }
 
@@ -769,15 +887,10 @@ func RunSeed(cfg Config, seed int64, ops []Op) ([]string, error) {
 // repeatedly tries deleting chunks of halving size and keeps every
 // deletion under which the failure (any failure) reproduces.
 func Shrink(cfg Config, seed int64, ops []Op) []Op {
-	return shrink(ops, func(candidate []Op) bool {
+	fails := func(candidate []Op) bool {
 		_, err := RunSeed(cfg, seed, candidate)
 		return err != nil
-	})
-}
-
-// shrink is the greedy chunk-removal loop behind Shrink and the shard
-// harness's failure report; fails runs one candidate sequence.
-func shrink(ops []Op, fails func([]Op) bool) []Op {
+	}
 	if !fails(ops) {
 		return ops
 	}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -47,12 +49,14 @@ func reportFailureAs(t *testing.T, prefix string, cfg Config, seed int64, ops []
 
 // TestDifferentialRandom runs seeded mixed workloads on the single-
 // partition ERP schema: every embedded query check compares all four
-// strategies at one and four workers against the uncached oracle.
+// strategies on clusters of one, two and eight shards, at one and four
+// workers, with and without the recycler, against the uncached oracle.
 func TestDifferentialRandom(t *testing.T) {
 	seeds := seedCount(6)
 	for s := 0; s < seeds; s++ {
 		seed := int64(1000 + s)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			cfg := Config{ERP: SmallERP(seed), Ops: 60, Recycle: true}
 			ops := Generate(seed, cfg.Ops)
 			if _, err := RunSeed(cfg, seed, ops); err != nil {
@@ -62,12 +66,15 @@ func TestDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestDifferentialHotCold adds hot/cold partitioning and aging operations.
+// TestDifferentialHotCold adds hot/cold partitioning inside every shard and
+// aging operations: two orthogonal partitioning axes must stay invisible in
+// results.
 func TestDifferentialHotCold(t *testing.T) {
 	seeds := seedCount(4)
 	for s := 0; s < seeds; s++ {
 		seed := int64(2000 + s)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			cfg := Config{ERP: HotColdERP(seed), Ops: 50, Recycle: true}
 			ops := Generate(seed, cfg.Ops)
 			if _, err := RunSeed(cfg, seed, ops); err != nil {
@@ -78,19 +85,30 @@ func TestDifferentialHotCold(t *testing.T) {
 }
 
 // TestDifferentialGoverned runs seeded sequences with the maintenance
-// governor ticked after every op: governor-initiated merges are physical
+// governors ticked after every op: governor-initiated merges are physical
 // reorganizations, so every check must still match the oracle and the
 // decision ledgers must stay byte-identical across worker counts (which
 // Runner.Run asserts). The sequences are longer than the other modes'
-// because the governor merges only once compensation has cost what a merge
-// costs. Across the seeds the governor must have actually merged at least
-// once, or the mode tested nothing.
+// because a governor merges only once compensation has cost what a merge
+// costs. Across the seeds each cluster's governors must have actually
+// merged at least once, or the mode tested nothing there.
 func TestDifferentialGoverned(t *testing.T) {
 	seeds := seedCount(4)
-	var merges int64
+	var mu sync.Mutex
+	var merges [len(shardCounts)]int64
+	// Cleanup runs once every parallel seed has finished.
+	t.Cleanup(func() {
+		t.Logf("governor merges per cluster: %v", merges)
+		for ci, n := range merges {
+			if n == 0 {
+				t.Errorf("the %d-shard cluster's governors never merged across any seed; thresholds too loose to exercise the mode", shardCounts[ci])
+			}
+		}
+	})
 	for s := 0; s < seeds; s++ {
 		seed := int64(4000 + s)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			cfg := Config{ERP: SmallERP(seed), Ops: 200, Govern: true}
 			ops := Generate(seed, cfg.Ops)
 			r, err := NewRunner(cfg)
@@ -100,11 +118,14 @@ func TestDifferentialGoverned(t *testing.T) {
 			if err := r.Run(ops); err != nil {
 				reportFailure(t, cfg, seed, ops, err)
 			}
-			merges += r.gov.Snapshot().Merges
+			mu.Lock()
+			defer mu.Unlock()
+			for ci, c := range r.clusters {
+				for _, g := range c.arms[0].s[0].Governors() {
+					merges[ci] += g.Snapshot().Merges
+				}
+			}
 		})
-	}
-	if merges == 0 {
-		t.Fatal("governor never merged across any seed; thresholds too loose to exercise the mode")
 	}
 }
 
@@ -112,13 +133,29 @@ func TestDifferentialGoverned(t *testing.T) {
 // sequences in which every check reads its query twice under one strategy,
 // with nothing, a committed, aborted or in-flight write, a write elsewhere,
 // or an online merge in between, each read compared with the oracle at its
-// snapshot. Across the seeds every in-between case must have run.
+// snapshot. With nothing the query reads changed, the second read must be
+// a memo hit on every dispatched shard of every arm. Across the seeds every
+// in-between case must have run on every cluster.
 func TestDifferentialRepeat(t *testing.T) {
 	seeds := seedCount(16)
-	var ran [numRepeatCases]int
+	var mu sync.Mutex
+	var ran [len(shardCounts)][numRepeatCases]int
+	// Cleanup runs once every parallel seed has finished.
+	t.Cleanup(func() {
+		t.Logf("repeat cases run per cluster: %v", ran)
+		for ci := range ran {
+			for c, n := range ran[ci] {
+				if n == 0 && seeds >= 16 {
+					t.Errorf("no repeat ran the %s case on the %d-shard cluster across %d seeds",
+						repeatCase(c), shardCounts[ci], seeds)
+				}
+			}
+		}
+	})
 	for s := 0; s < seeds; s++ {
 		seed := int64(5000 + s)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			cfg := Config{ERP: SmallERP(seed), Ops: 60, Recycle: true}
 			ops := checksToRepeats(Generate(seed, cfg.Ops))
 			r, err := NewRunner(cfg)
@@ -128,16 +165,14 @@ func TestDifferentialRepeat(t *testing.T) {
 			if err := r.Run(ops); err != nil {
 				reportFailure(t, cfg, seed, ops, err)
 			}
-			for c, n := range r.repeats {
-				ran[c] += n
+			mu.Lock()
+			defer mu.Unlock()
+			for ci := range ran {
+				for c, n := range r.repeats[ci] {
+					ran[ci][c] += n
+				}
 			}
 		})
-	}
-	t.Logf("repeat cases run: %v", ran)
-	for c, n := range ran {
-		if n == 0 && seeds >= 16 {
-			t.Errorf("no repeat ran the %s case across %d seeds", repeatCase(c), seeds)
-		}
 	}
 }
 
@@ -153,6 +188,7 @@ func TestDifferentialOwnWrites(t *testing.T) {
 	for s := 0; s < seeds; s++ {
 		seed := int64(6000 + s)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			cfg := Config{ERP: SmallERP(seed), Ops: 60, Recycle: true}
 			ops := checksToOwnWrites(Generate(seed, cfg.Ops))
 			if _, err := RunSeed(cfg, seed, ops); err != nil {
@@ -171,6 +207,7 @@ func TestMergesAreTransparent(t *testing.T) {
 	for s := 0; s < seeds; s++ {
 		seed := int64(3000 + s)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			cfg := Config{ERP: SmallERP(seed), Ops: 60}
 			ops := Generate(seed, cfg.Ops)
 			withMerges, err := RunSeed(cfg, seed, ops)
@@ -191,6 +228,34 @@ func TestMergesAreTransparent(t *testing.T) {
 					t.Fatalf("check %d diverged between merge-on and merge-off runs:\n  on: %s\n off: %s\n%s",
 						i, withMerges[i], without[i], Format(seed, ops))
 				}
+			}
+		})
+	}
+}
+
+// TestShardCorruptionCaught corrupts one cached aggregate partial in every
+// shard manager of one cluster only, and asserts the next check against the
+// oracle reports the divergence on that cluster: the shard fold must not
+// mask a corrupted partial, and no cluster goes unchecked.
+func TestShardCorruptionCaught(t *testing.T) {
+	check := Op{Kind: OpCheck, A: 3, B: 1} // ItemRevenueQuery — cacheable shape
+	for ci, n := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			t.Parallel()
+			r, err := NewRunner(Config{ERP: SmallERP(11), Recycle: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.apply(check); err != nil {
+				t.Fatal(err)
+			}
+			r.clusters[ci].corrupt(11)
+			err = r.apply(check)
+			if err == nil {
+				t.Fatal("corrupted cache entries were not caught by the oracle check")
+			}
+			if want := fmt.Sprintf("shards=%d ", n); !strings.Contains(err.Error(), want) {
+				t.Fatalf("divergence reported outside the corrupted cluster (want %q): %v", want, err)
 			}
 		})
 	}

@@ -5,9 +5,11 @@ import (
 
 	"aggcache/internal/column"
 	"aggcache/internal/core"
+	"aggcache/internal/shard"
+	"aggcache/internal/table"
 )
 
-// sideTable is a table of the runner's database that no query reads: a
+// sideTable is a table of every shard's database that no query reads: a
 // write to it must leave every result memo servable.
 const sideTable = "Note"
 
@@ -34,36 +36,30 @@ var repeatCaseNames = [numRepeatCases]string{"nothing", "insert", "update-main",
 func (c repeatCase) String() string { return repeatCaseNames[c] }
 
 // repeat reads one query twice under one cached strategy with the case's
-// write or reorganization in between. Each read is compared with the
-// uncached oracle at its own snapshot; the raw values' low bits pick the
-// query like a check, their higher bits the case (B) and strategy (C).
+// write or reorganization in between, on every cluster. Each read is
+// compared with the uncached oracle at its own snapshot; the raw values' low
+// bits pick the query like a check, their higher bits the case (B) and
+// strategy (C).
 func (r *Runner) repeat(op Op) error {
-	db := r.erp.DB
 	q := r.pickQuery(op)
 	strat := core.Strategies()[1+(op.C>>8)%3]
 	c := repeatCase((op.B >> 8) % int64(numRepeatCases))
 	items := int((op.A>>8)%3) + 1
-	r.repeats[c]++
 
-	var commit func()
+	var inFlight writer
+	var inFlightIdx int
 	if c == repeatInFlightInsert {
-		tx := db.Txns().Begin()
-		idx, err := r.insertIn(tx, items)
-		if err != nil {
-			tx.Abort()
+		var err error
+		if inFlight, inFlightIdx, err = r.insertIn(items); err != nil {
 			return err
 		}
-		commit = func() {
-			tx.Commit()
-			r.objs[idx].alive = true
-		}
 	}
-	read := func(which string) ([]core.ExecInfo, error) {
-		want, err := r.oracleRows(q)
+	read := func(which string) ([][]shard.ExecInfo, error) {
+		want, err := r.oracleRows(q, nil)
 		if err != nil {
 			return nil, err
 		}
-		infos, err := r.serve(q, strat, want)
+		infos, err := r.serve(q, strat, want, nil)
 		if err != nil {
 			return nil, fmt.Errorf("repeat %s, %s read: %w", c, which, err)
 		}
@@ -73,48 +69,46 @@ func (r *Runner) repeat(op Op) error {
 		return err
 	}
 
+	var err error
 	switch c {
 	case repeatInsert:
-		if err := r.apply(Op{Kind: OpInsert, A: op.A >> 8}); err != nil {
-			return err
-		}
+		err = r.apply(Op{Kind: OpInsert, A: op.A >> 8})
 	case repeatUpdateMain:
-		if item, ok := r.pickLoadedItem(op.C); ok {
-			if err := reprice(db, item, float64(1+op.C%1000)); err != nil {
-				return err
-			}
+		if hid, item, ok := r.pickLoadedItem(op.C); ok {
+			err = r.reprice(hid, item, op.C)
 		}
 	case repeatDeleteMain:
 		if idx := r.pickLoadedObject(op.C); idx >= 0 {
-			if err := deleteObject(db, &r.objs[idx]); err != nil {
-				return err
-			}
+			err = r.deleteObject(&r.objs[idx])
 		}
 	case repeatAbortedInsert:
-		tx := db.Txns().Begin()
-		if _, err := r.insertIn(tx, items); err != nil {
-			tx.Abort()
-			return err
+		var w writer
+		if w, _, err = r.insertIn(items); err == nil {
+			w.abort()
 		}
-		tx.Abort()
 	case repeatInFlightInsert:
-		commit()
+		inFlight.commit()
+		r.objs[inFlightIdx].alive = true
 	case repeatElsewhere:
-		tx := db.Txns().Begin()
-		if _, err := db.MustTable(sideTable).Insert(tx, []column.Value{column.IntV(op.C)}); err != nil {
-			tx.Abort()
-			return err
-		}
-		tx.Commit()
+		// A note on every shard, so no dispatched shard's memo is spared
+		// the write.
+		err = r.eachDB(func(db *table.DB) error {
+			tx := db.Txns().Begin()
+			if _, err := db.MustTable(sideTable).Insert(tx, []column.Value{column.IntV(op.C)}); err != nil {
+				tx.Abort()
+				return err
+			}
+			tx.Commit()
+			return nil
+		})
 	case repeatMergeInFlight:
-		if err := r.apply(Op{Kind: OpBeginMerge, A: op.A >> 8, B: op.C}); err != nil {
-			return err
-		}
+		err = r.apply(Op{Kind: OpBeginMerge, A: op.A >> 8, B: op.C})
 	case repeatMergeSwap:
 		// An even A merges Header and Item as a group.
-		if err := r.apply(Op{Kind: OpMergeOnline}); err != nil {
-			return err
-		}
+		err = r.apply(Op{Kind: OpMergeOnline})
+	}
+	if err != nil {
+		return err
 	}
 
 	infos, err := read("second")
@@ -122,11 +116,20 @@ func (r *Runner) repeat(op Op) error {
 		return err
 	}
 	// Nothing the query reads changed, so the first read's answer — kept
-	// as each entry's memo unless a merge froze the entries — is served.
-	if (c == repeatNothing || c == repeatElsewhere) && !r.mergeActive() {
-		for i, info := range infos {
-			if !info.MemoHit {
-				return fmt.Errorf("repeat %s: second read on manager %d was not a memo hit: %+v", c, i, info)
+	// as each entry's memo unless a merge froze the entries — is served on
+	// every dispatched shard.
+	memo := (c == repeatNothing || c == repeatElsewhere) && !r.mergeActive(txTables...)
+	for ci, cinfos := range infos {
+		r.repeats[ci][c]++
+		if !memo {
+			continue
+		}
+		for j, info := range cinfos {
+			for i, reason := range info.Reasons {
+				if reason == shard.PruneNone && !info.PerShard[i].MemoHit {
+					return fmt.Errorf("repeat %s: shards=%d: second read %d on shard %d was not a memo hit: %+v",
+						c, shardCounts[ci], j, i, info.PerShard[i])
+				}
 			}
 		}
 	}
@@ -134,21 +137,24 @@ func (r *Runner) repeat(op Op) error {
 }
 
 // pickLoadedItem resolves a raw random value to an item of a live
-// bulk-loaded object. Bulk loading puts those rows in main, where they stay
-// unless an earlier update moved a version to the delta. The choice is by
-// object history, not by store, so a run with merges disabled makes the
-// same logical write.
-func (r *Runner) pickLoadedItem(raw int64) (int64, bool) {
-	var items []int64
+// bulk-loaded object, and that object's header id. Bulk loading puts those
+// rows in main, where they stay unless an earlier update moved a version to
+// the delta. The choice is by object history, not by store, so a run with
+// merges disabled makes the same logical write.
+func (r *Runner) pickLoadedItem(raw int64) (hid, item int64, ok bool) {
+	var hids, items []int64
 	for _, o := range r.objs[:r.cfg.ERP.Headers] {
 		if o.alive {
-			items = append(items, o.items...)
+			for _, it := range o.items {
+				hids, items = append(hids, o.hid), append(items, it)
+			}
 		}
 	}
 	if len(items) == 0 {
-		return 0, false
+		return 0, 0, false
 	}
-	return items[raw%int64(len(items))], true
+	i := raw % int64(len(items))
+	return hids[i], items[i], true
 }
 
 // pickLoadedObject resolves a raw random value to a live bulk-loaded object

@@ -146,7 +146,10 @@ func (s *Sharded) ExecuteSpan(q *query.Query, strat core.Strategy, sp *obs.Span)
 	}
 	for _, i := range dispatch {
 		if errs[i] != nil {
-			return nil, info, fmt.Errorf("shard %d: %w", i, errs[i])
+			err := fmt.Errorf("shard %d: %w", i, errs[i])
+			info.Total = time.Since(start)
+			s.observe(q, dispatch, &info, err)
+			return nil, info, err
 		}
 	}
 
@@ -160,6 +163,7 @@ func (s *Sharded) ExecuteSpan(q *query.Query, strat core.Strategy, sp *obs.Span)
 		}
 	}
 	info.Total = time.Since(start)
+	s.observe(q, dispatch, &info, nil)
 
 	s.obs.queries.Inc()
 	s.obs.scattered.Add(int64(info.Scattered))
@@ -186,6 +190,28 @@ func (s *Sharded) ExecuteSpan(q *query.Query, strat core.Strategy, sp *obs.Span)
 		}
 	}
 	return out, info, nil
+}
+
+// observe records one scatter, failed or not, into the cluster's SLO
+// tracker and shape profiles: one sample per query at any shard count. The
+// query is a hit (memo hit) only if every dispatched shard's execution was
+// one; its compensation cost is the shards' sum.
+func (s *Sharded) observe(q *query.Query, dispatch []int, info *ExecInfo, err error) {
+	s.slo.Record(info.Total, err != nil)
+	if !s.shapes.Enabled() {
+		return
+	}
+	hit, memo := len(dispatch) > 0, len(dispatch) > 0
+	var comp time.Duration
+	var tuples int64
+	for _, i := range dispatch {
+		ps := &info.PerShard[i]
+		hit = hit && ps.CacheHit
+		memo = memo && ps.MemoHit
+		comp += ps.DeltaComp
+		tuples += ps.DeltaTuples
+	}
+	s.shapes.Observe(q.Shape(), info.Total, hit, memo, err != nil, int64(comp/time.Microsecond), tuples)
 }
 
 // pruneShard decides, before dispatch, whether shard i can contribute any

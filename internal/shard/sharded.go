@@ -18,7 +18,9 @@ type Config struct {
 	// traffic; when set, all shards share it. When Manager.Recycler is set,
 	// each shard gets its own recycler built from its settings: recycler
 	// keys carry no shard identity, so one shared recycler would hand each
-	// shard the other shards' partials.
+	// shard the other shards' partials. Manager.SLO and Manager.Shapes are
+	// the cluster's, not the shards': the scatter records each query into
+	// them once, and the shard managers are built without them.
 	Manager core.Config
 	// Metrics receives the scatter-gather metrics (shard.*); nil uses the
 	// process-default registry.
@@ -41,6 +43,9 @@ type Sharded struct {
 	ledgers []*obs.Ledger
 	obs     *shardObs
 	govs    []*core.Governor
+	// slo and shapes count queries, not shard executions (see observe).
+	slo    *obs.SLO
+	shapes *obs.Shapes
 }
 
 // shardObs holds the scatter-gather metric handles, resolved once so the
@@ -81,11 +86,18 @@ func newShardObs(reg *obs.Registry, shards int) *shardObs {
 }
 
 // New builds the manager plane: one core.Manager per shard from the
-// template config, each with its own recycler when the template has one.
+// template config, each with its own recycler when the template has one and
+// none with the template's SLO tracker or shape profiles.
 func New(c *Cluster, cfg Config) *Sharded {
-	s := &Sharded{cluster: c, obs: newShardObs(cfg.Metrics, c.NumShards())}
+	s := &Sharded{
+		cluster: c,
+		obs:     newShardObs(cfg.Metrics, c.NumShards()),
+		slo:     cfg.Manager.SLO,
+		shapes:  cfg.Manager.Shapes,
+	}
 	for _, sh := range c.Shards() {
 		mcfg := cfg.Manager
+		mcfg.SLO, mcfg.Shapes = nil, nil
 		if mcfg.Metrics == nil {
 			mcfg.Metrics = obs.NewRegistry()
 		}

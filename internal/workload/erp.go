@@ -255,14 +255,6 @@ func (e *ERP) InsertBusinessObject(items int) error {
 	return e.gen.commitObject(e.DB, e.Reg, items)
 }
 
-// InsertBusinessObjectIn writes one business object — a header and the
-// given number of items, MD-enforced — inside tx and leaves tx open, so a
-// caller can read while the write is in flight and then commit or abort it.
-// The object's ids are consumed either way.
-func (e *ERP) InsertBusinessObjectIn(tx *txn.Txn, items int) error {
-	return e.gen.insertObject(e.DB, e.Reg, tx, items)
-}
-
 // commitObject writes the next business object into db in a transaction of
 // its own.
 func (g *erpGen) commitObject(db *table.DB, reg *md.Registry, items int) error {
