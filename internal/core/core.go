@@ -3,9 +3,10 @@
 // architecture (paper Sec. 2). Cached aggregates are computed only on main
 // stores; query results are made consistent at execution time by
 //
-//   - main compensation — invalidated main rows are detected by comparing
-//     the visibility bit vector captured at caching time against the current
-//     one, and subtracted from the cached value (Sec. 2.2), and
+//   - main compensation — the main rows invalidated since the entry was
+//     cached are read from each main's invalidation log, between the
+//     entry's watermark and the read's snapshot, and subtracted from the
+//     cached value (Sec. 2.2), and
 //   - delta compensation — the subjoin combinations involving at least one
 //     delta store are evaluated and unioned with the cached value
 //     (Sec. 2.3).

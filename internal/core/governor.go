@@ -213,18 +213,17 @@ func (g *Governor) Tick() (bool, error) {
 		return false, nil
 	}
 
-	grouped, err := g.merge()
+	err := g.merge()
 	end := g.m.DeltaWork()
 	g.mu.Lock()
 	g.base = end
-	if grouped {
-		g.merges++
-		g.gMerges.Inc()
-	}
-	g.lastReason = GovMerged
 	if err != nil {
 		g.failures++
 		g.lastReason, g.lastErr = GovMergeFailed, err.Error()
+	} else {
+		g.merges++
+		g.gMerges.Inc()
+		g.lastReason = GovMerged
 	}
 	g.mu.Unlock()
 	if g.m.ev.Enabled() {
@@ -237,40 +236,12 @@ func (g *Governor) Tick() (bool, error) {
 	return err == nil, err
 }
 
-// merge drains the governed deltas online. Single-partition tables (and
-// partition 0 of partitioned ones) merge as one synchronized group — their
-// deltas empty atomically, which join pruning depends on — and any
-// remaining partitions with delta rows follow individually. grouped
-// reports whether the group merge succeeded, even when a later partition
-// merge fails.
-func (g *Governor) merge() (grouped bool, err error) {
-	db := g.m.db
-	if err := db.MergeTablesOnline(false, g.cfg.Tables...); err != nil {
-		return false, err
-	}
-	for _, name := range g.cfg.Tables {
-		for _, pi := range g.pendingParts(name) {
-			if _, err := db.MergeOnline(name, pi, false); err != nil {
-				return true, err
-			}
-		}
-	}
-	return true, nil
-}
-
-// pendingParts lists the table's partitions past the first that hold delta
-// rows, read under the DB read lock; the group merge proved the table exists.
-func (g *Governor) pendingParts(name string) []int {
-	db := g.m.db
-	db.RLock()
-	defer db.RUnlock()
-	var out []int
-	for pi, p := range db.Table(name).Partitions() {
-		if pi > 0 && p.Delta.Rows() > 0 {
-			out = append(out, pi)
-		}
-	}
-	return out
+// merge drains the governed deltas as one synchronized group merge
+// (DB.MergeTablesOnline): every governed partition holding delta rows, hot
+// and cold alike, freezes at one snapshot and swaps in one critical
+// section, so the deltas empty atomically, which join pruning depends on.
+func (g *Governor) merge() error {
+	return g.m.db.MergeTablesOnline(false, g.cfg.Tables...)
 }
 
 // Snapshot reports the governor's last verdict, its work against the price,

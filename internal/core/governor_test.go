@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"aggcache/internal/obs"
+	"aggcache/internal/query"
 	"aggcache/internal/table"
 	"aggcache/internal/txn"
 )
@@ -251,6 +254,61 @@ func TestGovernorMergeFailure(t *testing.T) {
 	}
 	if snap := g.Snapshot(); snap.Work != 0 || snap.LastReason != GovBelowPrice || snap.Failures != 1 {
 		t.Fatalf("after the retry tick: %+v", snap)
+	}
+}
+
+// TestGovernorMergesHotColdAtOneSnapshot: on a hot/cold Header+Item with
+// delta rows in all four partitions, one merging tick drains every governed
+// delta as one group. All four members freeze at one snapshot (their
+// table.merge_online_start events share snap_high) and swap in one critical
+// section (every start precedes every swap), and the cached join stays a
+// maintained hit.
+func TestGovernorMergesHotColdAtOneSnapshot(t *testing.T) {
+	e := newEnvHotCold(t)
+	var buf bytes.Buffer
+	e.db.SetEvents(obs.NewEventLog(&buf))
+	q := joinQuery()
+	for paid, i := false, 0; !paid; i++ {
+		if i == 200 {
+			t.Fatal("compensation work never reached the merge price")
+		}
+		e.insertObjectTid(t, 5, 2011, 3)
+		e.insertObject(t, 2015, 4)
+		for _, qq := range []*query.Query{q, headerOnlyQuery()} {
+			if _, _, err := e.mgr.Execute(qq, CachedFullPruning); err != nil {
+				t.Fatal(err)
+			}
+		}
+		price, _ := governedRows(e)
+		paid = e.mgr.DeltaWork() >= price
+	}
+	g := NewGovernor(e.mgr, GovernorConfig{Tables: []string{"Header", "Item"}})
+	if merged, err := g.Tick(); !merged || err != nil {
+		t.Fatalf("tick: merged=%v err=%v, want a merge", merged, err)
+	}
+	if _, delta := governedRows(e); delta != 0 {
+		t.Fatalf("%d delta rows after one merging tick", delta)
+	}
+	started := map[string]bool{}
+	snaps := map[any]bool{}
+	swaps := 0
+	for _, ev := range parseEvents(t, &buf) {
+		switch ev["msg"] {
+		case "table.merge_online_start":
+			if swaps > 0 {
+				t.Fatalf("%v/%v started after a swap", ev["table"], ev["part"])
+			}
+			started[fmt.Sprintf("%v/%v", ev["table"], ev["part"])] = true
+			snaps[ev["snap_high"]] = true
+		case "table.merge_online_swap":
+			swaps++
+		}
+	}
+	if len(started) != 4 || swaps != 4 || len(snaps) != 1 {
+		t.Fatalf("members %v swapped %d times at snapshots %v; want four at one", started, swaps, snaps)
+	}
+	if info := assertMatchesUncached(t, e, q, CachedFullPruning); !info.CacheHit || info.Rebuilt {
+		t.Fatalf("after the merge: %+v, want a maintained cache hit", info)
 	}
 }
 

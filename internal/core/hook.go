@@ -59,7 +59,7 @@ func (h *mergeHook) FoldOnline(db *table.DB, tbl *table.Table, part int, snap tx
 		}
 		jobs = append(jobs, foldJob{key: key, e: e, combos: m.mergeFoldCombos(e.Query, name, part)})
 	}
-	m.foldedActive[name] = true
+	m.foldedActive[foldKey{table: name, part: part}] = true
 	m.mu.Unlock()
 
 	pf := &pendingFold{
@@ -105,7 +105,7 @@ func (h *mergeHook) SwapOnline(db *table.DB, tbl *table.Table, part int, snap tx
 	fk := foldKey{table: name, part: part}
 	pf := m.pendingFolds[fk]
 	delete(m.pendingFolds, fk)
-	delete(m.foldedActive, name)
+	delete(m.foldedActive, fk)
 	for _, key := range m.sortedEntryKeys() {
 		e := m.entries[key]
 		if !queryReferences(e.Query, name) {
@@ -163,8 +163,9 @@ func (h *mergeHook) AbortOnline(db *table.DB, tbl *table.Table, part int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	name := tbl.Name()
-	delete(m.pendingFolds, foldKey{table: name, part: part})
-	delete(m.foldedActive, name)
+	fk := foldKey{table: name, part: part}
+	delete(m.pendingFolds, fk)
+	delete(m.foldedActive, fk)
 	// Folds staged for other, still-running merges may have counted this
 	// table's frozen delta as about-to-merge (the cross-term telescoping in
 	// mergeFoldCombos); applying them now would double-count those rows.
@@ -227,7 +228,7 @@ func queryReferences(q *query.Query, tableName string) bool {
 
 // mergeFoldCombos selects the subjoins that fold one partition's delta into
 // an entry: the merging table pinned to that delta store, every other table
-// ranging over its main stores. A simultaneously-merging table whose own
+// ranging over its main stores. A simultaneously-merging store whose own
 // fold is already staged additionally contributes its frozen delta: that
 // delta lands in its main together with ours, and the delta×delta cross
 // terms belong to exactly one fold — the later one. Filtering AllCombos
@@ -242,7 +243,7 @@ func (m *Manager) mergeFoldCombos(q *query.Query, mergingTable string, part int)
 		case ref.D2:
 			return false
 		}
-		return m.foldedActive[ref.Table] && m.db.MustTable(ref.Table).Partition(ref.Part).MergeActive()
+		return m.foldedActive[foldKey{table: ref.Table, part: ref.Part}]
 	}
 	var out []query.Combo
 next:

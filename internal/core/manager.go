@@ -150,12 +150,14 @@ type Manager struct {
 	// (table, partition); SwapOnline applies them inside the swap critical
 	// section and AbortOnline discards them.
 	pendingFolds map[foldKey]*pendingFold
-	// foldedActive marks tables whose merge fold has already been staged in
-	// the current merge epoch. Later folds of other simultaneously-merging
-	// tables include these tables' frozen deltas in their subjoins — the
-	// telescoping that assigns each delta×delta cross term to exactly one
-	// fold.
-	foldedActive map[string]bool
+	// foldedActive marks the merging stores (table, partition) whose fold
+	// has already been staged in the current merge epoch. Later folds of
+	// other simultaneously-merging tables include these stores' frozen
+	// deltas in their subjoins — the telescoping that assigns each
+	// delta×delta cross term to exactly one fold. Keying by table would
+	// count a cross term with a not-yet-folded partition of a folded table
+	// twice.
+	foldedActive map[foldKey]bool
 	// shadow is the installed shadow-verification hook (SetShadow); read
 	// lock-free on the Execute path, nil when verification is off.
 	shadow atomic.Pointer[shadowBox]
@@ -226,7 +228,7 @@ func NewManager(db *table.DB, mds *md.Registry, cfg Config) *Manager {
 		ghost:             make(map[string]ghostInfo),
 		evictionsByReason: make(map[string]int64),
 		pendingFolds:      make(map[foldKey]*pendingFold),
-		foldedActive:      make(map[string]bool),
+		foldedActive:      make(map[foldKey]bool),
 	}
 	m.exec.ParallelSubjoins = m.obs.parallelSubjoins
 	if cfg.Recycler != nil {

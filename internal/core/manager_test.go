@@ -82,11 +82,22 @@ func newEnv(t testing.TB, cfg Config) *env {
 // transaction, with MD enforcement.
 func (e *env) insertObject(t testing.TB, year int64, prices ...float64) int64 {
 	t.Helper()
+	return e.insertObjectTid(t, 0, year, prices...)
+}
+
+// insertObjectTid is insertObject with the object's header tid given, 0 for
+// the transaction's own ID; on a hot/cold env a tid below 10 writes to the
+// cold partitions.
+func (e *env) insertObjectTid(t testing.TB, tid, year int64, prices ...float64) int64 {
+	t.Helper()
 	tx := e.db.Txns().Begin()
+	if tid == 0 {
+		tid = int64(tx.ID())
+	}
 	hid := e.nextHdr
 	e.nextHdr++
 	if _, err := e.db.MustTable("Header").Insert(tx, []column.Value{
-		column.IntV(hid), column.IntV(year), column.IntV(int64(tx.ID())),
+		column.IntV(hid), column.IntV(year), column.IntV(tid),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"aggcache/internal/column"
 	"aggcache/internal/query"
+	"aggcache/internal/table"
 	"aggcache/internal/txn"
 )
 
@@ -118,6 +119,52 @@ func TestOnlineMergeGroupMaintainsEntries(t *testing.T) {
 	info := assertMatchesUncached(t, e, q, CachedFullPruning)
 	if info.Rebuilt || !info.CacheHit {
 		t.Fatalf("post group-merge execution: %+v, want maintained cache hit", info)
+	}
+}
+
+// TestOnlineMergeInterleavedPartitionFolds merges all four partitions of a
+// hot/cold Header+Item at one snapshot, built in the interleaved order
+// Header/0, Item/0, Header/1, Item/1. Each delta×delta cross term must land
+// in exactly one fold: the one of whichever of its two stores folds later.
+// Counting a table as folded once any of its partitions has would put
+// Header/1's delta joined with Item/1's into two folds.
+func TestOnlineMergeInterleavedPartitionFolds(t *testing.T) {
+	e := newEnvHotCold(t)
+	q := joinQuery()
+	if _, _, err := e.mgr.Execute(q, CachedFullPruning); err != nil {
+		t.Fatal(err)
+	}
+	e.insertObjectTid(t, 5, 2011, 6, 9)
+	e.insertObjectTid(t, 6, 2012, 2)
+	e.insertObject(t, 2015, 8, 1)
+	e.insertObject(t, 2016, 4)
+	members := []struct {
+		table string
+		part  int
+	}{{"Header", 0}, {"Item", 0}, {"Header", 1}, {"Item", 1}}
+	var oms []*table.OnlineMerge
+	for _, m := range members {
+		if rows := e.db.MustTable(m.table).Partition(m.part).Delta.Rows(); rows == 0 {
+			t.Fatalf("%s/%d has an empty delta", m.table, m.part)
+		}
+		om, err := e.db.StartOnlineMerge(m.table, m.part, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oms = append(oms, om)
+	}
+	for _, om := range oms {
+		if err := om.Build(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, om := range oms {
+		if _, err := om.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info := assertMatchesUncached(t, e, q, CachedFullPruning); !info.CacheHit || info.Rebuilt {
+		t.Fatalf("after the merges: %+v, want a maintained cache hit", info)
 	}
 }
 

@@ -565,16 +565,13 @@ func (r *Runner) apply(op Op) error {
 		if r.cfg.DisableMerges || r.cfg.ERP.ColdShare <= 0 || r.mergeActive(txTables...) {
 			return nil
 		}
-		// Aging requires empty deltas in every partition: each shard merges
-		// them all first, then moves both tables' boundaries together, to
-		// keep objects co-partitioned, to a split below its own watermark.
+		// Aging requires empty deltas in every partition: each shard drains
+		// them with one group merge first, then moves both tables'
+		// boundaries together, to keep objects co-partitioned, to a split
+		// below its own watermark.
 		return r.eachDB(func(db *table.DB) error {
-			for _, name := range txTables {
-				for part := 0; part < r.parts(name); part++ {
-					if _, err := db.MergeOnline(name, part, false); err != nil {
-						return err
-					}
-				}
+			if err := db.MergeTablesOnline(false, txTables...); err != nil {
+				return err
 			}
 			cold := db.MustTable(workload.THeader).Partitions()[0]
 			wm := int64(db.Txns().Watermark())

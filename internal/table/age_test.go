@@ -1,9 +1,12 @@
 package table
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"aggcache/internal/column"
+	"aggcache/internal/obs"
 )
 
 func agedTable(t *testing.T) (*DB, *Table) {
@@ -38,9 +41,21 @@ func TestAgeMovesRows(t *testing.T) {
 	if cold.Main.Rows() != 2 || hot.Main.Rows() != 3 {
 		t.Fatalf("pre-aging rows = %d/%d", cold.Main.Rows(), hot.Main.Rows())
 	}
-	// Move the boundary: 2012 and 2013 become cold.
+	// Move the boundary: 2012 and 2013 become cold. An aging is not a delta
+	// merge: it emits its own events and counts in no merge metric.
+	reg := obs.NewRegistry()
+	var events bytes.Buffer
+	db.SetMetrics(reg)
+	db.SetEvents(obs.NewEventLog(&events))
 	if err := db.AgeOnline("Header", 2014); err != nil {
 		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counters["table.merges"]; n != 0 {
+		t.Fatalf("aging counted %d delta merges", n)
+	}
+	if log := events.String(); strings.Contains(log, "table.merge_online") ||
+		!strings.Contains(log, "table.age_online_start") || !strings.Contains(log, "table.age_online_swap") {
+		t.Fatalf("aging events:\n%s", log)
 	}
 	if cold.Main.Rows() != 4 || hot.Main.Rows() != 1 {
 		t.Fatalf("post-aging rows = %d/%d, want 4/1", cold.Main.Rows(), hot.Main.Rows())
@@ -101,6 +116,9 @@ func TestAgePreservesInvalidatedRows(t *testing.T) {
 	}
 	// The invalidated row travels with its MVCC timestamps and stays
 	// invisible.
+	if rows := tbl.Partition(0).Main.Rows() + tbl.Partition(1).Main.Rows(); rows != 5 {
+		t.Fatalf("mains hold %d rows after aging, want all 5 versions", rows)
+	}
 	snap := db.Txns().ReadSnapshot()
 	live := tbl.Partition(0).Main.LiveRows(snap) + tbl.Partition(1).Main.LiveRows(snap)
 	if live != 4 {

@@ -8,13 +8,15 @@ import (
 	"aggcache/internal/txn"
 )
 
-// MergeHook observes delta merges (and AgeOnline, which rides the same
-// protocol). The aggregate cache registers one to maintain its entries
-// incrementally during the merge (paper Sec. 5.2). Per (table, partition) a
-// hook sees FoldOnline then exactly one of SwapOnline or AbortOnline; a
-// merge rolled back before its build phase folded (a prepare or build
-// failure, a staged merge aborted before Build) sends a bare AbortOnline. A
-// swap never arrives without its fold.
+// MergeHook observes online rebuilds: delta merges and AgeOnline, which is
+// the same rebuild with a moved boundary. The aggregate cache registers one
+// to maintain its entries incrementally during the merge (paper Sec. 5.2).
+// Per member (table, partition) of a rebuild a hook sees FoldOnline then
+// exactly one of SwapOnline or AbortOnline; all members of one rebuild
+// share the snapshot S0, fold one after another and swap in one critical
+// section. A rebuild rolled back before its build phase folded (a prepare
+// or build failure, a staged merge aborted before Build) sends a bare
+// AbortOnline per member. A swap never arrives without its fold.
 //
 //   - FoldOnline runs during the build phase under the shared reader lock,
 //     with the frozen old main+delta still serving queries; the hook
@@ -22,9 +24,9 @@ import (
 //     into cached aggregates) against the merge snapshot without blocking
 //     anyone.
 //   - SwapOnline runs inside the swap critical section (writer lock held),
-//     after the new main and delta are installed but before the
-//     invalidation log is replayed, so baselines captured here observe the
-//     merge snapshot exactly.
+//     after every member's new main and delta are installed (and a pending
+//     boundary moved) but before the invalidation logs are replayed, so
+//     baselines captured here observe the merge snapshot exactly.
 //   - AbortOnline runs (writer lock held) after a merge rolled back; the
 //     hook discards whatever FoldOnline staged. The store layout observable
 //     by queries is unchanged by a rollback.

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -467,6 +468,214 @@ func TestOnlineMergeConcurrentSoak(t *testing.T) {
 	}
 	if tbl.Partition(0).merge != nil {
 		t.Fatal("merge state leaked")
+	}
+}
+
+// TestOnlineMergeAgingSoak runs group merges and agings of a hot/cold
+// table against concurrent writers and readers; run with -race. Every
+// writer transaction inserts k rows on both sides of the boundary and moves
+// one earlier key across it by an update, so a consistent snapshot sees
+// 40+k·i rows. The reader holds up to four pinned snapshots and re-reads
+// each once a whole rebuild has run since it was pinned: no rebuild may
+// change what a pinned snapshot sees. The writer commits a few
+// transactions per rebuild (tokens), pauses while the deltas drain before
+// an aging and resumes once its build has begun; a delay before every swap
+// lets it write while a rebuild is in flight, and each rebuild waits for
+// both goroutines to make progress.
+func TestOnlineMergeAgingSoak(t *testing.T) {
+	db := Open()
+	tbl, err := db.CreatePartitioned(headerSchema(), "FiscalYear", []RangePartition{
+		{Name: "cold", Lo: 0, Hi: 2010},
+		{Name: "hot", Lo: 2010, Hi: 1 << 40},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base, k = 40, 3
+	year := func(id int64) int64 { return 2000 + id*7%40 }
+	for id := int64(1); id <= base; id++ {
+		tx := db.Txns().Begin()
+		if _, err := tbl.Insert(tx, headerRow(id, year(id), "s")); err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+	}
+	f := NewFaults(1)
+	f.Set(FaultMergeBeforeSwap, FaultSpec{Prob: 1, Delay: time.Millisecond})
+	db.SetFaults(f)
+	// gate pauses the writers: each holds it shared per transaction.
+	var gate sync.RWMutex
+	resume := &duringBuildHook{}
+	db.RegisterMergeHook(resume)
+	var txns, agingTxns, reads, rereads, rebuilds atomic.Int64
+	// tokens caps the writer at four transactions per grant, one grant per
+	// rebuild, so the table stays small enough to re-read often.
+	tokens := make(chan struct{}, 4)
+	grant := func() {
+		for i := 0; i < cap(tokens); i++ {
+			select {
+			case tokens <- struct{}{}:
+			default:
+			}
+		}
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+
+	wg.Add(1)
+	go func() { // writer
+		defer wg.Done()
+		for id := int64(base + 1); ; {
+			select {
+			case <-stop:
+				return
+			case <-tokens:
+			}
+			gate.RLock()
+			db.Lock()
+			tx := db.Txns().Begin()
+			var err error
+			for j := 0; j < k && err == nil; j++ {
+				_, err = tbl.Insert(tx, headerRow(id, year(id), "w"))
+				id++
+			}
+			if err == nil {
+				err = tbl.Update(tx, id*31%(id-1)+1, map[string]column.Value{"FiscalYear": column.IntV(year(id * 3))})
+			}
+			if err == nil {
+				tx.Commit()
+				txns.Add(1)
+				if tbl.pendingSplit != nil {
+					agingTxns.Add(1)
+				}
+			} else {
+				tx.Abort()
+			}
+			db.Unlock()
+			gate.RUnlock()
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+
+	wg.Add(1)
+	go func() { // reader
+		defer wg.Done()
+		type pin struct {
+			snap     txn.Snapshot
+			release  func()
+			rows     []string
+			rebuilds int64
+		}
+		var pins []pin
+		defer func() {
+			for _, p := range pins {
+				p.release()
+			}
+		}()
+		last := -1
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			snap, release := db.Txns().PinRead()
+			db.RLock()
+			rows := visibleRowsAt(tbl, snap)
+			db.RUnlock()
+			reads.Add(1)
+			n := len(rows)
+			if (n-base)%k != 0 || n < last {
+				release()
+				errs <- fmt.Errorf("read %d rows after %d (want 40+%d·i, never fewer)", n, last, k)
+				return
+			}
+			last = n
+			if len(pins) < 4 {
+				pins = append(pins, pin{snap, release, rows, rebuilds.Load()})
+			} else {
+				release()
+			}
+			// Re-read the oldest pin once a whole rebuild has run since it
+			// was taken.
+			if p := pins[0]; rebuilds.Load() >= p.rebuilds+2 {
+				pins = pins[1:]
+				db.RLock()
+				again := visibleRowsAt(tbl, p.snap)
+				db.RUnlock()
+				p.release()
+				if !equalRows(again, p.rows) {
+					errs <- fmt.Errorf("pinned snapshot %d changed: %d rows, then %d", p.snap.High, len(p.rows), len(again))
+					return
+				}
+				rereads.Add(1)
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	// progress waits until the writer committed and the reader read since
+	// the call, or one of them failed.
+	progress := func() {
+		for w, r := txns.Load(), reads.Load(); len(errs) == 0 && (txns.Load() == w || reads.Load() == r); {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		grant()
+		progress()
+		rebuilds.Add(1)
+		if i%5 != 4 {
+			if err := db.MergeTablesOnline(false, "Header"); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		gate.Lock()
+		if err := db.MergeTablesOnline(false, "Header"); err != nil {
+			gate.Unlock()
+			t.Fatal(err)
+		}
+		released := false
+		resume.fn = func() { released = true; gate.Unlock(); grant() }
+		err := db.AgeOnline("Header", tbl.Partition(0).Hi+3)
+		if !released {
+			gate.Unlock()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if agingTxns.Load() == 0 || rereads.Load() == 0 {
+		t.Errorf("%d writer transactions while an aging was in flight, %d pinned re-reads; want both", agingTxns.Load(), rereads.Load())
+	}
+	if cold, hot := tbl.Partition(0), tbl.Partition(1); cold.Hi != 2022 || hot.Lo != 2022 {
+		t.Fatalf("four agings moved the boundary to %d/%d, want 2022", cold.Hi, hot.Lo)
+	}
+	for _, p := range tbl.Partitions() {
+		if p.merge != nil || p.Delta2 != nil || tbl.pendingSplit != nil {
+			t.Fatal("rebuild state leaked")
+		}
+	}
+	// Every key answers from the partition its year routes to.
+	for pk := int64(1); pk <= base+k*txns.Load(); pk++ {
+		ref, ok := tbl.LookupPK(pk)
+		if !ok {
+			t.Fatalf("key %d lost", pk)
+		}
+		if want, _ := tbl.routeFor(tbl.store(ref).Row(ref.Row)); ref.Part != want {
+			t.Fatalf("key %d in partition %d, its year routes to %d", pk, ref.Part, want)
+		}
 	}
 }
 

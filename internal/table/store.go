@@ -161,8 +161,8 @@ func (st *Store) lookupPK(pkc int, key int64) (int, bool) {
 }
 
 // carryKey records row as key's row in a delta's index unless the index
-// already answers key with a live version; merge and aging aborts use it to
-// bring delta2 keys along.
+// already answers key with a live version; an online rebuild's abort uses it
+// to bring delta2 keys along.
 func (st *Store) carryKey(key int64, row int) {
 	if old, ok := st.keys[key]; ok && st.live(int(old)) {
 		return
@@ -323,8 +323,6 @@ type Partition struct {
 	// Range restricts the partition to routing-column values in
 	// [Lo, Hi); both bounds are ignored when the table has one partition.
 	Lo, Hi int64
-	// Merges counts completed delta-merge operations.
-	Merges uint64
 	// merge is the bookkeeping of the in-flight online merge: the log of
 	// the invalidations that hit the frozen stores while the new main was
 	// being built off to the side, replayed during the swap critical
@@ -344,9 +342,6 @@ type mergeState struct {
 	// their final timestamps into the new main.
 	deltaInv []int
 }
-
-// MergeActive reports whether an online merge is running on this partition.
-func (p *Partition) MergeActive() bool { return p.merge != nil }
 
 // Stores lists the partition's physical stores, main first. While an online
 // merge is active the write-coalescing delta2 is included.

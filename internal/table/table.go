@@ -138,22 +138,33 @@ func (t *Table) routeFor(vals []column.Value) (int, error) {
 	if t.routeCol < 0 {
 		return 0, nil
 	}
-	v := vals[t.routeCol]
+	v := vals[t.routeCol].I
+	if t.pendingSplit != nil {
+		if v >= t.parts[0].Lo && v < t.parts[1].Hi {
+			return t.agedPart(v), nil
+		}
+	} else {
+		for i, p := range t.parts {
+			if v >= p.Lo && v < p.Hi {
+				return i, nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("table %s: value %d outside every partition range", t.schema.Name, v)
+}
+
+// agedPart returns the partition of a two-partition table that routing
+// value v belongs to: the cold one below the boundary — the pending split
+// while an aging is in flight — and the hot one from it on.
+func (t *Table) agedPart(v int64) int {
+	split := t.parts[0].Hi
 	if s := t.pendingSplit; s != nil {
-		if v.I >= t.parts[0].Lo && v.I < *s {
-			return 0, nil
-		}
-		if v.I >= *s && v.I < t.parts[1].Hi {
-			return 1, nil
-		}
-		return 0, fmt.Errorf("table %s: value %d outside every partition range", t.schema.Name, v.I)
+		split = *s
 	}
-	for i, p := range t.parts {
-		if v.I >= p.Lo && v.I < p.Hi {
-			return i, nil
-		}
+	if v < split {
+		return 0
 	}
-	return 0, fmt.Errorf("table %s: value %d outside every partition range", t.schema.Name, v.I)
+	return 1
 }
 
 // Insert appends a row (ordered per schema) to the routed partition's

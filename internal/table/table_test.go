@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"aggcache/internal/column"
+	"aggcache/internal/obs"
 	"aggcache/internal/txn"
 )
 
@@ -200,6 +201,8 @@ func TestDelete(t *testing.T) {
 
 func TestMergeMovesDeltaToMain(t *testing.T) {
 	db := Open()
+	reg := obs.NewRegistry()
+	db.SetMetrics(reg)
 	tbl, _ := db.Create(headerSchema())
 	tx := db.Txns().Begin()
 	for i := int64(1); i <= 5; i++ {
@@ -221,8 +224,8 @@ func TestMergeMovesDeltaToMain(t *testing.T) {
 	if p.Main.Rows() != 4 || p.Delta.Rows() != 0 {
 		t.Fatalf("main=%d delta=%d, want 4,0", p.Main.Rows(), p.Delta.Rows())
 	}
-	if p.Merges != 1 {
-		t.Fatalf("Merges = %d, want 1", p.Merges)
+	if n := reg.Snapshot().Counters["table.merges"]; n != 1 {
+		t.Fatalf("table.merges = %d, want 1", n)
 	}
 	// Index re-anchored to main rows.
 	for _, pk := range []int64{1, 2, 4, 5} {
